@@ -181,11 +181,14 @@ def _emit(out_dir: str, name: str, summary: dict, quiet: bool, started: float) -
 
 def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
     lam, sol = _resolve_lambda(cfg)
-    curve = virtual_weight(cfg.dist, cfg.prim, lam, cfg.grid.size, cfg.grid.tail_mass)
-    sched = solve_cap(curve, cfg.cost, cfg.prim.b_bar)
+    if sol is None:
+        curve = virtual_weight(cfg.dist, cfg.prim, lam, cfg.grid.size, cfg.grid.tail_mass)
+        sched = solve_cap(curve, cfg.cost, cfg.prim.b_bar)
+    else:  # the fixed point's last evaluation was at lam
+        curve, sched = sol.curve, sol.schedule
     transfers = transfer_schedule(sched, cfg.prim)
     cost_total = leader_cost(sched, transfers, cfg.dist, cfg.cost, cfg.prim)
-    knife = knife_edge(cfg.dist, cfg.prim, cfg.cost, lam, cfg.grid.size, cfg.grid.tail_mass)
+    knife = knife_edge(cfg.dist, cfg.prim, cfg.cost, lam, cfg.grid.size, cfg.grid.tail_mass, curve=curve)
     p_int = interior_probability(sched, cfg.dist)
 
     out_dir = cfg.output.directory
@@ -224,7 +227,10 @@ def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
 
 def _cmd_knife_edge(cfg: RunConfig, quiet: bool, started: float) -> int:
     lam, sol = _resolve_lambda(cfg)
-    report = knife_edge(cfg.dist, cfg.prim, cfg.cost, lam, cfg.grid.size, cfg.grid.tail_mass)
+    report = knife_edge(
+        cfg.dist, cfg.prim, cfg.cost, lam, cfg.grid.size, cfg.grid.tail_mass,
+        curve=None if sol is None else sol.curve,
+    )
     summary = {
         "command": "knife-edge",
         "no_rescue": report.no_rescue,
@@ -276,9 +282,11 @@ def _cmd_discretion(cfg: RunConfig, quiet: bool, started: float) -> int:
 
 
 def _cmd_statics(cfg: RunConfig, quiet: bool, started: float) -> int:
+    # both certifications start from the commitment curve
+    commitment = virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
     report = fd_certify(
         cfg.dist, cfg.prim, cfg.cost,
-        step=FD_STEP_DEFAULT, grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass,
+        step=FD_STEP_DEFAULT, grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass, curve=commitment,
     )
     rows = list(report.rows)
     chain_gap = None
@@ -286,7 +294,7 @@ def _cmd_statics(cfg: RunConfig, quiet: bool, started: float) -> int:
     if cfg.discretion.enabled and not math.isnan(report.theta_min):
         m_report = m_sensitivity(
             cfg.dist, cfg.prim, cfg.cost,
-            grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass,
+            grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass, curve=commitment,
         )
         rows.extend(m_report.rows)
         chain_gap = m_report.chain_gap
@@ -334,11 +342,10 @@ def _cmd_simulate(cfg: RunConfig, quiet: bool, started: float) -> int:
         cfg.dist, cfg.prim, cfg.cost, lam,
         n=cfg.simulation.n, seed=cfg.simulation.seed, bins=cfg.simulation.bins,
         grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass,
+        curve=None if sol is None else sol.curve,
     )
-    curve = virtual_weight(cfg.dist, cfg.prim, lam, cfg.grid.size, cfg.grid.tail_mass)
-    sched = solve_cap(curve, cfg.cost, cfg.prim.b_bar)
     centers = 0.5 * (mc.bin_edges[:-1] + mc.bin_edges[1:])
-    closed_form = sched.cap_at(centers)
+    closed_form = mc.schedule.cap_at(centers)
 
     report = {
         "n": mc.n,

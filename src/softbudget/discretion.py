@@ -37,6 +37,8 @@ from .mechanism import (
     DEFAULT_GRID_SIZE,
     DEFAULT_TAIL_MASS,
     CapSchedule,
+    VirtualWeightCurve,
+    check_curve,
     solve_cap,
     virtual_weight,
 )
@@ -121,7 +123,11 @@ class SignalRule:
 
 @dataclass(frozen=True)
 class DiscretionSolution:
-    """Converged (or best-effort) credibility fixed point."""
+    """Converged (or best-effort) credibility fixed point.
+
+    ``curve`` and ``schedule`` are the last evaluation's virtual-weight
+    curve and cap schedule, both at ``lambda_T`` when ``converged``.
+    """
 
     lambda_T: float
     p_int: float
@@ -129,6 +135,7 @@ class DiscretionSolution:
     converged: bool
     trace: tuple
     schedule: CapSchedule = field(repr=False, default=None)
+    curve: VirtualWeightCurve = field(repr=False, default=None)
 
 
 def beta_discretionary(g_hat, prim: PolicyPrimitives, cost: RescueCost):
@@ -166,6 +173,7 @@ def fixed_point(
     max_iter: int = 1000,
     grid_size: int = DEFAULT_GRID_SIZE,
     tail_mass: float = DEFAULT_TAIL_MASS,
+    curve: Optional[VirtualWeightCurve] = None,
 ) -> DiscretionSolution:
     """Iterate lambda -> omega_T - omega_b*m*P_int(lambda) to a fixed point.
 
@@ -175,7 +183,9 @@ def fixed_point(
     falls below ``tol``, so the returned (lambda_T, p_int) pair satisfies
     the fixed-point identity to that tolerance for any damping.  Exhausting
     ``max_iter`` returns the best iterate with ``converged=False`` rather
-    than raising.
+    than raising.  A caller that already holds the commitment curve (at
+    lambda = omega_T) passes it as ``curve`` (vetted by ``check_curve``)
+    for the first evaluation.
     """
     if not prim.omega_b_constant:
         raise ParameterError("the credibility fixed point requires a constant omega_b")
@@ -188,6 +198,8 @@ def fixed_point(
     floor = prim.omega_T - float(prim.omega_b) * prim.m
     if floor <= 0.0:
         raise ParameterError("fixed point requires omega_T > omega_b * m")
+    if curve is not None:
+        check_curve(curve, dist, prim, prim.omega_T, grid_size, tail_mass)
 
     lam = prim.omega_T
     trace: list[tuple[float, float]] = []
@@ -196,7 +208,8 @@ def fixed_point(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        curve = virtual_weight(dist, prim, lam, grid_size, tail_mass)
+        if curve is None or curve.lambda_T != lam:
+            curve = virtual_weight(dist, prim, lam, grid_size, tail_mass)
         schedule = solve_cap(curve, cost, prim.b_bar)
         p = interior_probability(schedule, dist)
         trace.append((lam, p))
@@ -213,4 +226,5 @@ def fixed_point(
         converged=converged,
         trace=tuple(trace),
         schedule=schedule,
+        curve=curve,
     )

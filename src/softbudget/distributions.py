@@ -158,14 +158,20 @@ class TypeDistribution:
 
         The upper end sits at the ``1 - tail_mass`` quantile so hazards stay
         finite even for unbounded supports; the truncation discards only
-        ``tail_mass`` of probability.
+        ``tail_mass`` of probability.  Where the hazard is infinite at the
+        lower support (a decreasing-hazard Weibull at zero), the lower end
+        moves to the ``tail_mass`` quantile in the same way.
         """
         if size < 2:
             raise ParameterError("grid size must be at least 2")
         if not (0.0 < tail_mass < 0.5):
             raise ParameterError("tail_mass must lie in (0, 0.5)")
         lo, hi_q = self.support[0], float(self.ppf(1.0 - tail_mass))
-        if not math.isfinite(self.hazard(lo)):  # pragma: no cover - defensive
+        try:
+            finite_at_lo = math.isfinite(self.hazard(lo))
+        except UpperSupportError:  # hazards that diverge may raise instead of returning inf
+            finite_at_lo = False
+        if not finite_at_lo:
             lo = float(self.ppf(tail_mass))
         if hi_q <= lo:
             raise ParameterError("degenerate grid: truncated support has zero width")

@@ -51,6 +51,7 @@ __all__ = [
     "KnifeEdgeReport",
     "virtual_weight",
     "iron_weights",
+    "check_curve",
     "caps_from_targets",
     "solve_cap",
     "knife_edge",
@@ -154,7 +155,13 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     Pooling averages with the supplied weights, so the weighted integral of
     the output over every pooled block equals that of the input exactly.
     Returns the monotone sequence and a per-point flag marking pooled
-    stretches.  Already-monotone input is returned unchanged.
+    stretches.
+
+    Already-nondecreasing input (``psi[1:] >= psi[:-1]`` everywhere) is
+    returned as a copy with no flags, after the inputs are validated and
+    without entering the merge loop: the loop merges only on a strict
+    decrease, so on such input it would pool nothing and return the input
+    values unchanged.
     """
     psi = np.asarray(psi, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -163,6 +170,8 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     if np.any(weights < 0.0):
         raise ParameterError("ironing weights must be nonnegative")
     n = psi.size
+    if bool(np.all(psi[1:] >= psi[:-1])):
+        return psi.copy(), np.zeros(n, dtype=bool)
     # blocks as (mean, weight, count); merge while the tail violates monotonicity
     means: list[float] = []
     wts: list[float] = []
@@ -207,9 +216,8 @@ def virtual_weight(
     path exists for oracle tests against single-type optima.
     """
     lam = _check_lambda(lambda_T)
+    theta, psi = _raw_weights(dist, prim, lam, grid_size, tail_mass)
     if isinstance(dist, PointMass):
-        theta = np.array([dist.value])
-        psi = np.array([prim.gamma * float(prim.omega_b_at(dist.value)) / lam])
         return VirtualWeightCurve(
             theta=theta,
             psi=psi,
@@ -218,14 +226,62 @@ def virtual_weight(
             density=np.array([1.0]),
             lambda_T=lam,
         )
-    theta = dist.grid(grid_size, tail_mass)
-    haz = np.asarray(dist.hazard(theta), dtype=float)
-    psi = prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * haz
-    if not np.all(np.isfinite(psi)):
-        raise ParameterError("virtual weight is not finite on the grid; tighten the truncation")
     dens = np.asarray(dist.pdf(theta), dtype=float)
     psi_bar, flags = iron_weights(psi, dens)
     return VirtualWeightCurve(theta=theta, psi=psi, psi_bar=psi_bar, ironed=flags, density=dens, lambda_T=lam)
+
+
+def check_curve(
+    curve: VirtualWeightCurve,
+    dist: TypeDistribution,
+    prim: PolicyPrimitives,
+    lambda_T: float,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    tail_mass: float = DEFAULT_TAIL_MASS,
+) -> VirtualWeightCurve:
+    """Return ``curve`` if it was built from these inputs, else raise.
+
+    For callers that take a prebuilt curve instead of rebuilding it.  The
+    check is cheap: the lambda, the whole type grid (which fixes the
+    distribution's truncated support, the grid size and the tail mass) and
+    the raw weight at both ends of the grid (which fixes gamma and omega_b
+    there).  Interior nodes are not recomputed.
+    """
+    if curve.lambda_T != lambda_T:
+        raise ParameterError("curve was built at a different lambda_T")
+    theta = _type_grid(dist, grid_size, tail_mass)
+    if not np.array_equal(curve.theta, theta):
+        raise ParameterError("curve was built on a different type grid")
+    ends = theta[[0, -1]]
+    if not np.allclose(curve.psi[[0, -1]], _psi_on(dist, prim, lambda_T, ends), rtol=1e-12, atol=0.0):
+        raise ParameterError("curve was built for different weights (gamma or omega_b)")
+    return curve
+
+
+def _type_grid(dist: TypeDistribution, grid_size: int, tail_mass: float) -> np.ndarray:
+    """The type grid: the single type of a point mass, else the truncated uniform grid."""
+    if isinstance(dist, PointMass):
+        return np.array([dist.value])
+    return dist.grid(grid_size, tail_mass)
+
+
+def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: np.ndarray) -> np.ndarray:
+    """Raw virtual weight at the given types; a point mass bypasses the hazard."""
+    weight = prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam
+    if isinstance(dist, PointMass):
+        return weight
+    return weight * np.asarray(dist.hazard(theta), dtype=float)
+
+
+def _raw_weights(
+    dist: TypeDistribution, prim: PolicyPrimitives, lam: float, grid_size: int, tail_mass: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Type grid and the raw (unironed) virtual weight on it."""
+    theta = _type_grid(dist, grid_size, tail_mass)
+    psi = _psi_on(dist, prim, lam, theta)
+    if not np.all(np.isfinite(psi)):
+        raise ParameterError("virtual weight is not finite on the grid; tighten the truncation")
+    return theta, psi
 
 
 def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, strict: bool) -> Optional[float]:
@@ -322,6 +378,7 @@ def knife_edge(
     lambda_T: Optional[float] = None,
     grid_size: int = DEFAULT_GRID_SIZE,
     tail_mass: float = DEFAULT_TAIL_MASS,
+    curve: Optional[VirtualWeightCurve] = None,
 ) -> KnifeEdgeReport:
     """Test whether shutting rescue down entirely is optimal.
 
@@ -330,10 +387,18 @@ def knife_edge(
     report flags the truncation: a hazard that grows without bound can
     never satisfy the inequality, and the flag warns that the grid sup
     understates the true one.
+
+    The test reads only the raw weight psi, so nothing is ironed.  A caller
+    that already holds the curve for these inputs passes it as ``curve``
+    (vetted by ``check_curve``) and its ``psi`` is read instead of being
+    recomputed.
     """
     lam = _check_lambda(prim.omega_T if lambda_T is None else lambda_T)
-    curve = virtual_weight(dist, prim, lam, grid_size, tail_mass)
-    sup_psi = float(np.max(curve.psi))
+    if curve is None:
+        _, psi = _raw_weights(dist, prim, lam, grid_size, tail_mass)
+    else:
+        psi = check_curve(curve, dist, prim, lam, grid_size, tail_mass).psi
+    sup_psi = float(np.max(psi))
     c_origin = float(cost.marginal_at_zero)
     margin = c_origin - sup_psi
     truncated = not math.isfinite(dist.support[1])

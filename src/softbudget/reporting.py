@@ -6,6 +6,17 @@ module cannot be coerced into that format for nested floats without
 fragile subclass tricks, so a small serializer is rolled here.  All writes
 are atomic: content goes to a temporary file in the destination directory
 and is moved into place with ``os.replace``.
+
+CSV rows are formatted in blocks of 4,096, a whole column of the block at
+a time.  A 1-d numpy column of bools, integers or finite floats is turned
+into Python values at once (``ndarray.tolist()``) and each row is rendered
+by one ``%``-template whose conversions are ``%s`` for ``true``/``false``,
+``%d`` for integers and ``%.10g`` for floats.  Those are the conversions
+``_format_cell`` applies to a single cell, and ``tolist()`` yields the
+same Python ``float``/``int``/``bool`` that ``float(cell)``/``int(cell)``
+would, so the bytes do not change.  Every other column (lists, object
+arrays, ``None`` cells, floats with NaN or infinities) goes through
+``_format_cell`` one cell at a time, still column by column.
 """
 
 from __future__ import annotations
@@ -100,6 +111,31 @@ def _format_cell(value) -> str:
     raise TypeError(f"cannot render {type(value).__name__} in CSV")
 
 
+# rows formatted together; bounds the Python values alive at once, and with
+# them the writer's peak memory, independently of the row count
+_BLOCK_ROWS = 4096
+
+
+def _column_cells(col) -> tuple[str, list]:
+    """Row-template conversion and per-row values for one CSV column."""
+    if isinstance(col, np.ndarray) and col.ndim == 1:
+        kind = col.dtype.kind
+        if kind == "b":
+            return "%s", ["true" if v else "false" for v in col.tolist()]
+        if kind in "iu":
+            return "%d", col.tolist()
+        if kind == "f" and bool(np.all(np.isfinite(col))):
+            return "%.10g", col.tolist()
+    return "%s", [_format_cell(v) for v in col]
+
+
+def _csv_block(columns: Sequence[Sequence]) -> str:
+    """Data lines of one block of rows, one row template applied per row."""
+    conversions, cells = zip(*(_column_cells(col) for col in columns))
+    row = ",".join(conversions)
+    return "\n".join([row % values for values in zip(*cells)])
+
+
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """Write columns of equal length under ``header``, floats at %.10g."""
     if len(header) != len(columns):
@@ -109,6 +145,6 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> 
         raise ValueError("columns must share a length")
     n = lengths.pop() if lengths else 0
     lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_format_cell(col[i]) for col in columns))
+    for start in range(0, n, _BLOCK_ROWS):
+        lines.append(_csv_block([col[start : start + _BLOCK_ROWS] for col in columns]))
     atomic_write_text(path, "\n".join(lines) + "\n")

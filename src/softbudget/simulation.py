@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,7 +51,10 @@ from .errors import NumericalError, ParameterError, UnsupportedRuleError
 from .mechanism import (
     DEFAULT_GRID_SIZE,
     DEFAULT_TAIL_MASS,
+    CapSchedule,
+    VirtualWeightCurve,
     caps_from_targets,
+    check_curve,
     solve_cap,
     virtual_weight,
 )
@@ -80,7 +83,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MCReport:
-    """Sampled verification of a solved cap schedule."""
+    """Sampled verification of a solved cap schedule.
+
+    ``schedule`` is the cap schedule the samples were checked against.
+    """
 
     n: int
     seed: int
@@ -97,6 +103,7 @@ class MCReport:
     theta_min: Optional[float]
     theta_dagger: Optional[float]
     p_int: float
+    schedule: CapSchedule = field(repr=False)
 
 
 def mc_run(
@@ -109,19 +116,26 @@ def mc_run(
     bins: int = 30,
     grid_size: int = DEFAULT_GRID_SIZE,
     tail_mass: float = DEFAULT_TAIL_MASS,
+    curve: Optional[VirtualWeightCurve] = None,
 ) -> MCReport:
     """Sample types, evaluate the optimal cap at each, and summarize.
 
     Cutoffs are estimated as sample boundaries: the smallest sampled type
     with a positive cap and the smallest whose cap sits at b_bar.  The
     sample is drawn in fixed Philox blocks, so identical (seed, n) pairs
-    are bit-identical regardless of any partitioning of the blocks.
+    are bit-identical regardless of any partitioning of the blocks.  A
+    caller that already holds the virtual-weight curve for these inputs
+    passes it as ``curve`` (vetted by ``check_curve``) instead of having it
+    rebuilt.
     """
     if n < 1000:
         raise ParameterError("mc_run needs n >= 1000 for cutoff estimation")
     if bins < 2:
         raise ParameterError("mc_run needs at least 2 bins")
-    curve = virtual_weight(dist, prim, lambda_T, grid_size, tail_mass)
+    if curve is None:
+        curve = virtual_weight(dist, prim, lambda_T, grid_size, tail_mass)
+    else:
+        check_curve(curve, dist, prim, lambda_T, grid_size, tail_mass)
     sched = solve_cap(curve, cost, prim.b_bar)
     theta_s = sample_types(dist, n, seed)
     if bool(np.any(curve.ironed)):
@@ -165,6 +179,7 @@ def mc_run(
         theta_min=sched.theta_min,
         theta_dagger=sched.theta_dagger,
         p_int=interior_probability(sched, dist),
+        schedule=sched,
     )
 
 

@@ -46,6 +46,8 @@ from .mechanism import (
     DEFAULT_GRID_SIZE,
     DEFAULT_TAIL_MASS,
     CapSchedule,
+    VirtualWeightCurve,
+    check_curve,
     solve_cap,
     virtual_weight,
 )
@@ -101,9 +103,11 @@ def _require_quadratic_scalar(prim: PolicyPrimitives, cost: RescueCost) -> Quadr
     return cost
 
 
-def _solve(dist, prim, cost, lam, grid_size, tail_mass) -> CapSchedule:
-    curve = virtual_weight(dist, prim, lam, grid_size, tail_mass)
-    return solve_cap(curve, cost, prim.b_bar)
+def _base_curve(dist, prim, lam, grid_size, tail_mass, curve: Optional[VirtualWeightCurve]) -> VirtualWeightCurve:
+    """The curve at ``lam``: the caller's, if given and built from these inputs, else a new one."""
+    if curve is None:
+        return virtual_weight(dist, prim, lam, grid_size, tail_mass)
+    return check_curve(curve, dist, prim, lam, grid_size, tail_mass)
 
 
 def _interior_theta_min(sched: CapSchedule) -> Optional[float]:
@@ -156,7 +160,13 @@ def analytic_partials(
     """
     qcost = _require_quadratic_scalar(prim, cost)
     lam = prim.omega_T if lambda_T is None else float(lambda_T)
-    sched = _solve(dist, prim, cost, lam, grid_size, tail_mass)
+    curve = virtual_weight(dist, prim, lam, grid_size, tail_mass)
+    return _partials_at(solve_cap(curve, cost, prim.b_bar), dist, prim, qcost, lam)
+
+
+def _partials_at(sched: CapSchedule, dist: TypeDistribution, prim: PolicyPrimitives,
+                 qcost: QuadraticCost, lam: float) -> dict:
+    """``analytic_partials`` at a schedule already solved at ``lam``."""
     theta_min = _interior_theta_min(sched)
     if theta_min is None:
         raise ParameterError("no interior lower cutoff at these parameters; statics not applicable")
@@ -201,18 +211,26 @@ def fd_certify(
     step: float = FD_STEP_DEFAULT,
     grid_size: int = DEFAULT_GRID_SIZE,
     tail_mass: float = DEFAULT_TAIL_MASS,
+    curve: Optional[VirtualWeightCurve] = None,
 ) -> StaticsReport:
     """Certify the analytic partials with central differences of the solver.
 
     ``step`` is relative to each parameter's magnitude.  Cutoff partials
     difference ``theta_min``; cap partials difference the solved schedule
-    evaluated at the hazard-one reference type.
+    evaluated at the hazard-one reference type.  Each distinct virtual
+    weight curve is built once: the cost perturbations reuse the base curve,
+    and the cutoff and cap partials share each lambda and gamma
+    perturbation.  A caller that already holds the base curve (at
+    ``lambda_T``) passes it as ``curve``.
     """
     qcost = _require_quadratic_scalar(prim, cost)
     if not (0.0 < step < 1e-1):
         raise ParameterError("fd step must lie in (0, 0.1)")
     lam = prim.omega_T if lambda_T is None else float(lambda_T)
-    if _interior_theta_min(_solve(dist, prim, cost, lam, grid_size, tail_mass)) is None:
+    # keyed by the (omega_b, gamma, lambda) perturbation; the cost does not enter the curve
+    curves = {(0.0, 0.0, 0.0): _base_curve(dist, prim, lam, grid_size, tail_mass, curve)}
+    base = solve_cap(curves[0.0, 0.0, 0.0], cost, prim.b_bar)
+    if _interior_theta_min(base) is None:
         # no interior lower cutoff at the base point: report every partial
         # as not applicable instead of raising
         rows = tuple(
@@ -220,13 +238,16 @@ def fd_certify(
             for name, expected in _SIGNS.items()
         )
         return StaticsReport(rows=rows, theta_min=math.nan, b_max=math.nan, theta_ref=math.nan, lambda_T=lam)
-    analytic = analytic_partials(dist, prim, cost, lam, grid_size, tail_mass)
+    analytic = _partials_at(base, dist, prim, qcost, lam)
     theta_ref = _hazard_reference(dist, grid_size, tail_mass)
 
     def solve_variant(d_alpha=0.0, d_kappa=0.0, d_omega_b=0.0, d_gamma=0.0, d_lambda=0.0):
+        key = (d_omega_b, d_gamma, d_lambda)
+        if key not in curves:
+            p = replace(prim, omega_b=float(prim.omega_b) + d_omega_b, gamma=prim.gamma + d_gamma)
+            curves[key] = virtual_weight(dist, p, lam + d_lambda, grid_size, tail_mass)
         c = QuadraticCost(qcost.alpha + d_alpha, qcost.kappa + d_kappa)
-        p = replace(prim, omega_b=float(prim.omega_b) + d_omega_b, gamma=prim.gamma + d_gamma)
-        return _solve(dist, p, c, lam + d_lambda, grid_size, tail_mass)
+        return solve_cap(curves[key], c, prim.b_bar)
 
     def cutoff_of(sched: CapSchedule) -> Optional[float]:
         return _interior_theta_min(sched)
@@ -285,6 +306,7 @@ def m_sensitivity(
     fp_tol: float = 1e-13,
     grid_size: int = DEFAULT_GRID_SIZE,
     tail_mass: float = DEFAULT_TAIL_MASS,
+    curve: Optional[VirtualWeightCurve] = None,
 ) -> StaticsReport:
     """Sensitivity of the discretionary solution to the rule slope m.
 
@@ -301,16 +323,20 @@ def m_sensitivity(
     the cutoffs.  ``chain_gap`` reports the relative gap between the FD
     cutoff sensitivity and the chain-rule product built from the FD lambda
     sensitivity.
+
+    The three fixed points start from one commitment curve (lambda_T =
+    omega_T; m does not enter it), built here or passed in as ``curve``.
     """
     qcost = _require_quadratic_scalar(prim, cost)
     if prim.m <= 0.0:
         raise ParameterError("m sensitivity needs m > 0")
     h = step * prim.m
+    commitment = _base_curve(dist, prim, prim.omega_T, grid_size, tail_mass, curve)
 
     def solve_at(m_val: float):
         p = replace(prim, m=m_val)
         sol = fixed_point(dist, p, cost, damping=1.0, tol=fp_tol, max_iter=5000,
-                          grid_size=grid_size, tail_mass=tail_mass)
+                          grid_size=grid_size, tail_mass=tail_mass, curve=commitment)
         if not sol.converged:
             raise IllPosedError("fixed point did not converge during m perturbation")
         return sol
@@ -330,7 +356,7 @@ def m_sensitivity(
     else:
         fd_b_max = (float(up.schedule.cap_at(theta_ref)) - float(dn.schedule.cap_at(theta_ref))) / (2.0 * h)
 
-    an = analytic_partials(dist, prim, cost, lam0, grid_size, tail_mass)
+    an = _partials_at(base.schedule, dist, prim, qcost, lam0)
     theta_min0 = an["theta_min"]
     theta_dag0 = base.schedule.theta_dagger
     dp_dlam = -float(dist.pdf(theta_min0)) * an["d_theta_min_d_lambda_T"]

@@ -182,7 +182,7 @@ def test_criterion_05_ironing_hull_oracle(bench_prim):
     _report(
         5,
         ok,
-        f"3 non-monotone-hazard fixtures: max deviation from hull oracle {worst:.2e} "
+        f"{len(NON_IFR_FIXTURES)} non-monotone-hazard fixtures: max deviation from hull oracle {worst:.2e} "
         f"(bound 1e-6; {worst_rel:.2e} relative on the default grid), "
         f"nondecreasing={monotone}, ironing engaged={engaged}",
     )

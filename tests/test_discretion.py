@@ -168,6 +168,17 @@ def test_fixed_point_exhaustion_reports_not_converged(bench_dist, bench_cost, be
     assert sol.iterations == 2
 
 
+def test_fixed_point_keeps_last_curve_and_accepts_commitment_curve(bench_dist, bench_cost, bench_prim):
+    sol = fixed_point(bench_dist, bench_prim, bench_cost)
+    assert sol.curve.lambda_T == sol.lambda_T
+    assert np.array_equal(solve_cap(sol.curve, bench_cost, bench_prim.b_bar).b_star, sol.schedule.b_star)
+    commitment = virtual_weight(bench_dist, bench_prim, bench_prim.omega_T)
+    again = fixed_point(bench_dist, bench_prim, bench_cost, curve=commitment)
+    assert again.trace == sol.trace and again.lambda_T == sol.lambda_T
+    with pytest.raises(ParameterError):
+        fixed_point(bench_dist, bench_prim, bench_cost, curve=sol.curve)
+
+
 def test_fixed_point_validation(bench_dist, bench_cost, bench_prim):
     with pytest.raises(ParameterError):
         fixed_point(bench_dist, bench_prim, bench_cost, damping=0.0)

@@ -201,6 +201,15 @@ def test_grid_truncates_tail():
         dist.grid(100, tail_mass=0.7)
 
 
+def test_grid_starts_at_tail_quantile_when_hazard_diverges():
+    dist = Weibull(0.7, 1.0)
+    with pytest.raises(UpperSupportError):
+        dist.hazard(0.0)
+    g = dist.grid(1025, tail_mass=1e-10)
+    assert g[0] == float(dist.ppf(1e-10)) > 0.0
+    assert np.all(np.isfinite(dist.hazard(g)))
+
+
 @given(u=st.floats(min_value=0.0, max_value=0.999999, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_ppf_cdf_roundtrip_weibull(u):

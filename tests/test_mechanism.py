@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
+from softbudget.mechanism import check_curve
 from conftest import BENCH
 
 
@@ -63,11 +66,17 @@ def bimodal_type_dist(gap, sigma=0.06, mix=0.8):
     return Tabulated(nodes, dens + 1e-4)
 
 
+# decreasing hazard on [0, inf): infinite at zero, so the grid starts at the
+# tail quantile; its whole curve pools
+DFR_WEIBULL = Weibull(0.7, 1.0)
+
 NON_IFR_FIXTURES = [
     bimodal_type_dist(0.5),
     bimodal_type_dist(0.35, sigma=0.05, mix=1.2),
     bimodal_type_dist(0.6, sigma=0.08, mix=0.6),
+    DFR_WEIBULL,
 ]
+NON_IFR_IDS = ["wide", "tall", "spread", "dfr-weibull"]
 
 
 # -- virtual weights --------------------------------------------------------
@@ -279,7 +288,7 @@ def test_leader_cost_point_mass(bench_cost, bench_prim):
 # -- ironing ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dist", NON_IFR_FIXTURES, ids=["wide", "tall", "spread"])
+@pytest.mark.parametrize("dist", NON_IFR_FIXTURES, ids=NON_IFR_IDS)
 def test_ironing_matches_hull_oracle(dist, bench_prim):
     curve = virtual_weight(dist, bench_prim, 1.0, grid_size=801, tail_mass=1e-6)
     assert np.any(curve.ironed), "fixture must actually trigger pooling"
@@ -288,7 +297,7 @@ def test_ironing_matches_hull_oracle(dist, bench_prim):
     assert np.all(np.diff(curve.psi_bar) >= -1e-12)
 
 
-@pytest.mark.parametrize("dist", NON_IFR_FIXTURES, ids=["wide", "tall", "spread"])
+@pytest.mark.parametrize("dist", NON_IFR_FIXTURES, ids=NON_IFR_IDS)
 def test_ironing_preserves_weighted_mass_per_block(dist, bench_prim):
     curve = virtual_weight(dist, bench_prim, 1.0, grid_size=801, tail_mass=1e-6)
     flags = curve.ironed
@@ -322,6 +331,79 @@ def test_iron_weights_validation():
         iron_weights(np.array([1.0, 0.5]), np.array([1.0]))
     with pytest.raises(ParameterError):
         iron_weights(np.array([1.0, 0.5]), np.array([1.0, -1.0]))
+
+
+def test_decreasing_hazard_weibull_solves(bench_prim, bench_cost):
+    curve = virtual_weight(DFR_WEIBULL, bench_prim, 1.0)
+    assert curve.theta[0] > 0.0
+    assert np.all(np.isfinite(curve.psi))
+    assert np.any(curve.ironed)
+    assert np.max(np.abs(curve.psi_bar - hull_ironed(curve.psi, curve.density))) <= 1e-8 * np.max(curve.psi_bar)
+    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    assert np.all(np.diff(sched.b_star) >= 0.0)
+    transfers = transfer_schedule(sched, bench_prim)
+    assert np.isfinite(leader_cost(sched, transfers, DFR_WEIBULL, bench_cost, bench_prim))
+    assert not knife_edge(DFR_WEIBULL, bench_prim, bench_cost).no_rescue
+
+
+def test_iron_weights_monotone_with_ties_is_untouched():
+    psi = np.array([0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 2.0])
+    w = np.array([1.0, 0.25, 2.0, 1.0, 0.5, 3.0, 1.0])
+    out, flags = iron_weights(psi, w)
+    assert np.array_equal(out, psi)
+    assert flags.dtype == bool and not np.any(flags)
+    assert np.array_equal(out, hull_ironed(psi, w))
+
+
+def test_iron_weights_monotone_returns_a_copy():
+    psi = np.linspace(0.0, 1.0, 9)
+    out, _ = iron_weights(psi, np.ones(9))
+    assert out is not psi and not np.shares_memory(out, psi)
+    out[0] = 99.0
+    assert psi[0] == 0.0
+
+
+def test_iron_weights_monotone_input_still_validated():
+    psi = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ParameterError):
+        iron_weights(psi, np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(ParameterError):
+        iron_weights(psi, np.ones(2))
+
+
+def test_iron_weights_pools_a_one_ulp_drop():
+    psi = np.array([1.0, np.nextafter(1.0, 0.0), 2.0])
+    out, flags = iron_weights(psi, np.ones(3))
+    assert flags.tolist() == [True, True, False]
+    assert out[0] == out[1]
+
+
+def test_knife_edge_reads_a_given_curve(bench_dist, bench_prim, bench_cost):
+    curve = virtual_weight(bench_dist, bench_prim, 0.9)
+    given = knife_edge(bench_dist, bench_prim, bench_cost, 0.9, curve=curve)
+    assert given == knife_edge(bench_dist, bench_prim, bench_cost, 0.9)
+    with pytest.raises(ParameterError):
+        knife_edge(bench_dist, bench_prim, bench_cost, 1.0, curve=curve)
+
+
+def test_check_curve_rejects_a_curve_built_from_other_inputs(bench_dist, bench_prim, bench_cost):
+    curve = virtual_weight(bench_dist, bench_prim, 0.9, 257)
+    assert check_curve(curve, bench_dist, bench_prim, 0.9, 257) is curve
+    point = PointMass(0.5)
+    assert check_curve(virtual_weight(point, bench_prim, 0.9), point, bench_prim, 0.9) is not None
+    mismatches = [
+        (bench_dist, bench_prim, 1.0, 257, 1e-10),  # lambda
+        (bench_dist, bench_prim, 0.9, 129, 1e-10),  # grid size
+        (bench_dist, bench_prim, 0.9, 257, 1e-8),  # tail mass
+        (Weibull(2.0, 1.5), bench_prim, 0.9, 257, 1e-10),  # distribution
+        (bench_dist, replace(bench_prim, gamma=1.2), 0.9, 257, 1e-10),
+        (bench_dist, replace(bench_prim, omega_b=0.7), 0.9, 257, 1e-10),
+    ]
+    for dist, prim, lam, size, tail in mismatches:
+        with pytest.raises(ParameterError):
+            check_curve(curve, dist, prim, lam, size, tail)
+    with pytest.raises(ParameterError):
+        knife_edge(bench_dist, replace(bench_prim, gamma=1.2), bench_cost, 0.9, 257, curve=curve)
 
 
 @given(

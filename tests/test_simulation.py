@@ -41,6 +41,18 @@ def test_mc_run_deterministic(bench_dist, bench_cost, bench_prim):
     assert np.array_equal(a.bin_counts, b.bin_counts)
 
 
+def test_mc_run_reuses_a_given_curve(bench_dist, bench_cost, bench_prim):
+    curve = virtual_weight(bench_dist, bench_prim, 0.9)
+    a = mc_run(bench_dist, bench_prim, bench_cost, 0.9, 5000, seed=42, bins=10)
+    b = mc_run(bench_dist, bench_prim, bench_cost, 0.9, 5000, seed=42, bins=10, curve=curve)
+    assert (a.theta_min_hat, a.theta_dagger_hat, a.p_int_hat) == (b.theta_min_hat, b.theta_dagger_hat, b.p_int_hat)
+    assert np.array_equal(a.bin_means, b.bin_means, equal_nan=True)
+    assert np.array_equal(a.schedule.b_star, b.schedule.b_star)
+    assert a.schedule.theta_min == a.theta_min and a.schedule.lambda_T == 0.9
+    with pytest.raises(ParameterError):
+        mc_run(bench_dist, bench_prim, bench_cost, 1.0, 5000, seed=42, curve=curve)
+
+
 def test_mc_run_validation(bench_dist, bench_cost, bench_prim):
     with pytest.raises(ParameterError):
         mc_run(bench_dist, bench_prim, bench_cost, 1.0, 999, seed=1)

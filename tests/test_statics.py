@@ -16,6 +16,7 @@ from softbudget import (
     analytic_partials,
     fd_certify,
     m_sensitivity,
+    virtual_weight,
 )
 from softbudget.statics import FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_REGIME_BOUNDARY
 
@@ -198,6 +199,20 @@ def test_m_sensitivity_benchmark(bench_dist, bench_cost, bench_prim):
     assert report.all_ok
     assert report.chain_gap is not None and report.chain_gap <= 1e-3
     assert report.max_rel_error <= 1e-3
+
+
+def test_statics_reuse_a_given_commitment_curve(bench_dist, bench_cost, bench_prim):
+    commitment = virtual_weight(bench_dist, bench_prim, bench_prim.omega_T)
+    assert fd_certify(bench_dist, bench_prim, bench_cost, curve=commitment) == fd_certify(
+        bench_dist, bench_prim, bench_cost
+    )
+    assert m_sensitivity(bench_dist, bench_prim, bench_cost, curve=commitment) == m_sensitivity(
+        bench_dist, bench_prim, bench_cost
+    )
+    with pytest.raises(ParameterError):
+        fd_certify(bench_dist, bench_prim, bench_cost, lambda_T=0.9, curve=commitment)
+    with pytest.raises(ParameterError):
+        m_sensitivity(bench_dist, bench_prim, bench_cost, curve=virtual_weight(bench_dist, bench_prim, 0.9))
 
 
 def test_m_sensitivity_requires_positive_m(bench_dist, bench_cost):
