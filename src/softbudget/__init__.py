@@ -19,13 +19,12 @@ from .config import (
     load_config,
     parse_config,
 )
-from .costs import InverseMarginal, QuadraticCost, RescueCost, TabulatedCost, cost_value, inverse_marginal, marginal_cost
+from .costs import InverseMarginal, QuadraticCost, RescueCost, TabulatedCost
 from .discretion import (
     THRESHOLD,
     THRESHOLD_LINEAR_CAP,
     DiscretionSolution,
     SignalRule,
-    beta_discretionary,
     effective_lambda,
     fixed_point,
     interior_probability,
@@ -38,7 +37,6 @@ from .distributions import (
     TypeDistribution,
     Uniform,
     Weibull,
-    hazard,
     sample_types,
     uniform_stream,
 )
@@ -89,10 +87,9 @@ __all__ = [
     "__version__",
     # distributions
     "TypeDistribution", "Weibull", "Exponential", "Uniform", "Truncated", "Tabulated", "PointMass",
-    "hazard", "sample_types", "uniform_stream",
+    "sample_types", "uniform_stream",
     # costs
     "RescueCost", "QuadraticCost", "TabulatedCost", "InverseMarginal",
-    "marginal_cost", "inverse_marginal", "cost_value",
     # primitives
     "PolicyPrimitives", "WeightCurve",
     # mechanism
@@ -101,7 +98,7 @@ __all__ = [
     "knife_edge", "transfer_schedule", "leader_cost",
     # discretion
     "SignalRule", "DiscretionSolution", "THRESHOLD", "THRESHOLD_LINEAR_CAP",
-    "beta_discretionary", "effective_lambda", "interior_probability", "fixed_point",
+    "effective_lambda", "interior_probability", "fixed_point",
     # statics
     "StaticsRow", "StaticsReport", "analytic_partials", "fd_certify", "m_sensitivity",
     # simulation

@@ -122,16 +122,19 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _fixed_point(cfg: RunConfig) -> DiscretionSolution:
+    return fixed_point(
+        cfg.dist, cfg.prim, cfg.cost,
+        tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter,
+        grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass,
+    )
+
+
 def _resolve_lambda(cfg: RunConfig) -> tuple[float, Optional[DiscretionSolution]]:
     """Effective grant weight: the fixed point under discretion, else omega_T."""
     if not cfg.discretion.enabled:
         return cfg.prim.omega_T, None
-    sol = fixed_point(
-        cfg.dist, cfg.prim, cfg.cost,
-        damping=cfg.discretion.damping, tol=cfg.discretion.tol,
-        max_iter=cfg.discretion.max_iter,
-        grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass,
-    )
+    sol = _fixed_point(cfg)
     if not sol.converged:
         raise NumericalError(
             f"discretionary fixed point did not converge in {cfg.discretion.max_iter} iterations"
@@ -249,31 +252,14 @@ def _cmd_knife_edge(cfg: RunConfig, quiet: bool, started: float) -> int:
 def _cmd_discretion(cfg: RunConfig, quiet: bool, started: float) -> int:
     if not cfg.discretion.enabled:
         raise ConfigError(["discretion.enabled: the discretion command needs discretion enabled"])
-    sol = fixed_point(
-        cfg.dist, cfg.prim, cfg.cost,
-        damping=cfg.discretion.damping, tol=cfg.discretion.tol,
-        max_iter=cfg.discretion.max_iter,
-        grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass,
-    )
-    report = {
-        "lambda_T": sol.lambda_T,
-        "p_int": sol.p_int,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace],
-    }
+    sol = _fixed_point(cfg)
+    fragment = _discretion_fragment(sol)
+    report = {**fragment, "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace]}
     files = {"summary": "summary.json"}
     if "json" in cfg.output.formats:
         write_json(os.path.join(cfg.output.directory, "discretion.json"), report)
         files["discretion"] = "discretion.json"
-    summary = {
-        "command": "discretion",
-        "lambda_T": sol.lambda_T,
-        "p_int": sol.p_int,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "files": files,
-    }
+    summary = {"command": "discretion", **fragment, "files": files}
     _emit(cfg.output.directory, "discretion", summary, quiet, started)
     if not sol.converged:
         print("discretion: fixed point did not converge", file=sys.stderr)

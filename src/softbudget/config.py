@@ -6,10 +6,9 @@ A run is described by one JSON document with up to seven blocks::
       "distribution": {"kind": "weibull", "shape": 2.0, "scale": 1.0},
       "cost":         {"kind": "quadratic", "alpha": 0.2, "kappa": 1.0},
       "weights":      {"omega_T": 1.0, "omega_b": 0.8, "gamma": 1.0, "b_bar": 0.8},
-      "discretion":   {"enabled": true, "m": 0.5, "chi": 1.0,
-                       "damping": 1.0, "tol": 1e-8, "max_iter": 1000},
-      "simulation":   {"n": 200000, "seed": 12345, "bins": 30, "eta_scale": 0.1,
-                       "rho0": 2.0, "base_gap": 1.0, "phi_e": 1.0, "phi_d": 0.0},
+      "discretion":   {"enabled": false, "m": 0.0, "chi": 1.0,
+                       "tol": 1e-8, "max_iter": 1000},
+      "simulation":   {"n": 200000, "seed": 12345, "bins": 30},
       "grid":         {"size": 4097, "truncation_quantile": 0.9999999999},
       "output":       {"directory": "out", "formats": ["csv", "json"]}
     }
@@ -21,7 +20,8 @@ config never needs more than one round trip to fix.
 
 Distribution kinds: ``weibull`` (shape, scale), ``exponential`` (rate),
 ``uniform`` (lower, upper), ``tabulated`` (theta, density),
-``truncated`` (base, lower, upper), ``point`` (value).  Cost kinds:
+``truncated`` (base, lower, upper) with a weibull, exponential or uniform
+base, ``point`` (value).  Cost kinds:
 ``quadratic`` (alpha, kappa) and ``tabulated`` (payout, marginal).
 ``omega_b`` is a number or a table {"theta": [...], "value": [...]}.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .costs import QuadraticCost, RescueCost, TabulatedCost
@@ -54,7 +54,6 @@ DEFAULT_TRUNCATION_QUANTILE = 1.0 - 1e-10
 @dataclass(frozen=True)
 class DiscretionSettings:
     enabled: bool = False
-    damping: float = 1.0
     tol: float = 1e-8
     max_iter: int = 1000
 
@@ -64,8 +63,6 @@ class SimulationSettings:
     n: int = 200_000
     seed: int = 12345
     bins: int = 30
-    rho0: float = 2.0
-    base_gap: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,6 @@ class RunConfig:
     simulation: SimulationSettings
     grid: GridSettings
     output: OutputSettings
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 class _Reader:
@@ -121,8 +117,8 @@ class _Reader:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 self._note(key, f"expected a number, got {type(value).__name__}")
                 return default
-            value = float(value)
-            if not math.isfinite(value):
+            value = _finite_float(value)
+            if value is None:
                 self._note(key, "must be finite")
                 return default
         elif kind is int:
@@ -154,16 +150,26 @@ class _Reader:
             self._note(key, "unknown key")
 
 
+def _finite_float(value) -> Optional[float]:
+    """A JSON number as a finite float, or None (an integer beyond float range overflows)."""
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _number_list(reader: _Reader, key: str, required: bool = True):
     raw = reader.take(key, list, required=required)
     if raw is None:
         return None
     out = []
     for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
+        x = None if isinstance(v, bool) or not isinstance(v, (int, float)) else _finite_float(v)
+        if x is None:
             reader._note(key, f"element {i} is not a finite number")
             return None
-        out.append(float(v))
+        out.append(x)
     return out
 
 
@@ -265,7 +271,10 @@ def _build_omega_b(value, problems: list):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append("weights.omega_b: expected a number or a {theta, value} table")
         return None
-    return float(value)
+    number = _finite_float(value)
+    if number is None:
+        problems.append("weights.omega_b: must be finite")
+    return number
 
 
 def parse_config(document: dict) -> RunConfig:
@@ -315,26 +324,19 @@ def parse_config(document: dict) -> RunConfig:
         enabled = reader.take("enabled", bool, default=False)
         m = reader.take("m", float, default=0.0)
         chi = reader.take("chi", float, default=1.0)
-        damping = reader.take("damping", float, default=1.0, check=lambda v: 0.0 < v <= 1.0, describe="must lie in (0, 1]")
         tol = reader.take("tol", float, default=1e-8, check=lambda v: v > 0.0, describe="must be positive")
         max_iter = reader.take("max_iter", int, default=1000, check=lambda v: v >= 1, describe="must be >= 1")
         reader.finish()
-        discretion = DiscretionSettings(bool(enabled), float(damping), float(tol), int(max_iter))
+        discretion = DiscretionSettings(bool(enabled), float(tol), int(max_iter))
 
-    phi_e, phi_d, eta_scale = 1.0, 0.0, 0.1
     simulation = SimulationSettings()
     if isinstance(document.get("simulation"), dict):
         reader = _Reader("simulation", document["simulation"], problems)
         n = reader.take("n", int, default=200_000, check=lambda v: v >= 1000, describe="must be >= 1000")
         seed = reader.take("seed", int, default=12345, check=lambda v: 0 <= v < 2**64, describe="must fit in an unsigned 64-bit integer")
         bins = reader.take("bins", int, default=30, check=lambda v: v >= 2, describe="must be >= 2")
-        eta_scale = reader.take("eta_scale", float, default=0.1, check=lambda v: v > 0.0, describe="must be positive")
-        rho0 = reader.take("rho0", float, default=2.0, check=lambda v: v > 0.0, describe="must be positive")
-        base_gap = reader.take("base_gap", float, default=1.0)
-        phi_e = reader.take("phi_e", float, default=1.0, check=lambda v: v > 0.0, describe="must be positive")
-        phi_d = reader.take("phi_d", float, default=0.0, check=lambda v: v >= 0.0, describe="must be nonnegative")
         reader.finish()
-        simulation = SimulationSettings(int(n), int(seed), int(bins), float(rho0), float(base_gap))
+        simulation = SimulationSettings(int(n), int(seed), int(bins))
 
     grid = GridSettings()
     if isinstance(document.get("grid"), dict):
@@ -366,10 +368,7 @@ def parse_config(document: dict) -> RunConfig:
     prim = None
     if not problems and None not in (omega_T, omega_b, gamma, b_bar):
         try:
-            prim = PolicyPrimitives(
-                omega_T=omega_T, omega_b=omega_b, gamma=gamma, b_bar=b_bar,
-                m=m, chi=chi, phi_e=phi_e, phi_d=phi_d, eta_scale=eta_scale,
-            )
+            prim = PolicyPrimitives(omega_T=omega_T, omega_b=omega_b, gamma=gamma, b_bar=b_bar, m=m, chi=chi)
         except ParameterError as exc:
             problems.append(f"weights/discretion: {exc}")
 
@@ -380,14 +379,16 @@ def parse_config(document: dict) -> RunConfig:
     return RunConfig(
         dist=dist, cost=cost, prim=prim,
         discretion=discretion, simulation=simulation, grid=grid, output=output,
-        raw=document,
     )
 
 
 def load_config(path: str) -> RunConfig:
     """Read, parse, and validate a JSON config file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path}: not valid UTF-8 ({exc})"]) from exc
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

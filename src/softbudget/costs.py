@@ -1,12 +1,12 @@
 """Rescue-cost technologies.
 
 The budget authority pays a convex resource cost C(x) for a rescue payout
-x >= 0.  The solver only ever touches the cost through three operations:
+x >= 0.  The solver only ever touches the cost through three methods:
 
-* ``marginal_cost``     -- C'(x),
+* ``marginal``          -- C'(x),
 * ``inverse_marginal``  -- smallest x >= 0 with C'(x) = y, plus a flag for
   targets below C'(0+) (where the nonnegativity constraint binds),
-* ``cost_value``        -- C(x) itself, for expected-cost quadrature.
+* ``value``             -- C(x) itself, for expected-cost quadrature.
 
 Two kinds are supported.  The quadratic kind C(x) = alpha*x + kappa/2 * x^2
 has closed-form marginal inversion.  The tabulated kind takes (payout,
@@ -30,9 +30,6 @@ __all__ = [
     "TabulatedCost",
     "RescueCost",
     "InverseMarginal",
-    "marginal_cost",
-    "inverse_marginal",
-    "cost_value",
 ]
 
 
@@ -172,18 +169,3 @@ RescueCost = Union[QuadraticCost, TabulatedCost]
 def _check_nonnegative(arr: np.ndarray) -> None:
     if np.any(arr < 0.0):
         raise DomainError("payout must be nonnegative")
-
-
-def marginal_cost(cost: RescueCost, x):
-    """C'(x) for scalar or array x >= 0."""
-    return cost.marginal(x)
-
-
-def inverse_marginal(cost: RescueCost, y) -> InverseMarginal:
-    """Smallest x >= 0 with C'(x) = y, with a below-origin flag."""
-    return cost.inverse_marginal(y)
-
-
-def cost_value(cost: RescueCost, x):
-    """C(x) itself (alpha*x + kappa/2 x^2, or the integrated tabulated marginal)."""
-    return cost.value(x)

@@ -16,8 +16,8 @@ effective multiplier on transfer resources:
     lambda_T = omega_T - omega_b * m * P(0 < b*(theta) < b_bar),
 
 where the interior probability is computed from the cap schedule solved at
-that same lambda_T.  ``fixed_point`` iterates this map (damped, starting
-from the commitment value lambda_T = omega_T) and returns the full trace;
+that same lambda_T.  ``fixed_point`` iterates this map (starting from the
+commitment value lambda_T = omega_T) and returns the full trace;
 the map sends [omega_T - omega_b*m, omega_T] into itself, so iterates stay
 in that interval.
 """
@@ -47,7 +47,6 @@ from .primitives import PolicyPrimitives
 __all__ = [
     "SignalRule",
     "DiscretionSolution",
-    "beta_discretionary",
     "effective_lambda",
     "interior_probability",
     "fixed_point",
@@ -114,12 +113,6 @@ class SignalRule:
             out = np.clip(self.slope * (arr - self.threshold), 0.0, self.cap)
         return float(out) if arr.ndim == 0 else out
 
-    def breakpoints(self) -> np.ndarray:
-        """Signal values where the rule changes branch."""
-        if self.shape == THRESHOLD:
-            return np.array([self.threshold])
-        return np.array([self.threshold, self.threshold + self.cap / max(self.slope, 1e-300)])
-
 
 @dataclass(frozen=True)
 class DiscretionSolution:
@@ -138,15 +131,6 @@ class DiscretionSolution:
     curve: VirtualWeightCurve = field(repr=False, default=None)
 
 
-def beta_discretionary(g_hat, prim: PolicyPrimitives, cost: RescueCost):
-    """Ex-post rescue payout (chi*G_hat - alpha)/(kappa + chi), projected to [0, b_bar]."""
-    if not isinstance(cost, QuadraticCost):
-        raise UnsupportedRuleError("discretionary payout is derived for quadratic costs only")
-    arr = np.asarray(g_hat, dtype=float)
-    out = np.clip((prim.chi * arr - cost.alpha) / (cost.kappa + prim.chi), 0.0, prim.b_bar)
-    return float(out) if arr.ndim == 0 else out
-
-
 def effective_lambda(prim: PolicyPrimitives, p_int: float) -> float:
     """Effective transfer multiplier omega_T - omega_b * m * p_int."""
     if not prim.omega_b_constant:
@@ -157,7 +141,14 @@ def effective_lambda(prim: PolicyPrimitives, p_int: float) -> float:
 
 
 def interior_probability(cap: CapSchedule, dist: TypeDistribution) -> float:
-    """P(0 < b*(theta) < b_bar) from the schedule cutoffs and the exact CDF."""
+    """P(0 < b*(theta) < b_bar) from the schedule cutoffs and the exact CDF.
+
+    A point mass has one type, so the probability is 1 when its cap is
+    interior and 0 otherwise; the survivor P(type > theta_min) would miss
+    the atom at theta_min.
+    """
+    if cap.theta.size == 1:
+        return 1.0 if cap.regime == "interior" else 0.0
     if cap.theta_min is None:
         return 0.0
     upper_surv = 0.0 if cap.theta_dagger is None else float(dist.survivor(cap.theta_dagger))
@@ -168,7 +159,6 @@ def fixed_point(
     dist: TypeDistribution,
     prim: PolicyPrimitives,
     cost: RescueCost,
-    damping: float = 1.0,
     tol: float = 1e-8,
     max_iter: int = 1000,
     grid_size: int = DEFAULT_GRID_SIZE,
@@ -179,9 +169,9 @@ def fixed_point(
 
     Starts from the commitment value lambda = omega_T; each iteration solves
     the full cap schedule at the current lambda to evaluate the interior
-    probability.  Stops when the undamped residual |map(lambda) - lambda|
-    falls below ``tol``, so the returned (lambda_T, p_int) pair satisfies
-    the fixed-point identity to that tolerance for any damping.  Exhausting
+    probability.  Stops when the residual |map(lambda) - lambda| falls
+    below ``tol``, so the returned (lambda_T, p_int) pair satisfies the
+    fixed-point identity to that tolerance.  Exhausting
     ``max_iter`` returns the best iterate with ``converged=False`` rather
     than raising.  A caller that already holds the commitment curve (at
     lambda = omega_T) passes it as ``curve`` (vetted by ``check_curve``)
@@ -189,8 +179,6 @@ def fixed_point(
     """
     if not prim.omega_b_constant:
         raise ParameterError("the credibility fixed point requires a constant omega_b")
-    if not (0.0 < damping <= 1.0):
-        raise ParameterError("damping must lie in (0, 1]")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ParameterError("tol must be positive and finite")
     if max_iter < 1:
@@ -218,7 +206,7 @@ def fixed_point(
         if abs(residual) <= tol:
             converged = True
             break
-        lam = lam + damping * residual
+        lam = lam + residual
     return DiscretionSolution(
         lambda_T=lam,
         p_int=p,

@@ -50,7 +50,6 @@ __all__ = [
     "Truncated",
     "Tabulated",
     "PointMass",
-    "hazard",
     "sample_types",
     "uniform_stream",
     "SAMPLE_BLOCK",
@@ -84,11 +83,6 @@ class TypeDistribution:
 
     @property
     def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    @property
-    def is_ifr(self) -> bool:
-        """True when the hazard rate is nondecreasing on the support."""
         raise NotImplementedError
 
     def pdf(self, theta):
@@ -177,16 +171,6 @@ class TypeDistribution:
             raise ParameterError("degenerate grid: truncated support has zero width")
         return np.linspace(lo, hi_q, size)
 
-    def validate_ifr_flag(self, size: int = 512) -> None:
-        """Raise if the IFR flag contradicts the hazard on a check grid."""
-        if not self.is_ifr:
-            return
-        g = self.grid(size, tail_mass=1e-9)
-        h = np.asarray(self.hazard(g), dtype=float)
-        drops = np.diff(h) < -1e-9 * np.maximum(1.0, np.abs(h[:-1]))
-        if np.any(drops):
-            raise ParameterError(f"distribution flagged IFR but hazard decreases (kind '{self.kind}')")
-
 
 # ---------------------------------------------------------------------------
 # analytic kinds
@@ -210,10 +194,6 @@ class Weibull(TypeDistribution):
     @property
     def support(self):
         return (0.0, math.inf)
-
-    @property
-    def is_ifr(self):
-        return self.shape >= 1.0
 
     def pdf(self, theta):
         arr, scalar = _aligned(theta)
@@ -276,10 +256,6 @@ class Exponential(TypeDistribution):
     def support(self):
         return (0.0, math.inf)
 
-    @property
-    def is_ifr(self):
-        return True
-
     def pdf(self, theta):
         arr, scalar = _aligned(theta)
         return _maybe_scalar(np.where(arr < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(arr, 0.0))), scalar)
@@ -325,10 +301,6 @@ class Uniform(TypeDistribution):
     @property
     def support(self):
         return (self.lower, self.upper)
-
-    @property
-    def is_ifr(self):
-        return True
 
     def pdf(self, theta):
         arr, scalar = _aligned(theta)
@@ -382,13 +354,6 @@ class Truncated(TypeDistribution):
     @property
     def support(self):
         return (self.lower, self.upper)
-
-    @property
-    def is_ifr(self):
-        # Conditioning an IFR base on an interval keeps the hazard
-        # nondecreasing: right truncation adds f/(F(hi)-F) >= f/(1-F) and the
-        # slope term f' (F(hi)-F) + f^2 >= f' S + f^2 >= 0.
-        return self.base.is_ifr
 
     def pdf(self, theta):
         arr, scalar = _aligned(theta)
@@ -455,20 +420,10 @@ class Tabulated(TypeDistribution):
         surv = np.concatenate([[0.0], np.cumsum(self._areas[::-1])])[::-1]
         surv[0] = 1.0
         self._surv_nodes = surv
-        self._ifr = self._hazard_nondecreasing()
-
-    def _hazard_nondecreasing(self) -> bool:
-        keep = self._surv_nodes > 1e-9
-        h = self.density[keep] / self._surv_nodes[keep]
-        return bool(np.all(np.diff(h) >= -1e-9 * np.maximum(1.0, np.abs(h[:-1]))))
 
     @property
     def support(self):
         return (float(self.nodes[0]), float(self.nodes[-1]))
-
-    @property
-    def is_ifr(self):
-        return self._ifr
 
     def _locate(self, arr):
         idx = np.clip(np.searchsorted(self.nodes, arr, side="right") - 1, 0, self.nodes.size - 2)
@@ -545,10 +500,6 @@ class PointMass(TypeDistribution):
     def support(self):
         return (self.value, self.value)
 
-    @property
-    def is_ifr(self):
-        return True
-
     def pdf(self, theta):
         raise ParameterError("density undefined for a point mass")
 
@@ -580,11 +531,6 @@ def _check_unit_interval(arr: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def hazard(dist: TypeDistribution, theta):
-    """Hazard rate of ``dist`` at ``theta`` (scalar or array)."""
-    return dist.hazard(theta)
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .costs import RescueCost, cost_value, marginal_cost
+from .costs import RescueCost
 from .distributions import PointMass, TypeDistribution
 from .errors import GridMismatchError, ParameterError
 from .primitives import PolicyPrimitives
@@ -267,10 +267,10 @@ def _type_grid(dist: TypeDistribution, grid_size: int, tail_mass: float) -> np.n
 
 def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: np.ndarray) -> np.ndarray:
     """Raw virtual weight at the given types; a point mass bypasses the hazard."""
-    weight = prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam
-    if isinstance(dist, PointMass):
-        return weight
-    return weight * np.asarray(dist.hazard(theta), dtype=float)
+    # the hazard first: its temporaries are freed before the weight array is
+    # built, which matters when mc_run passes millions of sampled types
+    hazard = 1.0 if isinstance(dist, PointMass) else np.asarray(dist.hazard(theta), dtype=float)
+    return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
 
 
 def _raw_weights(
@@ -321,7 +321,7 @@ def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) ->
     never see an out-of-range inversion.
     """
     psi_values = np.asarray(psi_values, dtype=float)
-    c_top = float(marginal_cost(cost, b_bar))
+    c_top = float(cost.marginal(b_bar))
     at_cap = psi_values >= c_top
     b = np.full(psi_values.shape, float(b_bar))
     if not np.all(at_cap):
@@ -341,7 +341,7 @@ def solve_cap(curve: VirtualWeightCurve, cost: RescueCost, b_bar: float) -> CapS
         raise ParameterError("b_bar must be positive and finite")
     b_bar = float(b_bar)
     c_origin = cost.marginal_at_zero
-    c_top = float(marginal_cost(cost, b_bar))
+    c_top = float(cost.marginal(b_bar))
     psi_bar = curve.psi_bar
     at_cap = psi_bar >= c_top
     b = caps_from_targets(psi_bar, cost, b_bar)
@@ -460,7 +460,7 @@ def leader_cost(
     """
     if cap.theta.shape != transfers.theta.shape or np.any(cap.theta != transfers.theta):
         raise GridMismatchError("cap and transfer schedules were built on different grids")
-    pointwise = np.asarray(cost_value(cost, cap.b_star), dtype=float) + prim.gamma * transfers.t_star
+    pointwise = np.asarray(cost.value(cap.b_star), dtype=float) + prim.gamma * transfers.t_star
     if cap.theta.size == 1:
         return float(pointwise[0])
     dens = np.asarray(dist.pdf(cap.theta), dtype=float)

@@ -44,7 +44,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .costs import RescueCost, cost_value, marginal_cost
+from .costs import RescueCost
 from .discretion import THRESHOLD, SignalRule, interior_probability
 from .distributions import TypeDistribution, sample_types
 from .errors import NumericalError, ParameterError, UnsupportedRuleError
@@ -53,6 +53,7 @@ from .mechanism import (
     DEFAULT_TAIL_MASS,
     CapSchedule,
     VirtualWeightCurve,
+    _psi_on,
     caps_from_targets,
     check_curve,
     solve_cap,
@@ -140,10 +141,8 @@ def mc_run(
     theta_s = sample_types(dist, n, seed)
     if bool(np.any(curve.ironed)):
         psi_s = curve.psi_bar_at(theta_s)
-    else:
-        # no pooling: evaluate the virtual weight exactly at the samples
-        haz = np.asarray(dist.hazard(theta_s), dtype=float)
-        psi_s = prim.gamma * np.asarray(prim.omega_b_at(theta_s), dtype=float) / curve.lambda_T * haz
+    else:  # no pooling: evaluate the virtual weight exactly at the samples
+        psi_s = _psi_on(dist, prim, curve.lambda_T, theta_s)
     b_s = caps_from_targets(psi_s, cost, prim.b_bar)
 
     positive = b_s > 0.0
@@ -316,21 +315,23 @@ def gap_density_at_rule(gap: float, rule: SignalRule, noise_scale: float) -> flo
     return branch(-math.inf, t, 0.0) + branch(t, math.inf, rule.level)
 
 
+_EFFORT_DAMPING = 0.5  # weight of the fixed-point map in each effort update
+
+
 def solve_effort(
     theta: float,
     prim: PolicyPrimitives,
     rule: SignalRule,
     revenue: RevenueModel = RevenueModel(),
-    damping: float = 0.5,
     tol: float = 1e-8,
     max_iter: int = 200,
     report_cap: Optional[float] = None,
 ) -> EffortSolution:
     """Solve R_e(e, theta) * (1 + phi_d * Lambda(e)) = phi_e for effort.
 
-    A damped fixed point on e with a bisection safeguard inside a bracket
-    [0, e_hi], where e_hi comes from bounding Lambda by the noise-density
-    peak.  ``report_cap`` is the cap implied by the submitted report; on
+    A fixed point on e, damped by ``_EFFORT_DAMPING``, with a bisection
+    safeguard inside a bracket [0, e_hi], where e_hi comes from bounding
+    Lambda by the noise-density peak.  ``report_cap`` is the cap implied by the submitted report; on
     the threshold branch (slope-zero rules) the optimality condition does
     not involve it, so the solved effort is report-invariant by
     construction.  Returns a corner solution at e = 0 when even the first
@@ -344,8 +345,6 @@ def solve_effort(
         )
     if report_cap is not None and report_cap < 0.0:
         raise ParameterError("report_cap must be nonnegative")
-    if not (0.0 < damping <= 1.0):
-        raise ParameterError("damping must lie in (0, 1]")
     rho = revenue.rho(theta)
     phi_e, phi_d, scale = prim.phi_e, prim.phi_d, prim.eta_scale
 
@@ -383,7 +382,7 @@ def solve_effort(
             lo = e
         else:
             hi = e
-        proposal = (1.0 - damping) * e + damping * (rho * (1.0 + phi_d * lam) / phi_e - 1.0)
+        proposal = (1.0 - _EFFORT_DAMPING) * e + _EFFORT_DAMPING * (rho * (1.0 + phi_d * lam) / phi_e - 1.0)
         if not (lo < proposal < hi):
             proposal = 0.5 * (lo + hi)
         e = proposal
@@ -602,11 +601,11 @@ def welfare_bruteforce(
 
     inv = cost.inverse_marginal(psi)
     kkt_caps = np.clip(np.asarray(inv.payout, dtype=float), 0.0, prim.b_bar)
-    kkt_cost = float(np.sum(w * (np.asarray(cost_value(cost, kkt_caps)) - psi * kkt_caps)))
+    kkt_cost = float(np.sum(w * (np.asarray(cost.value(kkt_caps)) - psi * kkt_caps)))
 
     grid = np.linspace(0.0, prim.b_bar, levels)
     # per-type, per-level contribution to the virtual cost
-    table = w[:, None] * (np.asarray(cost_value(cost, grid))[None, :] - psi[:, None] * grid[None, :])
+    table = w[:, None] * (np.asarray(cost.value(grid))[None, :] - psi[:, None] * grid[None, :])
     combos = np.array(
         list(itertools.combinations_with_replacement(range(levels), th.size)), dtype=np.intp
     )

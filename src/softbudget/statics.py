@@ -335,7 +335,7 @@ def m_sensitivity(
 
     def solve_at(m_val: float):
         p = replace(prim, m=m_val)
-        sol = fixed_point(dist, p, cost, damping=1.0, tol=fp_tol, max_iter=5000,
+        sol = fixed_point(dist, p, cost, tol=fp_tol, max_iter=5000,
                           grid_size=grid_size, tail_mass=tail_mass, curve=commitment)
         if not sol.converged:
             raise IllPosedError("fixed point did not converge during m perturbation")

@@ -27,7 +27,6 @@ from softbudget import (
     interior_probability,
     knife_edge,
     m_sensitivity,
-    marginal_cost,
     mc_run,
     solve_cap,
     solve_effort,
@@ -121,7 +120,7 @@ def test_criterion_03_randomized_interior_residual(bench_dist):
         sched = solve_cap(curve, cost, prim.b_bar)
         interior = (sched.b_star > 1e-9) & (sched.b_star < prim.b_bar - 1e-9)
         assert np.any(interior)
-        resid = np.abs(marginal_cost(cost, sched.b_star[interior]) - curve.psi_bar[interior])
+        resid = np.abs(cost.marginal(sched.b_star[interior]) - curve.psi_bar[interior])
         worst = max(worst, float(np.max(resid / np.maximum(1.0, curve.psi_bar[interior]))))
     ok = worst <= 1e-8
     _report(3, ok, f"20 admissible draws: max normalized interior residual {worst:.2e} (bound 1e-8)")

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from softbudget import (
 )
 from softbudget.cli import main
 from conftest import BENCH, as_floats, read_csv_columns
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 BASE_DOC = {
     "distribution": {"kind": "weibull", "shape": 2.0, "scale": 1.0},
@@ -60,14 +64,14 @@ def test_parse_config_minimal_defaults():
 
 def test_parse_config_full_blocks():
     doc = make_doc(
-        discretion={"enabled": True, "m": 0.5, "chi": 1.0, "damping": 0.8, "tol": 1e-9, "max_iter": 500},
-        simulation={"n": 5000, "seed": 7, "bins": 12, "eta_scale": 0.2, "phi_e": 1.1, "phi_d": 0.5},
+        discretion={"enabled": True, "m": 0.5, "chi": 1.0, "tol": 1e-9, "max_iter": 500},
+        simulation={"n": 5000, "seed": 7, "bins": 12},
         grid={"size": 1025, "truncation_quantile": 0.99999},
         output={"directory": "results", "formats": ["json"]},
     )
     cfg = parse_config(doc)
-    assert cfg.discretion.enabled and cfg.discretion.max_iter == 500
-    assert cfg.prim.m == 0.5 and cfg.prim.phi_d == 0.5 and cfg.prim.eta_scale == 0.2
+    assert cfg.discretion.enabled and cfg.discretion.max_iter == 500 and cfg.discretion.tol == 1e-9
+    assert cfg.prim.m == 0.5
     assert cfg.simulation.seed == 7 and cfg.simulation.bins == 12
     assert cfg.grid.size == 1025
     assert cfg.output.formats == ("json",)
@@ -125,6 +129,61 @@ def test_parse_config_nested_truncated_distribution():
     })
     cfg = parse_config(doc)
     assert cfg.dist.support == (0.1, 1.5)
+
+
+def test_readme_config_example_parses():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(json.loads(blocks[0]))
+    assert cfg.discretion.enabled and cfg.output.formats == ("csv", "json")
+
+
+# fields an earlier schema accepted although no command read them
+REMOVED_FIELDS = [
+    ("simulation", "eta_scale"),
+    ("simulation", "rho0"),
+    ("simulation", "base_gap"),
+    ("simulation", "phi_e"),
+    ("simulation", "phi_d"),
+    ("discretion", "damping"),
+]
+
+
+@pytest.mark.parametrize("block,key", REMOVED_FIELDS, ids=[f"{b}.{k}" for b, k in REMOVED_FIELDS])
+def test_config_rejects_fields_no_command_reads(block, key, tmp_path, capsys):
+    doc = make_doc(**{block: {key: 0.5}})
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.problems == [f"{block}.{key}: unknown key"]
+    assert run_cli("solve", "--config", write_doc(tmp_path, doc)) == 1
+    assert f"{block}.{key}: unknown key" in capsys.readouterr().err
+
+
+HUGE_INT = 10**330  # a JSON integer literal beyond float range
+
+OVERFLOW_DOCS = {
+    "distribution-scale": (
+        {"distribution": {"kind": "weibull", "shape": 2.0, "scale": HUGE_INT}}, "distribution.scale"),
+    "tabulated-density": (
+        {"distribution": {"kind": "tabulated", "theta": [0.0, 0.5, 1.0], "density": [1.0, HUGE_INT, 1.0]}},
+        "distribution.density"),
+    "omega_b-number": (
+        {"weights": {"omega_T": 1.0, "omega_b": HUGE_INT, "gamma": 1.0, "b_bar": 0.8}}, "weights.omega_b"),
+    "omega_b-table": (
+        {"weights": {"omega_T": 1.0, "omega_b": {"theta": [0.0, 1.0], "value": [0.5, HUGE_INT]},
+                     "gamma": 1.0, "b_bar": 0.8}}, "weights.omega_b.value"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_DOCS))
+def test_config_integer_beyond_float_range_is_validation_error(name, tmp_path, capsys):
+    blocks, field = OVERFLOW_DOCS[name]
+    doc = make_doc(**blocks)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert any(problem.startswith(f"{field}: ") for problem in err.value.problems)
+    assert run_cli("solve", "--config", write_doc(tmp_path, doc)) == 1
+    assert f"{field}: " in capsys.readouterr().err
 
 
 # -- CLI exit codes --------------------------------------------------------------
@@ -277,6 +336,33 @@ def test_cli_simulate(tmp_path):
     assert np.all((closed >= 0.0) & (closed <= 0.8))
 
 
+def point_mass_doc(out):
+    return make_doc(
+        distribution={"kind": "point", "value": 0.5},
+        simulation={"n": 5000, "seed": 3, "bins": 10},
+        output={"directory": str(out)},
+    )
+
+
+def test_cli_simulate_point_mass(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", write_doc(tmp_path, point_mass_doc(out)), "--quiet") == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["theta_min"] == 0.5
+    report = json.loads((out / "mc_report.json").read_text())
+    assert report["theta_min"] == 0.5 and report["dev_theta_min"] == 0.0
+    assert report["p_int"] == 1 and report["p_int_hat"] == 1
+
+
+def test_cli_solve_point_mass_counts_its_interior_type(tmp_path):
+    # the one type gets the interior cap 0.6 < b_bar, so P(0 < b < b_bar) = 1
+    out = tmp_path / "run"
+    assert run_cli("solve", "--config", write_doc(tmp_path, point_mass_doc(out)), "--quiet") == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["regime"] == "interior" and summary["theta_min"] == 0.5
+    assert summary["p_int"] == 1
+
+
 def test_cli_oracle(tmp_path):
     out = tmp_path / "run"
     path = write_doc(tmp_path, make_doc(output={"directory": str(out)}))
@@ -299,6 +385,14 @@ def test_cli_malformed_json_is_validation_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run_cli("solve", "--config", str(path)) == 1
+
+
+def test_cli_non_utf8_config_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    doc = make_doc(output={"directory": str(tmp_path / "r\u00e9sultats")})
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))  # e-acute becomes the lone byte 0xe9
+    assert run_cli("solve", "--config", str(path)) == 1
+    assert "not valid UTF-8" in capsys.readouterr().err
 
 
 def test_cli_invalid_config_is_validation_error(tmp_path):

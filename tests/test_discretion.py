@@ -4,12 +4,12 @@ import pytest
 from softbudget import (
     Exponential,
     ParameterError,
+    PointMass,
     PolicyPrimitives,
     QuadraticCost,
     SignalRule,
     TabulatedCost,
     UnsupportedRuleError,
-    beta_discretionary,
     effective_lambda,
     fixed_point,
     interior_probability,
@@ -24,17 +24,16 @@ from conftest import BENCH
 
 def test_discretionary_payout_branches(bench_cost, bench_prim):
     # chi = 1, alpha = 0.2, kappa = 1: payout = clip((g - 0.2)/2, 0, 0.8)
-    assert beta_discretionary(0.2, bench_prim, bench_cost) == 0.0
-    assert beta_discretionary(1.0, bench_prim, bench_cost) == pytest.approx(0.4, abs=1e-15)
-    assert beta_discretionary(10.0, bench_prim, bench_cost) == 0.8
-    arr = beta_discretionary(np.array([0.0, 1.0, 5.0]), bench_prim, bench_cost)
+    rule = SignalRule.discretionary(bench_prim, bench_cost)
+    assert rule.payout(0.2) == 0.0
+    assert rule.payout(1.0) == pytest.approx(0.4, abs=1e-15)
+    assert rule.payout(10.0) == 0.8
+    arr = rule.payout(np.array([0.0, 1.0, 5.0]))
     assert np.allclose(arr, [0.0, 0.4, 0.8])
 
 
 def test_discretionary_payout_needs_quadratic_cost(bench_prim):
     tab = TabulatedCost([0.0, 1.0], [0.1, 0.5])
-    with pytest.raises(UnsupportedRuleError):
-        beta_discretionary(1.0, bench_prim, tab)
     with pytest.raises(UnsupportedRuleError):
         SignalRule.discretionary(bench_prim, tab)
 
@@ -45,9 +44,12 @@ def test_discretionary_rule_shape(bench_cost, bench_prim):
     assert rule.threshold == pytest.approx(0.2, abs=1e-15)
     assert rule.slope == pytest.approx(0.5, abs=1e-15)
     assert rule.cap == 0.8
-    # the rule reproduces the closed-form payout and is continuous
+    # the rule reproduces the closed-form payout (chi*g - alpha)/(kappa + chi)
+    # projected to [0, b_bar], and is continuous
     grid = np.linspace(0.0, 3.0, 1201)
-    assert np.allclose(rule.payout(grid), beta_discretionary(grid, bench_prim, bench_cost), atol=1e-14)
+    chi, alpha, kappa = bench_prim.chi, bench_cost.alpha, bench_cost.kappa
+    closed_form = np.clip((chi * grid - alpha) / (kappa + chi), 0.0, bench_prim.b_bar)
+    assert np.allclose(rule.payout(grid), closed_form, atol=1e-14)
     assert np.max(np.abs(np.diff(rule.payout(grid)))) <= 0.51 * (grid[1] - grid[0])
     # finite-difference slope on the interior branch
     fd = (rule.payout(1.0 + 1e-6) - rule.payout(1.0 - 1e-6)) / 2e-6
@@ -67,7 +69,6 @@ def test_signal_rule_validation():
         SignalRule(shape="threshold-linear-cap", threshold=0.1, cap=0.5, slope=0.4, level=0.2)
     rule = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.4)
     assert rule.payout(0.49) == 0.0 and rule.payout(0.51) == 0.4
-    assert list(rule.breakpoints()) == [0.5]
 
 
 # -- effective multiplier ---------------------------------------------------
@@ -93,6 +94,20 @@ def test_interior_probability_no_rescue(bench_prim):
     curve = virtual_weight(dist, bench_prim, 1.0, grid_size=257)
     sched = solve_cap(curve, QuadraticCost(1.0, 1.0), bench_prim.b_bar)
     assert interior_probability(sched, dist) == 0.0
+
+
+def test_interior_probability_point_mass(bench_cost, bench_prim):
+    # the one type's weight 0.8 sets C'(b) = 0.2 + b = 0.8: an interior cap of 0.6
+    point = PointMass(0.5)
+    cases = [
+        (bench_cost, bench_prim.b_bar, "interior", 1.0),
+        (bench_cost, 0.5, "mixed", 0.0),  # the cap binds at b_bar
+        (QuadraticCost(1.0, 1.0), bench_prim.b_bar, "no-rescue", 0.0),
+    ]
+    for cost, b_bar, regime, expected in cases:
+        sched = solve_cap(virtual_weight(point, bench_prim, 1.0), cost, b_bar)
+        assert sched.regime == regime
+        assert interior_probability(sched, point) == expected
 
 
 def test_cutoffs_scale_with_lambda(bench_dist, bench_cost, bench_prim):
@@ -155,13 +170,6 @@ def test_discretion_weakens_discipline(bench_dist, bench_cost, bench_prim):
     assert sol.schedule.theta_dagger < BENCH["theta_dagger"]
 
 
-def test_fixed_point_damping_agrees(bench_dist, bench_cost, bench_prim):
-    full = fixed_point(bench_dist, bench_prim, bench_cost, damping=1.0, tol=1e-10)
-    damped = fixed_point(bench_dist, bench_prim, bench_cost, damping=0.5, tol=1e-10)
-    assert full.converged and damped.converged
-    assert damped.lambda_T == pytest.approx(full.lambda_T, abs=1e-8)
-
-
 def test_fixed_point_exhaustion_reports_not_converged(bench_dist, bench_cost, bench_prim):
     sol = fixed_point(bench_dist, bench_prim, bench_cost, max_iter=2, tol=1e-14)
     assert not sol.converged
@@ -180,8 +188,6 @@ def test_fixed_point_keeps_last_curve_and_accepts_commitment_curve(bench_dist, b
 
 
 def test_fixed_point_validation(bench_dist, bench_cost, bench_prim):
-    with pytest.raises(ParameterError):
-        fixed_point(bench_dist, bench_prim, bench_cost, damping=0.0)
     with pytest.raises(ParameterError):
         fixed_point(bench_dist, bench_prim, bench_cost, tol=-1.0)
     with pytest.raises(ParameterError):

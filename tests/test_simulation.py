@@ -260,8 +260,6 @@ def test_solve_effort_validation(bench_prim, bench_cost):
     with pytest.raises(ParameterError):
         solve_effort(-0.5, effort_prim(1.0), THRESHOLD_RULE)
     with pytest.raises(ParameterError):
-        solve_effort(0.5, effort_prim(1.0), THRESHOLD_RULE, damping=0.0)
-    with pytest.raises(ParameterError):
         solve_effort(0.5, effort_prim(1.0), THRESHOLD_RULE, report_cap=-1.0)
     with pytest.raises(NumericalError):
         solve_effort(0.5, effort_prim(2.0), THRESHOLD_RULE, max_iter=1, tol=1e-14)
