@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import MAX_GRID_SIZE, RunConfig, load_config
 from .discretion import DiscretionSolution, fixed_point, interior_probability
 from .distributions import Uniform
 from .errors import (
@@ -87,8 +87,8 @@ def _grid_type(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid size must be an integer, got {text!r}")
-    if value < 17:
-        raise argparse.ArgumentTypeError("grid size must be >= 17")
+    if not 17 <= value <= MAX_GRID_SIZE:
+        raise argparse.ArgumentTypeError(f"grid.size: must lie in [17, {MAX_GRID_SIZE}]")
     return value
 
 

@@ -24,6 +24,11 @@ Distribution kinds: ``weibull`` (shape, scale), ``exponential`` (rate),
 base, ``point`` (value).  Cost kinds:
 ``quadratic`` (alpha, kappa) and ``tabulated`` (payout, marginal).
 ``omega_b`` is a number or a table {"theta": [...], "value": [...]}.
+
+Size fields are bounded so that a typo cannot ask for arrays beyond
+memory: ``grid.size`` lies in [17, 16777217] (2**24 + 1 nodes),
+``simulation.n`` in [1000, 100000000] and ``simulation.bins`` in
+[2, 100000].
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ from .primitives import PolicyPrimitives, WeightCurve
 __all__ = ["DiscretionSettings", "SimulationSettings", "GridSettings", "OutputSettings", "RunConfig", "load_config", "parse_config"]
 
 DEFAULT_TRUNCATION_QUANTILE = 1.0 - 1e-10
+MAX_GRID_SIZE = 2**24 + 1
+MAX_SAMPLES = 100_000_000
+MAX_BINS = 100_000
 
 
 @dataclass(frozen=True)
@@ -332,16 +340,24 @@ def parse_config(document: dict) -> RunConfig:
     simulation = SimulationSettings()
     if isinstance(document.get("simulation"), dict):
         reader = _Reader("simulation", document["simulation"], problems)
-        n = reader.take("n", int, default=200_000, check=lambda v: v >= 1000, describe="must be >= 1000")
+        n = reader.take(
+            "n", int, default=200_000, check=lambda v: 1000 <= v <= MAX_SAMPLES,
+            describe=f"must lie in [1000, {MAX_SAMPLES}]",
+        )
         seed = reader.take("seed", int, default=12345, check=lambda v: 0 <= v < 2**64, describe="must fit in an unsigned 64-bit integer")
-        bins = reader.take("bins", int, default=30, check=lambda v: v >= 2, describe="must be >= 2")
+        bins = reader.take(
+            "bins", int, default=30, check=lambda v: 2 <= v <= MAX_BINS, describe=f"must lie in [2, {MAX_BINS}]"
+        )
         reader.finish()
         simulation = SimulationSettings(int(n), int(seed), int(bins))
 
     grid = GridSettings()
     if isinstance(document.get("grid"), dict):
         reader = _Reader("grid", document["grid"], problems)
-        size = reader.take("size", int, default=4097, check=lambda v: v >= 17, describe="must be >= 17")
+        size = reader.take(
+            "size", int, default=4097, check=lambda v: 17 <= v <= MAX_GRID_SIZE,
+            describe=f"must lie in [17, {MAX_GRID_SIZE}]",
+        )
         quantile = reader.take(
             "truncation_quantile", float, default=DEFAULT_TRUNCATION_QUANTILE,
             check=lambda v: 0.5 < v < 1.0, describe="must lie in (0.5, 1)",

@@ -118,14 +118,17 @@ class TypeDistribution:
             raise DomainError(
                 f"type value outside support [{lo}, {hi}] for kind '{self.kind}'"
             )
-        surv = np.asarray(self.survivor(arr), dtype=float)
+        dens, surv = self._pdf_and_survivor(arr)
         if np.any(surv <= 0.0):
             raise UpperSupportError(
                 "survival probability underflowed to zero; truncate the grid "
                 "below the upper support before evaluating hazards"
             )
-        out = np.asarray(self.pdf(arr), dtype=float) / surv
-        return _maybe_scalar(out, scalar)
+        return _maybe_scalar(dens / surv, scalar)
+
+    def _pdf_and_survivor(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Density and survival at types inside the support, for :meth:`hazard`."""
+        return np.asarray(self.pdf(arr), dtype=float), np.asarray(self.survivor(arr), dtype=float)
 
     def hazard_slope(self, theta):
         """Derivative of the hazard in theta.
@@ -463,6 +466,17 @@ class Tabulated(TypeDistribution):
         vals = self._surv_nodes[idx + 1] + cell_rest
         vals = np.where(arr <= lo, 1.0, np.where(arr > hi, 0.0, np.clip(vals, 0.0, 1.0)))
         return _maybe_scalar(vals, scalar)
+
+    def _pdf_and_survivor(self, arr):
+        # one cell lookup for both, with the float operations of pdf and
+        # survivor on in-support types, so the hazard equals their ratio bit for bit
+        idx, s = self._locate(arr)
+        step = self.nodes[1] - self.nodes[0]
+        slope = (self.density[idx + 1] - self.density[idx]) / step
+        t = step - s
+        cell_rest = self.density[idx + 1] * t - 0.5 * slope * t**2
+        surv = np.where(arr <= self.nodes[0], 1.0, np.clip(self._surv_nodes[idx + 1] + cell_rest, 0.0, 1.0))
+        return np.maximum(self.density[idx] + slope * s, 0.0), surv
 
     def ppf(self, u):
         arr, scalar = _aligned(u)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .costs import RescueCost
 from .discretion import THRESHOLD, SignalRule, interior_probability
-from .distributions import TypeDistribution, sample_types
+from .distributions import SAMPLE_BLOCK, TypeDistribution, sample_types
 from .errors import NumericalError, ParameterError, UnsupportedRuleError
 from .mechanism import (
     DEFAULT_GRID_SIZE,
@@ -121,13 +121,28 @@ def mc_run(
 ) -> MCReport:
     """Sample types, evaluate the optimal cap at each, and summarize.
 
-    Cutoffs are estimated as sample boundaries: the smallest sampled type
-    with a positive cap and the smallest whose cap sits at b_bar.  The
-    sample is drawn in fixed Philox blocks, so identical (seed, n) pairs
-    are bit-identical regardless of any partitioning of the blocks.  A
-    caller that already holds the virtual-weight curve for these inputs
-    passes it as ``curve`` (vetted by ``check_curve``) instead of having it
-    rebuilt.
+    The types are drawn in fixed Philox blocks (``sample_types``), so
+    identical (seed, n) pairs are bit-identical.  The bin edges span the
+    sampled range, ``np.linspace(min, max, bins + 1)``.  One loop then
+    walks the sample in ``SAMPLE_BLOCK`` slices; for each slice it
+    evaluates the virtual weight (exactly at the types, or interpolated on
+    the ironed curve when something pooled), the caps, and folds the slice
+    into running totals:
+
+    * the cutoff estimates, which are sample boundaries: the smallest type
+      with a positive cap and the smallest whose cap sits at b_bar;
+    * the number of interior types (cap strictly between 0 and b_bar);
+    * per bin, the count and the sums of the caps' deviations from a
+      shift, and of their squares.  Each type takes one bin,
+      edges[i] <= theta < edges[i + 1] with the last bin closed.  The
+      shift of a bin is one of its caps, fixed when the bin first fills,
+      so the variance does not cancel, and a bin whose caps are all equal
+      gets its cap as mean and a standard error of exactly zero.
+
+    No array of the sample's size other than the types themselves is
+    held.  A caller that already holds the virtual-weight curve for these
+    inputs passes it as ``curve`` (vetted by ``check_curve``) instead of
+    having it rebuilt.
     """
     if n < 1000:
         raise ParameterError("mc_run needs n >= 1000 for cutoff estimation")
@@ -139,28 +154,50 @@ def mc_run(
         check_curve(curve, dist, prim, lambda_T, grid_size, tail_mass)
     sched = solve_cap(curve, cost, prim.b_bar)
     theta_s = sample_types(dist, n, seed)
-    if bool(np.any(curve.ironed)):
-        psi_s = curve.psi_bar_at(theta_s)
-    else:  # no pooling: evaluate the virtual weight exactly at the samples
-        psi_s = _psi_on(dist, prim, curve.lambda_T, theta_s)
-    b_s = caps_from_targets(psi_s, cost, prim.b_bar)
-
-    positive = b_s > 0.0
-    at_cap = b_s >= prim.b_bar
-    interior = positive & ~at_cap
-    theta_min_hat = float(np.min(theta_s[positive])) if bool(np.any(positive)) else None
-    theta_dagger_hat = float(np.min(theta_s[at_cap])) if bool(np.any(at_cap)) else None
-    p_int_hat = float(np.mean(interior))
-
+    pooled = bool(np.any(curve.ironed))
     edges = np.linspace(float(np.min(theta_s)), float(np.max(theta_s)), bins + 1)
-    counts, _ = np.histogram(theta_s, bins=edges)
-    sums, _ = np.histogram(theta_s, bins=edges, weights=b_s)
-    sumsq, _ = np.histogram(theta_s, bins=edges, weights=b_s**2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        var = np.where(counts > 1, (sumsq - sums**2 / np.maximum(counts, 1)) / np.maximum(counts - 1, 1), np.nan)
-        stderr = np.sqrt(np.maximum(var, 0.0) / np.maximum(counts, 1))
-        stderr = np.where(counts > 1, stderr, np.nan)
+
+    theta_min_hat = theta_dagger_hat = math.inf
+    interior = 0
+    counts = np.zeros(bins, dtype=np.intp)
+    shift = np.zeros(bins)
+    dev_sum = np.zeros(bins)
+    dev_sq = np.zeros(bins)
+    for start in range(0, theta_s.size, SAMPLE_BLOCK):
+        theta = theta_s[start : start + SAMPLE_BLOCK]
+        if pooled:
+            psi = curve.psi_bar_at(theta)
+        else:  # no pooling: evaluate the virtual weight exactly at the samples
+            psi = _psi_on(dist, prim, curve.lambda_T, theta)
+        b = caps_from_targets(psi, cost, prim.b_bar)
+        positive = b > 0.0
+        at_cap = b >= prim.b_bar
+        # only types below an estimate can lower it, and after the first block few are
+        lower = positive & (theta < theta_min_hat)
+        if bool(np.any(lower)):
+            theta_min_hat = float(np.min(theta[lower]))
+        lower = at_cap & (theta < theta_dagger_hat)
+        if bool(np.any(lower)):
+            theta_dagger_hat = float(np.min(theta[lower]))
+        interior += int(np.count_nonzero(positive & ~at_cap))
+
+        idx = _bin_index(theta, edges)
+        block_counts = np.bincount(idx, minlength=bins)
+        first = (block_counts > 0) & (counts == 0)
+        if bool(np.any(first)):
+            sample = np.empty(bins)
+            sample[idx] = b
+            shift[first] = sample[first]
+        counts += block_counts
+        dev = b - shift[idx]
+        dev_sum += np.bincount(idx, weights=dev, minlength=bins)
+        dev *= dev
+        dev_sq += np.bincount(idx, weights=dev, minlength=bins)
+
+    filled = np.maximum(counts, 1)
+    means = np.where(counts > 0, shift + dev_sum / filled, np.nan)
+    var = (dev_sq - dev_sum * dev_sum / filled) / np.maximum(counts - 1, 1)
+    stderr = np.where(counts > 1, np.sqrt(np.maximum(var, 0.0) / filled), np.nan)
 
     return MCReport(
         n=int(n),
@@ -168,18 +205,39 @@ def mc_run(
         bins=int(bins),
         lambda_T=curve.lambda_T,
         regime=sched.regime,
-        theta_min_hat=theta_min_hat,
-        theta_dagger_hat=theta_dagger_hat,
-        p_int_hat=p_int_hat,
+        theta_min_hat=None if theta_min_hat == math.inf else theta_min_hat,
+        theta_dagger_hat=None if theta_dagger_hat == math.inf else theta_dagger_hat,
+        p_int_hat=interior / int(n),
         bin_edges=edges,
         bin_means=means,
-        bin_counts=counts.astype(int),
+        bin_counts=counts,
         bin_stderr=stderr,
         theta_min=sched.theta_min,
         theta_dagger=sched.theta_dagger,
         p_int=interior_probability(sched, dist),
         schedule=sched,
     )
+
+
+def _bin_index(theta: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each type: edges[i] <= theta < edges[i + 1], the last bin closed.
+
+    numpy's equal-width rule: a scaled index, then moved one bin down or up
+    where rounding put a type on the wrong side of an edge.  When every
+    edge coincides (a point mass) all types land in the last bin, as they
+    do in ``np.histogram`` with those edges.
+    """
+    bins = edges.size - 1
+    lo, hi = float(edges[0]), float(edges[-1])
+    if not hi > lo:
+        return np.full(theta.size, bins - 1, dtype=np.intp)
+    idx = ((theta - lo) / (hi - lo) * bins).astype(np.intp)
+    np.minimum(idx, bins - 1, out=idx)
+    upper = edges[1:].copy()
+    upper[-1] = math.inf  # the last bin includes the top edge
+    idx -= theta < edges[idx]
+    idx += theta >= upper[idx]
+    return idx
 
 
 # ---------------------------------------------------------------------------

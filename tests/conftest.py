@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from softbudget import PolicyPrimitives, QuadraticCost, Weibull
+from softbudget import PolicyPrimitives, QuadraticCost, Tabulated, Weibull
 
 # benchmark family used throughout: Weibull(2,1) types, quadratic cost
 # C(x) = 0.2 x + 0.5 x^2, weights (omega_T, omega_b, gamma) = (1, 0.8, 1),
@@ -64,3 +64,12 @@ def read_csv_columns(path):
 
 def as_floats(cells):
     return np.array([float(c) for c in cells])
+
+
+def irregular_tabulated():
+    """Two-bump density on [0, 3] like the benchmark's irregular workload."""
+    nodes = np.linspace(0.0, 3.0, 401)
+    dens = 0.4 * np.exp(-0.5 * ((nodes - 0.6) / 0.15) ** 2) / 0.15 + 0.6 * np.exp(
+        -0.5 * ((nodes - 1.6) / 0.2) ** 2
+    ) / 0.2
+    return Tabulated(nodes, dens)

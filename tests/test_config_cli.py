@@ -14,6 +14,7 @@ from softbudget import (
     parse_config,
 )
 from softbudget.cli import main
+from softbudget.config import MAX_BINS, MAX_GRID_SIZE, MAX_SAMPLES
 from conftest import BENCH, as_floats, read_csv_columns
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -184,6 +185,33 @@ def test_config_integer_beyond_float_range_is_validation_error(name, tmp_path, c
     assert any(problem.startswith(f"{field}: ") for problem in err.value.problems)
     assert run_cli("solve", "--config", write_doc(tmp_path, doc)) == 1
     assert f"{field}: " in capsys.readouterr().err
+
+
+# size fields, their upper bound, and a command that would allocate by them
+SIZE_BOUNDS = [
+    ("grid", "size", 17, MAX_GRID_SIZE, "knife-edge"),
+    ("simulation", "n", 1000, MAX_SAMPLES, "simulate"),
+    ("simulation", "bins", 2, MAX_BINS, "simulate"),
+]
+
+
+@pytest.mark.parametrize("block,key,low,high,command", SIZE_BOUNDS, ids=[f"{b}.{k}" for b, k, *_ in SIZE_BOUNDS])
+def test_config_size_field_upper_bound(block, key, low, high, command, tmp_path, capsys):
+    assert getattr(getattr(parse_config(make_doc(**{block: {key: high}})), block), key) == high
+    for value in (high + 1, 10**30):
+        doc = make_doc(**{block: {key: value}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.problems == [f"{block}.{key}: must lie in [{low}, {high}]"]
+        assert run_cli(command, "--config", write_doc(tmp_path, doc)) == 1
+        assert f"{block}.{key}: must lie in" in capsys.readouterr().err
+
+
+def test_cli_grid_flag_upper_bound(tmp_path, capsys):
+    path = write_doc(tmp_path, make_doc())
+    for value in (MAX_GRID_SIZE + 1, 10**30):
+        assert run_cli("knife-edge", "--config", path, "--grid", str(value)) == 1
+        assert f"grid.size: must lie in [17, {MAX_GRID_SIZE}]" in capsys.readouterr().err
 
 
 # -- CLI exit codes --------------------------------------------------------------

@@ -19,6 +19,7 @@ from softbudget import (
     uniform_stream,
 )
 from softbudget.distributions import SAMPLE_BLOCK
+from conftest import irregular_tabulated
 
 ANALYTIC = [
     Weibull(2.0, 1.0),
@@ -123,6 +124,26 @@ def test_bimodal_tabulated_hazard_dips():
     g = dist.grid(801, tail_mass=1e-4)
     h = np.asarray(dist.hazard(g))
     assert np.min(np.diff(h)) < 0.0
+
+
+def test_tabulated_hazard_is_bit_identical_to_pdf_over_survivor():
+    dist = irregular_tabulated()
+    nodes = dist.nodes
+    inside = np.concatenate([
+        nodes[:-1],  # every node short of the upper end, the lower end included
+        0.5 * (nodes[:-1] + nodes[1:]),  # cell midpoints
+        np.nextafter(nodes[1:], -np.inf),  # just below each node
+        np.random.default_rng(3).uniform(nodes[0], nodes[-1], 5000),
+    ])
+    reference = np.asarray(dist.pdf(inside)) / np.asarray(dist.survivor(inside))  # two locates
+    assert np.asarray(dist.hazard(inside)).tobytes() == reference.tobytes()
+    assert dist.hazard(float(nodes[0])) == dist.pdf(float(nodes[0])) / dist.survivor(float(nodes[0]))
+    for point in (float(nodes[-1]), [0.5, float(nodes[-1])]):  # survival is zero at the upper end
+        with pytest.raises(UpperSupportError):
+            dist.hazard(point)
+    for point in (-1e-9, [1.0, 3.0 + 1e-9]):
+        with pytest.raises(DomainError):
+            dist.hazard(point)
 
 
 def test_tabulated_interpolation_consistency():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from softbudget import (
     NumericalError,
     ParameterError,
+    PointMass,
     PolicyPrimitives,
     QuadraticCost,
     RevenueModel,
     SignalRule,
     Uniform,
     UnsupportedRuleError,
+    Weibull,
     capmin_oracle,
     gap_density_at_rule,
     mc_run,
@@ -23,7 +26,10 @@ from softbudget import (
     virtual_weight,
     welfare_bruteforce,
 )
-from conftest import BENCH
+from softbudget import simulation
+from softbudget.distributions import sample_types
+from softbudget.mechanism import _psi_on, caps_from_targets
+from conftest import BENCH, irregular_tabulated
 
 THRESHOLD_RULE = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.4)
 
@@ -100,6 +106,99 @@ def test_mc_p_int_stable_across_seeds(bench_dist, bench_cost, bench_prim):
     ]
     assert max(vals) - min(vals) < 0.01
     assert abs(float(np.mean(vals)) - BENCH["p_int"]) < 0.002
+
+
+# -- Monte Carlo binning against the whole-array reference --------------------
+
+
+def whole_array_reference(dist, prim, cost, curve, theta_s, bins):
+    """mc_run's estimates computed on whole arrays, bins counted by np.histogram."""
+    if bool(np.any(curve.ironed)):
+        psi_s = curve.psi_bar_at(theta_s)
+    else:
+        psi_s = _psi_on(dist, prim, curve.lambda_T, theta_s)
+    b_s = caps_from_targets(psi_s, cost, prim.b_bar)
+    positive = b_s > 0.0
+    at_cap = b_s >= prim.b_bar
+    cutoffs = (
+        float(np.min(theta_s[positive])) if bool(np.any(positive)) else None,
+        float(np.min(theta_s[at_cap])) if bool(np.any(at_cap)) else None,
+        float(np.mean(positive & ~at_cap)),
+    )
+    edges = np.linspace(float(np.min(theta_s)), float(np.max(theta_s)), bins + 1)
+    counts, _ = np.histogram(theta_s, bins=edges)
+    return cutoffs, edges, counts, b_s
+
+
+def assert_matches_reference(rep, dist, prim, cost, curve, theta_s):
+    cutoffs, edges, counts, b_s = whole_array_reference(dist, prim, cost, curve, theta_s, rep.bins)
+    assert (rep.theta_min_hat, rep.theta_dagger_hat, rep.p_int_hat) == cutoffs
+    assert np.array_equal(rep.bin_edges, edges)
+    assert np.array_equal(rep.bin_counts, counts)
+    which = np.minimum(np.searchsorted(edges, theta_s, side="right") - 1, rep.bins - 1)
+    for i in range(rep.bins):
+        caps = b_s[which == i]
+        mean, se = float(rep.bin_means[i]), float(rep.bin_stderr[i])
+        assert caps.size == counts[i]
+        if caps.size == 0:
+            assert math.isnan(mean) and math.isnan(se)
+            continue
+        assert mean == pytest.approx(math.fsum(caps) / caps.size, rel=1e-12, abs=0.0)
+        if caps.size == 1:
+            assert mean == caps[0] and math.isnan(se)
+        elif caps.min() == caps.max():  # constant caps: exact mean, zero spread
+            assert mean == caps[0] and se == 0.0
+        else:
+            wide = caps.astype(np.longdouble)
+            var = np.sum((wide - np.sum(wide) / caps.size) ** 2) / (caps.size - 1)
+            assert se == pytest.approx(float(np.sqrt(var / caps.size)), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1000, 65_536, 65_537, 200_000])
+@pytest.mark.parametrize("pooled", [False, True], ids=["exact-psi", "pooled"])
+def test_mc_run_matches_whole_array_reference(n, pooled, bench_cost, bench_prim, monkeypatch):
+    dist = irregular_tabulated() if pooled else Weibull(2.0, 1.0)
+    curve = virtual_weight(dist, bench_prim, 1.0)
+    assert bool(np.any(curve.ironed)) == pooled
+    bins = 30
+    theta_s = sample_types(dist, n, 20260814)
+    # put types exactly on every inner edge, next to it, and at the maximum
+    edges = np.linspace(float(np.min(theta_s)), float(np.max(theta_s)), bins + 1)
+    planted = np.concatenate([edges[1:-1], np.nextafter(edges[1:-1], -np.inf), edges[[-1, -1]]])
+    positions = np.random.default_rng(n).choice(n, planted.size, replace=False)
+    theta_s[positions] = planted
+    monkeypatch.setattr(simulation, "sample_types", lambda *args: theta_s.copy())
+    rep = mc_run(dist, bench_prim, bench_cost, 1.0, n, seed=20260814, bins=bins, curve=curve)
+    assert np.array_equal(rep.bin_edges, edges)
+    assert_matches_reference(rep, dist, bench_prim, bench_cost, curve, theta_s)
+    assert np.count_nonzero(rep.bin_stderr == 0.0) >= 2  # the zero-cap and the b_bar bins
+
+
+def test_mc_run_point_mass_fills_the_last_bin(bench_cost, bench_prim):
+    dist = PointMass(0.5)
+    n = 70_000  # two sample blocks
+    rep = mc_run(dist, bench_prim, bench_cost, 1.0, n, seed=3, bins=30)
+    theta_s = sample_types(dist, n, 3)
+    assert np.all(rep.bin_edges == 0.5)
+    assert rep.bin_counts[-1] == n and not np.any(rep.bin_counts[:-1])
+    assert rep.bin_means[-1] == pytest.approx(0.6, abs=1e-15) and rep.bin_stderr[-1] == 0.0
+    assert_matches_reference(rep, dist, bench_prim, bench_cost, virtual_weight(dist, bench_prim, 1.0), theta_s)
+
+
+def test_mc_run_holds_no_sample_sized_array_but_the_types(bench_dist, bench_cost, bench_prim):
+    n = 1_000_000
+    curve = virtual_weight(bench_dist, bench_prim, 1.0)
+    tracemalloc.start()
+    try:
+        sample_types(bench_dist, n, 7)
+        sampling_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mc_run(bench_dist, bench_prim, bench_cost, 1.0, n, seed=7, curve=curve)
+        run_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert run_peak <= sampling_peak + 2**20
 
 
 # -- payout simulation --------------------------------------------------------
