@@ -49,7 +49,7 @@ from .errors import (
 )
 from .mechanism import knife_edge, leader_cost, solve_cap, transfer_schedule, virtual_weight
 from .primitives import PolicyPrimitives
-from .reporting import format_float, write_csv, write_json
+from .reporting import format_float, write_csv, write_csvs, write_json
 from .simulation import capmin_oracle, mc_run, welfare_bruteforce
 from .statics import FD_STEP_DEFAULT, analytic_partials, fd_certify, m_sensitivity
 
@@ -197,17 +197,17 @@ def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
     out_dir = cfg.output.directory
     files = {"summary": "summary.json"}
     if "csv" in cfg.output.formats:
-        write_csv(
-            os.path.join(out_dir, "cap_schedule.csv"),
-            ["theta", "b_star", "ironed", "t_star", "ll_binding"],
-            [sched.theta, sched.b_star, sched.ironed, transfers.t_star, transfers.ll_binding],
-        )
-        write_csv(
-            os.path.join(out_dir, "transfers.csv"),
-            ["theta", "t_pre", "t_star", "ll_binding", "unpinned"],
-            [transfers.theta, transfers.t_pre, transfers.t_star, transfers.ll_binding,
-             np.full(transfers.theta.shape, transfers.unpinned)],
-        )
+        # one call, so the columns both files hold (transfers.theta is
+        # sched.theta) are rendered once
+        write_csvs([
+            (os.path.join(out_dir, "cap_schedule.csv"),
+             ["theta", "b_star", "ironed", "t_star", "ll_binding"],
+             [sched.theta, sched.b_star, sched.ironed, transfers.t_star, transfers.ll_binding]),
+            (os.path.join(out_dir, "transfers.csv"),
+             ["theta", "t_pre", "t_star", "ll_binding", "unpinned"],
+             [transfers.theta, transfers.t_pre, transfers.t_star, transfers.ll_binding,
+              np.full(transfers.theta.shape, transfers.unpinned)]),
+        ])
         files["cap_schedule"] = "cap_schedule.csv"
         files["transfers"] = "transfers.csv"
     summary = {

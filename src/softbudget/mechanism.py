@@ -157,6 +157,10 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     Returns the monotone sequence and a per-point flag marking pooled
     stretches.
 
+    Values and weights must be finite, and weights nonnegative; a NaN
+    would compare false in every merge test and an infinity would pool
+    into NaN.
+
     Already-nondecreasing input (``psi[1:] >= psi[:-1]`` everywhere) is
     returned as a copy with no flags, after the inputs are validated and
     without entering the merge loop: the loop merges only on a strict
@@ -167,6 +171,8 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     weights = np.asarray(weights, dtype=float)
     if psi.shape != weights.shape or psi.ndim != 1:
         raise ParameterError("iron_weights needs matching 1-d value and weight arrays")
+    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(weights))):
+        raise ParameterError("ironing values and weights must be finite")
     if np.any(weights < 0.0):
         raise ParameterError("ironing weights must be nonnegative")
     n = psi.size

@@ -7,16 +7,23 @@ fragile subclass tricks, so a small serializer is rolled here.  All writes
 are atomic: content goes to a temporary file in the destination directory
 and is moved into place with ``os.replace``.
 
-CSV rows are formatted in blocks of 4,096, a whole column of the block at
-a time.  A 1-d numpy column of bools, integers or finite floats is turned
-into Python values at once (``ndarray.tolist()``) and each row is rendered
-by one ``%``-template whose conversions are ``%s`` for ``true``/``false``,
-``%d`` for integers and ``%.10g`` for floats.  Those are the conversions
-``_format_cell`` applies to a single cell, and ``tolist()`` yields the
-same Python ``float``/``int``/``bool`` that ``float(cell)``/``int(cell)``
-would, so the bytes do not change.  Every other column (lists, object
-arrays, ``None`` cells, floats with NaN or infinities) goes through
-``_format_cell`` one cell at a time, still column by column.
+CSV rows are rendered in blocks of 4,096, a whole column of the block at a
+time, and each value is formatted once.  A 1-d numpy column of bools,
+integers or floats is split into runs of bit-equal values (compared through
+an unsigned-integer view, so ``-0.0`` and ``0.0`` stay apart); each run head
+becomes one Python value (``ndarray.tolist()``), is formatted as
+``_format_cell`` would format it (``true``/``false``, ``str`` of the int,
+``%.10g`` or empty for a non-finite float) and is repeated over its run.
+Optimal schedules are mostly plateaus, so most cells repeat the one above.
+Every other column (lists, object arrays, ``None`` cells, long doubles)
+goes through ``_format_cell`` one cell at a time.
+
+``write_csvs`` writes several tables in one walk over the blocks, and a
+column object that several of its tables hold is rendered once per block:
+``solve``'s two files share the type grid, the transfers and the binding
+flags.  Shared cells are kept for the current block only.  Keeping a shared
+column's cells for a whole file would hold a string object per row at once;
+per block, the cells alive stay bounded by the block size.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["format_float", "dumps_json", "write_json", "write_csv", "atomic_write_text"]
+__all__ = ["format_float", "dumps_json", "write_json", "write_csv", "write_csvs", "atomic_write_text"]
 
 
 def format_float(x: float) -> str:
@@ -111,40 +118,66 @@ def _format_cell(value) -> str:
     raise TypeError(f"cannot render {type(value).__name__} in CSV")
 
 
-# rows formatted together; bounds the Python values alive at once, and with
-# them the writer's peak memory, independently of the row count
+# rows rendered together; bounds the cells alive at once, and with them the
+# writer's peak memory, independently of the row count
 _BLOCK_ROWS = 4096
 
 
-def _column_cells(col) -> tuple[str, list]:
-    """Row-template conversion and per-row values for one CSV column."""
-    if isinstance(col, np.ndarray) and col.ndim == 1:
-        kind = col.dtype.kind
-        if kind == "b":
-            return "%s", ["true" if v else "false" for v in col.tolist()]
-        if kind in "iu":
-            return "%d", col.tolist()
-        if kind == "f" and bool(np.all(np.isfinite(col))):
-            return "%.10g", col.tolist()
-    return "%s", [_format_cell(v) for v in col]
+def _render(col) -> list[str]:
+    """Cells of one block of one CSV column, each distinct run formatted once."""
+    if not (isinstance(col, np.ndarray) and col.ndim == 1
+            and col.dtype.kind in "biuf" and col.itemsize in (1, 2, 4, 8)):
+        return [_format_cell(v) for v in col]
+    bits = col.view(f"u{col.itemsize}")
+    change = bits[1:] != bits[:-1]
+    heads = np.concatenate(([0], np.flatnonzero(change) + 1))
+    values = col[heads]
+    kind = col.dtype.kind
+    if kind == "b":
+        cells = ["true" if v else "false" for v in values.tolist()]
+    elif kind in "iu":
+        cells = [str(v) for v in values.tolist()]
+    else:
+        cells = ["%.10g" % v for v in values.tolist()]
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            cells[i] = ""
+    if heads.size == col.size:
+        return cells
+    runs = np.concatenate(([0], np.cumsum(change)))
+    return np.array(cells, dtype=object)[runs].tolist()
 
 
-def _csv_block(columns: Sequence[Sequence]) -> str:
-    """Data lines of one block of rows, one row template applied per row."""
-    conversions, cells = zip(*(_column_cells(col) for col in columns))
-    row = ",".join(conversions)
-    return "\n".join([row % values for values in zip(*cells)])
+def _row_count(header: Sequence[str], columns: Sequence[Sequence]) -> int:
+    if len(header) != len(columns):
+        raise ValueError("header and column counts differ")
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError("columns must share a length")
+    return lengths.pop() if lengths else 0
+
+
+def write_csvs(tables: Sequence[tuple[str, Sequence[str], Sequence[Sequence]]]) -> None:
+    """Write ``(path, header, columns)`` tables; a column shared by several renders once per block.
+
+    Every table is checked before any file is written.
+    """
+    counts = [_row_count(header, columns) for _, header, columns in tables]
+    lines = [[",".join(header)] for _, header, _ in tables]
+    for start in range(0, max(counts, default=0), _BLOCK_ROWS):
+        rendered: dict[int, list[str]] = {}  # id(column) -> its cells in this block
+        for (_, _, columns), n, table_lines in zip(tables, counts, lines):
+            if start >= n:
+                continue
+            cells = []
+            for col in columns:
+                if id(col) not in rendered:
+                    rendered[id(col)] = _render(col[start : start + _BLOCK_ROWS])
+                cells.append(rendered[id(col)])
+            table_lines.append("\n".join(map(",".join, zip(*cells))))
+    for (path, _, _), table_lines in zip(tables, lines):
+        atomic_write_text(path, "\n".join(table_lines) + "\n")
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """Write columns of equal length under ``header``, floats at %.10g."""
-    if len(header) != len(columns):
-        raise ValueError("header and column counts differ")
-    lengths = {len(col) for col in columns}
-    if len(columns) and len(lengths) != 1:
-        raise ValueError("columns must share a length")
-    n = lengths.pop() if lengths else 0
-    lines = [",".join(header)]
-    for start in range(0, n, _BLOCK_ROWS):
-        lines.append(_csv_block([col[start : start + _BLOCK_ROWS] for col in columns]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csvs([(path, header, columns)])

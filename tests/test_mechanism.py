@@ -333,6 +333,24 @@ def test_iron_weights_validation():
         iron_weights(np.array([1.0, 0.5]), np.array([1.0, -1.0]))
 
 
+def test_iron_weights_rejects_a_nan_value():
+    # unchecked, the NaN passed every merge test and came back unpooled
+    with pytest.raises(ParameterError):
+        iron_weights(np.array([1.0, np.nan, 0.5]), np.ones(3))
+
+
+def test_iron_weights_rejects_a_nan_weight():
+    # unchecked, the NaN weight failed total > 0 and was averaged as zero density
+    with pytest.raises(ParameterError):
+        iron_weights(np.array([1.0, 2.0, 0.5]), np.array([1.0, np.nan, 1.0]))
+
+
+def test_iron_weights_rejects_an_infinite_value():
+    # unchecked, the infinity pooled its right neighbour up to infinity
+    with pytest.raises(ParameterError):
+        iron_weights(np.array([1.0, np.inf, 0.5]), np.ones(3))
+
+
 def test_decreasing_hazard_weibull_solves(bench_prim, bench_cost):
     curve = virtual_weight(DFR_WEIBULL, bench_prim, 1.0)
     assert curve.theta[0] > 0.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from softbudget.reporting import _format_cell, write_csv
+from softbudget import reporting
+from softbudget.reporting import _BLOCK_ROWS, _format_cell, write_csv, write_csvs
 
 
 def reference_csv(header, columns):
@@ -11,6 +12,11 @@ def reference_csv(header, columns):
     for i in range(n):
         lines.append(",".join(_format_cell(col[i]) for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def lines(text):
+    """Compare long texts as line lists: a failure then names the first differing line quickly."""
+    return text.split("\n")
 
 
 def written(tmp_path, header, columns):
@@ -28,6 +34,8 @@ MIXED = {
     "bool": np.array([True, False, False, True, True, False]),
     "int64": np.array([0, -1, 2**62, 7, -(2**40), 3], dtype=np.int64),
     "uint8": np.array([0, 1, 2, 255, 4, 5], dtype=np.uint8),
+    "strided": np.array([[0.5, 1.0], [0.5, 2.0], [-0.0, 3.0], [0.0, 4.0], [0.0, 5.0], [7.0, 6.0]])[:, 0],
+    "big_endian": np.array([0.25, 0.25, -0.0, 0.0, np.nan, 1e300], dtype=">f8"),
     "strings": ["plain", "with,comma", 'say "hi"', "two\nlines", "", "ok"],
     "none_floats": [None, 0.25, None, float("nan"), 1e30, -0.0],
     "mixed_list": [True, 3, np.float64(0.5), np.int32(-4), "x", None],
@@ -82,3 +90,83 @@ def test_write_csv_validation(tmp_path):
         write_csv(str(tmp_path / "a.csv"), ["a", "b"], [np.zeros(2), np.zeros(3)])
     with pytest.raises(TypeError):
         write_csv(str(tmp_path / "a.csv"), ["a"], [np.array([1 + 2j])])
+
+
+def test_write_csv_run_across_the_block_edge(tmp_path):
+    n = 3 * _BLOCK_ROWS + 5
+    x = np.zeros(n)
+    x[_BLOCK_ROWS - 3 : _BLOCK_ROWS + 7] = 0.25  # one run, split by the block edge
+    x[2 * _BLOCK_ROWS :] = 0.5  # a run that starts exactly at an edge and spans the rest
+    flag = x > 0.3
+    count = (x * 4).astype(np.int64)
+    columns = [x, flag, count]
+    header = ["x", "flag", "count"]
+    assert lines(written(tmp_path, header, columns)) == lines(reference_csv(header, columns))
+
+
+def test_write_csv_keeps_signed_zeros_and_subnormals_apart(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([0.0, -0.0, -0.0, 0.0, tiny, tiny, -tiny, 1e-310, 1e-310, 2e-310, -0.0])
+    text = written(tmp_path, ["x"], [x])
+    assert text == reference_csv(["x"], [x])
+    assert text.split("\n")[1:5] == ["0", "-0", "-0", "0"]
+    f32 = np.array([0.0, -0.0, 1e-45, 1e-45, -0.0], dtype=np.float32)
+    assert written(tmp_path, ["f"], [f32]) == reference_csv(["f"], [f32])
+
+
+def test_write_csv_nan_payloads_render_empty(tmp_path):
+    payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    x = np.array([np.nan, payload, payload, np.inf, -np.inf, -np.inf, 1.0])
+    assert written(tmp_path, ["x"], [x]) == "x\n\n\n\n\n\n\n1\n"
+
+
+@pytest.mark.parametrize("column", [
+    np.full(10_001, 0.8),
+    np.full(10_001, -0.0),
+    np.ones(10_001, dtype=bool),
+    np.zeros(10_001, dtype=bool),
+    np.full(10_001, -7, dtype=np.int32),
+    np.full(10_001, 2**63 + 1, dtype=np.uint64),
+], ids=["float", "negzero", "true", "false", "int32", "uint64"])
+def test_write_csv_all_equal_column(tmp_path, column):
+    assert lines(written(tmp_path, ["c"], [column])) == lines(reference_csv(["c"], [column]))
+
+
+def test_write_csvs_renders_a_shared_column_once_per_block(tmp_path, monkeypatch):
+    n = 2 * _BLOCK_ROWS + 1  # three blocks
+    theta = np.linspace(0.0, 1.0, n)
+    cap = np.minimum(theta, 0.5)
+    flag = theta > 0.5
+    t = np.maximum(0.5 - theta, 0.0)
+    calls = []
+    render = reporting._render
+    monkeypatch.setattr(reporting, "_render", lambda col: calls.append(len(col)) or render(col))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csvs([(str(a), ["theta", "cap", "flag"], [theta, cap, flag]),
+                (str(b), ["theta", "t", "flag"], [theta, t, flag])])
+    assert len(calls) == 3 * 4  # three blocks of the four distinct columns, not of all six
+    assert lines(a.read_text()) == lines(reference_csv(["theta", "cap", "flag"], [theta, cap, flag]))
+    assert lines(b.read_text()) == lines(reference_csv(["theta", "t", "flag"], [theta, t, flag]))
+
+
+def test_write_csvs_tables_of_different_lengths(tmp_path):
+    long = np.arange(_BLOCK_ROWS + 10) * 0.5
+    short = np.array([1.5, 1.5, -0.0])
+    tables = [
+        (tmp_path / "empty.csv", ["e"], [np.array([], dtype=float)]),
+        (tmp_path / "long.csv", ["x", "y"], [long, long > 3.0]),
+        (tmp_path / "short.csv", ["s", "label"], [short, ["a", "b,c", None]]),
+    ]
+    write_csvs([(str(path), header, columns) for path, header, columns in tables])
+    for path, header, columns in tables:
+        assert lines(path.read_text()) == lines(reference_csv(header, columns))
+    write_csvs([])
+
+
+def test_write_csvs_checks_every_table_before_writing(tmp_path):
+    good = (str(tmp_path / "good.csv"), ["a"], [np.zeros(2)])
+    with pytest.raises(ValueError, match="header and column counts differ"):
+        write_csvs([good, (str(tmp_path / "bad.csv"), ["a", "b"], [np.zeros(2)])])
+    with pytest.raises(ValueError, match="columns must share a length"):
+        write_csvs([good, (str(tmp_path / "bad.csv"), ["a", "b"], [np.zeros(2), np.zeros(3)])])
+    assert not any(tmp_path.iterdir())
