@@ -41,19 +41,19 @@ def main(argv=None) -> int:
     cost = QuadraticCost(0.2, 1.0)
     prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.5, chi=1.0)
 
+    commitment = virtual_weight(dist, prim, prim.omega_T)
+    solution = fixed_point(commitment, cost)
     rows = []
-    for label, lam in (("commitment", prim.omega_T), ("discretion", None)):
-        if lam is None:
-            solution = fixed_point(dist, prim, cost)
-            lam, sched = solution.lambda_T, solution.schedule
-        else:
-            sched = solve_cap(virtual_weight(dist, prim, lam), cost, prim.b_bar)
-        mc = mc_run(dist, prim, cost, lam, n=args.n, seed=args.seed)
+    for label, curve, sched in (
+        ("commitment", commitment, solve_cap(commitment, cost, prim.b_bar)),
+        ("discretion", solution.curve, solution.schedule),
+    ):
+        mc = mc_run(curve, cost, n=args.n, seed=args.seed)
         cost_value = leader_cost(sched, transfer_schedule(sched, prim), dist, cost, prim)
         rows.append(
             {
                 "regime": label,
-                "lambda_T": lam,
+                "lambda_T": curve.lambda_T,
                 "theta_min": sched.theta_min,
                 "theta_dagger": sched.theta_dagger,
                 "p_int": interior_probability(sched, dist),

@@ -18,6 +18,7 @@ from softbudget import (
     Weibull,
     fd_certify,
     m_sensitivity,
+    virtual_weight,
 )
 
 
@@ -53,7 +54,8 @@ def main(argv=None) -> int:
         omega_T=1.0, omega_b=args.omega_b, gamma=args.gamma, b_bar=0.8, m=args.m, chi=1.0
     )
 
-    report = fd_certify(dist, prim, cost, step=args.step)
+    commitment = virtual_weight(dist, prim, prim.omega_T)
+    report = fd_certify(commitment, cost, step=args.step)
     print_rows(report, "commitment partials at the solved benchmark point")
     print(
         f"theta_min={report.theta_min:.6f}  b_max={report.b_max:.6f}  "
@@ -61,7 +63,7 @@ def main(argv=None) -> int:
     )
 
     if not args.skip_discretion:
-        sens = m_sensitivity(dist, prim, cost, step=args.step)
+        sens = m_sensitivity(commitment, cost, step=args.step)
         print()
         print_rows(sens, "sensitivity to the signal slope m through the fixed point")
         print(f"chain-rule gap={sens.chain_gap:.2e}  all_ok={sens.all_ok}")

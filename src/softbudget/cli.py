@@ -47,11 +47,10 @@ from .errors import (
     ParameterError,
     SoftBudgetError,
 )
-from .mechanism import knife_edge, leader_cost, solve_cap, transfer_schedule, virtual_weight
-from .primitives import PolicyPrimitives
+from .mechanism import VirtualWeightCurve, knife_edge, leader_cost, solve_cap, transfer_schedule, virtual_weight
 from .reporting import format_float, write_csv, write_csvs, write_json
 from .simulation import capmin_oracle, mc_run, welfare_bruteforce
-from .statics import FD_STEP_DEFAULT, analytic_partials, fd_certify, m_sensitivity
+from .statics import FLAG_OK, StaticsReport, fd_certify, m_sensitivity
 
 __all__ = ["main"]
 
@@ -122,24 +121,25 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fixed_point(cfg: RunConfig) -> DiscretionSolution:
-    return fixed_point(
-        cfg.dist, cfg.prim, cfg.cost,
-        tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter,
-        grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass,
-    )
+def _commitment(cfg: RunConfig) -> VirtualWeightCurve:
+    """The commitment curve (lambda_T = omega_T) on the config's grid."""
+    return virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
 
 
-def _resolve_lambda(cfg: RunConfig) -> tuple[float, Optional[DiscretionSolution]]:
-    """Effective grant weight: the fixed point under discretion, else omega_T."""
+def _resolve_curve(cfg: RunConfig) -> tuple[VirtualWeightCurve, Optional[DiscretionSolution]]:
+    """The curve at the effective grant weight, and the fixed point that found it.
+
+    Under discretion that is the converged fixed point's last curve; without
+    it, the commitment curve and no solution.
+    """
     if not cfg.discretion.enabled:
-        return cfg.prim.omega_T, None
-    sol = _fixed_point(cfg)
+        return _commitment(cfg), None
+    sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
     if not sol.converged:
         raise NumericalError(
             f"discretionary fixed point did not converge in {cfg.discretion.max_iter} iterations"
         )
-    return sol.lambda_T, sol
+    return sol.curve, sol
 
 
 def _maybe(value):
@@ -183,15 +183,12 @@ def _emit(out_dir: str, name: str, summary: dict, quiet: bool, started: float) -
 
 
 def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
-    lam, sol = _resolve_lambda(cfg)
-    if sol is None:
-        curve = virtual_weight(cfg.dist, cfg.prim, lam, cfg.grid.size, cfg.grid.tail_mass)
-        sched = solve_cap(curve, cfg.cost, cfg.prim.b_bar)
-    else:  # the fixed point's last evaluation was at lam
-        curve, sched = sol.curve, sol.schedule
+    curve, sol = _resolve_curve(cfg)
+    # the fixed point's last evaluation solved the schedule on its curve
+    sched = solve_cap(curve, cfg.cost, cfg.prim.b_bar) if sol is None else sol.schedule
     transfers = transfer_schedule(sched, cfg.prim)
     cost_total = leader_cost(sched, transfers, cfg.dist, cfg.cost, cfg.prim)
-    knife = knife_edge(cfg.dist, cfg.prim, cfg.cost, lam, cfg.grid.size, cfg.grid.tail_mass, curve=curve)
+    knife = knife_edge(curve, cfg.cost)
     p_int = interior_probability(sched, cfg.dist)
 
     out_dir = cfg.output.directory
@@ -213,7 +210,7 @@ def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
     summary = {
         "command": "solve",
         "regime": sched.regime,
-        "lambda_T": lam,
+        "lambda_T": curve.lambda_T,
         "theta_min": _maybe(sched.theta_min),
         "theta_dagger": _maybe(sched.theta_dagger),
         "p_int": p_int,
@@ -229,11 +226,8 @@ def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
 
 
 def _cmd_knife_edge(cfg: RunConfig, quiet: bool, started: float) -> int:
-    lam, sol = _resolve_lambda(cfg)
-    report = knife_edge(
-        cfg.dist, cfg.prim, cfg.cost, lam, cfg.grid.size, cfg.grid.tail_mass,
-        curve=None if sol is None else sol.curve,
-    )
+    curve, sol = _resolve_curve(cfg)
+    report = knife_edge(curve, cfg.cost)
     summary = {
         "command": "knife-edge",
         "no_rescue": report.no_rescue,
@@ -252,7 +246,7 @@ def _cmd_knife_edge(cfg: RunConfig, quiet: bool, started: float) -> int:
 def _cmd_discretion(cfg: RunConfig, quiet: bool, started: float) -> int:
     if not cfg.discretion.enabled:
         raise ConfigError(["discretion.enabled: the discretion command needs discretion enabled"])
-    sol = _fixed_point(cfg)
+    sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
     fragment = _discretion_fragment(sol)
     report = {**fragment, "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace]}
     files = {"summary": "summary.json"}
@@ -267,21 +261,36 @@ def _cmd_discretion(cfg: RunConfig, quiet: bool, started: float) -> int:
     return EXIT_OK
 
 
+def _statics_failures(report: StaticsReport, m_report: Optional[StaticsReport]) -> list[str]:
+    """One phrase per failed certification check; empty when every check passes.
+
+    The worst unflagged relative error of ``report`` must be within
+    STATICS_REL_TOL, every unflagged row of both reports must have its
+    expected sign, and the fixed point's chain gap must be within
+    CHAIN_GAP_TOL.
+    """
+    failures = []
+    worst = report.max_rel_error
+    if worst > STATICS_REL_TOL:
+        name = next(r.partial for r in report.rows if r.flag == FLAG_OK and r.rel_error == worst)
+        failures.append(f"{name} rel_error {worst:.3e} > STATICS_REL_TOL {STATICS_REL_TOL:g}")
+    reports = [report] if m_report is None else [report, m_report]
+    failures += [f"{r.partial} has the wrong sign (expected {r.sign_expected:+d})"
+                 for rep in reports for r in rep.rows if r.flag == FLAG_OK and not r.sign_ok]
+    if m_report is not None and not m_report.chain_gap <= CHAIN_GAP_TOL:
+        failures.append(f"chain_gap {m_report.chain_gap:.3e} > CHAIN_GAP_TOL {CHAIN_GAP_TOL:g}")
+    return failures
+
+
 def _cmd_statics(cfg: RunConfig, quiet: bool, started: float) -> int:
     # both certifications start from the commitment curve
-    commitment = virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
-    report = fd_certify(
-        cfg.dist, cfg.prim, cfg.cost,
-        step=FD_STEP_DEFAULT, grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass, curve=commitment,
-    )
+    commitment = _commitment(cfg)
+    report = fd_certify(commitment, cfg.cost)
     rows = list(report.rows)
     chain_gap = None
     m_report = None
     if cfg.discretion.enabled and not math.isnan(report.theta_min):
-        m_report = m_sensitivity(
-            cfg.dist, cfg.prim, cfg.cost,
-            grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass, curve=commitment,
-        )
+        m_report = m_sensitivity(commitment, cfg.cost)
         rows.extend(m_report.rows)
         chain_gap = m_report.chain_gap
 
@@ -301,9 +310,7 @@ def _cmd_statics(cfg: RunConfig, quiet: bool, started: float) -> int:
             ],
         )
         files["statics"] = "statics.csv"
-    checks_ok = report.all_ok and (math.isnan(report.max_rel_error) or report.max_rel_error <= STATICS_REL_TOL)
-    if m_report is not None:
-        checks_ok = checks_ok and m_report.all_ok and (chain_gap is not None and chain_gap <= CHAIN_GAP_TOL)
+    failures = _statics_failures(report, m_report)
     summary = {
         "command": "statics",
         "lambda_T": report.lambda_T,
@@ -312,24 +319,20 @@ def _cmd_statics(cfg: RunConfig, quiet: bool, started: float) -> int:
         "theta_ref": _maybe(report.theta_ref),
         "max_rel_error": report.max_rel_error,
         "chain_gap": chain_gap,
-        "passed": checks_ok,
+        "passed": not failures,
         "files": files,
     }
     _emit(cfg.output.directory, "statics", summary, quiet, started)
-    if not checks_ok:
-        print("statics: finite-difference certification failed", file=sys.stderr)
+    if failures:
+        print(f"statics: finite-difference certification failed on the {commitment.theta.size}-node grid: "
+              + "; ".join(failures), file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def _cmd_simulate(cfg: RunConfig, quiet: bool, started: float) -> int:
-    lam, sol = _resolve_lambda(cfg)
-    mc = mc_run(
-        cfg.dist, cfg.prim, cfg.cost, lam,
-        n=cfg.simulation.n, seed=cfg.simulation.seed, bins=cfg.simulation.bins,
-        grid_size=cfg.grid.size, tail_mass=cfg.grid.tail_mass,
-        curve=None if sol is None else sol.curve,
-    )
+    curve, sol = _resolve_curve(cfg)
+    mc = mc_run(curve, cfg.cost, n=cfg.simulation.n, seed=cfg.simulation.seed, bins=cfg.simulation.bins)
     centers = 0.5 * (mc.bin_edges[:-1] + mc.bin_edges[1:])
     closed_form = mc.schedule.cap_at(centers)
 

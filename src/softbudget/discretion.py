@@ -26,22 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .costs import QuadraticCost, RescueCost
 from .distributions import TypeDistribution
 from .errors import ParameterError, UnsupportedRuleError
-from .mechanism import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_TAIL_MASS,
-    CapSchedule,
-    VirtualWeightCurve,
-    check_curve,
-    solve_cap,
-    virtual_weight,
-)
+from .mechanism import CapSchedule, VirtualWeightCurve, solve_cap, virtual_weight
 from .primitives import PolicyPrimitives
 
 __all__ = [
@@ -127,8 +118,8 @@ class DiscretionSolution:
     iterations: int
     converged: bool
     trace: tuple
-    schedule: CapSchedule = field(repr=False, default=None)
-    curve: VirtualWeightCurve = field(repr=False, default=None)
+    schedule: CapSchedule = field(repr=False)
+    curve: VirtualWeightCurve = field(repr=False)
 
 
 def effective_lambda(prim: PolicyPrimitives, p_int: float) -> float:
@@ -156,27 +147,22 @@ def interior_probability(cap: CapSchedule, dist: TypeDistribution) -> float:
 
 
 def fixed_point(
-    dist: TypeDistribution,
-    prim: PolicyPrimitives,
+    curve: VirtualWeightCurve,
     cost: RescueCost,
     tol: float = 1e-8,
     max_iter: int = 1000,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-    curve: Optional[VirtualWeightCurve] = None,
 ) -> DiscretionSolution:
     """Iterate lambda -> omega_T - omega_b*m*P_int(lambda) to a fixed point.
 
-    Starts from the commitment value lambda = omega_T; each iteration solves
-    the full cap schedule at the current lambda to evaluate the interior
-    probability.  Stops when the residual |map(lambda) - lambda| falls
-    below ``tol``, so the returned (lambda_T, p_int) pair satisfies the
-    fixed-point identity to that tolerance.  Exhausting
-    ``max_iter`` returns the best iterate with ``converged=False`` rather
-    than raising.  A caller that already holds the commitment curve (at
-    lambda = omega_T) passes it as ``curve`` (vetted by ``check_curve``)
-    for the first evaluation.
+    ``curve`` is the commitment curve (lambda_T = omega_T), the start of the
+    iteration; the distribution, primitives and grid are read from it.  Each
+    iteration solves the full cap schedule at the current lambda to evaluate
+    the interior probability.  Stops when the residual |map(lambda) - lambda|
+    falls below ``tol``, so the returned (lambda_T, p_int) pair satisfies the
+    fixed-point identity to that tolerance.  Exhausting ``max_iter`` returns
+    the best iterate with ``converged=False`` rather than raising.
     """
+    dist, prim = curve.dist, curve.prim
     if not prim.omega_b_constant:
         raise ParameterError("the credibility fixed point requires a constant omega_b")
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -186,18 +172,17 @@ def fixed_point(
     floor = prim.omega_T - float(prim.omega_b) * prim.m
     if floor <= 0.0:
         raise ParameterError("fixed point requires omega_T > omega_b * m")
-    if curve is not None:
-        check_curve(curve, dist, prim, prim.omega_T, grid_size, tail_mass)
+    if curve.lambda_T != prim.omega_T:
+        raise ParameterError("the fixed point starts from the commitment curve (lambda_T = omega_T)")
 
     lam = prim.omega_T
     trace: list[tuple[float, float]] = []
-    schedule = None
     p = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if curve is None or curve.lambda_T != lam:
-            curve = virtual_weight(dist, prim, lam, grid_size, tail_mass)
+        if curve.lambda_T != lam:
+            curve = virtual_weight(dist, prim, lam, curve.grid_size, curve.tail_mass)
         schedule = solve_cap(curve, cost, prim.b_bar)
         p = interior_probability(schedule, dist)
         trace.append((lam, p))
@@ -207,12 +192,4 @@ def fixed_point(
             converged = True
             break
         lam = lam + residual
-    return DiscretionSolution(
-        lambda_T=lam,
-        p_int=p,
-        iterations=iterations,
-        converged=converged,
-        trace=tuple(trace),
-        schedule=schedule,
-        curve=curve,
-    )
+    return DiscretionSolution(lam, p, iterations, converged, tuple(trace), schedule, curve)

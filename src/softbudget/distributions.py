@@ -416,6 +416,9 @@ class Tabulated(TypeDistribution):
             raise ParameterError("tabulated density integrates to zero")
         self.nodes = nodes
         self.density = dens / total
+        # each cell's width and density slope, computed once for every lookup
+        self._step = nodes[1] - nodes[0]
+        self._slope = np.diff(self.density) / self._step
         # per-cell areas under the piecewise-linear density
         self._areas = 0.5 * (self.density[:-1] + self.density[1:]) * steps
         self._cdf_nodes = np.concatenate([[0.0], np.cumsum(self._areas)])
@@ -436,9 +439,7 @@ class Tabulated(TypeDistribution):
         arr, scalar = _aligned(theta)
         lo, hi = self.support
         idx, s = self._locate(np.clip(arr, lo, hi))
-        step = self.nodes[1] - self.nodes[0]
-        slope = (self.density[idx + 1] - self.density[idx]) / step
-        vals = self.density[idx] + slope * s
+        vals = self.density[idx] + self._slope[idx] * s
         inside = (arr >= lo) & (arr <= hi)
         return _maybe_scalar(np.where(inside, np.maximum(vals, 0.0), 0.0), scalar)
 
@@ -447,9 +448,7 @@ class Tabulated(TypeDistribution):
         lo, hi = self.support
         clipped = np.clip(arr, lo, hi)
         idx, s = self._locate(clipped)
-        step = self.nodes[1] - self.nodes[0]
-        slope = (self.density[idx + 1] - self.density[idx]) / step
-        vals = self._cdf_nodes[idx] + self.density[idx] * s + 0.5 * slope * s**2
+        vals = self._cdf_nodes[idx] + self.density[idx] * s + 0.5 * self._slope[idx] * s**2
         vals = np.where(arr < lo, 0.0, np.where(arr >= hi, 1.0, np.clip(vals, 0.0, 1.0)))
         return _maybe_scalar(vals, scalar)
 
@@ -458,11 +457,9 @@ class Tabulated(TypeDistribution):
         lo, hi = self.support
         clipped = np.clip(arr, lo, hi)
         idx, s = self._locate(clipped)
-        step = self.nodes[1] - self.nodes[0]
         # accumulate the remaining area of the current cell from the right
-        t = step - s
-        slope = (self.density[idx + 1] - self.density[idx]) / step
-        cell_rest = self.density[idx + 1] * t - 0.5 * slope * t**2
+        t = self._step - s
+        cell_rest = self.density[idx + 1] * t - 0.5 * self._slope[idx] * t**2
         vals = self._surv_nodes[idx + 1] + cell_rest
         vals = np.where(arr <= lo, 1.0, np.where(arr > hi, 0.0, np.clip(vals, 0.0, 1.0)))
         return _maybe_scalar(vals, scalar)
@@ -471,9 +468,8 @@ class Tabulated(TypeDistribution):
         # one cell lookup for both, with the float operations of pdf and
         # survivor on in-support types, so the hazard equals their ratio bit for bit
         idx, s = self._locate(arr)
-        step = self.nodes[1] - self.nodes[0]
-        slope = (self.density[idx + 1] - self.density[idx]) / step
-        t = step - s
+        slope = self._slope[idx]
+        t = self._step - s
         cell_rest = self.density[idx + 1] * t - 0.5 * slope * t**2
         surv = np.where(arr <= self.nodes[0], 1.0, np.clip(self._surv_nodes[idx + 1] + cell_rest, 0.0, 1.0))
         return np.maximum(self.density[idx] + slope * s, 0.0), surv
@@ -482,16 +478,14 @@ class Tabulated(TypeDistribution):
         arr, scalar = _aligned(u)
         _check_unit_interval(arr)
         idx = np.clip(np.searchsorted(self._cdf_nodes, arr, side="right") - 1, 0, self.nodes.size - 2)
-        step = self.nodes[1] - self.nodes[0]
         f0 = self.density[idx]
-        slope = (self.density[idx + 1] - self.density[idx]) / step
         resid = arr - self._cdf_nodes[idx]
         # solve f0*s + slope*s^2/2 = resid for s in [0, step], stable form
-        disc = np.sqrt(np.maximum(f0**2 + 2.0 * slope * resid, 0.0))
+        disc = np.sqrt(np.maximum(f0**2 + 2.0 * self._slope[idx] * resid, 0.0))
         denom = f0 + disc
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(denom > 0.0, 2.0 * resid / denom, 0.0)
-        out = self.nodes[idx] + np.clip(s, 0.0, step)
+        out = self.nodes[idx] + np.clip(s, 0.0, self._step)
         return _maybe_scalar(out, scalar)
 
 

@@ -11,7 +11,9 @@ and the optimal cap solves C'(b(theta)) = psi_bar(theta) projected onto
 [0, b_bar], where psi_bar is the monotone (ironed) version of psi.  Ironing
 uses pool-adjacent-violators with density weights, which is the derivative
 of the convex hull of the cumulative f-weighted integral of psi; pooled
-stretches carry an explicit flag.
+stretches carry an explicit flag.  ``virtual_weight`` builds the curve, which
+records its inputs and is the one input of every stage that needs psi; it
+irons on first use, so the knife-edge test, which reads only psi, never does.
 
 The transfer schedule follows from the incentive budget identity
 dT = -(omega_b / omega_T) db along the cap schedule, anchored at zero where
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +54,6 @@ __all__ = [
     "KnifeEdgeReport",
     "virtual_weight",
     "iron_weights",
-    "check_curve",
     "caps_from_targets",
     "solve_cap",
     "knife_edge",
@@ -67,22 +69,47 @@ _CUTOFF_TOL = 1e-14  # bisection width, well inside the 1e-8 contract
 
 @dataclass(frozen=True)
 class VirtualWeightCurve:
-    """Raw and ironed virtual weights on a type grid.
+    """Raw virtual weights on a type grid, with the inputs that built them.
 
-    ``density`` holds f(theta) at the nodes (the ironing weights); for a
-    degenerate single-type grid it holds the unit point mass.
+    Every stage that needs psi takes the curve, so the distribution,
+    primitives, lambda and grid it reads are the ones psi was built from.
+    ``density`` (f at the nodes, the ironing weights; the unit mass for a
+    point mass), ``psi_bar`` and ``ironed`` are computed on first use and
+    kept: a caller that reads only ``psi`` never irons, and a curve irons at
+    most once.
     """
 
     theta: np.ndarray
     psi: np.ndarray
-    psi_bar: np.ndarray
-    ironed: np.ndarray
-    density: np.ndarray
+    dist: TypeDistribution
+    prim: PolicyPrimitives
     lambda_T: float
+    grid_size: int = DEFAULT_GRID_SIZE
+    tail_mass: float = DEFAULT_TAIL_MASS
 
     @property
     def degenerate(self) -> bool:
         return self.theta.size == 1
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        if self.degenerate:
+            return np.array([1.0])
+        return np.asarray(self.dist.pdf(self.theta), dtype=float)
+
+    @cached_property
+    def _ironing(self) -> tuple[np.ndarray, np.ndarray]:
+        return iron_weights(self.psi, self.density)
+
+    @property
+    def psi_bar(self) -> np.ndarray:
+        """The monotone (ironed) weight."""
+        return self._ironing[0]
+
+    @property
+    def ironed(self) -> np.ndarray:
+        """Per-node flag marking pooled stretches of ``psi_bar``."""
+        return self._ironing[1]
 
     def psi_bar_at(self, theta):
         """Linear interpolation of the monotone weight curve."""
@@ -217,58 +244,16 @@ def virtual_weight(
 ) -> VirtualWeightCurve:
     """Hazard-weighted virtual weight curve psi = gamma*omega_b/lambda_T * h.
 
-    For a degenerate (point-mass) type the hazard is bypassed and the curve
-    carries the bare weight gamma*omega_b/lambda_T on a single node; this
-    path exists for oracle tests against single-type optima.
+    A point mass has a single node and no hazard: its curve carries the bare
+    weight gamma*omega_b/lambda_T, for oracle tests against single-type
+    optima.  Nothing is ironed here; see ``VirtualWeightCurve``.
     """
     lam = _check_lambda(lambda_T)
-    theta, psi = _raw_weights(dist, prim, lam, grid_size, tail_mass)
-    if isinstance(dist, PointMass):
-        return VirtualWeightCurve(
-            theta=theta,
-            psi=psi,
-            psi_bar=psi.copy(),
-            ironed=np.array([False]),
-            density=np.array([1.0]),
-            lambda_T=lam,
-        )
-    dens = np.asarray(dist.pdf(theta), dtype=float)
-    psi_bar, flags = iron_weights(psi, dens)
-    return VirtualWeightCurve(theta=theta, psi=psi, psi_bar=psi_bar, ironed=flags, density=dens, lambda_T=lam)
-
-
-def check_curve(
-    curve: VirtualWeightCurve,
-    dist: TypeDistribution,
-    prim: PolicyPrimitives,
-    lambda_T: float,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-) -> VirtualWeightCurve:
-    """Return ``curve`` if it was built from these inputs, else raise.
-
-    For callers that take a prebuilt curve instead of rebuilding it.  The
-    check is cheap: the lambda, the whole type grid (which fixes the
-    distribution's truncated support, the grid size and the tail mass) and
-    the raw weight at both ends of the grid (which fixes gamma and omega_b
-    there).  Interior nodes are not recomputed.
-    """
-    if curve.lambda_T != lambda_T:
-        raise ParameterError("curve was built at a different lambda_T")
-    theta = _type_grid(dist, grid_size, tail_mass)
-    if not np.array_equal(curve.theta, theta):
-        raise ParameterError("curve was built on a different type grid")
-    ends = theta[[0, -1]]
-    if not np.allclose(curve.psi[[0, -1]], _psi_on(dist, prim, lambda_T, ends), rtol=1e-12, atol=0.0):
-        raise ParameterError("curve was built for different weights (gamma or omega_b)")
-    return curve
-
-
-def _type_grid(dist: TypeDistribution, grid_size: int, tail_mass: float) -> np.ndarray:
-    """The type grid: the single type of a point mass, else the truncated uniform grid."""
-    if isinstance(dist, PointMass):
-        return np.array([dist.value])
-    return dist.grid(grid_size, tail_mass)
+    theta = dist.grid(grid_size, tail_mass)
+    psi = _psi_on(dist, prim, lam, theta)
+    if not np.all(np.isfinite(psi)):
+        raise ParameterError("virtual weight is not finite on the grid; tighten the truncation")
+    return VirtualWeightCurve(theta, psi, dist, prim, lam, grid_size, tail_mass)
 
 
 def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: np.ndarray) -> np.ndarray:
@@ -277,17 +262,6 @@ def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: n
     # built, which matters when mc_run passes millions of sampled types
     hazard = 1.0 if isinstance(dist, PointMass) else np.asarray(dist.hazard(theta), dtype=float)
     return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
-
-
-def _raw_weights(
-    dist: TypeDistribution, prim: PolicyPrimitives, lam: float, grid_size: int, tail_mass: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Type grid and the raw (unironed) virtual weight on it."""
-    theta = _type_grid(dist, grid_size, tail_mass)
-    psi = _psi_on(dist, prim, lam, theta)
-    if not np.all(np.isfinite(psi)):
-        raise ParameterError("virtual weight is not finite on the grid; tighten the truncation")
-    return theta, psi
 
 
 def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, strict: bool) -> Optional[float]:
@@ -377,44 +351,26 @@ def solve_cap(curve: VirtualWeightCurve, cost: RescueCost, b_bar: float) -> CapS
     )
 
 
-def knife_edge(
-    dist: TypeDistribution,
-    prim: PolicyPrimitives,
-    cost: RescueCost,
-    lambda_T: Optional[float] = None,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-    curve: Optional[VirtualWeightCurve] = None,
-) -> KnifeEdgeReport:
+def knife_edge(curve: VirtualWeightCurve, cost: RescueCost) -> KnifeEdgeReport:
     """Test whether shutting rescue down entirely is optimal.
 
     No rescue is optimal exactly when C'(0+) >= sup_theta psi(theta).  For
     unbounded supports the supremum is taken on the truncated grid and the
     report flags the truncation: a hazard that grows without bound can
     never satisfy the inequality, and the flag warns that the grid sup
-    understates the true one.
-
-    The test reads only the raw weight psi, so nothing is ironed.  A caller
-    that already holds the curve for these inputs passes it as ``curve``
-    (vetted by ``check_curve``) and its ``psi`` is read instead of being
-    recomputed.
+    understates the true one.  The test reads only the raw weight psi, so
+    nothing is ironed.
     """
-    lam = _check_lambda(prim.omega_T if lambda_T is None else lambda_T)
-    if curve is None:
-        _, psi = _raw_weights(dist, prim, lam, grid_size, tail_mass)
-    else:
-        psi = check_curve(curve, dist, prim, lam, grid_size, tail_mass).psi
-    sup_psi = float(np.max(psi))
+    sup_psi = float(np.max(curve.psi))
     c_origin = float(cost.marginal_at_zero)
     margin = c_origin - sup_psi
-    truncated = not math.isfinite(dist.support[1])
     return KnifeEdgeReport(
         no_rescue=margin >= 0.0,
         margin=margin,
         sup_virtual_weight=sup_psi,
         marginal_cost_at_zero=c_origin,
-        truncated_support=truncated,
-        lambda_T=lam,
+        truncated_support=not math.isfinite(curve.dist.support[1]),
+        lambda_T=curve.lambda_T,
     )
 
 

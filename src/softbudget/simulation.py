@@ -48,17 +48,7 @@ from .costs import RescueCost
 from .discretion import THRESHOLD, SignalRule, interior_probability
 from .distributions import SAMPLE_BLOCK, TypeDistribution, sample_types
 from .errors import NumericalError, ParameterError, UnsupportedRuleError
-from .mechanism import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_TAIL_MASS,
-    CapSchedule,
-    VirtualWeightCurve,
-    _psi_on,
-    caps_from_targets,
-    check_curve,
-    solve_cap,
-    virtual_weight,
-)
+from .mechanism import CapSchedule, VirtualWeightCurve, _psi_on, caps_from_targets, solve_cap
 from .primitives import PolicyPrimitives
 
 __all__ = [
@@ -107,22 +97,12 @@ class MCReport:
     schedule: CapSchedule = field(repr=False)
 
 
-def mc_run(
-    dist: TypeDistribution,
-    prim: PolicyPrimitives,
-    cost: RescueCost,
-    lambda_T: float,
-    n: int,
-    seed: int,
-    bins: int = 30,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-    curve: Optional[VirtualWeightCurve] = None,
-) -> MCReport:
+def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins: int = 30) -> MCReport:
     """Sample types, evaluate the optimal cap at each, and summarize.
 
-    The types are drawn in fixed Philox blocks (``sample_types``), so
-    identical (seed, n) pairs are bit-identical.  The bin edges span the
+    The schedule is solved on ``curve``, and the types are drawn from its
+    distribution in fixed Philox blocks (``sample_types``), so identical
+    (seed, n) pairs are bit-identical.  The bin edges span the
     sampled range, ``np.linspace(min, max, bins + 1)``.  One loop then
     walks the sample in ``SAMPLE_BLOCK`` slices; for each slice it
     evaluates the virtual weight (exactly at the types, or interpolated on
@@ -140,18 +120,13 @@ def mc_run(
       gets its cap as mean and a standard error of exactly zero.
 
     No array of the sample's size other than the types themselves is
-    held.  A caller that already holds the virtual-weight curve for these
-    inputs passes it as ``curve`` (vetted by ``check_curve``) instead of
-    having it rebuilt.
+    held.
     """
     if n < 1000:
         raise ParameterError("mc_run needs n >= 1000 for cutoff estimation")
     if bins < 2:
         raise ParameterError("mc_run needs at least 2 bins")
-    if curve is None:
-        curve = virtual_weight(dist, prim, lambda_T, grid_size, tail_mass)
-    else:
-        check_curve(curve, dist, prim, lambda_T, grid_size, tail_mass)
+    dist, prim = curve.dist, curve.prim
     sched = solve_cap(curve, cost, prim.b_bar)
     theta_s = sample_types(dist, n, seed)
     pooled = bool(np.any(curve.ironed))

@@ -42,15 +42,7 @@ from .costs import QuadraticCost, RescueCost
 from .discretion import fixed_point
 from .distributions import TypeDistribution
 from .errors import IllPosedError, ParameterError
-from .mechanism import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_TAIL_MASS,
-    CapSchedule,
-    VirtualWeightCurve,
-    check_curve,
-    solve_cap,
-    virtual_weight,
-)
+from .mechanism import CapSchedule, VirtualWeightCurve, solve_cap, virtual_weight
 from .primitives import PolicyPrimitives
 
 __all__ = ["StaticsRow", "StaticsReport", "analytic_partials", "fd_certify", "m_sensitivity", "FD_STEP_DEFAULT"]
@@ -103,13 +95,6 @@ def _require_quadratic_scalar(prim: PolicyPrimitives, cost: RescueCost) -> Quadr
     return cost
 
 
-def _base_curve(dist, prim, lam, grid_size, tail_mass, curve: Optional[VirtualWeightCurve]) -> VirtualWeightCurve:
-    """The curve at ``lam``: the caller's, if given and built from these inputs, else a new one."""
-    if curve is None:
-        return virtual_weight(dist, prim, lam, grid_size, tail_mass)
-    return check_curve(curve, dist, prim, lam, grid_size, tail_mass)
-
-
 def _interior_theta_min(sched: CapSchedule) -> Optional[float]:
     """Lower cutoff, or None when it is absent or stuck at the grid edge."""
     if sched.theta_min is None:
@@ -119,9 +104,9 @@ def _interior_theta_min(sched: CapSchedule) -> Optional[float]:
     return sched.theta_min
 
 
-def _hazard_reference(dist: TypeDistribution, grid_size: int, tail_mass: float) -> Optional[float]:
-    """Type where the hazard crosses one: the anchor for b_max."""
-    grid = dist.grid(grid_size, tail_mass)
+def _hazard_reference(curve: VirtualWeightCurve) -> Optional[float]:
+    """Type where the hazard crosses one on the curve's grid: the anchor for b_max."""
+    dist, grid = curve.dist, curve.theta
     h = np.asarray(dist.hazard(grid), dtype=float)
     above = h >= 1.0
     if bool(above[0]) or not bool(np.any(above)):
@@ -139,15 +124,8 @@ def _hazard_reference(dist: TypeDistribution, grid_size: int, tail_mass: float) 
     return hi
 
 
-def analytic_partials(
-    dist: TypeDistribution,
-    prim: PolicyPrimitives,
-    cost: RescueCost,
-    lambda_T: Optional[float] = None,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-) -> dict:
-    """The seven closed-form partials at the solved point.
+def analytic_partials(curve: VirtualWeightCurve, cost: RescueCost) -> dict:
+    """The seven closed-form partials at the point solved on ``curve``.
 
     Raises
     ------
@@ -158,10 +136,9 @@ def analytic_partials(
         If there is no interior lower cutoff, the cost is not quadratic, or
         omega_b is type-dependent.
     """
+    prim = curve.prim
     qcost = _require_quadratic_scalar(prim, cost)
-    lam = prim.omega_T if lambda_T is None else float(lambda_T)
-    curve = virtual_weight(dist, prim, lam, grid_size, tail_mass)
-    return _partials_at(solve_cap(curve, cost, prim.b_bar), dist, prim, qcost, lam)
+    return _partials_at(solve_cap(curve, cost, prim.b_bar), curve.dist, prim, qcost, curve.lambda_T)
 
 
 def _partials_at(sched: CapSchedule, dist: TypeDistribution, prim: PolicyPrimitives,
@@ -203,33 +180,23 @@ _SIGNS = {
 }
 
 
-def fd_certify(
-    dist: TypeDistribution,
-    prim: PolicyPrimitives,
-    cost: RescueCost,
-    lambda_T: Optional[float] = None,
-    step: float = FD_STEP_DEFAULT,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-    curve: Optional[VirtualWeightCurve] = None,
-) -> StaticsReport:
+def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STEP_DEFAULT) -> StaticsReport:
     """Certify the analytic partials with central differences of the solver.
 
-    ``step`` is relative to each parameter's magnitude.  Cutoff partials
-    difference ``theta_min``; cap partials difference the solved schedule
-    evaluated at the hazard-one reference type.  Each distinct virtual
-    weight curve is built once: the cost perturbations reuse the base curve,
-    and the cutoff and cap partials share each lambda and gamma
-    perturbation.  A caller that already holds the base curve (at
-    ``lambda_T``) passes it as ``curve``.
+    The base point is the schedule solved on ``curve``.  ``step`` is
+    relative to each parameter's magnitude.  Cutoff partials difference
+    ``theta_min``; cap partials difference the solved schedule evaluated at
+    the hazard-one reference type.  Each distinct virtual weight curve is
+    built once: the cost perturbations reuse the base curve, and the cutoff
+    and cap partials share each lambda and gamma perturbation.
     """
+    dist, prim, lam = curve.dist, curve.prim, curve.lambda_T
     qcost = _require_quadratic_scalar(prim, cost)
     if not (0.0 < step < 1e-1):
         raise ParameterError("fd step must lie in (0, 0.1)")
-    lam = prim.omega_T if lambda_T is None else float(lambda_T)
     # keyed by the (omega_b, gamma, lambda) perturbation; the cost does not enter the curve
-    curves = {(0.0, 0.0, 0.0): _base_curve(dist, prim, lam, grid_size, tail_mass, curve)}
-    base = solve_cap(curves[0.0, 0.0, 0.0], cost, prim.b_bar)
+    curves = {(0.0, 0.0, 0.0): curve}
+    base = solve_cap(curve, cost, prim.b_bar)
     if _interior_theta_min(base) is None:
         # no interior lower cutoff at the base point: report every partial
         # as not applicable instead of raising
@@ -239,13 +206,13 @@ def fd_certify(
         )
         return StaticsReport(rows=rows, theta_min=math.nan, b_max=math.nan, theta_ref=math.nan, lambda_T=lam)
     analytic = _partials_at(base, dist, prim, qcost, lam)
-    theta_ref = _hazard_reference(dist, grid_size, tail_mass)
+    theta_ref = _hazard_reference(curve)
 
     def solve_variant(d_alpha=0.0, d_kappa=0.0, d_omega_b=0.0, d_gamma=0.0, d_lambda=0.0):
         key = (d_omega_b, d_gamma, d_lambda)
         if key not in curves:
             p = replace(prim, omega_b=float(prim.omega_b) + d_omega_b, gamma=prim.gamma + d_gamma)
-            curves[key] = virtual_weight(dist, p, lam + d_lambda, grid_size, tail_mass)
+            curves[key] = virtual_weight(dist, p, lam + d_lambda, curve.grid_size, curve.tail_mass)
         c = QuadraticCost(qcost.alpha + d_alpha, qcost.kappa + d_kappa)
         return solve_cap(curves[key], c, prim.b_bar)
 
@@ -299,14 +266,10 @@ def fd_certify(
 
 
 def m_sensitivity(
-    dist: TypeDistribution,
-    prim: PolicyPrimitives,
+    curve: VirtualWeightCurve,
     cost: RescueCost,
     step: float = FD_STEP_DEFAULT,
     fp_tol: float = 1e-13,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    tail_mass: float = DEFAULT_TAIL_MASS,
-    curve: Optional[VirtualWeightCurve] = None,
 ) -> StaticsReport:
     """Sensitivity of the discretionary solution to the rule slope m.
 
@@ -324,26 +287,25 @@ def m_sensitivity(
     cutoff sensitivity and the chain-rule product built from the FD lambda
     sensitivity.
 
-    The three fixed points start from one commitment curve (lambda_T =
-    omega_T; m does not enter it), built here or passed in as ``curve``.
+    ``curve`` is the commitment curve (lambda_T = omega_T).  m does not
+    enter psi, so the three fixed points start from copies of it that
+    differ only in m.
     """
+    dist, prim = curve.dist, curve.prim
     qcost = _require_quadratic_scalar(prim, cost)
     if prim.m <= 0.0:
         raise ParameterError("m sensitivity needs m > 0")
     h = step * prim.m
-    commitment = _base_curve(dist, prim, prim.omega_T, grid_size, tail_mass, curve)
 
     def solve_at(m_val: float):
-        p = replace(prim, m=m_val)
-        sol = fixed_point(dist, p, cost, tol=fp_tol, max_iter=5000,
-                          grid_size=grid_size, tail_mass=tail_mass, curve=commitment)
+        sol = fixed_point(replace(curve, prim=replace(prim, m=m_val)), cost, tol=fp_tol, max_iter=5000)
         if not sol.converged:
             raise IllPosedError("fixed point did not converge during m perturbation")
         return sol
 
     base = solve_at(prim.m)
     up, dn = solve_at(prim.m + h), solve_at(prim.m - h)
-    theta_ref = _hazard_reference(dist, grid_size, tail_mass)
+    theta_ref = _hazard_reference(curve)
 
     lam0 = base.lambda_T
     fd_lambda = (up.lambda_T - dn.lambda_T) / (2.0 * h)

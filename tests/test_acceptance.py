@@ -56,9 +56,10 @@ def _run_cli(*argv):
 
 def test_criterion_01_closed_form_table(bench_dist, bench_prim, bench_cost):
     start = time.perf_counter()
-    commit = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, bench_prim.b_bar)
+    commitment = virtual_weight(bench_dist, bench_prim, 1.0)
+    commit = solve_cap(commitment, bench_cost, bench_prim.b_bar)
     p_commit = interior_probability(commit, bench_dist)
-    disc = fixed_point(bench_dist, bench_prim, bench_cost)
+    disc = fixed_point(commitment, bench_cost)
     elapsed = time.perf_counter() - start
     ok = (
         abs(commit.theta_min - 0.125) <= 1e-6
@@ -84,7 +85,7 @@ def test_criterion_01_closed_form_table(bench_dist, bench_prim, bench_cost):
 
 def test_criterion_02_monte_carlo_table(bench_dist, bench_prim, bench_cost):
     start = time.perf_counter()
-    rep = mc_run(bench_dist, bench_prim, bench_cost, 1.0, n=200_000, seed=20260814, bins=30)
+    rep = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, n=200_000, seed=20260814, bins=30)
     elapsed = time.perf_counter() - start
     ok = (
         abs(rep.theta_min_hat - rep.theta_min) <= 5e-3
@@ -138,11 +139,12 @@ def test_criterion_04_knife_edge_grid():
             assert abs(alpha - threshold) > 1e-9, "grid point sits on the boundary"
             dist = Exponential(rate)
             cost = QuadraticCost(float(alpha), 1.0)
-            report = knife_edge(dist, prim, cost)
+            curve = virtual_weight(dist, prim, 1.0)
+            report = knife_edge(curve, cost)
             if report.no_rescue == (alpha >= threshold):
                 agree += 1
             if report.no_rescue:
-                sched = solve_cap(virtual_weight(dist, prim, 1.0), cost, prim.b_bar)
+                sched = solve_cap(curve, cost, prim.b_bar)
                 if np.all(sched.b_star == 0.0) and sched.regime == "no-rescue":
                     shutdowns += 1
                 else:
@@ -188,9 +190,10 @@ def test_criterion_05_ironing_hull_oracle(bench_prim):
 
 
 def test_criterion_06_statics_certification(bench_dist, bench_prim, bench_cost):
-    rep = fd_certify(bench_dist, bench_prim, bench_cost)
+    commitment = virtual_weight(bench_dist, bench_prim, 1.0)
+    rep = fd_certify(commitment, bench_cost)
     clean = all(r.flag == FLAG_OK for r in rep.rows) and len(rep.rows) == 7
-    msens = m_sensitivity(bench_dist, bench_prim, bench_cost)
+    msens = m_sensitivity(commitment, bench_cost)
     fd = {r.partial: r.finite_difference for r in msens.rows}
     signs = fd["d_lambda_T_d_m"] < 0 and fd["d_theta_min_d_m"] < 0 and fd["d_b_max_d_m"] > 0
     ok = clean and rep.all_ok and rep.max_rel_error <= 1e-4 and signs

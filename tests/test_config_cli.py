@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,9 @@ from softbudget import (
     Weibull,
     parse_config,
 )
-from softbudget.cli import main
+from softbudget.cli import _statics_failures, main
 from softbudget.config import MAX_BINS, MAX_GRID_SIZE, MAX_SAMPLES
+from softbudget.statics import StaticsReport, StaticsRow
 from conftest import BENCH, as_floats, read_csv_columns
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -137,6 +140,18 @@ def test_readme_config_example_parses():
     assert len(blocks) == 1
     cfg = parse_config(json.loads(blocks[0]))
     assert cfg.discretion.enabled and cfg.output.formats == ("csv", "json")
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    cutoffs, no_rescue, discretion = capsys.readouterr().out.splitlines()
+    theta_min, theta_dagger = map(float, cutoffs.split())
+    assert theta_min == pytest.approx(0.125, abs=1e-6) and theta_dagger == pytest.approx(0.625, abs=1e-6)
+    assert no_rescue == "False"
+    lambda_T, p_int = map(float, discretion.split())
+    assert lambda_T == pytest.approx(0.897, abs=1e-3) and p_int == pytest.approx(0.257, abs=1e-3)
 
 
 # fields an earlier schema accepted although no command read them
@@ -344,6 +359,45 @@ def test_cli_statics_not_applicable_still_passes(tmp_path):
     assert run_cli("statics", "--config", path) == 0
     cols = read_csv_columns(out / "statics.csv")
     assert set(cols["flag"]) == {"not-applicable"}
+
+
+def test_cli_statics_failure_names_its_cause(tmp_path, capsys):
+    # uniform [0, 10] with gamma*omega_b/lambda_T = 0.495 below alpha = 2, on a
+    # 257-node grid: the four cutoff partials miss by 3.5e-2 and the cap
+    # partials cross a regime boundary
+    out = tmp_path / "run"
+    doc = make_doc(
+        distribution={"kind": "uniform", "lower": 0.0, "upper": 10.0},
+        cost={"kind": "quadratic", "alpha": 2.0, "kappa": 1.0},
+        weights={"omega_T": 1.0, "omega_b": 0.495, "gamma": 1.0, "b_bar": 0.8},
+        grid={"size": 257},
+        output={"directory": str(out)},
+    )
+    assert run_cli("statics", "--config", write_doc(tmp_path, doc), "--quiet") == 2
+    assert capsys.readouterr().err == (
+        "statics: finite-difference certification failed on the 257-node grid: "
+        "d_theta_min_d_alpha rel_error 3.468e-02 > STATICS_REL_TOL 0.0001\n"
+    )
+    assert json.loads((out / "summary.json").read_text())["passed"] is False
+    cols = read_csv_columns(out / "statics.csv")
+    assert cols["rel_error"][:4] == ["0.03467787943"] * 4
+    assert cols["flag"][4:] == ["regime-boundary"] * 3
+
+
+def test_statics_failures_name_every_failed_check():
+    row = StaticsRow("d_theta_min_d_alpha", 1.0, 1.0, 0.0, +1, True)
+    wrong = StaticsRow("d_b_max_d_kappa", -1.0, 1.0, 2.0, -1, False)
+    flagged = StaticsRow("d_b_max_d_gamma", 1.0, math.nan, math.nan, +1, False, "regime-boundary")
+    report = StaticsReport(rows=(row, flagged), theta_min=0.1, b_max=0.5, theta_ref=0.5, lambda_T=1.0)
+    assert _statics_failures(report, None) == []
+    bad = replace(report, rows=(row, wrong, flagged))
+    m_bad = replace(report, rows=(replace(wrong, partial="d_lambda_T_d_m"),), chain_gap=2e-3)
+    assert _statics_failures(bad, m_bad) == [
+        "d_b_max_d_kappa rel_error 2.000e+00 > STATICS_REL_TOL 0.0001",
+        "d_b_max_d_kappa has the wrong sign (expected -1)",
+        "d_lambda_T_d_m has the wrong sign (expected -1)",
+        "chain_gap 2.000e-03 > CHAIN_GAP_TOL 0.001",
+    ]
 
 
 def test_cli_simulate(tmp_path):

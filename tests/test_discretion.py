@@ -124,7 +124,7 @@ def test_cutoffs_scale_with_lambda(bench_dist, bench_cost, bench_prim):
 
 
 def test_fixed_point_benchmark(bench_dist, bench_cost, bench_prim):
-    sol = fixed_point(bench_dist, bench_prim, bench_cost, tol=1e-8)
+    sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, tol=1e-8)
     assert sol.converged
     assert sol.lambda_T == pytest.approx(BENCH["disc_lambda"], abs=1e-6)
     assert sol.p_int == pytest.approx(BENCH["disc_p_int"], abs=1e-6)
@@ -136,7 +136,7 @@ def test_fixed_point_benchmark(bench_dist, bench_cost, bench_prim):
 
 
 def test_fixed_point_trace_stays_in_bracket(bench_dist, bench_cost, bench_prim):
-    sol = fixed_point(bench_dist, bench_prim, bench_cost)
+    sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
     lo = bench_prim.omega_T - bench_prim.omega_b * bench_prim.m
     for lam, p in sol.trace:
         assert lo - 1e-12 <= lam <= bench_prim.omega_T + 1e-12
@@ -146,7 +146,7 @@ def test_fixed_point_trace_stays_in_bracket(bench_dist, bench_cost, bench_prim):
 
 def test_fixed_point_m_zero_is_commitment(bench_dist, bench_cost, bench_prim):
     prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.0, chi=1.0)
-    sol = fixed_point(bench_dist, prim, bench_cost)
+    sol = fixed_point(virtual_weight(bench_dist, prim, 1.0), bench_cost)
     assert sol.converged
     assert sol.iterations == 1
     assert sol.lambda_T == 1.0
@@ -155,7 +155,7 @@ def test_fixed_point_m_zero_is_commitment(bench_dist, bench_cost, bench_prim):
 
 def test_fixed_point_omega_b_zero(bench_dist, bench_cost):
     prim = PolicyPrimitives(omega_T=1.0, omega_b=0.0, gamma=1.0, b_bar=0.8, m=0.5, chi=1.0)
-    sol = fixed_point(bench_dist, prim, bench_cost)
+    sol = fixed_point(virtual_weight(bench_dist, prim, 1.0), bench_cost)
     assert sol.converged
     assert sol.lambda_T == 1.0
 
@@ -164,37 +164,39 @@ def test_discretion_weakens_discipline(bench_dist, bench_cost, bench_prim):
     # anticipating rescue lowers the effective transfer multiplier, which
     # pulls both cutoffs down: intervention starts earlier and saturates
     # earlier than under commitment
-    sol = fixed_point(bench_dist, bench_prim, bench_cost)
+    sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
     assert sol.lambda_T < bench_prim.omega_T
     assert sol.schedule.theta_min < BENCH["theta_min"]
     assert sol.schedule.theta_dagger < BENCH["theta_dagger"]
 
 
 def test_fixed_point_exhaustion_reports_not_converged(bench_dist, bench_cost, bench_prim):
-    sol = fixed_point(bench_dist, bench_prim, bench_cost, max_iter=2, tol=1e-14)
+    sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, max_iter=2, tol=1e-14)
     assert not sol.converged
     assert sol.iterations == 2
 
 
 def test_fixed_point_keeps_last_curve_and_accepts_commitment_curve(bench_dist, bench_cost, bench_prim):
-    sol = fixed_point(bench_dist, bench_prim, bench_cost)
-    assert sol.curve.lambda_T == sol.lambda_T
-    assert np.array_equal(solve_cap(sol.curve, bench_cost, bench_prim.b_bar).b_star, sol.schedule.b_star)
     commitment = virtual_weight(bench_dist, bench_prim, bench_prim.omega_T)
-    again = fixed_point(bench_dist, bench_prim, bench_cost, curve=commitment)
-    assert again.trace == sol.trace and again.lambda_T == sol.lambda_T
+    sol = fixed_point(commitment, bench_cost)
+    assert sol.curve.lambda_T == sol.lambda_T
+    assert sol.curve.dist is bench_dist and sol.curve.prim is bench_prim
+    assert np.array_equal(solve_cap(sol.curve, bench_cost, bench_prim.b_bar).b_star, sol.schedule.b_star)
+    assert sol.trace[0] == (bench_prim.omega_T, interior_probability(
+        solve_cap(commitment, bench_cost, bench_prim.b_bar), bench_dist))
+    # the iteration starts at omega_T: a curve at another lambda is not a start
     with pytest.raises(ParameterError):
-        fixed_point(bench_dist, bench_prim, bench_cost, curve=sol.curve)
+        fixed_point(sol.curve, bench_cost)
 
 
 def test_fixed_point_validation(bench_dist, bench_cost, bench_prim):
     with pytest.raises(ParameterError):
-        fixed_point(bench_dist, bench_prim, bench_cost, tol=-1.0)
+        fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, tol=-1.0)
     with pytest.raises(ParameterError):
-        fixed_point(bench_dist, bench_prim, bench_cost, max_iter=0)
+        fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, max_iter=0)
     # a multiplier floor at or below zero leaves no admissible lambda
     heavy = PolicyPrimitives(omega_T=0.5, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.9, chi=1.0)
     with pytest.raises(ParameterError):
-        fixed_point(bench_dist, heavy, bench_cost)
+        fixed_point(virtual_weight(bench_dist, heavy, 0.5), bench_cost)
     with pytest.raises(ParameterError):
         PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=1.3, chi=1.0)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from softbudget import (
     Exponential,
     ParameterError,
     PointMass,
-    PolicyPrimitives,
     QuadraticCost,
     Tabulated,
     Uniform,
@@ -23,7 +20,6 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
-from softbudget.mechanism import check_curve
 from conftest import BENCH
 
 
@@ -163,17 +159,18 @@ def test_cap_regime_interior_when_bound_never_binds(bench_cost, bench_prim):
 
 def test_knife_edge_exponential_margin(bench_prim):
     dist = Exponential(1.0)
-    report = knife_edge(dist, bench_prim, QuadraticCost(1.0, 1.0))
+    curve = virtual_weight(dist, bench_prim, 1.0)
+    report = knife_edge(curve, QuadraticCost(1.0, 1.0))
     assert report.no_rescue is True
     assert report.margin == pytest.approx(0.2, abs=1e-12)
     assert report.truncated_support is True
-    report2 = knife_edge(dist, bench_prim, QuadraticCost(0.5, 1.0))
+    report2 = knife_edge(curve, QuadraticCost(0.5, 1.0))
     assert report2.no_rescue is False
     assert report2.margin == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_knife_edge_unbounded_hazard_never_shuts_down(bench_dist, bench_prim):
-    report = knife_edge(bench_dist, bench_prim, QuadraticCost(5.0, 1.0))
+    report = knife_edge(virtual_weight(bench_dist, bench_prim, 1.0), QuadraticCost(5.0, 1.0))
     # Weibull(2) hazard grows without bound; the truncated sup already
     # exceeds any practical origin cost
     assert report.truncated_support is True
@@ -183,8 +180,8 @@ def test_knife_edge_unbounded_hazard_never_shuts_down(bench_dist, bench_prim):
 def test_knife_edge_true_forces_zero_caps(bench_prim):
     dist = Exponential(1.0)
     cost = QuadraticCost(1.0, 1.0)
-    assert knife_edge(dist, bench_prim, cost).no_rescue
     curve = virtual_weight(dist, bench_prim, 1.0, grid_size=513)
+    assert knife_edge(curve, cost).no_rescue
     sched = solve_cap(curve, cost, bench_prim.b_bar)
     assert sched.regime == "no-rescue"
     assert sched.theta_min is None and sched.theta_dagger is None
@@ -192,8 +189,8 @@ def test_knife_edge_true_forces_zero_caps(bench_prim):
 
 
 def test_knife_edge_uses_commitment_lambda_by_default(bench_prim):
-    report = knife_edge(Exponential(1.0), bench_prim, QuadraticCost(1.0, 1.0))
-    assert report.lambda_T == bench_prim.omega_T
+    commitment = virtual_weight(Exponential(1.0), bench_prim, bench_prim.omega_T)
+    assert knife_edge(commitment, QuadraticCost(1.0, 1.0)).lambda_T == bench_prim.omega_T
 
 
 # -- transfers --------------------------------------------------------------
@@ -361,7 +358,7 @@ def test_decreasing_hazard_weibull_solves(bench_prim, bench_cost):
     assert np.all(np.diff(sched.b_star) >= 0.0)
     transfers = transfer_schedule(sched, bench_prim)
     assert np.isfinite(leader_cost(sched, transfers, DFR_WEIBULL, bench_cost, bench_prim))
-    assert not knife_edge(DFR_WEIBULL, bench_prim, bench_cost).no_rescue
+    assert not knife_edge(curve, bench_cost).no_rescue
 
 
 def test_iron_weights_monotone_with_ties_is_untouched():
@@ -398,30 +395,59 @@ def test_iron_weights_pools_a_one_ulp_drop():
 
 def test_knife_edge_reads_a_given_curve(bench_dist, bench_prim, bench_cost):
     curve = virtual_weight(bench_dist, bench_prim, 0.9)
-    given = knife_edge(bench_dist, bench_prim, bench_cost, 0.9, curve=curve)
-    assert given == knife_edge(bench_dist, bench_prim, bench_cost, 0.9)
-    with pytest.raises(ParameterError):
-        knife_edge(bench_dist, bench_prim, bench_cost, 1.0, curve=curve)
+    report = knife_edge(curve, bench_cost)
+    assert report.lambda_T == 0.9
+    assert report.sup_virtual_weight == float(np.max(curve.psi))
+    assert report.margin == bench_cost.marginal_at_zero - report.sup_virtual_weight
 
 
-def test_check_curve_rejects_a_curve_built_from_other_inputs(bench_dist, bench_prim, bench_cost):
-    curve = virtual_weight(bench_dist, bench_prim, 0.9, 257)
-    assert check_curve(curve, bench_dist, bench_prim, 0.9, 257) is curve
-    point = PointMass(0.5)
-    assert check_curve(virtual_weight(point, bench_prim, 0.9), point, bench_prim, 0.9) is not None
-    mismatches = [
-        (bench_dist, bench_prim, 1.0, 257, 1e-10),  # lambda
-        (bench_dist, bench_prim, 0.9, 129, 1e-10),  # grid size
-        (bench_dist, bench_prim, 0.9, 257, 1e-8),  # tail mass
-        (Weibull(2.0, 1.5), bench_prim, 0.9, 257, 1e-10),  # distribution
-        (bench_dist, replace(bench_prim, gamma=1.2), 0.9, 257, 1e-10),
-        (bench_dist, replace(bench_prim, omega_b=0.7), 0.9, 257, 1e-10),
-    ]
-    for dist, prim, lam, size, tail in mismatches:
-        with pytest.raises(ParameterError):
-            check_curve(curve, dist, prim, lam, size, tail)
-    with pytest.raises(ParameterError):
-        knife_edge(bench_dist, replace(bench_prim, gamma=1.2), bench_cost, 0.9, 257, curve=curve)
+def test_curve_records_its_inputs(bench_dist, bench_prim):
+    curve = virtual_weight(bench_dist, bench_prim, 0.9, 257, 1e-8)
+    assert (curve.dist, curve.prim, curve.lambda_T, curve.grid_size, curve.tail_mass) == (
+        bench_dist, bench_prim, 0.9, 257, 1e-8)
+    assert np.array_equal(curve.theta, bench_dist.grid(257, 1e-8))
+
+
+def test_point_mass_curve_irons_to_itself(bench_prim):
+    curve = virtual_weight(PointMass(0.5), bench_prim, 0.9)
+    assert curve.degenerate and curve.theta.tolist() == [0.5]
+    assert curve.psi.tolist() == [bench_prim.gamma * bench_prim.omega_b / 0.9]
+    assert curve.density.tolist() == [1.0]
+    assert np.array_equal(curve.psi_bar, curve.psi) and curve.psi_bar is not curve.psi
+    assert curve.ironed.tolist() == [False]
+
+
+def _count_ironing(monkeypatch):
+    from softbudget import mechanism
+
+    calls = []
+    original = mechanism.iron_weights
+
+    def counting(psi, weights):
+        calls.append(len(psi))
+        return original(psi, weights)
+
+    monkeypatch.setattr(mechanism, "iron_weights", counting)
+    return calls
+
+
+def test_knife_edge_never_irons(monkeypatch, bench_prim, bench_cost):
+    calls = _count_ironing(monkeypatch)
+    for dist in (DFR_WEIBULL, Exponential(1.0)):
+        knife_edge(virtual_weight(dist, bench_prim, 1.0, grid_size=257), bench_cost)
+    assert calls == []
+
+
+def test_curve_irons_at_most_once(monkeypatch, bench_prim, bench_cost):
+    calls = _count_ironing(monkeypatch)
+    curve = virtual_weight(DFR_WEIBULL, bench_prim, 1.0, grid_size=257)
+    assert calls == []
+    first = curve.psi_bar
+    for _ in range(3):
+        assert curve.psi_bar is first
+        assert np.any(curve.ironed) and curve.density.size == 257
+        solve_cap(curve, bench_cost, bench_prim.b_bar)
+    assert calls == [257]
 
 
 @given(

@@ -56,3 +56,36 @@ def test_tracer_counts_csv_rows_and_bytes(spans, tmp_path):
     assert tracer.counters["reporting.write_csv.rows"] == 5
     assert tracer.counters["reporting.bytes"] == path.stat().st_size
     assert {name for name, *_ in tracer.spans} == {"reporting.write_csv", "reporting.atomic_write_text"}
+
+
+def test_tracer_counts_fixed_point_evaluations(spans, bench_dist, bench_prim, bench_cost):
+    import softbudget
+
+    curve = softbudget.virtual_weight(bench_dist, bench_prim, bench_prim.omega_T)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sol = softbudget.fixed_point(curve, bench_cost)
+    finally:
+        tracer.uninstall()
+    assert sol.converged
+    assert tracer.counters["discretion.fixed_point.calls"] == 1
+    assert tracer.counters["discretion.fixed_point.converged"] == 1
+    assert tracer.counters["discretion.fixed_point.evals"] == len(sol.trace) > 1
+    # every evaluation after the first builds its curve, and each curve irons once
+    assert tracer.counters["mechanism.virtual_weight.calls"] == len(sol.trace) - 1
+    assert tracer.counters["mechanism.iron_weights.nodes"] == len(sol.trace) * curve.theta.size
+
+
+def test_tracer_sees_no_ironing_in_knife_edge(spans, bench_prim, bench_cost):
+    import softbudget
+
+    dfr = softbudget.Weibull(0.7, 1.0)  # a decreasing hazard: its psi would pool
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        softbudget.knife_edge(softbudget.virtual_weight(dfr, bench_prim, 1.0), bench_cost)
+    finally:
+        tracer.uninstall()
+    assert {name for name, *_ in tracer.spans} == {"mechanism.virtual_weight", "mechanism.knife_edge"}
+    assert tracer.counters["mechanism.iron_weights.nodes"] == 0

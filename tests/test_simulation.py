@@ -38,8 +38,8 @@ THRESHOLD_RULE = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.4
 
 
 def test_mc_run_deterministic(bench_dist, bench_cost, bench_prim):
-    a = mc_run(bench_dist, bench_prim, bench_cost, 1.0, 5000, seed=42, bins=10)
-    b = mc_run(bench_dist, bench_prim, bench_cost, 1.0, 5000, seed=42, bins=10)
+    a = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 5000, seed=42, bins=10)
+    b = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 5000, seed=42, bins=10)
     assert a.theta_min_hat == b.theta_min_hat
     assert a.p_int_hat == b.p_int_hat
     assert np.array_equal(a.bin_edges, b.bin_edges)
@@ -49,25 +49,23 @@ def test_mc_run_deterministic(bench_dist, bench_cost, bench_prim):
 
 def test_mc_run_reuses_a_given_curve(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 0.9)
-    a = mc_run(bench_dist, bench_prim, bench_cost, 0.9, 5000, seed=42, bins=10)
-    b = mc_run(bench_dist, bench_prim, bench_cost, 0.9, 5000, seed=42, bins=10, curve=curve)
+    a = mc_run(curve, bench_cost, 5000, seed=42, bins=10)
+    b = mc_run(curve, bench_cost, 5000, seed=42, bins=10)
     assert (a.theta_min_hat, a.theta_dagger_hat, a.p_int_hat) == (b.theta_min_hat, b.theta_dagger_hat, b.p_int_hat)
     assert np.array_equal(a.bin_means, b.bin_means, equal_nan=True)
-    assert np.array_equal(a.schedule.b_star, b.schedule.b_star)
-    assert a.schedule.theta_min == a.theta_min and a.schedule.lambda_T == 0.9
-    with pytest.raises(ParameterError):
-        mc_run(bench_dist, bench_prim, bench_cost, 1.0, 5000, seed=42, curve=curve)
+    assert np.array_equal(a.schedule.b_star, solve_cap(curve, bench_cost, bench_prim.b_bar).b_star)
+    assert a.schedule.theta_min == a.theta_min and a.schedule.lambda_T == a.lambda_T == 0.9
 
 
 def test_mc_run_validation(bench_dist, bench_cost, bench_prim):
     with pytest.raises(ParameterError):
-        mc_run(bench_dist, bench_prim, bench_cost, 1.0, 999, seed=1)
+        mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 999, seed=1)
     with pytest.raises(ParameterError):
-        mc_run(bench_dist, bench_prim, bench_cost, 1.0, 5000, seed=1, bins=1)
+        mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 5000, seed=1, bins=1)
 
 
 def test_mc_run_estimates_near_analytic(bench_dist, bench_cost, bench_prim):
-    rep = mc_run(bench_dist, bench_prim, bench_cost, 1.0, 200_000, seed=20260814)
+    rep = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 200_000, seed=20260814)
     assert rep.regime == "mixed"
     assert rep.theta_min == pytest.approx(BENCH["theta_min"], abs=1e-6)
     assert rep.theta_dagger == pytest.approx(BENCH["theta_dagger"], abs=1e-6)
@@ -82,7 +80,7 @@ def test_mc_run_estimates_near_analytic(bench_dist, bench_cost, bench_prim):
 
 
 def test_mc_binned_means_match_conditional_expectation(bench_dist, bench_cost, bench_prim):
-    rep = mc_run(bench_dist, bench_prim, bench_cost, 1.0, 200_000, seed=20260814)
+    rep = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 200_000, seed=20260814)
     sched = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, bench_prim.b_bar)
     checked = 0
     for i in range(rep.bins):
@@ -100,10 +98,8 @@ def test_mc_binned_means_match_conditional_expectation(bench_dist, bench_cost, b
 
 
 def test_mc_p_int_stable_across_seeds(bench_dist, bench_cost, bench_prim):
-    vals = [
-        mc_run(bench_dist, bench_prim, bench_cost, 1.0, 200_000, seed=s).p_int_hat
-        for s in range(10)
-    ]
+    curve = virtual_weight(bench_dist, bench_prim, 1.0)
+    vals = [mc_run(curve, bench_cost, 200_000, seed=s).p_int_hat for s in range(10)]
     assert max(vals) - min(vals) < 0.01
     assert abs(float(np.mean(vals)) - BENCH["p_int"]) < 0.002
 
@@ -168,7 +164,7 @@ def test_mc_run_matches_whole_array_reference(n, pooled, bench_cost, bench_prim,
     positions = np.random.default_rng(n).choice(n, planted.size, replace=False)
     theta_s[positions] = planted
     monkeypatch.setattr(simulation, "sample_types", lambda *args: theta_s.copy())
-    rep = mc_run(dist, bench_prim, bench_cost, 1.0, n, seed=20260814, bins=bins, curve=curve)
+    rep = mc_run(curve, bench_cost, n, seed=20260814, bins=bins)
     assert np.array_equal(rep.bin_edges, edges)
     assert_matches_reference(rep, dist, bench_prim, bench_cost, curve, theta_s)
     assert np.count_nonzero(rep.bin_stderr == 0.0) >= 2  # the zero-cap and the b_bar bins
@@ -177,7 +173,7 @@ def test_mc_run_matches_whole_array_reference(n, pooled, bench_cost, bench_prim,
 def test_mc_run_point_mass_fills_the_last_bin(bench_cost, bench_prim):
     dist = PointMass(0.5)
     n = 70_000  # two sample blocks
-    rep = mc_run(dist, bench_prim, bench_cost, 1.0, n, seed=3, bins=30)
+    rep = mc_run(virtual_weight(dist, bench_prim, 1.0), bench_cost, n, seed=3, bins=30)
     theta_s = sample_types(dist, n, 3)
     assert np.all(rep.bin_edges == 0.5)
     assert rep.bin_counts[-1] == n and not np.any(rep.bin_counts[:-1])
@@ -194,7 +190,7 @@ def test_mc_run_holds_no_sample_sized_array_but_the_types(bench_dist, bench_cost
         sampling_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        mc_run(bench_dist, bench_prim, bench_cost, 1.0, n, seed=7, curve=curve)
+        mc_run(curve, bench_cost, n, seed=7)
         run_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

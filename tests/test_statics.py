@@ -90,7 +90,7 @@ class PlateauHazard(TypeDistribution):
 
 
 def test_analytic_partials_benchmark_values(bench_dist, bench_cost, bench_prim):
-    out = analytic_partials(bench_dist, bench_prim, bench_cost)
+    out = analytic_partials(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
     # hazard 2*theta: slope 2 everywhere, cutoff 0.125, reference cap 0.6
     assert out["theta_min"] == pytest.approx(0.125, abs=1e-8)
     assert out["b_max"] == pytest.approx(0.6, abs=1e-12)
@@ -104,7 +104,7 @@ def test_analytic_partials_benchmark_values(bench_dist, bench_cost, bench_prim):
 
 
 def test_fd_certify_benchmark(bench_dist, bench_cost, bench_prim):
-    report = fd_certify(bench_dist, bench_prim, bench_cost)
+    report = fd_certify(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
     assert len(report.rows) == 7
     assert all(r.flag == FLAG_OK for r in report.rows)
     assert report.all_ok
@@ -115,7 +115,7 @@ def test_fd_certify_benchmark(bench_dist, bench_cost, bench_prim):
 
 
 def test_fd_certify_not_applicable_under_no_rescue(bench_prim):
-    report = fd_certify(Exponential(1.0), bench_prim, QuadraticCost(1.0, 1.0))
+    report = fd_certify(virtual_weight(Exponential(1.0), bench_prim, 1.0), QuadraticCost(1.0, 1.0))
     assert all(r.flag == FLAG_NOT_APPLICABLE for r in report.rows)
     assert math.isnan(report.theta_min)
     assert math.isnan(report.max_rel_error)
@@ -125,7 +125,7 @@ def test_fd_certify_not_applicable_under_no_rescue(bench_prim):
 def test_analytic_partials_reject_flat_hazard_cutoff(bench_prim, bench_cost):
     # benchmark weights put the cutoff at hazard 0.25, the exact plateau
     with pytest.raises(IllPosedError):
-        analytic_partials(PlateauHazard(), bench_prim, bench_cost)
+        analytic_partials(virtual_weight(PlateauHazard(), bench_prim, 1.0), bench_cost)
 
 
 def test_plateau_hazard_is_consistent():
@@ -141,7 +141,7 @@ def test_plateau_hazard_is_consistent():
 def test_fd_certify_flags_regime_boundary(bench_prim):
     # weight 0.8/(1 - theta) starts a hair below alpha, so any one-sided
     # perturbation that lifts the weight curve deletes the interior cutoff
-    report = fd_certify(Uniform(0.0, 1.0), bench_prim, QuadraticCost(0.8000005, 1.0))
+    report = fd_certify(virtual_weight(Uniform(0.0, 1.0), bench_prim, 1.0), QuadraticCost(0.8000005, 1.0))
     by_name = {r.partial: r for r in report.rows}
     assert by_name["d_theta_min_d_alpha"].flag == FLAG_REGIME_BOUNDARY
     # uniform hazard starts at one, so there is no hazard-one anchor type
@@ -151,9 +151,9 @@ def test_fd_certify_flags_regime_boundary(bench_prim):
 
 def test_fd_certify_validation(bench_dist, bench_prim, bench_cost):
     with pytest.raises(ParameterError):
-        fd_certify(bench_dist, bench_prim, bench_cost, step=0.5)
+        fd_certify(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, step=0.5)
     with pytest.raises(ParameterError):
-        fd_certify(bench_dist, bench_prim, TabulatedCost([0.0, 1.0], [0.1, 0.5]))
+        fd_certify(virtual_weight(bench_dist, bench_prim, 1.0), TabulatedCost([0.0, 1.0], [0.1, 0.5]))
     curve_prim = PolicyPrimitives(
         omega_T=1.0,
         omega_b=WeightCurve([0.0, 1.0], [0.5, 0.9]),
@@ -161,7 +161,7 @@ def test_fd_certify_validation(bench_dist, bench_prim, bench_cost):
         b_bar=0.8,
     )
     with pytest.raises(ParameterError):
-        fd_certify(bench_dist, curve_prim, bench_cost)
+        fd_certify(virtual_weight(bench_dist, curve_prim, 1.0), bench_cost)
 
 
 def test_randomized_admissible_draws_certify(bench_dist):
@@ -177,7 +177,7 @@ def test_randomized_admissible_draws_certify(bench_dist):
             continue
         kept += 1
         prim = PolicyPrimitives(omega_T=1.0, omega_b=omega_b, gamma=gamma, b_bar=0.8)
-        report = fd_certify(bench_dist, prim, QuadraticCost(alpha, kappa))
+        report = fd_certify(virtual_weight(bench_dist, prim, 1.0), QuadraticCost(alpha, kappa))
         clean = [r for r in report.rows if r.flag == FLAG_OK]
         assert len(clean) == 7
         assert report.all_ok
@@ -185,7 +185,7 @@ def test_randomized_admissible_draws_certify(bench_dist):
 
 
 def test_m_sensitivity_benchmark(bench_dist, bench_cost, bench_prim):
-    report = m_sensitivity(bench_dist, bench_prim, bench_cost)
+    report = m_sensitivity(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
     by_name = {r.partial: r for r in report.rows}
     lam_row = by_name["d_lambda_T_d_m"]
     assert lam_row.flag == FLAG_OK
@@ -203,19 +203,19 @@ def test_m_sensitivity_benchmark(bench_dist, bench_cost, bench_prim):
 
 def test_statics_reuse_a_given_commitment_curve(bench_dist, bench_cost, bench_prim):
     commitment = virtual_weight(bench_dist, bench_prim, bench_prim.omega_T)
-    assert fd_certify(bench_dist, bench_prim, bench_cost, curve=commitment) == fd_certify(
-        bench_dist, bench_prim, bench_cost
+    # both certifications read the shared curve as they read a fresh one
+    assert fd_certify(commitment, bench_cost) == fd_certify(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
+    assert m_sensitivity(commitment, bench_cost) == m_sensitivity(
+        virtual_weight(bench_dist, bench_prim, 1.0), bench_cost
     )
-    assert m_sensitivity(bench_dist, bench_prim, bench_cost, curve=commitment) == m_sensitivity(
-        bench_dist, bench_prim, bench_cost
-    )
+    assert commitment.prim is bench_prim  # the m perturbations work on copies
+    assert fd_certify(virtual_weight(bench_dist, bench_prim, 0.9), bench_cost).lambda_T == 0.9
+    # the fixed points start at omega_T, so a curve at another lambda is refused
     with pytest.raises(ParameterError):
-        fd_certify(bench_dist, bench_prim, bench_cost, lambda_T=0.9, curve=commitment)
-    with pytest.raises(ParameterError):
-        m_sensitivity(bench_dist, bench_prim, bench_cost, curve=virtual_weight(bench_dist, bench_prim, 0.9))
+        m_sensitivity(virtual_weight(bench_dist, bench_prim, 0.9), bench_cost)
 
 
 def test_m_sensitivity_requires_positive_m(bench_dist, bench_cost):
     prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.0, chi=1.0)
     with pytest.raises(ParameterError):
-        m_sensitivity(bench_dist, prim, bench_cost)
+        m_sensitivity(virtual_weight(bench_dist, prim, 1.0), bench_cost)
