@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         ("discretion", solution.curve, solution.schedule),
     ):
         mc = mc_run(curve, cost, n=args.n, seed=args.seed)
-        cost_value = leader_cost(sched, transfer_schedule(sched, prim), dist, cost, prim)
+        cost_value = leader_cost(curve, sched, transfer_schedule(sched, prim), cost)
         rows.append(
             {
                 "regime": label,

@@ -187,7 +187,7 @@ def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
     # the fixed point's last evaluation solved the schedule on its curve
     sched = solve_cap(curve, cfg.cost, cfg.prim.b_bar) if sol is None else sol.schedule
     transfers = transfer_schedule(sched, cfg.prim)
-    cost_total = leader_cost(sched, transfers, cfg.dist, cfg.cost, cfg.prim)
+    cost_total = leader_cost(curve, sched, transfers, cfg.cost)
     knife = knife_edge(curve, cfg.cost)
     p_int = interior_probability(sched, cfg.dist)
 

@@ -11,7 +11,11 @@ and the optimal cap solves C'(b(theta)) = psi_bar(theta) projected onto
 [0, b_bar], where psi_bar is the monotone (ironed) version of psi.  Ironing
 uses pool-adjacent-violators with density weights, which is the derivative
 of the convex hull of the cumulative f-weighted integral of psi; pooled
-stretches carry an explicit flag.  ``virtual_weight`` builds the curve, which
+stretches carry an explicit flag.  PAV works on whole runs of nodes: each
+strictly decreasing run enters as one block and each nondecreasing stretch
+whole, so its Python work is bounded by the number of decreasing runs, not
+by the grid size (see ``iron_weights`` for its tie and zero-weight
+conventions).  ``virtual_weight`` builds the curve, which
 records its inputs and is the one input of every stage that needs psi; it
 irons on first use, so the knife-edge test, which reads only psi, never does.
 
@@ -189,10 +193,30 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     into NaN.
 
     Already-nondecreasing input (``psi[1:] >= psi[:-1]`` everywhere) is
-    returned as a copy with no flags, after the inputs are validated and
-    without entering the merge loop: the loop merges only on a strict
-    decrease, so on such input it would pool nothing and return the input
-    values unchanged.
+    returned as a copy with no flags, after the inputs are validated: PAV
+    merges only on a strict decrease, so on such input it pools nothing.
+
+    Otherwise PAV runs on whole runs of nodes rather than node by node.
+    Each maximal strictly decreasing run of positive-weight nodes must pool,
+    so it enters as one block (sums of w and w*psi); the nondecreasing
+    stretches between runs enter whole.  Each run's block then absorbs the
+    stack top while that has a higher mean, and the head of the next
+    stretch while it has a lower one, alternately until neither side
+    changes.  Along a nondecreasing stretch the merged mean moves one way
+    only, so the first node that stops the block stops it for good:
+    ``_reach`` finds it with cumulative sums.  The Python work is a few
+    steps per decreasing run plus the logarithm of each reach, not a step
+    per node.  Conventions:
+
+    * blocks merge only when the later mean is strictly lower, so ties do
+      not pool and a one-ulp drop does;
+    * a block flags only when it holds more than one node, and nodes left
+      alone keep their exact value;
+    * a pooled block's value is its weighted mean, summed over the block
+      once the partition is known;
+    * a block of zero total weight takes the plain average
+      ``0.5 * (left + right)`` at each merge, in the order a node-by-node
+      pass would merge; zero-weight nodes therefore enter one at a time.
     """
     psi = np.asarray(psi, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -203,36 +227,132 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     if np.any(weights < 0.0):
         raise ParameterError("ironing weights must be nonnegative")
     n = psi.size
-    if bool(np.all(psi[1:] >= psi[:-1])):
+    drop = psi[1:] < psi[:-1]  # drop[i]: node i + 1 lies strictly below node i
+    if not bool(drop.any()):
         return psi.copy(), np.zeros(n, dtype=bool)
-    # blocks as (mean, weight, count); merge while the tail violates monotonicity
-    means: list[float] = []
-    wts: list[float] = []
-    counts: list[int] = []
-    for i in range(n):
-        means.append(float(psi[i]))
-        wts.append(float(weights[i]))
-        counts.append(1)
-        while len(means) > 1 and means[-1] < means[-2]:
-            w_hi, w_lo = wts[-1], wts[-2]
-            total = w_hi + w_lo
-            if total > 0.0:
-                merged = (means[-2] * w_lo + means[-1] * w_hi) / total
-            else:  # zero-density stretch: plain average keeps the projection defined
-                merged = 0.5 * (means[-2] + means[-1])
-            means[-2], wts[-2], counts[-2] = merged, total, counts[-2] + counts[-1]
-            means.pop(), wts.pop(), counts.pop()
-    out = np.empty(n)
-    flags = np.zeros(n, dtype=bool)
-    pos = 0
-    for mean, count in zip(means, counts):
-        if count == 1:
-            out[pos] = psi[pos]  # untouched points keep their exact value
-        else:
-            out[pos : pos + count] = mean
-            flags[pos : pos + count] = True
-        pos += count
+    mass = weights * psi
+    positive = weights > 0.0
+    # violations: each maximal strictly decreasing run of positive-weight
+    # nodes (link[i]: node i + 1 pools with node i), and each node that
+    # drops below its neighbour without such a link (one of the two weighs
+    # nothing) and starts no run
+    link = drop & positive[1:] & positive[:-1]
+    edges = np.flatnonzero(np.diff(link, prepend=False, append=False))
+    single = np.flatnonzero(drop & ~link & ~np.append(link[1:], False)) + 1
+    los = np.concatenate((edges[::2], single))
+    his = np.concatenate((edges[1::2] + 1, single + 1))
+    order = np.argsort(los, kind="stable")
+    los, his = los[order], his[order]
+    bounds = np.union1d(los, his)
+    bounds = bounds[bounds < n]
+    at = np.searchsorted(bounds, los)
+    run_mass = np.add.reduceat(mass, bounds)[at].tolist()
+    run_weight = np.add.reduceat(weights, bounds)[at].tolist()
+    los, his = los.tolist(), his.tolist()
+
+    # stack entries [lo, hi, mean, S, W] tile the nodes seen so far with
+    # nondecreasing means; mean None marks a stretch of untouched nodes
+    stack: list[list] = [[0, los[0], None, 0.0, 0.0]] if los[0] > 0 else []
+    for lo, hi, total, weight, stretch_end in zip(los, his, run_mass, run_weight, los[1:] + [n]):
+        mean = total / weight if weight > 0.0 else psi.item(lo)
+        while True:
+            # absorb from the left while the stack top lies above the block
+            while stack:
+                top = stack[-1]
+                if top[2] is not None:  # a pooled block
+                    if not top[2] > mean:
+                        break
+                    stack.pop()
+                    lo, total, weight = top[0], total + top[3], weight + top[4]
+                    mean = total / weight if weight > 0.0 else 0.5 * (top[2] + mean)
+                    continue
+                first, last = top[0], top[1]
+                if not psi.item(last - 1) > mean:
+                    break
+                left = slice(last - 1, first - 1 if first > 0 else None, -1)
+                count, total, weight, mean = _reach(psi[left], mass[left], weights[left], total, weight, mean, True)
+                lo = last - count
+                if lo > first:
+                    top[1] = lo
+                    break
+                stack.pop()
+            # then the head of the next stretch while it lies below the block
+            if hi < stretch_end and psi.item(hi) < mean:
+                right = slice(hi, stretch_end)
+                count, total, weight, mean = _reach(psi[right], mass[right], weights[right], total, weight, mean, False)
+                hi += count
+                continue
+            break
+        stack.append([lo, hi, mean, total, weight])
+        if hi < stretch_end:
+            stack.append([hi, stretch_end, None, 0.0, 0.0])
+
+    # the entries tile [0, n): sum each once, now that the partition is known
+    starts = np.array([entry[0] for entry in stack])
+    sizes = np.diff(np.append(starts, n))
+    pooled = np.array([entry[2] is not None for entry in stack]) & (sizes > 1)
+    block_weight = np.add.reduceat(weights, starts)[pooled]
+    block_mass = np.add.reduceat(mass, starts)[pooled]
+    zero_weight_means = np.array([entry[2] for entry, keep in zip(stack, pooled.tolist()) if keep])
+    values = np.divide(block_mass, block_weight, out=zero_weight_means, where=block_weight > 0.0)
+    flags = np.repeat(pooled, sizes)
+    out = psi.copy()
+    out[flags] = np.repeat(values, sizes[pooled])
     return out, flags
+
+
+_REACH_SCALAR_STEPS = 8  # values taken one at a time before scanning in chunks
+_REACH_CHUNK = 16
+
+
+def _reach(values, mass, weights, total, weight, mean, leftward):
+    """How many of ``values``, met in order, a block absorbs; and its new state.
+
+    The block (sum ``total`` of w*psi, weight ``weight``, mean ``mean``)
+    absorbs the next value while it lies strictly above the mean when met
+    leftward, strictly below when met rightward.  The values are monotone in
+    the order met and each absorption moves the mean towards them, so the
+    first value that stops the block stops it for good.  Most reaches are
+    short, so the first few values are taken one at a time; the rest are
+    scanned through cumulative sums in chunks of doubling size, so the work
+    grows with the reach, not with the stretch.  A block of zero weight
+    takes the plain average of its mean and the value; met rightward, it
+    then returns, so the caller re-checks the left side first, as a
+    node-by-node pass would.
+    """
+    count, size = 0, values.size
+    while count < size and (count < _REACH_SCALAR_STEPS or weight == 0.0):
+        value = values.item(count)
+        if not (value > mean if leftward else value < mean):
+            return count, total, weight, mean
+        total += mass.item(count)
+        weight += weights.item(count)
+        count += 1
+        if weight > 0.0:
+            mean = total / weight
+        else:
+            mean = 0.5 * (value + mean)
+            if not leftward:
+                return count, total, weight, mean
+    chunk = _REACH_CHUNK
+    while count < size:
+        part = slice(count, count + chunk)
+        totals = total + mass[part].cumsum()
+        weights_so_far = weight + weights[part].cumsum()
+        # the mean each value meets: the block's, with the values before it
+        means = np.concatenate(([mean], totals[:-1] / weights_so_far[:-1]))
+        stop = values[part] <= means if leftward else values[part] >= means
+        taken = int(stop.argmax())
+        if not stop[taken]:
+            taken = stop.size
+        if taken:
+            total, weight = totals.item(taken - 1), weights_so_far.item(taken - 1)
+            mean = total / weight
+            count += taken
+        if taken < stop.size:
+            break
+        chunk *= 2
+    return count, total, weight, mean
 
 
 def virtual_weight(
@@ -409,21 +529,21 @@ def transfer_schedule(cap: CapSchedule, prim: PolicyPrimitives) -> TransferSched
 
 
 def leader_cost(
+    curve: VirtualWeightCurve,
     cap: CapSchedule,
     transfers: TransferSchedule,
-    dist: TypeDistribution,
     cost: RescueCost,
-    prim: PolicyPrimitives,
 ) -> float:
     """Expected authority objective E[C(b(theta)) + gamma * T(theta)].
 
-    Uses the cap-binding benchmark payout b(theta) and trapezoid quadrature
-    over the schedule grid (a direct sum for degenerate supports).
+    ``curve`` is the one the schedules were solved on: its density weights
+    the trapezoid quadrature over the schedule grid (a direct sum for
+    degenerate supports) and its primitives give gamma.
     """
-    if cap.theta.shape != transfers.theta.shape or np.any(cap.theta != transfers.theta):
-        raise GridMismatchError("cap and transfer schedules were built on different grids")
-    pointwise = np.asarray(cost.value(cap.b_star), dtype=float) + prim.gamma * transfers.t_star
-    if cap.theta.size == 1:
+    for schedule in (cap, transfers):
+        if schedule.theta.shape != curve.theta.shape or np.any(schedule.theta != curve.theta):
+            raise GridMismatchError("cap and transfer schedules must be built on the curve's grid")
+    pointwise = np.asarray(cost.value(cap.b_star), dtype=float) + curve.prim.gamma * transfers.t_star
+    if curve.degenerate:
         return float(pointwise[0])
-    dens = np.asarray(dist.pdf(cap.theta), dtype=float)
-    return float(np.trapezoid(pointwise * dens, cap.theta))
+    return float(np.trapezoid(pointwise * curve.density, curve.theta))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from softbudget import (
     CapSchedule,
     Exponential,
+    GridMismatchError,
     ParameterError,
     PointMass,
     QuadraticCost,
@@ -52,6 +53,76 @@ def hull_ironed(psi, weights):
     mids = 0.5 * (W[:-1] + W[1:])
     seg = np.clip(np.searchsorted(hx, mids, side="right") - 1, 0, slopes.size - 1)
     return slopes[seg]
+
+
+def pav_reference(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node-by-node pool-adjacent-violators, the reference for ``iron_weights``.
+
+    This is the Python loop ``iron_weights`` ran before it worked on whole
+    decreasing runs, kept unchanged: push each node as a block, and merge
+    the top two blocks while the later mean is strictly lower (a zero-weight
+    pair takes the plain average).
+    """
+    psi = np.asarray(psi, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if psi.shape != weights.shape or psi.ndim != 1:
+        raise ParameterError("iron_weights needs matching 1-d value and weight arrays")
+    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(weights))):
+        raise ParameterError("ironing values and weights must be finite")
+    if np.any(weights < 0.0):
+        raise ParameterError("ironing weights must be nonnegative")
+    n = psi.size
+    if bool(np.all(psi[1:] >= psi[:-1])):
+        return psi.copy(), np.zeros(n, dtype=bool)
+    # blocks as (mean, weight, count); merge while the tail violates monotonicity
+    means: list[float] = []
+    wts: list[float] = []
+    counts: list[int] = []
+    for i in range(n):
+        means.append(float(psi[i]))
+        wts.append(float(weights[i]))
+        counts.append(1)
+        while len(means) > 1 and means[-1] < means[-2]:
+            w_hi, w_lo = wts[-1], wts[-2]
+            total = w_hi + w_lo
+            if total > 0.0:
+                merged = (means[-2] * w_lo + means[-1] * w_hi) / total
+            else:  # zero-density stretch: plain average keeps the projection defined
+                merged = 0.5 * (means[-2] + means[-1])
+            means[-2], wts[-2], counts[-2] = merged, total, counts[-2] + counts[-1]
+            means.pop(), wts.pop(), counts.pop()
+    out = np.empty(n)
+    flags = np.zeros(n, dtype=bool)
+    pos = 0
+    for mean, count in zip(means, counts):
+        if count == 1:
+            out[pos] = psi[pos]  # untouched points keep their exact value
+        else:
+            out[pos : pos + count] = mean
+            flags[pos : pos + count] = True
+        pos += count
+    return out, flags
+
+
+def assert_matches_reference(psi, weights):
+    """Same partition as the reference loop, values within 1e-12 of the input scale."""
+    out, flags = iron_weights(psi, weights)
+    ref_out, ref_flags = pav_reference(psi, weights)
+    assert np.array_equal(flags, ref_flags)
+    assert np.max(np.abs(out - ref_out), initial=0.0) <= 1e-12 * max(1.0, float(np.max(np.abs(psi))))
+    assert np.array_equal(out[~flags], np.asarray(psi, dtype=float)[~flags])
+    return out, flags
+
+
+def ramp_then_deep_drop(n=65_537):
+    """A rising ramp whose last node drops below the whole ramp's mean.
+
+    The last node's block absorbs the ramp from its right end, so all of it
+    pools.  Block PAV by rounds (merge every maximal decreasing run, repeat
+    until monotone) grows that block by one node per round here: n rounds
+    of O(n) work.  The node-by-node reference merges once per node.
+    """
+    return np.append(np.linspace(0.0, 1.0, n - 1), -float(n)), np.ones(n)
 
 
 def bimodal_type_dist(gap, sigma=0.06, mix=0.8):
@@ -250,14 +321,14 @@ def test_leader_cost_zero_under_no_rescue(bench_prim):
     curve = virtual_weight(Exponential(1.0), bench_prim, 1.0, grid_size=257)
     sched = solve_cap(curve, QuadraticCost(1.0, 1.0), bench_prim.b_bar)
     tr = transfer_schedule(sched, bench_prim)
-    assert leader_cost(sched, tr, Exponential(1.0), QuadraticCost(1.0, 1.0), bench_prim) == 0.0
+    assert leader_cost(curve, sched, tr, QuadraticCost(1.0, 1.0)) == 0.0
 
 
 def test_leader_cost_benchmark_quadrature(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
     sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
     tr = transfer_schedule(sched, bench_prim)
-    value = leader_cost(sched, tr, bench_dist, bench_cost, bench_prim)
+    value = leader_cost(curve, sched, tr, bench_cost)
     assert value == pytest.approx(BENCH["leader_cost"], abs=1e-5)
 
 
@@ -265,7 +336,7 @@ def test_leader_cost_monte_carlo_cross_check(bench_dist, bench_cost, bench_prim)
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
     sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
     tr = transfer_schedule(sched, bench_prim)
-    value = leader_cost(sched, tr, bench_dist, bench_cost, bench_prim)
+    value = leader_cost(curve, sched, tr, bench_cost)
     draws = sample_types(bench_dist, 400_000, seed=31)
     caps = sched.cap_at(np.minimum(draws, sched.theta[-1]))
     mc = float(np.mean(bench_cost.value(caps)))  # transfers are zero here
@@ -278,9 +349,33 @@ def test_leader_cost_point_mass(bench_cost, bench_prim):
     sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
     assert float(sched.b_star[0]) == pytest.approx(0.6, abs=1e-12)
     tr = transfer_schedule(sched, bench_prim)
-    value = leader_cost(sched, tr, dist, bench_cost, bench_prim)
+    value = leader_cost(curve, sched, tr, bench_cost)
     assert value == pytest.approx(0.30, abs=1e-12)
 
+
+
+def test_leader_cost_reads_the_curve_density(monkeypatch, bench_dist, bench_cost, bench_prim):
+    curve = virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257)
+    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    tr = transfer_schedule(sched, bench_prim)
+    expected = np.trapezoid(bench_cost.value(sched.b_star) * curve.density, curve.theta)
+
+    def no_pdf(self, theta):
+        raise AssertionError("leader_cost evaluated the density again")
+
+    monkeypatch.setattr(type(bench_dist), "pdf", no_pdf)
+    assert leader_cost(curve, sched, tr, bench_cost) == expected
+
+
+def test_leader_cost_rejects_schedules_off_the_curve_grid(bench_dist, bench_cost, bench_prim):
+    curve = virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257)
+    other = virtual_weight(bench_dist, bench_prim, 1.0, grid_size=513)
+    sched = solve_cap(other, bench_cost, bench_prim.b_bar)
+    with pytest.raises(GridMismatchError):
+        leader_cost(curve, sched, transfer_schedule(sched, bench_prim), bench_cost)
+    own = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    with pytest.raises(GridMismatchError):
+        leader_cost(curve, own, transfer_schedule(sched, bench_prim), bench_cost)
 
 # -- ironing ----------------------------------------------------------------
 
@@ -357,7 +452,7 @@ def test_decreasing_hazard_weibull_solves(bench_prim, bench_cost):
     sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
     assert np.all(np.diff(sched.b_star) >= 0.0)
     transfers = transfer_schedule(sched, bench_prim)
-    assert np.isfinite(leader_cost(sched, transfers, DFR_WEIBULL, bench_cost, bench_prim))
+    assert np.isfinite(leader_cost(curve, sched, transfers, bench_cost))
     assert not knife_edge(curve, bench_cost).no_rescue
 
 
@@ -465,3 +560,82 @@ def test_iron_weights_properties(values, seed):
     assert out.min() >= psi.min() - 1e-12 and out.max() <= psi.max() + 1e-12
     oracle = hull_ironed(psi, w)
     assert np.max(np.abs(out - oracle)) <= 1e-8
+
+
+
+# ties: repeated values; 0.5 and the double just below it: one-ulp drops
+_TIE_VALUES = [-1.0, 0.0, float(np.nextafter(0.5, 0.0)), 0.5, 1.0, 2.0]
+
+
+@st.composite
+def pav_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    value = st.one_of(st.sampled_from(_TIE_VALUES), st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
+    psi = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        psi = np.unique(psi)[::-1].copy()  # all decreasing
+        n = psi.size
+    weight = st.floats(min_value=-9.0, max_value=0.0).map(lambda e: 10.0**e)
+    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    zeros = draw(st.sampled_from(["none", "leading", "interior", "scattered", "all"]))
+    if zeros == "leading":
+        w[: draw(st.integers(min_value=1, max_value=n))] = 0.0
+    elif zeros == "interior":
+        lo = draw(st.integers(min_value=0, max_value=n - 1))
+        w[lo : draw(st.integers(min_value=lo + 1, max_value=n))] = 0.0
+    elif zeros == "scattered":
+        w[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+    elif zeros == "all":
+        w[:] = 0.0
+    return psi, w
+
+
+@given(pav_inputs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_iron_weights_matches_the_reference_loop(case):
+    # Weights are drawn from a continuum, so a pooled mean never exactly ties
+    # a neighbour: at such a tie (equal weights, values on a coarse lattice)
+    # the loop's running pairwise means and the run-level block sums round
+    # differently, and either may merge.  Repeated values do tie exactly.
+    psi, w = case
+    assert_matches_reference(psi, w)
+
+
+@pytest.mark.parametrize("psi, pooled", [
+    # the block's mean reaches the next node's value exactly: the node stays
+    # out, after a short reach and after one long enough to scan in chunks,
+    # met leftward and rightward
+    ([0.5, 1.0, 1.0, -0.5], slice(1, None)),
+    ([0.5] + [1.0] * 10 + [-4.5], slice(1, None)),
+    ([3.0, 0.0, 0.0, 1.0], slice(0, -1)),
+    ([12.0] + [0.0] * 11 + [1.0], slice(0, -1)),
+], ids=["left-short", "left-long", "right-short", "right-long"])
+def test_iron_weights_a_mean_tying_its_neighbour_does_not_pool(psi, pooled):
+    psi = np.array(psi)
+    out, flags = assert_matches_reference(psi, np.ones(psi.size))
+    expected = np.zeros(psi.size, dtype=bool)
+    expected[pooled] = True
+    assert np.array_equal(flags, expected)
+    assert np.all(out == out[pooled][0])
+
+
+def test_iron_weights_single_node():
+    out, flags = iron_weights(np.array([0.3]), np.array([0.0]))
+    assert out.tolist() == [0.3] and flags.tolist() == [False]
+
+
+def test_iron_weights_zero_weight_blocks_average_in_node_order():
+    # all-zero weights: each merge takes the plain average, in the order the
+    # node-by-node pass merges; 1.1875 here, not 1.5625 from pooling the
+    # drop first
+    psi = np.array([0.0, 2.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+    out, flags = assert_matches_reference(psi, np.zeros(7))
+    assert flags.tolist() == [False] + [True] * 6
+    assert out[1:].tolist() == [1.1875] * 6
+
+
+def test_iron_weights_ramp_then_deep_drop():
+    psi, w = ramp_then_deep_drop()
+    out, flags = assert_matches_reference(psi, w)
+    assert np.all(flags)
+    assert out[0] == pytest.approx((np.sum(psi[:-1]) + psi[-1]) / psi.size, rel=1e-15)

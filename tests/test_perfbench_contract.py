@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +90,25 @@ def test_tracer_sees_no_ironing_in_knife_edge(spans, bench_prim, bench_cost):
         tracer.uninstall()
     assert {name for name, *_ in tracer.spans} == {"mechanism.virtual_weight", "mechanism.knife_edge"}
     assert tracer.counters["mechanism.iron_weights.nodes"] == 0
+
+
+def test_tracer_sees_one_ironing_per_pooled_solve(spans, tmp_path):
+    # the pooled config's virtual weight pools; solve irons it exactly once,
+    # through the module global the tracer wraps, so a helper that irons by
+    # another route would leave the count at zero or the span count at two
+    import softbudget
+    from softbudget.cli import main
+
+    config = str(ROOT / "configs" / "pooled_benchmark.json")
+    cfg = softbudget.load_config(config)
+    curve = softbudget.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    assert np.any(curve.ironed)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    assert [name for name, *_ in tracer.spans].count("mechanism.iron_weights") == 1
+    assert tracer.counters["mechanism.iron_weights.nodes"] == curve.theta.size
+    assert tracer.counters["mechanism.iron_weights.pooled"] == int(curve.ironed.sum())
