@@ -28,7 +28,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -37,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import MAX_GRID_SIZE, RunConfig, load_config
+from .config import OutputSettings, RunConfig, load_config
 from .discretion import DiscretionSolution, fixed_point, interior_probability
 from .distributions import Uniform
 from .errors import (
@@ -71,26 +70,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _seed_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _grid_type(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid size must be an integer, got {text!r}")
-    if not 17 <= value <= MAX_GRID_SIZE:
-        raise argparse.ArgumentTypeError(f"grid.size: must lie in [17, {MAX_GRID_SIZE}]")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="softbudget", description="Optimal rescue-cap mechanism toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -104,21 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
-        cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument("--seed", default=None, type=_seed_type, help="RNG seed (overrides config)")
-        cmd.add_argument("--grid", default=None, type=_grid_type, help="type-grid size (overrides config)")
+        # each override is written into the config and validated as the field it sets
+        cmd.add_argument("--out", help="output directory (sets output.directory)")
+        cmd.add_argument("--seed", type=int, help="RNG seed (sets simulation.seed)")
+        cmd.add_argument("--grid", type=int, help="type-grid size (sets grid.size)")
         cmd.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     return parser
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, simulation=dataclasses.replace(cfg.simulation, seed=args.seed))
-    if args.grid is not None:
-        cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, size=args.grid))
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output, directory=args.out))
-    return cfg
 
 
 def _commitment(cfg: RunConfig) -> VirtualWeightCurve:
@@ -160,29 +130,69 @@ def _discretion_fragment(sol: Optional[DiscretionSolution]):
     }
 
 
-def _emit(out_dir: str, name: str, summary: dict, quiet: bool, started: float) -> None:
-    write_json(os.path.join(out_dir, "summary.json"), summary)
-    if quiet:
-        return
+class _Artifacts:
+    """The files one command writes into the output directory.
+
+    ``output.formats`` decides which artifacts are written; each written one
+    is recorded in ``files`` under its key (``key.csv`` or ``key.json``),
+    and ``summary`` writes ``summary.json`` with that map last.
+    """
+
+    def __init__(self, output: OutputSettings):
+        self.directory = output.directory
+        self.formats = output.formats
+        self.files = {"summary": "summary.json"}
+
+    def _path(self, key: str, fmt: str) -> Optional[str]:
+        """Where ``key`` is written as ``fmt``, now recorded; None when the format is off."""
+        if fmt not in self.formats:
+            return None
+        self.files[key] = f"{key}.{fmt}"
+        return os.path.join(self.directory, self.files[key])
+
+    def json(self, key: str, obj) -> None:
+        path = self._path(key, "json")
+        if path is not None:
+            write_json(path, obj)
+
+    def csv(self, key: str, header, columns) -> None:
+        path = self._path(key, "csv")
+        if path is not None:
+            write_csv(path, header, columns)
+
+    def csvs(self, *tables) -> None:
+        """Write ``(key, header, columns)`` tables in one call, so a column they share renders once."""
+        tables = [(self._path(key, "csv"), header, columns) for key, header, columns in tables]
+        if tables[0][0] is not None:
+            write_csvs(tables)
+
+    def summary(self, command: str, fields: dict) -> dict:
+        summary = {"command": command, **fields, "files": self.files}
+        write_json(os.path.join(self.directory, "summary.json"), summary)
+        return summary
+
+
+def _shown(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format_float(value)
+    return "none" if value is None else str(value)
+
+
+def _print_summary(command: str, summary: dict, out_dir: str, started: float) -> None:
     keys = [k for k in ("regime", "lambda_T", "theta_min", "theta_dagger", "p_int", "leader_cost",
                         "knife_edge_margin", "no_rescue", "passed") if k in summary]
-    parts = []
-    for key in keys:
-        value = summary[key]
-        if isinstance(value, bool):
-            parts.append(f"{key}={str(value).lower()}")
-        elif isinstance(value, float):
-            parts.append(f"{key}={format_float(value)}")
-        elif value is None:
-            parts.append(f"{key}=none")
-        else:
-            parts.append(f"{key}={value}")
     duration = time.perf_counter() - started
-    print(f"{name}: " + " ".join(parts))
+    print(f"{command}: " + " ".join(f"{key}={_shown(summary[key])}" for key in keys))
     print(f"wrote {', '.join(sorted(summary['files'].values()))} to {out_dir} in {duration:.3f} s")
 
 
-def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
+# Each command writes its artifacts and returns its summary fields, with the
+# reason it failed (printed after the summary, exit 2) or None.
+
+
+def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     curve, sol = _resolve_curve(cfg)
     # the fixed point's last evaluation solved the schedule on its curve
     sched = solve_cap(curve, cfg.cost, cfg.prim.b_bar) if sol is None else sol.schedule
@@ -191,24 +201,16 @@ def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
     knife = knife_edge(curve, cfg.cost)
     p_int = interior_probability(sched, cfg.dist)
 
-    out_dir = cfg.output.directory
-    files = {"summary": "summary.json"}
-    if "csv" in cfg.output.formats:
-        # one call, so the columns both files hold (transfers.theta is
-        # sched.theta) are rendered once
-        write_csvs([
-            (os.path.join(out_dir, "cap_schedule.csv"),
-             ["theta", "b_star", "ironed", "t_star", "ll_binding"],
-             [sched.theta, sched.b_star, sched.ironed, transfers.t_star, transfers.ll_binding]),
-            (os.path.join(out_dir, "transfers.csv"),
-             ["theta", "t_pre", "t_star", "ll_binding", "unpinned"],
-             [transfers.theta, transfers.t_pre, transfers.t_star, transfers.ll_binding,
-              np.full(transfers.theta.shape, transfers.unpinned)]),
-        ])
-        files["cap_schedule"] = "cap_schedule.csv"
-        files["transfers"] = "transfers.csv"
-    summary = {
-        "command": "solve",
+    # one call, so the columns both files hold (transfers.theta is
+    # sched.theta) are rendered once
+    out.csvs(
+        ("cap_schedule", ["theta", "b_star", "ironed", "t_star", "ll_binding"],
+         [sched.theta, sched.b_star, sched.ironed, transfers.t_star, transfers.ll_binding]),
+        ("transfers", ["theta", "t_pre", "t_star", "ll_binding", "unpinned"],
+         [transfers.theta, transfers.t_pre, transfers.t_star, transfers.ll_binding,
+          np.full(transfers.theta.shape, transfers.unpinned)]),
+    )
+    return {
         "regime": sched.regime,
         "lambda_T": curve.lambda_T,
         "theta_min": _maybe(sched.theta_min),
@@ -219,17 +221,13 @@ def _cmd_solve(cfg: RunConfig, quiet: bool, started: float) -> int:
         "no_rescue": knife.no_rescue,
         "discretion": _discretion_fragment(sol),
         "grid_size": cfg.grid.size,
-        "files": files,
-    }
-    _emit(out_dir, "solve", summary, quiet, started)
-    return EXIT_OK
+    }, None
 
 
-def _cmd_knife_edge(cfg: RunConfig, quiet: bool, started: float) -> int:
+def _cmd_knife_edge(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     curve, sol = _resolve_curve(cfg)
     report = knife_edge(curve, cfg.cost)
-    summary = {
-        "command": "knife-edge",
+    return {
         "no_rescue": report.no_rescue,
         "knife_edge_margin": report.margin,
         "sup_virtual_weight": report.sup_virtual_weight,
@@ -237,28 +235,16 @@ def _cmd_knife_edge(cfg: RunConfig, quiet: bool, started: float) -> int:
         "truncated_support": report.truncated_support,
         "lambda_T": report.lambda_T,
         "discretion": _discretion_fragment(sol),
-        "files": {"summary": "summary.json"},
-    }
-    _emit(cfg.output.directory, "knife-edge", summary, quiet, started)
-    return EXIT_OK
+    }, None
 
 
-def _cmd_discretion(cfg: RunConfig, quiet: bool, started: float) -> int:
+def _cmd_discretion(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     if not cfg.discretion.enabled:
         raise ConfigError(["discretion.enabled: the discretion command needs discretion enabled"])
     sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
     fragment = _discretion_fragment(sol)
-    report = {**fragment, "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace]}
-    files = {"summary": "summary.json"}
-    if "json" in cfg.output.formats:
-        write_json(os.path.join(cfg.output.directory, "discretion.json"), report)
-        files["discretion"] = "discretion.json"
-    summary = {"command": "discretion", **fragment, "files": files}
-    _emit(cfg.output.directory, "discretion", summary, quiet, started)
-    if not sol.converged:
-        print("discretion: fixed point did not converge", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    out.json("discretion", {**fragment, "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace]})
+    return fragment, None if sol.converged else "fixed point did not converge"
 
 
 def _statics_failures(report: StaticsReport, m_report: Optional[StaticsReport]) -> list[str]:
@@ -282,7 +268,7 @@ def _statics_failures(report: StaticsReport, m_report: Optional[StaticsReport]) 
     return failures
 
 
-def _cmd_statics(cfg: RunConfig, quiet: bool, started: float) -> int:
+def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     # both certifications start from the commitment curve
     commitment = _commitment(cfg)
     report = fd_certify(commitment, cfg.cost)
@@ -294,25 +280,21 @@ def _cmd_statics(cfg: RunConfig, quiet: bool, started: float) -> int:
         rows.extend(m_report.rows)
         chain_gap = m_report.chain_gap
 
-    files = {"summary": "summary.json"}
-    if "csv" in cfg.output.formats:
-        write_csv(
-            os.path.join(cfg.output.directory, "statics.csv"),
-            ["partial", "analytic", "finite_difference", "rel_error", "sign_expected", "sign_ok", "flag"],
-            [
-                [r.partial for r in rows],
-                [r.analytic for r in rows],
-                [r.finite_difference for r in rows],
-                [r.rel_error for r in rows],
-                [r.sign_expected for r in rows],
-                [r.sign_ok for r in rows],
-                [r.flag for r in rows],
-            ],
-        )
-        files["statics"] = "statics.csv"
+    out.csv(
+        "statics",
+        ["partial", "analytic", "finite_difference", "rel_error", "sign_expected", "sign_ok", "flag"],
+        [
+            [r.partial for r in rows],
+            [r.analytic for r in rows],
+            [r.finite_difference for r in rows],
+            [r.rel_error for r in rows],
+            [r.sign_expected for r in rows],
+            [r.sign_ok for r in rows],
+            [r.flag for r in rows],
+        ],
+    )
     failures = _statics_failures(report, m_report)
-    summary = {
-        "command": "statics",
+    return {
         "lambda_T": report.lambda_T,
         "theta_min": report.theta_min,
         "b_max": report.b_max,
@@ -320,23 +302,17 @@ def _cmd_statics(cfg: RunConfig, quiet: bool, started: float) -> int:
         "max_rel_error": report.max_rel_error,
         "chain_gap": chain_gap,
         "passed": not failures,
-        "files": files,
-    }
-    _emit(cfg.output.directory, "statics", summary, quiet, started)
-    if failures:
-        print(f"statics: finite-difference certification failed on the {commitment.theta.size}-node grid: "
-              + "; ".join(failures), file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    }, (f"finite-difference certification failed on the {commitment.theta.size}-node grid: "
+        + "; ".join(failures)) if failures else None
 
 
-def _cmd_simulate(cfg: RunConfig, quiet: bool, started: float) -> int:
+def _cmd_simulate(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     curve, sol = _resolve_curve(cfg)
     mc = mc_run(curve, cfg.cost, n=cfg.simulation.n, seed=cfg.simulation.seed, bins=cfg.simulation.bins)
     centers = 0.5 * (mc.bin_edges[:-1] + mc.bin_edges[1:])
     closed_form = mc.schedule.cap_at(centers)
 
-    report = {
+    out.json("mc_report", {
         "n": mc.n,
         "seed": mc.seed,
         "bins": mc.bins,
@@ -353,20 +329,13 @@ def _cmd_simulate(cfg: RunConfig, quiet: bool, started: float) -> int:
         "dev_theta_dagger": None if (mc.theta_dagger is None or mc.theta_dagger_hat is None)
         else abs(mc.theta_dagger_hat - mc.theta_dagger),
         "dev_p_int": abs(mc.p_int_hat - mc.p_int),
-    }
-    files = {"summary": "summary.json"}
-    if "json" in cfg.output.formats:
-        write_json(os.path.join(cfg.output.directory, "mc_report.json"), report)
-        files["mc_report"] = "mc_report.json"
-    if "csv" in cfg.output.formats:
-        write_csv(
-            os.path.join(cfg.output.directory, "binned_means.csv"),
-            ["bin_center", "mean_b", "count", "stderr", "b_closed_form"],
-            [centers, mc.bin_means, mc.bin_counts, mc.bin_stderr, closed_form],
-        )
-        files["binned_means"] = "binned_means.csv"
-    summary = {
-        "command": "simulate",
+    })
+    out.csv(
+        "binned_means",
+        ["bin_center", "mean_b", "count", "stderr", "b_closed_form"],
+        [centers, mc.bin_means, mc.bin_counts, mc.bin_stderr, closed_form],
+    )
+    return {
         "regime": mc.regime,
         "lambda_T": mc.lambda_T,
         "theta_min": _maybe(mc.theta_min_hat),
@@ -375,13 +344,10 @@ def _cmd_simulate(cfg: RunConfig, quiet: bool, started: float) -> int:
         "n": mc.n,
         "seed": mc.seed,
         "discretion": _discretion_fragment(sol),
-        "files": files,
-    }
-    _emit(cfg.output.directory, "simulate", summary, quiet, started)
-    return EXIT_OK
+    }, None
 
 
-def _cmd_oracle(cfg: RunConfig, quiet: bool, started: float) -> int:
+def _cmd_oracle(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     uniform = capmin_oracle(Uniform(0.0, 1.0), np.arange(0.1, 0.95, 0.1))
     discrete = capmin_oracle(
         ((0.2, 0.5, 0.9), (0.3, 0.4, 0.3)),
@@ -410,7 +376,8 @@ def _cmd_oracle(cfg: RunConfig, quiet: bool, started: float) -> int:
     brute = welfare_bruteforce(
         [0.2, 0.4, 0.6, 0.8, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2], prim, cfg.cost,
     )
-    brute_report = {
+    out.json("oracle_capmin", capmin_report)
+    out.json("oracle_bruteforce", {
         "passed": brute.passed,
         "kkt_cost": brute.kkt_cost,
         "best_cost": brute.best_cost,
@@ -421,26 +388,13 @@ def _cmd_oracle(cfg: RunConfig, quiet: bool, started: float) -> int:
         "ir_ok": brute.ir_ok,
         "kkt_caps": brute.kkt_caps,
         "best_caps": brute.best_caps,
-    }
-    files = {"summary": "summary.json"}
-    if "json" in cfg.output.formats:
-        write_json(os.path.join(cfg.output.directory, "oracle_capmin.json"), capmin_report)
-        write_json(os.path.join(cfg.output.directory, "oracle_bruteforce.json"), brute_report)
-        files["oracle_capmin"] = "oracle_capmin.json"
-        files["oracle_bruteforce"] = "oracle_bruteforce.json"
+    })
     passed = capmin_report["passed"] and brute.passed
-    summary = {
-        "command": "oracle",
+    return {
         "passed": passed,
         "capmin_passed": capmin_report["passed"],
         "bruteforce_passed": brute.passed,
-        "files": files,
-    }
-    _emit(cfg.output.directory, "oracle", summary, quiet, started)
-    if not passed:
-        print("oracle: at least one oracle check failed", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    }, None if passed else "at least one oracle check failed"
 
 
 _COMMANDS = {
@@ -457,10 +411,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = load_config(args.config, {
+            ("simulation", "seed"): args.seed,
+            ("grid", "size"): args.grid,
+            ("output", "directory"): args.out,
+        })
         os.makedirs(cfg.output.directory, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.quiet, started)
+        out = _Artifacts(cfg.output)
+        fields, failure = _COMMANDS[args.command](cfg, out)
+        summary = out.summary(args.command, fields)
+        if not args.quiet:
+            _print_summary(args.command, summary, cfg.output.directory, started)
+        if failure is not None:
+            print(f"{args.command}: {failure}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        return EXIT_OK
     except ConfigError as exc:
         print(f"softbudget {args.command}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -13,33 +13,41 @@ A run is described by one JSON document with up to seven blocks::
       "output":       {"directory": "out", "formats": ["csv", "json"]}
     }
 
-``distribution``, ``cost``, and ``weights`` are required; the rest default
-as above.  The schema is strict: unknown keys anywhere are rejected, and
-every problem found is reported in a single aggregated error so a bad
-config never needs more than one round trip to fix.
+``distribution``, ``cost``, and ``weights`` are required.  A field left
+out of another block takes the default of its settings dataclass below
+(``m`` and ``chi`` that of :class:`PolicyPrimitives`), which names the
+library's own default where there is one: the grid's tail mass is
+``DEFAULT_TAIL_MASS`` (1e-10) unless a ``truncation_quantile`` q sets it
+to ``1 - q``.  The schema is strict:
+unknown and repeated keys are rejected, and every problem found is reported
+in a single aggregated error so a bad config never needs more than one
+round trip to fix.
 
-Distribution kinds: ``weibull`` (shape, scale), ``exponential`` (rate),
-``uniform`` (lower, upper), ``tabulated`` (theta, density),
-``truncated`` (base, lower, upper) with a weibull, exponential or uniform
-base, ``point`` (value).  Cost kinds:
-``quadratic`` (alpha, kappa) and ``tabulated`` (payout, marginal).
-``omega_b`` is a number or a table {"theta": [...], "value": [...]}.
+The kinds of ``distribution`` and ``cost`` are the keys of ``_DISTRIBUTIONS``
+and ``_COSTS``; each maps to its constructor and the fields passed to it in
+order.  A ``truncated`` distribution's ``base`` is a nested distribution
+block (a weibull, exponential or uniform one).  ``omega_b`` is a number or
+a table {"theta": [...], "value": [...]}.
 
 Size fields are bounded so that a typo cannot ask for arrays beyond
 memory: ``grid.size`` lies in [17, 16777217] (2**24 + 1 nodes),
 ``simulation.n`` in [1000, 100000000] and ``simulation.bins`` in
-[2, 100000].
+[2, 100000].  ``load_config`` writes command-line overrides into the
+document before validation, so a flag is checked as the field it sets.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from .costs import QuadraticCost, RescueCost, TabulatedCost
+from .discretion import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .distributions import (
+    MAX_SEED,
     Exponential,
     PointMass,
     Tabulated,
@@ -49,44 +57,57 @@ from .distributions import (
     Weibull,
 )
 from .errors import ConfigError, ParameterError, SoftBudgetError
+from .mechanism import DEFAULT_GRID_SIZE, DEFAULT_TAIL_MASS
 from .primitives import PolicyPrimitives, WeightCurve
+from .simulation import DEFAULT_BINS, MIN_SAMPLES
 
 __all__ = ["DiscretionSettings", "SimulationSettings", "GridSettings", "OutputSettings", "RunConfig", "load_config", "parse_config"]
 
-DEFAULT_TRUNCATION_QUANTILE = 1.0 - 1e-10
 MAX_GRID_SIZE = 2**24 + 1
 MAX_SAMPLES = 100_000_000
 MAX_BINS = 100_000
+_FORMATS = ("csv", "json")
+
+# kind -> (constructor, (field, type), ...); a dict field is a nested block of
+# the same table, a list field a list of finite numbers
+_DISTRIBUTIONS = {
+    "weibull": (Weibull, ("shape", float), ("scale", float)),
+    "exponential": (Exponential, ("rate", float)),
+    "uniform": (Uniform, ("lower", float), ("upper", float)),
+    "tabulated": (Tabulated, ("theta", list), ("density", list)),
+    "truncated": (Truncated, ("base", dict), ("lower", float), ("upper", float)),
+    "point": (PointMass, ("value", float)),
+}
+_COSTS = {
+    "quadratic": (QuadraticCost, ("alpha", float), ("kappa", float)),
+    "tabulated": (TabulatedCost, ("payout", list), ("marginal", list)),
+}
 
 
 @dataclass(frozen=True)
 class DiscretionSettings:
     enabled: bool = False
-    tol: float = 1e-8
-    max_iter: int = 1000
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
 
 
 @dataclass(frozen=True)
 class SimulationSettings:
     n: int = 200_000
     seed: int = 12345
-    bins: int = 30
+    bins: int = DEFAULT_BINS
 
 
 @dataclass(frozen=True)
 class GridSettings:
-    size: int = 4097
-    truncation_quantile: float = DEFAULT_TRUNCATION_QUANTILE
-
-    @property
-    def tail_mass(self) -> float:
-        return 1.0 - self.truncation_quantile
+    size: int = DEFAULT_GRID_SIZE
+    tail_mass: float = DEFAULT_TAIL_MASS
 
 
 @dataclass(frozen=True)
 class OutputSettings:
     directory: str = "out"
-    formats: tuple = ("csv", "json")
+    formats: tuple = _FORMATS
 
 
 @dataclass(frozen=True)
@@ -102,6 +123,29 @@ class RunConfig:
     output: OutputSettings
 
 
+class _Object(dict):
+    """A parsed JSON object that remembers the keys it held more than once."""
+
+    duplicates: tuple = ()
+
+
+def _object(pairs: list) -> _Object:
+    obj = _Object(pairs)
+    if len(obj) < len(pairs):
+        obj.duplicates = tuple(sorted(key for key, count in Counter(k for k, _ in pairs).items() if count > 1))
+    return obj
+
+
+# JSON type each plain field kind accepts, and how a problem names it
+_EXPECTED = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "a boolean"),
+    str: (str, "a string"),
+    list: (list, "an array"),
+}
+
+
 class _Reader:
     """Tracks consumed keys and accumulates problems for one block."""
 
@@ -110,51 +154,45 @@ class _Reader:
         self.data = data
         self.problems = problems
         self.seen = set()
+        for key in getattr(data, "duplicates", ()):
+            self._note(key, "duplicate key")
 
     def _note(self, key: str, message: str):
         self.problems.append(f"{self.block}.{key}: {message}")
 
-    def take(self, key: str, kind, required: bool = False, default=None, check=None, describe: str = ""):
+    def take(self, key: str, kind, check=None, describe: str = "", required: bool = False):
+        """The value at ``key``, or None (noting why) when it is missing or invalid.
+
+        ``kind`` is a key of ``_EXPECTED``, ``None`` for any value, or a
+        function ``(reader, value)`` that reads the value and notes its own
+        problems.
+        """
         self.seen.add(key)
         if key not in self.data:
             if required:
                 self._note(key, "missing required field")
-            return default
+            return None
         value = self.data[key]
+        if kind is None:
+            return value
+        if kind not in _EXPECTED:
+            return kind(self, value)
+        types, name = _EXPECTED[kind]
+        if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+            self._note(key, f"expected {name}, got {type(value).__name__}")
+            return None
         if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                self._note(key, f"expected a number, got {type(value).__name__}")
-                return default
             value = _finite_float(value)
             if value is None:
                 self._note(key, "must be finite")
-                return default
-        elif kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                self._note(key, f"expected an integer, got {type(value).__name__}")
-                return default
-        elif kind is bool:
-            if not isinstance(value, bool):
-                self._note(key, f"expected a boolean, got {type(value).__name__}")
-                return default
-        elif kind is str:
-            if not isinstance(value, str):
-                self._note(key, f"expected a string, got {type(value).__name__}")
-                return default
-        elif kind is list:
-            if not isinstance(value, list):
-                self._note(key, f"expected an array, got {type(value).__name__}")
-                return default
-        elif kind is None:
-            pass
+                return None
         if check is not None and not check(value):
-            self._note(key, describe or "failed validation")
-            return default
+            self._note(key, describe)
+            return None
         return value
 
     def finish(self):
-        unknown = set(self.data) - self.seen
-        for key in sorted(unknown):
+        for key in sorted(set(self.data) - self.seen):
             self._note(key, "unknown key")
 
 
@@ -167,8 +205,8 @@ def _finite_float(value) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def _number_list(reader: _Reader, key: str, required: bool = True):
-    raw = reader.take(key, list, required=required)
+def _number_list(reader: _Reader, key: str):
+    raw = reader.take(key, list, required=True)
     if raw is None:
         return None
     out = []
@@ -181,94 +219,46 @@ def _number_list(reader: _Reader, key: str, required: bool = True):
     return out
 
 
-def _build_distribution(block: dict, problems: list) -> Optional[TypeDistribution]:
-    reader = _Reader("distribution", block, problems)
+def _build(block: str, kinds: dict, data, problems: list):
+    """The object a kind-table block describes, or None when it has problems.
+
+    Fields are read in table order and unknown keys reported before a
+    nested block is built, so its problems follow its parent's.  Data that
+    is not an object gives None; the caller reports it.
+    """
+    if not isinstance(data, dict):
+        return None
+    reader = _Reader(block, data, problems)
     kind = reader.take("kind", str, required=True)
-    built = None
+    if kind is not None and kind not in kinds:
+        problems.append(f"{block}.kind: unknown kind {kind!r}")
+    make, *fields = kinds.get(kind, (None,))
+    args = [_number_list(reader, key) if ftype is list
+            else reader.take(key, None if ftype is dict else ftype, required=True)
+            for key, ftype in fields]
+    reader.finish()
+    for i, (key, ftype) in enumerate(fields):
+        if ftype is dict and key in data:
+            if not isinstance(args[i], dict):
+                problems.append(f"{block}.{key}: expected an object")
+            args[i] = _build(block, kinds, args[i], problems)
+    if make is None or any(arg is None for arg in args):
+        return None
     try:
-        if kind == "weibull":
-            shape = reader.take("shape", float, required=True)
-            scale = reader.take("scale", float, required=True)
-            reader.finish()
-            if shape is not None and scale is not None:
-                built = Weibull(shape, scale)
-        elif kind == "exponential":
-            rate = reader.take("rate", float, required=True)
-            reader.finish()
-            if rate is not None:
-                built = Exponential(rate)
-        elif kind == "uniform":
-            lower = reader.take("lower", float, required=True)
-            upper = reader.take("upper", float, required=True)
-            reader.finish()
-            if lower is not None and upper is not None:
-                built = Uniform(lower, upper)
-        elif kind == "tabulated":
-            theta = _number_list(reader, "theta")
-            density = _number_list(reader, "density")
-            reader.finish()
-            if theta is not None and density is not None:
-                built = Tabulated(theta, density)
-        elif kind == "truncated":
-            base_block = reader.take("base", None, required=True)
-            lower = reader.take("lower", float, required=True)
-            upper = reader.take("upper", float, required=True)
-            reader.finish()
-            base = None
-            if isinstance(base_block, dict):
-                base = _build_distribution(base_block, problems)
-            elif base_block is not None:
-                problems.append("distribution.base: expected an object")
-            if base is not None and lower is not None and upper is not None:
-                built = Truncated(base, lower, upper)
-        elif kind == "point":
-            value = reader.take("value", float, required=True)
-            reader.finish()
-            if value is not None:
-                built = PointMass(value)
-        elif kind is not None:
-            problems.append(f"distribution.kind: unknown kind {kind!r}")
-            reader.finish()
-        else:
-            reader.finish()
+        return make(*args)
     except SoftBudgetError as exc:
-        problems.append(f"distribution: {exc}")
-    return built
+        problems.append(f"{block}: {exc}")
+        return None
 
 
-def _build_cost(block: dict, problems: list) -> Optional[RescueCost]:
-    reader = _Reader("cost", block, problems)
-    kind = reader.take("kind", str, required=True)
-    built = None
-    try:
-        if kind == "quadratic":
-            alpha = reader.take("alpha", float, required=True)
-            kappa = reader.take("kappa", float, required=True)
-            reader.finish()
-            if alpha is not None and kappa is not None:
-                built = QuadraticCost(alpha, kappa)
-        elif kind == "tabulated":
-            payout = _number_list(reader, "payout")
-            marginal = _number_list(reader, "marginal")
-            reader.finish()
-            if payout is not None and marginal is not None:
-                built = TabulatedCost(payout, marginal)
-        elif kind is not None:
-            problems.append(f"cost.kind: unknown kind {kind!r}")
-            reader.finish()
-        else:
-            reader.finish()
-    except SoftBudgetError as exc:
-        problems.append(f"cost: {exc}")
-    return built
-
-
-def _build_omega_b(value, problems: list):
+def _omega_b(reader: _Reader, value):
+    """A constant weight or a :class:`WeightCurve` table, as the ``omega_b`` field reads."""
+    problems = reader.problems
     if isinstance(value, dict):
-        reader = _Reader("weights.omega_b", value, problems)
-        theta = _number_list(reader, "theta")
-        vals = _number_list(reader, "value")
-        reader.finish()
+        table = _Reader("weights.omega_b", value, problems)
+        theta = _number_list(table, "theta")
+        vals = _number_list(table, "value")
+        table.finish()
         if theta is None or vals is None:
             return None
         try:
@@ -285,128 +275,106 @@ def _build_omega_b(value, problems: list):
     return number
 
 
+def _fields(document: dict, block: str, problems: list, *specs, required: bool = False) -> dict:
+    """The valid fields of ``block`` that are present, by key.
+
+    Each spec is ``(key, kind[, check, describe])`` for ``_Reader.take``; a
+    block that is absent or not an object (reported elsewhere) gives none.
+    """
+    data = document.get(block)
+    if not isinstance(data, dict):
+        return {}
+    reader = _Reader(block, data, problems)
+    values = {spec[0]: reader.take(*spec, required=required) for spec in specs}
+    reader.finish()
+    return {key: value for key, value in values.items() if value is not None}
+
+
+_BLOCKS = ("distribution", "cost", "weights", "discretion", "simulation", "grid", "output")
+_REQUIRED = _BLOCKS[:3]
+
+
 def parse_config(document: dict) -> RunConfig:
     """Validate a parsed JSON document and build all domain objects.
 
     Raises :class:`ConfigError` listing every problem found.
     """
-    problems: list = []
     if not isinstance(document, dict):
         raise ConfigError(["top level: expected a JSON object"])
-    known_blocks = {"distribution", "cost", "weights", "discretion", "simulation", "grid", "output"}
-    for key in sorted(set(document) - known_blocks):
+    problems = [f"{key}: duplicate key" for key in getattr(document, "duplicates", ())]
+    for key in sorted(set(document) - set(_BLOCKS)):
         problems.append(f"{key}: unknown block")
-    for block in ("distribution", "cost", "weights"):
+    for block in _BLOCKS:
         if block not in document:
-            problems.append(f"{block}: missing required block")
+            if block in _REQUIRED:
+                problems.append(f"{block}: missing required block")
         elif not isinstance(document[block], dict):
             problems.append(f"{block}: expected an object")
-    for block in ("discretion", "simulation", "grid", "output"):
-        if block in document and not isinstance(document[block], dict):
-            problems.append(f"{block}: expected an object")
-
-    dist = None
-    if isinstance(document.get("distribution"), dict):
-        dist = _build_distribution(document["distribution"], problems)
-    cost = None
-    if isinstance(document.get("cost"), dict):
-        cost = _build_cost(document["cost"], problems)
-
-    omega_T = omega_b = gamma = b_bar = None
-    if isinstance(document.get("weights"), dict):
-        reader = _Reader("weights", document["weights"], problems)
-        omega_T = reader.take("omega_T", float, required=True)
-        reader.seen.add("omega_b")
-        if "omega_b" in document["weights"]:
-            omega_b = _build_omega_b(document["weights"]["omega_b"], problems)
-        else:
-            problems.append("weights.omega_b: missing required field")
-        gamma = reader.take("gamma", float, required=True)
-        b_bar = reader.take("b_bar", float, required=True)
-        reader.finish()
-
-    m, chi = 0.0, 1.0
-    discretion = DiscretionSettings()
-    if isinstance(document.get("discretion"), dict):
-        reader = _Reader("discretion", document["discretion"], problems)
-        enabled = reader.take("enabled", bool, default=False)
-        m = reader.take("m", float, default=0.0)
-        chi = reader.take("chi", float, default=1.0)
-        tol = reader.take("tol", float, default=1e-8, check=lambda v: v > 0.0, describe="must be positive")
-        max_iter = reader.take("max_iter", int, default=1000, check=lambda v: v >= 1, describe="must be >= 1")
-        reader.finish()
-        discretion = DiscretionSettings(bool(enabled), float(tol), int(max_iter))
-
-    simulation = SimulationSettings()
-    if isinstance(document.get("simulation"), dict):
-        reader = _Reader("simulation", document["simulation"], problems)
-        n = reader.take(
-            "n", int, default=200_000, check=lambda v: 1000 <= v <= MAX_SAMPLES,
-            describe=f"must lie in [1000, {MAX_SAMPLES}]",
-        )
-        seed = reader.take("seed", int, default=12345, check=lambda v: 0 <= v < 2**64, describe="must fit in an unsigned 64-bit integer")
-        bins = reader.take(
-            "bins", int, default=30, check=lambda v: 2 <= v <= MAX_BINS, describe=f"must lie in [2, {MAX_BINS}]"
-        )
-        reader.finish()
-        simulation = SimulationSettings(int(n), int(seed), int(bins))
-
-    grid = GridSettings()
-    if isinstance(document.get("grid"), dict):
-        reader = _Reader("grid", document["grid"], problems)
-        size = reader.take(
-            "size", int, default=4097, check=lambda v: 17 <= v <= MAX_GRID_SIZE,
-            describe=f"must lie in [17, {MAX_GRID_SIZE}]",
-        )
-        quantile = reader.take(
-            "truncation_quantile", float, default=DEFAULT_TRUNCATION_QUANTILE,
-            check=lambda v: 0.5 < v < 1.0, describe="must lie in (0.5, 1)",
-        )
-        reader.finish()
-        grid = GridSettings(int(size), float(quantile))
-
-    output = OutputSettings()
-    if isinstance(document.get("output"), dict):
-        reader = _Reader("output", document["output"], problems)
-        directory = reader.take("directory", str, default="out", check=lambda v: len(v) > 0, describe="must be nonempty")
-        formats = reader.take("formats", list, default=["csv", "json"])
-        reader.finish()
-        fmts = []
-        for i, fmt in enumerate(formats if isinstance(formats, list) else []):
-            if fmt not in ("csv", "json"):
-                problems.append(f"output.formats: element {i} must be 'csv' or 'json'")
-            else:
-                fmts.append(fmt)
-        if isinstance(formats, list) and not formats:
+    dist = _build("distribution", _DISTRIBUTIONS, document.get("distribution"), problems)
+    cost = _build("cost", _COSTS, document.get("cost"), problems)
+    weights = _fields(document, "weights", problems,
+                      ("omega_T", float), ("omega_b", _omega_b), ("gamma", float), ("b_bar", float), required=True)
+    discretion = _fields(
+        document, "discretion", problems,
+        ("enabled", bool), ("m", float), ("chi", float),
+        ("tol", float, lambda v: v > 0.0, "must be positive"),
+        ("max_iter", int, lambda v: v >= 1, "must be >= 1"),
+    )
+    behaviour = {key: discretion.pop(key) for key in ("m", "chi") if key in discretion}
+    simulation = _fields(
+        document, "simulation", problems,
+        ("n", int, lambda v: MIN_SAMPLES <= v <= MAX_SAMPLES, f"must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}]"),
+        ("seed", int, lambda v: 0 <= v <= MAX_SEED, "must fit in an unsigned 64-bit integer"),
+        ("bins", int, lambda v: 2 <= v <= MAX_BINS, f"must lie in [2, {MAX_BINS}]"),
+    )
+    grid = _fields(
+        document, "grid", problems,
+        ("size", int, lambda v: 17 <= v <= MAX_GRID_SIZE, f"must lie in [17, {MAX_GRID_SIZE}]"),
+        ("truncation_quantile", float, lambda v: 0.5 < v < 1.0, "must lie in (0.5, 1)"),
+    )
+    if "truncation_quantile" in grid:
+        grid["tail_mass"] = 1.0 - grid.pop("truncation_quantile")
+    output = _fields(document, "output", problems,
+                     ("directory", str, lambda v: len(v) > 0, "must be nonempty"), ("formats", list))
+    if "formats" in output:
+        formats = output["formats"]
+        problems += [f"output.formats: element {i} must be 'csv' or 'json'"
+                     for i, fmt in enumerate(formats) if fmt not in _FORMATS]
+        if not formats:
             problems.append("output.formats: must not be empty")
-        output = OutputSettings(str(directory), tuple(dict.fromkeys(fmts)) or ("csv", "json"))
+        output["formats"] = tuple(dict.fromkeys(fmt for fmt in formats if fmt in _FORMATS))
 
-    prim = None
-    if not problems and None not in (omega_T, omega_b, gamma, b_bar):
+    if not problems:
         try:
-            prim = PolicyPrimitives(omega_T=omega_T, omega_b=omega_b, gamma=gamma, b_bar=b_bar, m=m, chi=chi)
+            prim = PolicyPrimitives(**weights, **behaviour)
         except ParameterError as exc:
             problems.append(f"weights/discretion: {exc}")
-
     if problems:
         raise ConfigError(problems)
-    if dist is None or cost is None or prim is None:  # pragma: no cover - guarded above
-        raise ConfigError(["configuration incomplete despite passing field validation"])
     return RunConfig(
         dist=dist, cost=cost, prim=prim,
-        discretion=discretion, simulation=simulation, grid=grid, output=output,
+        discretion=DiscretionSettings(**discretion), simulation=SimulationSettings(**simulation),
+        grid=GridSettings(**grid), output=OutputSettings(**output),
     )
 
 
-def load_config(path: str) -> RunConfig:
-    """Read, parse, and validate a JSON config file."""
+def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
+    """Read, parse, and validate a JSON config file.
+
+    ``overrides`` maps ``(block, key)`` to a value written into the document
+    before validation (a None value writes nothing), so an override is
+    checked, and reported, as the field it sets.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ConfigError([f"{path}: not valid UTF-8 ({exc})"]) from exc
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(text, object_pairs_hook=_object)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
+    for (block, key), value in (overrides or {}).items():
+        if value is not None and isinstance(document, dict) and isinstance(document.setdefault(block, {}), dict):
+            document[block][key] = value
     return parse_config(document)

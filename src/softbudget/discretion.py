@@ -46,6 +46,9 @@ __all__ = [
 THRESHOLD = "threshold"
 THRESHOLD_LINEAR_CAP = "threshold-linear-cap"
 
+DEFAULT_TOL = 1e-8
+DEFAULT_MAX_ITER = 1000
+
 
 @dataclass(frozen=True)
 class SignalRule:
@@ -149,8 +152,8 @@ def interior_probability(cap: CapSchedule, dist: TypeDistribution) -> float:
 def fixed_point(
     curve: VirtualWeightCurve,
     cost: RescueCost,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> DiscretionSolution:
     """Iterate lambda -> omega_T - omega_b*m*P_int(lambda) to a fixed point.
 

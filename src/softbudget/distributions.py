@@ -59,7 +59,7 @@ __all__ = [
 # processes cannot change the merged output.
 SAMPLE_BLOCK = 65_536
 
-_MAX_SEED = 2**64 - 1
+MAX_SEED = 2**64 - 1
 
 
 def _aligned(theta):
@@ -150,7 +150,7 @@ class TypeDistribution:
 
     # -- grids ----------------------------------------------------------
 
-    def grid(self, size: int = 4097, tail_mass: float = 1e-10) -> np.ndarray:
+    def grid(self, size: int, tail_mass: float) -> np.ndarray:
         """Uniform evaluation grid on the truncated support.
 
         The upper end sits at the ``1 - tail_mass`` quantile so hazards stay
@@ -545,7 +545,7 @@ class PointMass(TypeDistribution):
     def hazard(self, theta):
         raise ParameterError("hazard undefined for degenerate (point-mass) supports")
 
-    def grid(self, size: int = 4097, tail_mass: float = 1e-10) -> np.ndarray:
+    def grid(self, size: int, tail_mass: float) -> np.ndarray:
         return np.array([self.value])
 
 
@@ -568,7 +568,7 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError("sample size must be a positive integer")
-    if not isinstance(seed, (int, np.integer)) or not (0 <= int(seed) <= _MAX_SEED):
+    if not isinstance(seed, (int, np.integer)) or not (0 <= int(seed) <= MAX_SEED):
         raise ParameterError("seed must be an unsigned 64-bit integer")
     out = np.empty(int(n), dtype=float)
     for j in range((int(n) + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK):

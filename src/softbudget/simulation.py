@@ -66,6 +66,9 @@ __all__ = [
     "welfare_bruteforce",
 ]
 
+DEFAULT_BINS = 30
+MIN_SAMPLES = 1000
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo verification of the cap schedule
@@ -97,7 +100,7 @@ class MCReport:
     schedule: CapSchedule = field(repr=False)
 
 
-def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins: int = 30) -> MCReport:
+def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins: int = DEFAULT_BINS) -> MCReport:
     """Sample types, evaluate the optimal cap at each, and summarize.
 
     The schedule is solved on ``curve``, and the types are drawn from its
@@ -122,8 +125,8 @@ def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins:
     No array of the sample's size other than the types themselves is
     held.
     """
-    if n < 1000:
-        raise ParameterError("mc_run needs n >= 1000 for cutoff estimation")
+    if n < MIN_SAMPLES:
+        raise ParameterError(f"mc_run needs n >= {MIN_SAMPLES} for cutoff estimation")
     if bins < 2:
         raise ParameterError("mc_run needs at least 2 bins")
     dist, prim = curve.dist, curve.prim

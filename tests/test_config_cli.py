@@ -13,10 +13,15 @@ from softbudget import (
     QuadraticCost,
     WeightCurve,
     Weibull,
+    load_config,
     parse_config,
+    solve_cap,
+    virtual_weight,
 )
 from softbudget.cli import _statics_failures, main
-from softbudget.config import MAX_BINS, MAX_GRID_SIZE, MAX_SAMPLES
+from softbudget.config import _COSTS, _DISTRIBUTIONS, MAX_BINS, MAX_GRID_SIZE, MAX_SAMPLES
+from softbudget.mechanism import DEFAULT_TAIL_MASS
+from softbudget.reporting import format_float
 from softbudget.statics import StaticsReport, StaticsRow
 from conftest import BENCH, as_floats, read_csv_columns
 
@@ -142,6 +147,16 @@ def test_readme_config_example_parses():
     assert cfg.discretion.enabled and cfg.output.formats == ("csv", "json")
 
 
+def test_readme_names_every_kind_and_field():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for lead, table in (("Distribution kinds:", _DISTRIBUTIONS), ("Cost kinds:", _COSTS)):
+        start = text.index(lead)
+        sentence = text[start : text.index(". ", start)]
+        named = {kind: tuple(f.strip() for f in fields.split(","))
+                 for kind, fields in re.findall(r"`(\w+)\(([\w, ]*)\)`", sentence)}
+        assert named == {kind: tuple(key for key, _ in fields) for kind, (_, *fields) in table.items()}
+
+
 def test_readme_library_example_runs(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
     assert len(blocks) == 1
@@ -227,6 +242,88 @@ def test_cli_grid_flag_upper_bound(tmp_path, capsys):
     for value in (MAX_GRID_SIZE + 1, 10**30):
         assert run_cli("knife-edge", "--config", path, "--grid", str(value)) == 1
         assert f"grid.size: must lie in [17, {MAX_GRID_SIZE}]" in capsys.readouterr().err
+
+
+def test_default_tail_mass_is_the_librarys(tmp_path):
+    assert parse_config(make_doc()).grid.tail_mass == DEFAULT_TAIL_MASS
+    assert parse_config(make_doc(grid={"truncation_quantile": 0.99999})).grid.tail_mass == 1.0 - 0.99999
+    # a decreasing-hazard Weibull starts its grid at the tail-mass quantile,
+    # so the CLI and the library solve on one grid only if they share it
+    out = tmp_path / "run"
+    doc = make_doc(distribution={"kind": "weibull", "shape": 0.7, "scale": 1.0}, output={"directory": str(out)})
+    assert run_cli("solve", "--config", write_doc(tmp_path, doc), "--quiet") == 0
+    prim = parse_config(doc).prim
+    sched = solve_cap(virtual_weight(Weibull(0.7, 1.0), prim, prim.omega_T), QuadraticCost(0.2, 1.0), prim.b_bar)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["theta_min"] == float(format_float(sched.theta_min))
+
+
+def test_duplicate_keys_are_reported_with_the_other_problems(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(
+        '{"distribution": {"kind": "weibull", "shape": 2.0, "scale": 1.0, "shape": 3.0},'
+        ' "cost": {"kind": "quadratic", "alpha": 0.2, "kappa": 1.0},'
+        ' "weights": {"omega_T": 1.0, "omega_b": {"theta": [0, 1], "theta": [0, 2], "value": [0.5, 0.9]},'
+        ' "gamma": 1.0, "b_bar": 0.8, "b_bar": 0.5, "b_bar": 0.4},'
+        ' "grid": {"size": 33}, "grid": {"size": 65}, "simulation": {"n": 10}}'
+    )
+    expected = [
+        "grid: duplicate key",
+        "distribution.shape: duplicate key",
+        "weights.b_bar: duplicate key",
+        "weights.omega_b.theta: duplicate key",
+        "simulation.n: must lie in [1000, 100000000]",
+    ]
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.problems == expected
+    assert run_cli("solve", "--config", str(path)) == 1
+    assert capsys.readouterr().err.endswith("".join(f"  - {problem}\n" for problem in expected))
+
+
+def test_deeply_nested_config_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert run_cli("solve", "--config", str(path)) == 1
+    assert f"{path}: not valid JSON (" in capsys.readouterr().err
+
+
+def test_null_truncated_base_is_reported():
+    doc = make_doc(distribution={"kind": "truncated", "base": None, "lower": 0.1, "upper": 1.0})
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.problems == ["distribution.base: expected an object"]
+
+
+# -- CLI flags -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag,value,problem", [
+    ("--out", "", "output.directory: must be nonempty"),
+    ("--seed", "-4", "simulation.seed: must fit in an unsigned 64-bit integer"),
+    ("--seed", str(2**64), "simulation.seed: must fit in an unsigned 64-bit integer"),
+    ("--grid", "3", f"grid.size: must lie in [17, {MAX_GRID_SIZE}]"),
+], ids=["out-empty", "seed-negative", "seed-2**64", "grid-3"])
+def test_cli_flags_are_validated_as_config_fields(flag, value, problem, tmp_path, capsys):
+    path = write_doc(tmp_path, make_doc(output={"directory": str(tmp_path / "run")}))
+    assert run_cli("solve", "--config", path, flag, value) == 1
+    assert capsys.readouterr().err == f"softbudget solve: invalid configuration (1 problem(s)):\n  - {problem}\n"
+
+
+def test_cli_valid_flags_replace_invalid_file_values(tmp_path):
+    doc = make_doc(simulation={"n": 5000, "seed": -1, "bins": 10}, grid={"size": 3}, output={"directory": ""})
+    path = write_doc(tmp_path, doc)
+    assert run_cli("simulate", "--config", path, "--quiet") == 1
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", path, "--seed", "9", "--grid", "257", "--out", str(out), "--quiet") == 0
+    assert json.loads((out / "mc_report.json").read_text())["seed"] == 9
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--grid"])
+def test_cli_non_integer_flag_is_a_usage_error(flag, tmp_path, capsys):
+    path = write_doc(tmp_path, make_doc())
+    assert run_cli("solve", "--config", path, flag, "x") == 1
+    assert f"error: argument {flag}: invalid int value: 'x'" in capsys.readouterr().err
 
 
 # -- CLI exit codes --------------------------------------------------------------

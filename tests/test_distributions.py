@@ -213,7 +213,7 @@ def test_grid_truncates_tail():
     h = dist.hazard(g)
     assert np.all(np.isfinite(h))
     with pytest.raises(ParameterError):
-        dist.grid(1)
+        dist.grid(1, 1e-10)
     with pytest.raises(ParameterError):
         dist.grid(100, tail_mass=0.7)
 
