@@ -280,19 +280,9 @@ def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
         rows.extend(m_report.rows)
         chain_gap = m_report.chain_gap
 
-    out.csv(
-        "statics",
-        ["partial", "analytic", "finite_difference", "rel_error", "sign_expected", "sign_ok", "flag"],
-        [
-            [r.partial for r in rows],
-            [r.analytic for r in rows],
-            [r.finite_difference for r in rows],
-            [r.rel_error for r in rows],
-            [r.sign_expected for r in rows],
-            [r.sign_ok for r in rows],
-            [r.flag for r in rows],
-        ],
-    )
+    # one column per StaticsRow field, named as the field
+    header = ["partial", "analytic", "finite_difference", "rel_error", "sign_expected", "sign_ok", "flag"]
+    out.csv("statics", header, [[getattr(r, name) for r in rows] for name in header])
     failures = _statics_failures(report, m_report)
     return {
         "lambda_T": report.lambda_T,
