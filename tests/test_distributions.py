@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -250,3 +251,125 @@ def test_ppf_cdf_roundtrip_uniform(u, lo, width):
 def test_ppf_cdf_roundtrip_tabulated(u):
     dist = bimodal_tabulated()
     assert abs(float(dist.cdf(dist.ppf(u))) - u) <= 1e-9
+
+
+# Every evaluator of every continuous kind, pinned by digest on fixed points.
+PINNED = {
+    "weibull": Weibull(2.0, 1.0),
+    "weibull-dfr": Weibull(0.7, 2.0),
+    "exponential": Exponential(1.3),
+    "uniform": Uniform(0.25, 1.75),
+    "truncated": Truncated(Weibull(2.0, 1.0), 0.2, 1.4),
+    "tabulated": irregular_tabulated(),
+}
+
+# SHA-256 of the array result on the points, then of one scalar call per 16th point
+PINNED_DIGESTS = {
+    "weibull": {
+        "pdf": "b161f1298a4217363e60436f74fec43da0e32634cd9cd42920c57053c16d28c0",
+        "cdf": "0e17a104aa174d338e605cf668517416f14fb762ebfa3cfbb7cd08c2d96df2df",
+        "survivor": "2714329cd451e7d5f07ce90d8812efddbb0c3e7008b603b3c4e93373e96db8ef",
+        "ppf": "0c92d8128dffa133e6b681be1f52b14df0c12bb132a610fea66c07b3cdcaf01e",
+        "hazard": "3fa841081cd853f65551992ebea1233cbc5cf54a18c8f872a6d514c51f5a8fcc",
+        "hazard_slope": "33b77a21e8efcd994d3e2add7fe7740543f0d8df758a657b5e704adf7de6a481",
+    },
+    "weibull-dfr": {
+        "pdf": "21daef6f117fe2c12e5feb9ca0ad48a19931b20deafaf57e5ff37b6d6a83de05",
+        "cdf": "353ecb9a02dfff67a843cb796ca2b49714c34deaa5b152ed246572b950cc554f",
+        "survivor": "acfdff56226282d5f97d75487b991c7a5e59d2e03d97f755fce01e11619f0efd",
+        "ppf": "34073720028b7db85f484ed48fe857b018a60ca7f6d7f411046d176530229825",
+        "hazard": "a957b9c6515e4732aa82d0a61f886d045dcf1fc6fb98fbd60efdccb2c5c19d04",
+        "hazard_slope": "29c40e56b27926f276d5aad59639f29c75ed7e74852081bdb71394492a98cb4e",
+    },
+    "exponential": {
+        "pdf": "6b4fc94d69287f8b8f7b24caf5a015089d5f9848b25aa4a616a5f540cd41a937",
+        "cdf": "1206bbb2d7c8c449a71da522d1cfdf8fc86bafaab35ed894360b421458555256",
+        "survivor": "d7c23ecd02dd185e00b0cc645c96dc7caf2a77d5cd0704f350732a2b39b7f136",
+        "ppf": "ea8c7bed96caa3054681594761f52fbd6dd9de6a5fe0c5fa520254cdfb81c24d",
+        "hazard": "ba4088e466becaa44262ee8d5a97070da40d121b6953842de3e4681b9dc93bcc",
+        "hazard_slope": "fda84991ef0af11f9dc37593fb262f63bb130cdc82f8dee61fa1385996ff052d",
+    },
+    "uniform": {
+        "pdf": "914abade91b747e28851c89cb6728f65f7f7fb333196efa8f9be4b9f61888cc4",
+        "cdf": "439e014b0072821aa9451a48ff78e405764c3267e34f3a2db972f1c1f4198302",
+        "survivor": "7181892ae405717970bb6b531bc5db0246a294febde18b6c743a9cc5866481d1",
+        "ppf": "9d90034a85de8d594a68275b2f4a47943de2b02655da1067bce2937699f4caea",
+        "hazard": "c324f77d8e98efa7218d40d9e52223a326792c78cf780e9384b12fba4b0cee7b",
+        "hazard_slope": "726cf7d983a69ef2bbe09f1e19d53f0f93a08b32c2bbfdb953ca66218c9f75b6",
+    },
+    "truncated": {
+        "pdf": "1d9284c4a035017f558d648d25956fdfebbb133af5a8e98b9ed7bd3be492c062",
+        "cdf": "152464b87145605db2cbffdb1b29c0bbd380ddefa9ddfcc67eab06e14bebb0f5",
+        "survivor": "e9fa66f41ab277e8635dd15d1e3444715d277cbd731e02eaaed5aeedc4da0b65",
+        "ppf": "6c6b179ff99a2fed25d2173a80aa53eb38dbd6eb635058808683f3dfaf8e9093",
+        "hazard": "93a2eb1fd3492dabd1ea16f3b31d760ba0b1dfb3741d49cfb947e4843621306b",
+        "hazard_slope": "7832b4793d5f6b34142fbce73f2122be57bd52d24310ccb5021a8d9a8293c21c",
+    },
+    "tabulated": {
+        "pdf": "d43e6e09f3451fa19afe75ab8c81117e13280e02ed37468eca6fbd22d836944d",
+        "cdf": "d207f7e1b70256e135ca3a5ced8ed75c8b647b647d97e144f1627188c0d4e12c",
+        "survivor": "3e108b94183451616826f2a3768f1377b8561f552c40e405b546e14218936889",
+        "ppf": "c4360122d1b4a67123e879fcf768016e37f39c334492f6a8afaf38659819a1a0",
+        "hazard": "cc8f82b99ec53e11ffb0c8ca6cf2d1c5ab9f2a771010f94f7f41c3c382c4ec40",
+        "hazard_slope": "d8805a58d691ec340f2c846e0972b39d0f362f0a1b2eaaac28fd22de1f6eab70",
+    },
+}
+
+
+def evaluator_points(dist):
+    """Points for each evaluator: pdf, cdf and survivor also outside the support."""
+    lo, hi = dist.support
+    top = hi if math.isfinite(hi) else float(dist.ppf(1.0 - 1e-12))
+    edges = np.array([lo, hi] if math.isfinite(hi) else [lo])
+    wide = np.concatenate([
+        np.linspace(lo - 0.5, top + 0.5, 301),
+        np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf),
+    ])
+    u = np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], [1.0 - 1e-12, np.nextafter(1.0, 0.0)]])
+    grid = dist.grid(257, 1e-9)
+    extra = np.random.default_rng(9).uniform(grid[0], grid[-1], 64)
+    inner = np.concatenate([grid[1:-1], extra])  # the stencil stays inside the support
+    return {"pdf": wide, "cdf": wide, "survivor": wide, "ppf": u,
+            "hazard": np.concatenate([grid, extra]), "hazard_slope": inner}
+
+
+def evaluator_digests(dist):
+    digests = {}
+    for name, pts in evaluator_points(dist).items():
+        evaluate = getattr(dist, name)
+        scalars = np.array([evaluate(float(x)) for x in pts[::16]])
+        digests[name] = hashlib.sha256(evaluate(pts).tobytes() + scalars.tobytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_evaluators_are_pinned(name):
+    assert evaluator_digests(PINNED[name]) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_evaluator_contract(name):
+    dist = PINNED[name]
+    lo, hi = dist.support
+    mid = dist.ppf(0.5)
+    block = dist.ppf(np.linspace(0.2, 0.8, 6).reshape(2, 3))
+    args = {"ppf": (0.5, np.linspace(0.2, 0.8, 6).reshape(2, 3))}
+    for evaluator in ("pdf", "cdf", "survivor", "ppf", "hazard", "hazard_slope"):
+        scalar, array = args.get(evaluator, (mid, block))
+        evaluate = getattr(dist, evaluator)
+        assert type(evaluate(scalar)) is float and type(evaluate(np.float64(scalar))) is float
+        out = evaluate(array)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (2, 3)
+    for u in (-1e-12, 1.0, 1.5, [0.5, 1.0]):
+        with pytest.raises(DomainError):
+            dist.ppf(u)
+    outside = [lo - 1e-9, [mid, lo - 1.0]] + ([hi + 1e-9] if math.isfinite(hi) else [])
+    for point in outside:
+        with pytest.raises(DomainError) as raised:
+            dist.hazard(point)
+        assert raised.type is DomainError
+    divergent = {"uniform": hi, "truncated": hi, "tabulated": hi, "weibull-dfr": 0.0}
+    if name in divergent:
+        for point in (divergent[name], [mid, divergent[name]]):
+            with pytest.raises(UpperSupportError):
+                dist.hazard(point)
