@@ -6,7 +6,10 @@ Prints the seven analytic partial derivatives of the benchmark solution
 central-difference counterparts and relative errors, then differentiates
 the discretionary fixed point in the signal slope m.  Clean rows certify
 the implicit-function formulas; flagged rows mark parameter points where
-a partial is not identified (regime boundary, no interior cutoff).
+a partial is not identified (regime boundary, no interior cutoff).  Exits 2,
+naming each failed check on stderr, when the verdict of the ``statics``
+command fails: the worst unflagged relative error above STATICS_REL_TOL, a
+wrong sign, or a chain-rule gap above CHAIN_GAP_TOL.
 """
 
 import argparse
@@ -20,6 +23,7 @@ from softbudget import (
     m_sensitivity,
     virtual_weight,
 )
+from softbudget.statics import statics_failures
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,12 +66,16 @@ def main(argv=None) -> int:
         f"max rel error={report.max_rel_error:.2e}  all_ok={report.all_ok}"
     )
 
+    sens = None
     if not args.skip_discretion:
         sens = m_sensitivity(commitment, cost, step=args.step)
         print()
         print_rows(sens, "sensitivity to the signal slope m through the fixed point")
         print(f"chain-rule gap={sens.chain_gap:.2e}  all_ok={sens.all_ok}")
-    return 0 if report.all_ok else 2
+    failures = statics_failures(report, sens)
+    if failures:
+        print("certification failed: " + "; ".join(failures), file=sys.stderr)
+    return 2 if failures else 0
 
 
 if __name__ == "__main__":

@@ -10,25 +10,9 @@ everything by Monte Carlo and brute-force oracles.  A config-driven CLI
 (``softbudget``) emits machine-readable CSV/JSON artifacts.
 """
 
-from .config import (
-    DiscretionSettings,
-    GridSettings,
-    OutputSettings,
-    RunConfig,
-    SimulationSettings,
-    load_config,
-    parse_config,
-)
-from .costs import InverseMarginal, QuadraticCost, RescueCost, TabulatedCost
-from .discretion import (
-    THRESHOLD,
-    THRESHOLD_LINEAR_CAP,
-    DiscretionSolution,
-    SignalRule,
-    effective_lambda,
-    fixed_point,
-    interior_probability,
-)
+from .config import load_config, parse_config
+from .costs import QuadraticCost, TabulatedCost
+from .discretion import SignalRule, effective_lambda, fixed_point, interior_probability
 from .distributions import (
     Exponential,
     PointMass,
@@ -53,10 +37,6 @@ from .errors import (
 )
 from .mechanism import (
     CapSchedule,
-    KnifeEdgeReport,
-    TransferSchedule,
-    VirtualWeightCurve,
-    caps_from_targets,
     iron_weights,
     knife_edge,
     leader_cost,
@@ -66,11 +46,6 @@ from .mechanism import (
 )
 from .primitives import PolicyPrimitives, WeightCurve
 from .simulation import (
-    BruteForceReport,
-    CapMinReport,
-    EffortSolution,
-    MCReport,
-    PayoutResult,
     RevenueModel,
     capmin_oracle,
     gap_density_at_rule,
@@ -79,7 +54,7 @@ from .simulation import (
     solve_effort,
     welfare_bruteforce,
 )
-from .statics import StaticsReport, StaticsRow, analytic_partials, fd_certify, m_sensitivity
+from .statics import analytic_partials, fd_certify, m_sensitivity
 
 __version__ = "0.1.0"
 
@@ -89,23 +64,19 @@ __all__ = [
     "TypeDistribution", "Weibull", "Exponential", "Uniform", "Truncated", "Tabulated", "PointMass",
     "sample_types", "uniform_stream",
     # costs
-    "RescueCost", "QuadraticCost", "TabulatedCost", "InverseMarginal",
+    "QuadraticCost", "TabulatedCost",
     # primitives
     "PolicyPrimitives", "WeightCurve",
     # mechanism
-    "VirtualWeightCurve", "CapSchedule", "TransferSchedule", "KnifeEdgeReport",
-    "virtual_weight", "iron_weights", "caps_from_targets", "solve_cap",
-    "knife_edge", "transfer_schedule", "leader_cost",
+    "CapSchedule", "virtual_weight", "iron_weights", "solve_cap", "knife_edge", "transfer_schedule", "leader_cost",
     # discretion
-    "SignalRule", "DiscretionSolution", "THRESHOLD", "THRESHOLD_LINEAR_CAP",
-    "effective_lambda", "interior_probability", "fixed_point",
+    "SignalRule", "effective_lambda", "interior_probability", "fixed_point",
     # statics
-    "StaticsRow", "StaticsReport", "analytic_partials", "fd_certify", "m_sensitivity",
+    "analytic_partials", "fd_certify", "m_sensitivity",
     # simulation
-    "MCReport", "PayoutResult", "RevenueModel", "EffortSolution", "CapMinReport", "BruteForceReport",
-    "mc_run", "simulate_payout", "gap_density_at_rule", "solve_effort", "capmin_oracle", "welfare_bruteforce",
+    "RevenueModel", "mc_run", "simulate_payout", "gap_density_at_rule", "solve_effort", "capmin_oracle",
+    "welfare_bruteforce",
     # config
-    "RunConfig", "DiscretionSettings", "SimulationSettings", "GridSettings", "OutputSettings",
     "parse_config", "load_config",
     # errors
     "SoftBudgetError", "ParameterError", "DomainError", "UpperSupportError", "GridMismatchError",

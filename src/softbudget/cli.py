@@ -49,7 +49,7 @@ from .errors import (
 from .mechanism import VirtualWeightCurve, knife_edge, leader_cost, solve_cap, transfer_schedule, virtual_weight
 from .reporting import format_float, write_csv, write_csvs, write_json
 from .simulation import capmin_oracle, mc_run, welfare_bruteforce
-from .statics import FLAG_OK, StaticsReport, fd_certify, m_sensitivity
+from .statics import fd_certify, m_sensitivity, statics_failures
 
 __all__ = ["main"]
 
@@ -57,9 +57,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
-
-STATICS_REL_TOL = 1e-4
-CHAIN_GAP_TOL = 1e-3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,27 +244,6 @@ def _cmd_discretion(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str
     return fragment, None if sol.converged else "fixed point did not converge"
 
 
-def _statics_failures(report: StaticsReport, m_report: Optional[StaticsReport]) -> list[str]:
-    """One phrase per failed certification check; empty when every check passes.
-
-    The worst unflagged relative error of ``report`` must be within
-    STATICS_REL_TOL, every unflagged row of both reports must have its
-    expected sign, and the fixed point's chain gap must be within
-    CHAIN_GAP_TOL.
-    """
-    failures = []
-    worst = report.max_rel_error
-    if worst > STATICS_REL_TOL:
-        name = next(r.partial for r in report.rows if r.flag == FLAG_OK and r.rel_error == worst)
-        failures.append(f"{name} rel_error {worst:.3e} > STATICS_REL_TOL {STATICS_REL_TOL:g}")
-    reports = [report] if m_report is None else [report, m_report]
-    failures += [f"{r.partial} has the wrong sign (expected {r.sign_expected:+d})"
-                 for rep in reports for r in rep.rows if r.flag == FLAG_OK and not r.sign_ok]
-    if m_report is not None and not m_report.chain_gap <= CHAIN_GAP_TOL:
-        failures.append(f"chain_gap {m_report.chain_gap:.3e} > CHAIN_GAP_TOL {CHAIN_GAP_TOL:g}")
-    return failures
-
-
 def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     # both certifications start from the commitment curve
     commitment = _commitment(cfg)
@@ -283,7 +259,7 @@ def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     # one column per StaticsRow field, named as the field
     header = ["partial", "analytic", "finite_difference", "rel_error", "sign_expected", "sign_ok", "flag"]
     out.csv("statics", header, [[getattr(r, name) for r in rows] for name in header])
-    failures = _statics_failures(report, m_report)
+    failures = statics_failures(report, m_report)
     return {
         "lambda_T": report.lambda_T,
         "theta_min": report.theta_min,

@@ -11,6 +11,19 @@ CDF, survival function, quantile function, hazard, and hazard slope.  The
 survival function is always computed directly rather than as ``1 - cdf`` so
 hazards stay accurate deep into the upper tail.
 
+Evaluation protocol
+-------------------
+A kind writes only its formulas on float arrays: ``_pdf``, ``_cdf``,
+``_survivor``, ``_ppf``, and ``_hazard`` or ``_hazard_slope`` where it has a
+closed form (the defaults are ``_pdf / _survivor`` and a 5-point stencil on
+``hazard``).  :class:`TypeDistribution` owns the six public evaluators: each
+coerces its input once to a float array and returns a Python float for
+scalar input, a float64 array of the input's shape otherwise; ``ppf`` raises
+:class:`DomainError` outside [0, 1), and ``hazard`` raises it outside the
+support and :class:`UpperSupportError` wherever the hazard is not finite
+(zero survival at the upper end, or a divergence such as a decreasing-hazard
+Weibull's at zero).
+
 Supported kinds
 ---------------
 * :class:`Weibull` -- shape/scale parameterization; IFR when shape >= 1.
@@ -62,22 +75,14 @@ SAMPLE_BLOCK = 65_536
 MAX_SEED = 2**64 - 1
 
 
-def _aligned(theta):
-    """Coerce input to a float array, remembering whether it was scalar."""
-    arr = np.asarray(theta, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(values: np.ndarray, scalar: bool):
-    return float(values) if scalar else values
+def _returned(values, arr: np.ndarray):
+    """A Python float for 0-d input ``arr``, the array of values otherwise."""
+    return float(values) if arr.ndim == 0 else values
 
 
 class TypeDistribution:
-    """Abstract interface shared by every type-distribution kind.
-
-    Subclasses provide vectorized ``pdf``, ``cdf``, ``survivor`` and ``ppf``;
-    the hazard machinery and grid construction live here.
-    """
+    """Abstract interface shared by every type-distribution kind: the public
+    evaluators and grid construction (see the module's evaluation protocol)."""
 
     kind: str = "abstract"
 
@@ -86,20 +91,26 @@ class TypeDistribution:
         raise NotImplementedError
 
     def pdf(self, theta):
-        raise NotImplementedError
+        """Density f(theta); zero outside the support."""
+        arr = np.asarray(theta, dtype=float)
+        return _returned(self._pdf(arr), arr)
 
     def cdf(self, theta):
-        raise NotImplementedError
+        """P(type <= theta)."""
+        arr = np.asarray(theta, dtype=float)
+        return _returned(self._cdf(arr), arr)
 
     def survivor(self, theta):
         """P(type > theta), computed without forming ``1 - cdf``."""
-        raise NotImplementedError
+        arr = np.asarray(theta, dtype=float)
+        return _returned(self._survivor(arr), arr)
 
     def ppf(self, u):
         """Quantile function; accepts u in [0, 1)."""
-        raise NotImplementedError
-
-    # -- hazard ---------------------------------------------------------
+        arr = np.asarray(u, dtype=float)
+        if np.any(arr < 0.0) or np.any(arr >= 1.0):
+            raise DomainError("quantile argument must lie in [0, 1)")
+        return _returned(self._ppf(arr), arr)
 
     def hazard(self, theta):
         """Hazard rate f(theta) / P(type > theta).
@@ -109,26 +120,18 @@ class TypeDistribution:
         DomainError
             If any evaluation point lies outside the support.
         UpperSupportError
-            If the survival probability is zero to machine precision; the
-            caller must truncate its grid short of the upper support.
+            If the hazard is not finite at some point (zero survival or a
+            divergence); the caller must truncate its grid there.
         """
-        arr, scalar = _aligned(theta)
+        arr = np.asarray(theta, dtype=float)
         lo, hi = self.support
         if np.any(arr < lo) or np.any(arr > hi):
-            raise DomainError(
-                f"type value outside support [{lo}, {hi}] for kind '{self.kind}'"
-            )
-        dens, surv = self._pdf_and_survivor(arr)
-        if np.any(surv <= 0.0):
-            raise UpperSupportError(
-                "survival probability underflowed to zero; truncate the grid "
-                "below the upper support before evaluating hazards"
-            )
-        return _maybe_scalar(dens / surv, scalar)
-
-    def _pdf_and_survivor(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Density and survival at types inside the support, for :meth:`hazard`."""
-        return np.asarray(self.pdf(arr), dtype=float), np.asarray(self.survivor(arr), dtype=float)
+            raise DomainError(f"type value outside support [{lo}, {hi}] for kind '{self.kind}'")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self._hazard(arr)
+        if not np.all(np.isfinite(out)):
+            raise UpperSupportError(f"{self.kind} hazard not finite (zero survival or a divergence); truncate the grid")
+        return _returned(out, arr)
 
     def hazard_slope(self, theta):
         """Derivative of the hazard in theta.
@@ -136,7 +139,14 @@ class TypeDistribution:
         Analytic for kinds that have one; otherwise a 5-point central
         stencil on :meth:`hazard`.
         """
-        arr, scalar = _aligned(theta)
+        arr = np.asarray(theta, dtype=float)
+        return _returned(self._hazard_slope(arr), arr)
+
+    def _hazard(self, arr: np.ndarray) -> np.ndarray:
+        """Hazard at types inside the support; non-finite where undefined."""
+        return self._pdf(arr) / self._survivor(arr)
+
+    def _hazard_slope(self, arr: np.ndarray) -> np.ndarray:
         lo, hi = self.support
         width = (hi - lo) if math.isfinite(hi) else max(1.0, abs(float(np.max(arr))))
         step = 1e-4 * max(width, 1e-8)
@@ -145,8 +155,7 @@ class TypeDistribution:
             if arr.size else step
         shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * step
         coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * step)
-        vals = sum(c * np.asarray(self.hazard(arr + s), dtype=float) for s, c in zip(shifts, coeff))
-        return _maybe_scalar(np.asarray(vals, dtype=float), scalar)
+        return sum(c * self.hazard(arr + s) for s, c in zip(shifts, coeff))
 
     # -- grids ----------------------------------------------------------
 
@@ -163,13 +172,11 @@ class TypeDistribution:
             raise ParameterError("grid size must be at least 2")
         if not (0.0 < tail_mass < 0.5):
             raise ParameterError("tail_mass must lie in (0, 0.5)")
-        lo, hi_q = self.support[0], float(self.ppf(1.0 - tail_mass))
+        lo, hi_q = self.support[0], self.ppf(1.0 - tail_mass)
         try:
-            finite_at_lo = math.isfinite(self.hazard(lo))
-        except UpperSupportError:  # hazards that diverge may raise instead of returning inf
-            finite_at_lo = False
-        if not finite_at_lo:
-            lo = float(self.ppf(tail_mass))
+            self.hazard(lo)
+        except UpperSupportError:
+            lo = self.ppf(tail_mass)
         if hi_q <= lo:
             raise ParameterError("degenerate grid: truncated support has zero width")
         return np.linspace(lo, hi_q, size)
@@ -198,50 +205,32 @@ class Weibull(TypeDistribution):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, theta):
-        arr, scalar = _aligned(theta)
+    def _pdf(self, arr):
         z = np.maximum(arr, 0.0) / self.scale
         with np.errstate(divide="ignore"):
-            out = np.where(
-                arr < 0.0,
-                0.0,
-                (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(-(z**self.shape)),
-            )
-        return _maybe_scalar(out, scalar)
+            dens = (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(-(z**self.shape))
+        return np.where(arr < 0.0, 0.0, dens)
 
-    def cdf(self, theta):
-        arr, scalar = _aligned(theta)
+    def _cdf(self, arr):
         z = np.maximum(arr, 0.0) / self.scale
-        return _maybe_scalar(np.where(arr < 0.0, 0.0, -np.expm1(-(z**self.shape))), scalar)
+        return np.where(arr < 0.0, 0.0, -np.expm1(-(z**self.shape)))
 
-    def survivor(self, theta):
-        arr, scalar = _aligned(theta)
+    def _survivor(self, arr):
         z = np.maximum(arr, 0.0) / self.scale
-        return _maybe_scalar(np.where(arr < 0.0, 1.0, np.exp(-(z**self.shape))), scalar)
+        return np.where(arr < 0.0, 1.0, np.exp(-(z**self.shape)))
 
-    def ppf(self, u):
-        arr, scalar = _aligned(u)
-        _check_unit_interval(arr)
-        return _maybe_scalar(self.scale * (-np.log1p(-arr)) ** (1.0 / self.shape), scalar)
+    def _ppf(self, arr):
+        return self.scale * (-np.log1p(-arr)) ** (1.0 / self.shape)
 
-    def hazard(self, theta):
-        arr, scalar = _aligned(theta)
-        if np.any(arr < 0.0):
-            raise DomainError("type value outside support [0, inf) for kind 'weibull'")
-        with np.errstate(divide="ignore"):
-            out = (self.shape / self.scale) * (arr / self.scale) ** (self.shape - 1.0)
-        if np.any(~np.isfinite(out)):
-            raise UpperSupportError("weibull hazard not finite at the requested point")
-        return _maybe_scalar(out, scalar)
+    def _hazard(self, arr):
+        return (self.shape / self.scale) * (arr / self.scale) ** (self.shape - 1.0)
 
-    def hazard_slope(self, theta):
-        arr, scalar = _aligned(theta)
+    def _hazard_slope(self, arr):
         k, s = self.shape, self.scale
         if k == 1.0:
-            return _maybe_scalar(np.zeros_like(arr), scalar)
+            return np.zeros_like(arr)
         with np.errstate(divide="ignore"):
-            out = (k * (k - 1.0) / s**2) * (arr / s) ** (k - 2.0)
-        return _maybe_scalar(out, scalar)
+            return (k * (k - 1.0) / s**2) * (arr / s) ** (k - 2.0)
 
 
 @dataclass(frozen=True)
@@ -259,32 +248,23 @@ class Exponential(TypeDistribution):
     def support(self):
         return (0.0, math.inf)
 
-    def pdf(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar(np.where(arr < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(arr, 0.0))), scalar)
+    def _pdf(self, arr):
+        return np.where(arr < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(arr, 0.0)))
 
-    def cdf(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar(np.where(arr < 0.0, 0.0, -np.expm1(-self.rate * np.maximum(arr, 0.0))), scalar)
+    def _cdf(self, arr):
+        return np.where(arr < 0.0, 0.0, -np.expm1(-self.rate * np.maximum(arr, 0.0)))
 
-    def survivor(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar(np.where(arr < 0.0, 1.0, np.exp(-self.rate * np.maximum(arr, 0.0))), scalar)
+    def _survivor(self, arr):
+        return np.where(arr < 0.0, 1.0, np.exp(-self.rate * np.maximum(arr, 0.0)))
 
-    def ppf(self, u):
-        arr, scalar = _aligned(u)
-        _check_unit_interval(arr)
-        return _maybe_scalar(-np.log1p(-arr) / self.rate, scalar)
+    def _ppf(self, arr):
+        return -np.log1p(-arr) / self.rate
 
-    def hazard(self, theta):
-        arr, scalar = _aligned(theta)
-        if np.any(arr < 0.0):
-            raise DomainError("type value outside support [0, inf) for kind 'exponential'")
-        return _maybe_scalar(np.full_like(arr, self.rate), scalar)
+    def _hazard(self, arr):
+        return np.full_like(arr, self.rate)
 
-    def hazard_slope(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar(np.zeros_like(arr), scalar)
+    def _hazard_slope(self, arr):
+        return np.zeros_like(arr)
 
 
 @dataclass(frozen=True)
@@ -305,27 +285,21 @@ class Uniform(TypeDistribution):
     def support(self):
         return (self.lower, self.upper)
 
-    def pdf(self, theta):
-        arr, scalar = _aligned(theta)
+    def _pdf(self, arr):
         inside = (arr >= self.lower) & (arr <= self.upper)
-        return _maybe_scalar(np.where(inside, 1.0 / (self.upper - self.lower), 0.0), scalar)
+        return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
 
-    def cdf(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar(np.clip((arr - self.lower) / (self.upper - self.lower), 0.0, 1.0), scalar)
+    def _cdf(self, arr):
+        return np.clip((arr - self.lower) / (self.upper - self.lower), 0.0, 1.0)
 
-    def survivor(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar(np.clip((self.upper - arr) / (self.upper - self.lower), 0.0, 1.0), scalar)
+    def _survivor(self, arr):
+        return np.clip((self.upper - arr) / (self.upper - self.lower), 0.0, 1.0)
 
-    def ppf(self, u):
-        arr, scalar = _aligned(u)
-        _check_unit_interval(arr)
-        return _maybe_scalar(self.lower + arr * (self.upper - self.lower), scalar)
+    def _ppf(self, arr):
+        return self.lower + arr * (self.upper - self.lower)
 
-    def hazard_slope(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar(1.0 / (self.upper - arr) ** 2, scalar)
+    def _hazard_slope(self, arr):
+        return 1.0 / (self.upper - arr) ** 2
 
 
 @dataclass(frozen=True)
@@ -345,39 +319,31 @@ class Truncated(TypeDistribution):
         hi = min(self.upper, bhi)
         if not hi > lo:
             raise ParameterError("truncation interval does not intersect the base support")
-        mass = float(self.base.cdf(hi)) - float(self.base.cdf(lo))
+        mass = self.base.cdf(hi) - self.base.cdf(lo)
         if mass <= 0.0:
             raise ParameterError("truncation interval carries zero probability mass")
         object.__setattr__(self, "lower", float(lo))
         object.__setattr__(self, "upper", float(hi))
         object.__setattr__(self, "_mass", mass)
-        object.__setattr__(self, "_cdf_lo", float(self.base.cdf(lo)))
-        object.__setattr__(self, "_surv_hi", float(self.base.survivor(hi)))
+        object.__setattr__(self, "_cdf_lo", self.base.cdf(lo))
+        object.__setattr__(self, "_surv_hi", self.base.survivor(hi))
 
     @property
     def support(self):
         return (self.lower, self.upper)
 
-    def pdf(self, theta):
-        arr, scalar = _aligned(theta)
+    def _pdf(self, arr):
         inside = (arr >= self.lower) & (arr <= self.upper)
-        return _maybe_scalar(np.where(inside, np.asarray(self.base.pdf(arr), dtype=float) / self._mass, 0.0), scalar)
+        return np.where(inside, self.base.pdf(arr) / self._mass, 0.0)
 
-    def cdf(self, theta):
-        arr, scalar = _aligned(theta)
-        raw = (np.asarray(self.base.cdf(arr), dtype=float) - self._cdf_lo) / self._mass
-        return _maybe_scalar(np.clip(raw, 0.0, 1.0), scalar)
+    def _cdf(self, arr):
+        return np.clip((self.base.cdf(arr) - self._cdf_lo) / self._mass, 0.0, 1.0)
 
-    def survivor(self, theta):
-        arr, scalar = _aligned(theta)
-        raw = (np.asarray(self.base.survivor(arr), dtype=float) - self._surv_hi) / self._mass
-        return _maybe_scalar(np.clip(raw, 0.0, 1.0), scalar)
+    def _survivor(self, arr):
+        return np.clip((self.base.survivor(arr) - self._surv_hi) / self._mass, 0.0, 1.0)
 
-    def ppf(self, u):
-        arr, scalar = _aligned(u)
-        _check_unit_interval(arr)
-        out = np.asarray(self.base.ppf(self._cdf_lo + arr * self._mass), dtype=float)
-        return _maybe_scalar(np.clip(out, self.lower, self.upper), scalar)
+    def _ppf(self, arr):
+        return np.clip(self.base.ppf(self._cdf_lo + arr * self._mass), self.lower, self.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -435,48 +401,39 @@ class Tabulated(TypeDistribution):
         idx = np.clip(np.searchsorted(self.nodes, arr, side="right") - 1, 0, self.nodes.size - 2)
         return idx, arr - self.nodes[idx]
 
-    def pdf(self, theta):
-        arr, scalar = _aligned(theta)
-        lo, hi = self.support
-        idx, s = self._locate(np.clip(arr, lo, hi))
-        vals = self.density[idx] + self._slope[idx] * s
-        inside = (arr >= lo) & (arr <= hi)
-        return _maybe_scalar(np.where(inside, np.maximum(vals, 0.0), 0.0), scalar)
+    def _density_in(self, idx, s):
+        """Density at offset ``s`` into cell ``idx``."""
+        return np.maximum(self.density[idx] + self._slope[idx] * s, 0.0)
 
-    def cdf(self, theta):
-        arr, scalar = _aligned(theta)
-        lo, hi = self.support
-        clipped = np.clip(arr, lo, hi)
-        idx, s = self._locate(clipped)
-        vals = self._cdf_nodes[idx] + self.density[idx] * s + 0.5 * self._slope[idx] * s**2
-        vals = np.where(arr < lo, 0.0, np.where(arr >= hi, 1.0, np.clip(vals, 0.0, 1.0)))
-        return _maybe_scalar(vals, scalar)
-
-    def survivor(self, theta):
-        arr, scalar = _aligned(theta)
-        lo, hi = self.support
-        clipped = np.clip(arr, lo, hi)
-        idx, s = self._locate(clipped)
-        # accumulate the remaining area of the current cell from the right
+    def _survival_in(self, idx, s):
+        """Survival at offset ``s`` into cell ``idx``: the rest of the cell plus the cells above."""
         t = self._step - s
         cell_rest = self.density[idx + 1] * t - 0.5 * self._slope[idx] * t**2
-        vals = self._surv_nodes[idx + 1] + cell_rest
-        vals = np.where(arr <= lo, 1.0, np.where(arr > hi, 0.0, np.clip(vals, 0.0, 1.0)))
-        return _maybe_scalar(vals, scalar)
+        return np.clip(self._surv_nodes[idx + 1] + cell_rest, 0.0, 1.0)
 
-    def _pdf_and_survivor(self, arr):
-        # one cell lookup for both, with the float operations of pdf and
-        # survivor on in-support types, so the hazard equals their ratio bit for bit
+    def _pdf(self, arr):
+        lo, hi = self.support
+        idx, s = self._locate(np.clip(arr, lo, hi))
+        return np.where((arr >= lo) & (arr <= hi), self._density_in(idx, s), 0.0)
+
+    def _cdf(self, arr):
+        lo, hi = self.support
+        idx, s = self._locate(np.clip(arr, lo, hi))
+        vals = self._cdf_nodes[idx] + self.density[idx] * s + 0.5 * self._slope[idx] * s**2
+        return np.where(arr < lo, 0.0, np.where(arr >= hi, 1.0, np.clip(vals, 0.0, 1.0)))
+
+    def _survivor(self, arr):
+        lo, hi = self.support
+        idx, s = self._locate(np.clip(arr, lo, hi))
+        return np.where(arr <= lo, 1.0, np.where(arr > hi, 0.0, self._survival_in(idx, s)))
+
+    def _hazard(self, arr):
+        # one cell lookup for both factors, with the float operations of _pdf
+        # and _survivor, so the hazard equals pdf / survivor bit for bit
         idx, s = self._locate(arr)
-        slope = self._slope[idx]
-        t = self._step - s
-        cell_rest = self.density[idx + 1] * t - 0.5 * slope * t**2
-        surv = np.where(arr <= self.nodes[0], 1.0, np.clip(self._surv_nodes[idx + 1] + cell_rest, 0.0, 1.0))
-        return np.maximum(self.density[idx] + slope * s, 0.0), surv
+        return self._density_in(idx, s) / np.where(arr <= self.nodes[0], 1.0, self._survival_in(idx, s))
 
-    def ppf(self, u):
-        arr, scalar = _aligned(u)
-        _check_unit_interval(arr)
+    def _ppf(self, arr):
         # in place, to hold few sample-sized arrays at once (for 200,000
         # draws 9.2 MB of numpy memory, not 13.7); the float operations and
         # so the results are those of the plain expression form
@@ -504,15 +461,15 @@ class Tabulated(TypeDistribution):
         np.clip(s, 0.0, self._step, out=s)
         out = self.nodes[idx]
         out += s
-        return _maybe_scalar(out.reshape(arr.shape), scalar)
+        return out.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
 class PointMass(TypeDistribution):
     """Degenerate distribution at a single type, for oracle tests.
 
-    The hazard is undefined; mechanism routines that accept point masses
-    bypass hazard weighting entirely.
+    The density and hazard are undefined; mechanism routines that accept
+    point masses bypass hazard weighting entirely.
     """
 
     value: float
@@ -526,32 +483,25 @@ class PointMass(TypeDistribution):
     def support(self):
         return (self.value, self.value)
 
-    def pdf(self, theta):
+    def _pdf(self, arr):
         raise ParameterError("density undefined for a point mass")
 
-    def cdf(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar((arr >= self.value).astype(float), scalar)
+    def _cdf(self, arr):
+        return (arr >= self.value).astype(float)
 
-    def survivor(self, theta):
-        arr, scalar = _aligned(theta)
-        return _maybe_scalar((arr < self.value).astype(float), scalar)
+    def _survivor(self, arr):
+        return (arr < self.value).astype(float)
 
-    def ppf(self, u):
-        arr, scalar = _aligned(u)
-        _check_unit_interval(arr)
-        return _maybe_scalar(np.full_like(arr, self.value), scalar)
+    def _ppf(self, arr):
+        return np.full_like(arr, self.value)
 
-    def hazard(self, theta):
+    def _hazard(self, arr):
         raise ParameterError("hazard undefined for degenerate (point-mass) supports")
+
+    _hazard_slope = _hazard
 
     def grid(self, size: int, tail_mass: float) -> np.ndarray:
         return np.array([self.value])
-
-
-def _check_unit_interval(arr: np.ndarray) -> None:
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise DomainError("quantile argument must lie in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -584,5 +534,4 @@ def sample_types(dist: TypeDistribution, n: int, seed: int) -> np.ndarray:
 
     Identical ``(seed, n, kind)`` triples reproduce bit-identical output.
     """
-    u = uniform_stream(seed, n)
-    return np.asarray(dist.ppf(u), dtype=float)
+    return dist.ppf(uniform_stream(seed, n))

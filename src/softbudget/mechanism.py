@@ -99,7 +99,7 @@ class VirtualWeightCurve:
     def density(self) -> np.ndarray:
         if self.degenerate:
             return np.array([1.0])
-        return np.asarray(self.dist.pdf(self.theta), dtype=float)
+        return self.dist.pdf(self.theta)
 
     @cached_property
     def _ironing(self) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +380,7 @@ def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: n
     """Raw virtual weight at the given types; a point mass bypasses the hazard."""
     # the hazard first: its temporaries are freed before the weight array is
     # built, which matters when mc_run passes millions of sampled types
-    hazard = 1.0 if isinstance(dist, PointMass) else np.asarray(dist.hazard(theta), dtype=float)
+    hazard = 1.0 if isinstance(dist, PointMass) else dist.hazard(theta)
     return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
 
 
@@ -417,17 +417,14 @@ def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, str
 def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) -> np.ndarray:
     """Pointwise caps clip(C'^{-1}(psi), 0, b_bar) for an array of targets.
 
-    Targets at or above C'(b_bar) map straight to b_bar, so tabulated costs
-    never see an out-of-range inversion.
+    Targets at or above C'(b_bar) map straight to b_bar; the inversion sees
+    them clipped to C'(b_bar), so tabulated costs never see a target above
+    their table.
     """
     psi_values = np.asarray(psi_values, dtype=float)
     c_top = float(cost.marginal(b_bar))
-    at_cap = psi_values >= c_top
-    b = np.full(psi_values.shape, float(b_bar))
-    if not np.all(at_cap):
-        inv = cost.inverse_marginal(psi_values[~at_cap])
-        b[~at_cap] = np.clip(inv.payout, 0.0, b_bar)
-    return b
+    inv = cost.inverse_marginal(np.minimum(psi_values, c_top))
+    return np.where(psi_values >= c_top, float(b_bar), np.clip(inv.payout, 0.0, b_bar))
 
 
 def solve_cap(curve: VirtualWeightCurve, cost: RescueCost, b_bar: float) -> CapSchedule:
@@ -443,15 +440,9 @@ def solve_cap(curve: VirtualWeightCurve, cost: RescueCost, b_bar: float) -> CapS
     c_origin = cost.marginal_at_zero
     c_top = float(cost.marginal(b_bar))
     psi_bar = curve.psi_bar
-    at_cap = psi_bar >= c_top
     b = caps_from_targets(psi_bar, cost, b_bar)
-    if curve.degenerate:
-        positive = b[0] > 0.0
-        theta_min = float(curve.theta[0]) if positive else None
-        theta_dagger = float(curve.theta[0]) if bool(at_cap[0]) else None
-    else:
-        theta_min = _leftmost_crossing(curve.theta, psi_bar, c_origin, strict=True)
-        theta_dagger = _leftmost_crossing(curve.theta, psi_bar, c_top, strict=False)
+    theta_min = _leftmost_crossing(curve.theta, psi_bar, c_origin, strict=True)
+    theta_dagger = _leftmost_crossing(curve.theta, psi_bar, c_top, strict=False)
     if theta_min is None:
         regime = "no-rescue"
         theta_dagger = None
@@ -503,25 +494,22 @@ def transfer_schedule(cap: CapSchedule, prim: PolicyPrimitives) -> TransferSched
     """
     theta = cap.theta
     b = cap.b_star
-    if theta.size == 1:
-        t_pre = np.zeros(1)
-    else:
-        mid = 0.5 * (theta[:-1] + theta[1:])
-        ratio = np.asarray(prim.omega_b_at(mid), dtype=float) / prim.omega_T
-        increments = -ratio * np.diff(b)
-        t_pre = np.concatenate([[0.0], np.cumsum(increments)])
-        # anchor T = 0 at the lower cutoff; below it the cap is flat at zero
-        # so the anchored curve is zero there as well.  Anchoring at the last
-        # zero-cap node keeps the low-type plateau exactly zero instead of
-        # leaving an O(grid-spacing) offset from interpolating inside the
-        # cell that straddles the cutoff.
-        if cap.theta_min is not None and theta[0] < cap.theta_min:
-            at_zero = np.flatnonzero((b <= 0.0) & (theta <= cap.theta_min))
-            if at_zero.size:
-                anchor = float(t_pre[int(at_zero[-1])])
-            else:
-                anchor = float(np.interp(cap.theta_min, theta, t_pre))
-            t_pre = t_pre - anchor
+    mid = 0.5 * (theta[:-1] + theta[1:])
+    ratio = np.asarray(prim.omega_b_at(mid), dtype=float) / prim.omega_T
+    increments = -ratio * np.diff(b)
+    t_pre = np.concatenate([[0.0], np.cumsum(increments)])
+    # anchor T = 0 at the lower cutoff; below it the cap is flat at zero
+    # so the anchored curve is zero there as well.  Anchoring at the last
+    # zero-cap node keeps the low-type plateau exactly zero instead of
+    # leaving an O(grid-spacing) offset from interpolating inside the
+    # cell that straddles the cutoff.
+    if cap.theta_min is not None and theta[0] < cap.theta_min:
+        at_zero = np.flatnonzero((b <= 0.0) & (theta <= cap.theta_min))
+        if at_zero.size:
+            anchor = float(t_pre[int(at_zero[-1])])
+        else:
+            anchor = float(np.interp(cap.theta_min, theta, t_pre))
+        t_pre = t_pre - anchor
     t_star = np.maximum(t_pre, 0.0)
     ll_binding = t_pre < 0.0
     unpinned = b <= 0.0

@@ -456,7 +456,7 @@ def _moments_continuous(dist: TypeDistribution, b: float, quad_points: int) -> t
     # E[min(X,b)] = int_0^b S(t) dt and E[min(X,b)^2] = int_0^b 2 t S(t) dt
     # for X >= 0; the grid stretches with b so both are smooth in b.
     t = np.linspace(0.0, b, quad_points)
-    surv = np.asarray(dist.survivor(t), dtype=float)
+    surv = dist.survivor(t)
     return float(np.trapezoid(surv, t)), float(np.trapezoid(2.0 * t * surv, t))
 
 

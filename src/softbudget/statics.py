@@ -45,11 +45,17 @@ from .errors import IllPosedError, ParameterError
 from .mechanism import CapSchedule, VirtualWeightCurve, solve_cap, virtual_weight
 from .primitives import PolicyPrimitives
 
-__all__ = ["StaticsRow", "StaticsReport", "analytic_partials", "fd_certify", "m_sensitivity", "FD_STEP_DEFAULT"]
+__all__ = [
+    "StaticsRow", "StaticsReport", "analytic_partials", "fd_certify", "m_sensitivity", "statics_failures",
+    "FD_STEP_DEFAULT", "STATICS_REL_TOL", "CHAIN_GAP_TOL",
+]
 
 _SLOPE_TOL = 1e-12
 
 FD_STEP_DEFAULT = 1e-5  # relative step for central differences
+
+STATICS_REL_TOL = 1e-4  # worst unflagged relative error a certification accepts
+CHAIN_GAP_TOL = 1e-3  # largest fixed-point chain-rule gap it accepts
 
 FLAG_OK = ""
 FLAG_REGIME_BOUNDARY = "regime-boundary"
@@ -87,6 +93,27 @@ class StaticsReport:
         return max(errs) if errs else math.nan
 
 
+def statics_failures(report: StaticsReport, m_report: Optional[StaticsReport]) -> list[str]:
+    """One phrase per failed certification check; empty when every check passes.
+
+    The worst unflagged relative error of ``report`` must be within
+    STATICS_REL_TOL, every unflagged row of both reports must have its
+    expected sign, and the fixed point's chain gap must be within
+    CHAIN_GAP_TOL.
+    """
+    failures = []
+    worst = report.max_rel_error
+    if worst > STATICS_REL_TOL:
+        name = next(r.partial for r in report.rows if r.flag == FLAG_OK and r.rel_error == worst)
+        failures.append(f"{name} rel_error {worst:.3e} > STATICS_REL_TOL {STATICS_REL_TOL:g}")
+    reports = [report] if m_report is None else [report, m_report]
+    failures += [f"{r.partial} has the wrong sign (expected {r.sign_expected:+d})"
+                 for rep in reports for r in rep.rows if r.flag == FLAG_OK and not r.sign_ok]
+    if m_report is not None and not m_report.chain_gap <= CHAIN_GAP_TOL:
+        failures.append(f"chain_gap {m_report.chain_gap:.3e} > CHAIN_GAP_TOL {CHAIN_GAP_TOL:g}")
+    return failures
+
+
 def _require_quadratic_scalar(prim: PolicyPrimitives, cost: RescueCost) -> QuadraticCost:
     if not isinstance(cost, QuadraticCost):
         raise ParameterError("comparative statics are derived for quadratic costs only")
@@ -107,7 +134,7 @@ def _interior_theta_min(sched: CapSchedule) -> Optional[float]:
 def _hazard_reference(curve: VirtualWeightCurve) -> Optional[float]:
     """Type where the hazard crosses one on the curve's grid: the anchor for b_max."""
     dist, grid = curve.dist, curve.theta
-    h = np.asarray(dist.hazard(grid), dtype=float)
+    h = dist.hazard(grid)
     above = h >= 1.0
     if bool(above[0]) or not bool(np.any(above)):
         return None

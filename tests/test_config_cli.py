@@ -18,11 +18,11 @@ from softbudget import (
     solve_cap,
     virtual_weight,
 )
-from softbudget.cli import _statics_failures, main
+from softbudget.cli import main
 from softbudget.config import _COSTS, _DISTRIBUTIONS, MAX_BINS, MAX_GRID_SIZE, MAX_SAMPLES
 from softbudget.mechanism import DEFAULT_TAIL_MASS
 from softbudget.reporting import format_float
-from softbudget.statics import StaticsReport, StaticsRow
+from softbudget.statics import StaticsReport, StaticsRow, statics_failures
 from conftest import BENCH, as_floats, read_csv_columns
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -486,10 +486,10 @@ def test_statics_failures_name_every_failed_check():
     wrong = StaticsRow("d_b_max_d_kappa", -1.0, 1.0, 2.0, -1, False)
     flagged = StaticsRow("d_b_max_d_gamma", 1.0, math.nan, math.nan, +1, False, "regime-boundary")
     report = StaticsReport(rows=(row, flagged), theta_min=0.1, b_max=0.5, theta_ref=0.5, lambda_T=1.0)
-    assert _statics_failures(report, None) == []
+    assert statics_failures(report, None) == []
     bad = replace(report, rows=(row, wrong, flagged))
     m_bad = replace(report, rows=(replace(wrong, partial="d_lambda_T_d_m"),), chain_gap=2e-3)
-    assert _statics_failures(bad, m_bad) == [
+    assert statics_failures(bad, m_bad) == [
         "d_b_max_d_kappa rel_error 2.000e+00 > STATICS_REL_TOL 0.0001",
         "d_b_max_d_kappa has the wrong sign (expected -1)",
         "d_lambda_T_d_m has the wrong sign (expected -1)",

@@ -193,13 +193,19 @@ def test_point_mass_behavior():
     with pytest.raises(ParameterError):
         dist.hazard(0.5)
     with pytest.raises(ParameterError):
+        dist.hazard_slope(0.5)
+    with pytest.raises(ParameterError):
         dist.pdf(0.5)
+    with pytest.raises(DomainError, match=r"outside support \[0.5, 0.5\]"):
+        dist.hazard(0.6)
 
 
 def test_hazard_domain_and_tail_errors():
     dist = Weibull(2.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"outside support \[0.0, inf\] for kind 'weibull'"):
         dist.hazard(-0.1)
+    with pytest.raises(DomainError, match=r"outside support \[0.0, inf\] for kind 'exponential'"):
+        Exponential(1.0).hazard([0.5, -0.1])
     with pytest.raises(DomainError):
         Uniform(0.0, 1.0).hazard(1.5)
     with pytest.raises(UpperSupportError):
@@ -226,6 +232,15 @@ def test_grid_starts_at_tail_quantile_when_hazard_diverges():
     g = dist.grid(1025, tail_mass=1e-10)
     assert g[0] == float(dist.ppf(1e-10)) > 0.0
     assert np.all(np.isfinite(dist.hazard(g)))
+
+
+def test_infinite_hazard_at_positive_survival_raises():
+    # the truncated density diverges at zero while the survival there is 1
+    dist = Truncated(Weibull(0.7, 1.0), 0.0, 3.0)
+    for point in (0.0, [0.0, 1.0]):
+        with pytest.raises(UpperSupportError):
+            dist.hazard(point)
+    assert dist.grid(1025, tail_mass=1e-10)[0] == dist.ppf(1e-10) > 0.0
 
 
 @given(u=st.floats(min_value=0.0, max_value=0.999999, allow_nan=False))

@@ -11,6 +11,7 @@ from softbudget import (
     PointMass,
     QuadraticCost,
     Tabulated,
+    TabulatedCost,
     Uniform,
     Weibull,
     iron_weights,
@@ -21,6 +22,7 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
+from softbudget.mechanism import caps_from_targets
 from conftest import BENCH
 
 
@@ -639,3 +641,16 @@ def test_iron_weights_ramp_then_deep_drop():
     out, flags = assert_matches_reference(psi, w)
     assert np.all(flags)
     assert out[0] == pytest.approx((np.sum(psi[:-1]) + psi[-1]) / psi.size, rel=1e-15)
+
+
+def test_caps_from_targets_sends_targets_at_or_above_the_top_to_b_bar():
+    # C'^{-1}(C'(0.7)) is 0.6999999999999998 for this cost, so only the
+    # comparison with C'(b_bar) gives the cap exactly b_bar there
+    cost = QuadraticCost(0.1, 0.2)
+    c_top = cost.marginal(0.7)
+    b = caps_from_targets(np.array([0.05, 0.2, c_top, 2.0]), cost, 0.7)
+    assert b.tolist() == [0.0, cost.inverse_marginal(0.2).payout, 0.7, 0.7]
+    # a tabulated cost never inverts a target above its table
+    table = TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0])
+    targets = np.array([0.1, table.marginal(0.8), 5.0])
+    assert caps_from_targets(targets, table, 0.8).tolist() == [0.0, 0.8, 0.8]

@@ -33,3 +33,12 @@ def test_script_prints_its_table(name, args, header):
     rows = [i for i, line in enumerate(lines) if line.split()[:1] == [header]]
     assert rows, done.stdout
     assert len(lines) > rows[0] + 1 and lines[rows[0] + 1].strip(), done.stdout  # a row under the header
+
+
+def test_statics_report_fails_on_the_statics_verdict():
+    # a coarse step leaves four partials 2.5e-3 off, above STATICS_REL_TOL; the worst is named
+    done = run_script("statics_report.py", "--step", "0.05", "--skip-discretion")
+    assert done.returncode == 2, done.stdout
+    assert done.stderr == (
+        "certification failed: d_b_max_d_lambda_T rel_error 2.506e-03 > STATICS_REL_TOL 0.0001\n"
+    )
