@@ -6,10 +6,12 @@ Prints the seven analytic partial derivatives of the benchmark solution
 central-difference counterparts and relative errors, then differentiates
 the discretionary fixed point in the signal slope m.  Clean rows certify
 the implicit-function formulas; flagged rows mark parameter points where
-a partial is not identified (regime boundary, no interior cutoff).  Exits 2,
-naming each failed check on stderr, when the verdict of the ``statics``
-command fails: the worst unflagged relative error above STATICS_REL_TOL, a
-wrong sign, or a chain-rule gap above CHAIN_GAP_TOL.
+a partial is not identified (regime boundary, no interior cutoff).  The
+last line, ``passed=``, is the verdict of the ``statics`` command; the
+``signs_ok=`` lines cover the sign checks alone.  Exits 2, naming each
+failed check on stderr, when that verdict fails: the worst unflagged
+relative error above STATICS_REL_TOL, a wrong sign, or a chain-rule gap
+above CHAIN_GAP_TOL.
 """
 
 import argparse
@@ -63,7 +65,7 @@ def main(argv=None) -> int:
     print_rows(report, "commitment partials at the solved benchmark point")
     print(
         f"theta_min={report.theta_min:.6f}  b_max={report.b_max:.6f}  "
-        f"max rel error={report.max_rel_error:.2e}  all_ok={report.all_ok}"
+        f"max rel error={report.max_rel_error:.2e}  signs_ok={report.all_ok}"
     )
 
     sens = None
@@ -71,8 +73,10 @@ def main(argv=None) -> int:
         sens = m_sensitivity(commitment, cost, step=args.step)
         print()
         print_rows(sens, "sensitivity to the signal slope m through the fixed point")
-        print(f"chain-rule gap={sens.chain_gap:.2e}  all_ok={sens.all_ok}")
+        print(f"chain-rule gap={sens.chain_gap:.2e}  signs_ok={sens.all_ok}")
     failures = statics_failures(report, sens)
+    print()
+    print(f"passed={not failures}")
     if failures:
         print("certification failed: " + "; ".join(failures), file=sys.stderr)
     return 2 if failures else 0

@@ -8,7 +8,9 @@ solve       full pipeline: virtual weights, cap schedule, transfers,
             cap_schedule.csv, transfers.csv.
 knife-edge  no-rescue test; writes summary.json.
 discretion  fixed point for the effective grant weight; writes
-            discretion.json (with the iteration trace) and summary.json.
+            discretion.json (with the evaluation trace, the final bracket
+            and any jump of P_int that leaves no fixed point) and
+            summary.json.
 statics     analytic partials certified against finite differences of the
             full solver; writes statics.csv and summary.json.
 simulate    Monte Carlo verification of the cap schedule; writes
@@ -18,11 +20,11 @@ oracle      self-checking fixtures for the cap-minimum calculus and the
             oracle_bruteforce.json, summary.json.
 
 Exit codes: 0 success, 1 validation error (bad flags or config), 2
-numerical failure (non-convergence or a failed embedded check), 3 I/O
-error.  All floats in artifacts carry 10 significant digits; writes are
-atomic; identical configs and seeds give byte-identical artifacts.  The
-wall-clock duration is printed to stdout only, so artifacts stay
-reproducible byte for byte.
+numerical failure (non-convergence, no discretionary fixed point, or a
+failed embedded check), 3 I/O error.  All floats in artifacts carry 10
+significant digits; writes are atomic; identical configs and seeds give
+byte-identical artifacts.  The wall-clock duration is printed to stdout
+only, so artifacts stay reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -103,10 +105,18 @@ def _resolve_curve(cfg: RunConfig) -> tuple[VirtualWeightCurve, Optional[Discret
         return _commitment(cfg), None
     sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
     if not sol.converged:
-        raise NumericalError(
-            f"discretionary fixed point did not converge in {cfg.discretion.max_iter} iterations"
-        )
+        raise NumericalError(_fixed_point_failure(sol))
     return sol.curve, sol
+
+
+def _fixed_point_failure(sol: DiscretionSolution) -> str:
+    """Why an unconverged fixed point failed: a jump of P_int, or the budget."""
+    if sol.jump is None:
+        return f"discretionary fixed point did not converge in {sol.iterations} evaluations"
+    at, below, above = sol.jump
+    return (f"no discretionary fixed point: P_int jumps from {below:.10g} to {above:.10g} at "
+            f"lambda_T = {at:.10g}, where omega_T - omega_b*m*P_int - lambda_T changes sign "
+            "between adjacent floats and exceeds discretion.tol in size on both sides")
 
 
 def _maybe(value):
@@ -240,8 +250,13 @@ def _cmd_discretion(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str
         raise ConfigError(["discretion.enabled: the discretion command needs discretion enabled"])
     sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
     fragment = _discretion_fragment(sol)
-    out.json("discretion", {**fragment, "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace]})
-    return fragment, None if sol.converged else "fixed point did not converge"
+    out.json("discretion", {
+        **fragment,
+        "bracket": list(sol.bracket),
+        "jump": None if sol.jump is None else sol.jump._asdict(),
+        "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace],
+    })
+    return fragment, None if sol.converged else _fixed_point_failure(sol)
 
 
 def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:

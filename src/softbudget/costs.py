@@ -134,13 +134,15 @@ class TabulatedCost:
         lo = np.zeros_like(arr)
         hi = np.full_like(arr, self.payout_nodes[-1])
         # bisect C'(x) >= y; the marginal is nondecreasing so this converges
-        # to the leftmost preimage, including across flat stretches.
+        # to the leftmost preimage, including across flat stretches.  The
+        # bisection never reaches 0 itself, which is the leftmost preimage of
+        # every target at or below C'(0).
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             ge = np.interp(mid, self.payout_nodes, self.marginal_nodes) >= arr
             hi = np.where(ge, mid, hi)
             lo = np.where(ge, lo, mid)
-        x = np.where(below, 0.0, hi)
+        x = np.where(arr <= self.marginal_nodes[0], 0.0, hi)
         resid = np.abs(np.interp(x, self.payout_nodes, self.marginal_nodes) - arr)
         ok = below | (resid <= 1e-10 * np.maximum(1.0, np.abs(arr)))
         if not np.all(ok):  # pragma: no cover - bisection is exhaustive

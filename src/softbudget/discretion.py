@@ -16,16 +16,30 @@ effective multiplier on transfer resources:
     lambda_T = omega_T - omega_b * m * P(0 < b*(theta) < b_bar),
 
 where the interior probability is computed from the cap schedule solved at
-that same lambda_T.  ``fixed_point`` iterates this map (starting from the
-commitment value lambda_T = omega_T) and returns the full trace;
-the map sends [omega_T - omega_b*m, omega_T] into itself, so iterates stay
-in that interval.
+that same lambda_T.  A credible lambda_T is a root of
+
+    g(lambda) = omega_T - omega_b * m * P_int(lambda) - lambda.
+
+Because P_int lies in [0, 1], g >= 0 at the floor omega_T - omega_b*m and
+g <= 0 at omega_T, so [omega_T - omega_b*m, omega_T] brackets every root
+without evaluating either end.  ``fixed_point`` solves g = 0 inside that
+bracket by a safeguarded secant method (Dekker/Brent style): it evaluates
+first at omega_T on the caller's commitment curve, then at the Picard image
+of omega_T, then at the secant point of the last two evaluations, falling
+back to the bracket midpoint whenever the secant point leaves the open
+bracket or the bracket has not halved over the last two evaluations, so
+the bracket shrinks geometrically and every evaluation stays inside it.
+P_int can jump (for a point mass it is 0 or 1), and then g may change sign
+without a root; the bracket then collapses onto adjacent floats with
+|g| > tol at both ends, and the solver reports the jump by name instead of
+running out of evaluations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +52,7 @@ from .primitives import PolicyPrimitives
 __all__ = [
     "SignalRule",
     "DiscretionSolution",
+    "Jump",
     "effective_lambda",
     "interior_probability",
     "fixed_point",
@@ -108,12 +123,29 @@ class SignalRule:
         return float(out) if arr.ndim == 0 else out
 
 
+class Jump(NamedTuple):
+    """A sign change of g across a jump of P_int, with no root between.
+
+    ``at`` is the upper of the two adjacent floats that bracket the jump;
+    ``p_int_below`` and ``p_int_above`` are P_int at the lower and upper one.
+    """
+
+    at: float
+    p_int_below: float
+    p_int_above: float
+
+
 @dataclass(frozen=True)
 class DiscretionSolution:
     """Converged (or best-effort) credibility fixed point.
 
-    ``curve`` and ``schedule`` are the last evaluation's virtual-weight
-    curve and cap schedule, both at ``lambda_T`` when ``converged``.
+    ``trace`` lists the evaluated (lambda, p_int) pairs in order and
+    ``iterations`` counts them.  ``bracket`` is the final (lo, hi) with
+    g(lo) >= 0 >= g(hi).  ``jump`` is set when the bracket collapsed onto a
+    jump of P_int, so that no fixed point exists.  ``lambda_T`` and ``p_int``
+    are the evaluated point with the smallest |g| (the one with
+    |g| <= tol when ``converged``), and ``curve`` and ``schedule`` are the
+    virtual-weight curve and cap schedule at that ``lambda_T``.
     """
 
     lambda_T: float
@@ -121,8 +153,10 @@ class DiscretionSolution:
     iterations: int
     converged: bool
     trace: tuple
+    bracket: tuple
     schedule: CapSchedule = field(repr=False)
     curve: VirtualWeightCurve = field(repr=False)
+    jump: Optional[Jump] = None
 
 
 def effective_lambda(prim: PolicyPrimitives, p_int: float) -> float:
@@ -155,15 +189,27 @@ def fixed_point(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DiscretionSolution:
-    """Iterate lambda -> omega_T - omega_b*m*P_int(lambda) to a fixed point.
+    """Solve g(lambda) = omega_T - omega_b*m*P_int(lambda) - lambda = 0.
 
-    ``curve`` is the commitment curve (lambda_T = omega_T), the start of the
-    iteration; the distribution, primitives and grid are read from it.  Each
-    iteration solves the full cap schedule at the current lambda to evaluate
-    the interior probability.  Stops when the residual |map(lambda) - lambda|
-    falls below ``tol``, so the returned (lambda_T, p_int) pair satisfies the
-    fixed-point identity to that tolerance.  Exhausting ``max_iter`` returns
-    the best iterate with ``converged=False`` rather than raising.
+    ``curve`` is the commitment curve (lambda_T = omega_T), the first
+    evaluation; the distribution, primitives and grid are read from it.
+    Each evaluation solves the full cap schedule at one lambda to get the
+    interior probability.  The search keeps the bracket
+    [omega_T - omega_b*m, omega_T] (g >= 0 at its lower end, g <= 0 at its
+    upper end; see the module docstring) and evaluates, in turn, omega_T,
+    its Picard image omega_T + g(omega_T), and then the secant point of the
+    last two evaluations.  A secant point outside the open bracket, or a
+    bracket that has not halved over the last two evaluations, is replaced
+    by the bracket midpoint, so every evaluation lies inside the bracket
+    and the search ends.
+
+    Stops when |g| <= ``tol`` at the evaluated point, so the returned
+    (lambda_T, p_int) pair satisfies the fixed-point identity to that
+    tolerance.  When the bracket shrinks to adjacent floats with
+    |g| > ``tol`` at both ends, g changes sign across a jump of P_int there
+    and no fixed point exists: the result has ``converged=False`` and names
+    the ``jump``.  Exhausting ``max_iter`` evaluations also returns
+    ``converged=False``, with the best point found, rather than raising.
     """
     dist, prim = curve.dist, curve.prim
     if not prim.omega_b_constant:
@@ -178,21 +224,50 @@ def fixed_point(
     if curve.lambda_T != prim.omega_T:
         raise ParameterError("the fixed point starts from the commitment curve (lambda_T = omega_T)")
 
-    lam = prim.omega_T
+    lo, hi = floor, prim.omega_T
+    p_lo = p_hi = None  # the floor is known to have g >= 0 without an evaluation
+    widths = [hi - lo]
     trace: list[tuple[float, float]] = []
-    p = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    residuals: list[float] = []
+    best = None
+    jump = None
+    lam = prim.omega_T
+    while True:
         if curve.lambda_T != lam:
             curve = virtual_weight(dist, prim, lam, curve.grid_size, curve.tail_mass)
         schedule = solve_cap(curve, cost, prim.b_bar)
         p = interior_probability(schedule, dist)
-        trace.append((lam, p))
         target = effective_lambda(prim, p)
-        residual = target - lam
-        if abs(residual) <= tol:
-            converged = True
+        g = target - lam
+        trace.append((lam, p))
+        residuals.append(g)
+        if best is None or abs(g) < abs(best[0]):
+            best = (g, lam, p, curve, schedule)
+        if abs(g) <= tol:
             break
-        lam = lam + residual
-    return DiscretionSolution(lam, p, iterations, converged, tuple(trace), schedule, curve)
+        if g > 0.0:
+            lo, p_lo = lam, p
+        else:
+            hi, p_hi = lam, p
+        widths.append(hi - lo)
+        if len(trace) == max_iter:
+            break
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            if p_lo is None:  # g may vanish exactly at the unevaluated floor
+                lam = lo
+                continue
+            jump = Jump(hi, p_lo, p_hi)
+            break
+        lam = mid
+        if len(trace) == 1:
+            lam = target  # the Picard image of omega_T
+        elif widths[-1] <= 0.5 * widths[-3] and residuals[-1] != residuals[-2]:
+            (x0, _), (x1, _) = trace[-2:]
+            g0, g1 = residuals[-2:]
+            secant = x1 - g1 * (x1 - x0) / (g1 - g0)
+            if lo < secant < hi:
+                lam = secant
+    g, lam, p, curve, schedule = best
+    return DiscretionSolution(lam, p, len(trace), abs(g) <= tol, tuple(trace), (lo, hi),
+                              schedule, curve, jump)

@@ -37,7 +37,6 @@ acceptance suite:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
@@ -590,6 +589,22 @@ def _discrete_transfers(caps: np.ndarray, prim: PolicyPrimitives) -> np.ndarray:
     return np.maximum(t_pre, 0.0)
 
 
+def _nondecreasing_tuples(levels: int, n: int) -> np.ndarray:
+    """Every nondecreasing n-tuple over range(levels), one per row, in lexicographic order.
+
+    The rows of itertools.combinations_with_replacement(range(levels), n),
+    built a column at a time: each row is repeated once per admissible next
+    value (levels - last) and takes last, last + 1, ..., levels - 1.
+    """
+    combos = np.arange(levels, dtype=np.intp)[:, None]
+    for _ in range(n - 1):
+        counts = levels - combos[:, -1]
+        rows = np.repeat(combos, counts, axis=0)
+        offset = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+        combos = np.column_stack([rows, rows[:, -1] + offset])
+    return combos
+
+
 def welfare_bruteforce(
     types: Sequence[float],
     weights: Sequence[float],
@@ -642,9 +657,7 @@ def welfare_bruteforce(
     grid = np.linspace(0.0, prim.b_bar, levels)
     # per-type, per-level contribution to the virtual cost
     table = w[:, None] * (np.asarray(cost.value(grid))[None, :] - psi[:, None] * grid[None, :])
-    combos = np.array(
-        list(itertools.combinations_with_replacement(range(levels), th.size)), dtype=np.intp
-    )
+    combos = _nondecreasing_tuples(levels, th.size)
     totals = table[np.arange(th.size)[None, :], combos].sum(axis=1)
     best_idx = int(np.argmin(totals))
     best_caps = grid[combos[best_idx]]

@@ -325,7 +325,7 @@ def m_sensitivity(
     h = step * prim.m
 
     def solve_at(m_val: float):
-        sol = fixed_point(replace(curve, prim=replace(prim, m=m_val)), cost, tol=fp_tol, max_iter=5000)
+        sol = fixed_point(replace(curve, prim=replace(prim, m=m_val)), cost, tol=fp_tol)
         if not sol.converged:
             raise IllPosedError("fixed point did not converge during m perturbation")
         return sol

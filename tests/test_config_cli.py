@@ -394,6 +394,9 @@ def test_cli_discretion_success(benchmark_config, tmp_path):
     assert report["p_int"] == pytest.approx(BENCH["disc_p_int"], abs=1e-6)
     assert len(report["trace"]) == report["iterations"]
     assert report["trace"][0]["lambda"] == 1.0
+    lo, hi = report["bracket"]
+    assert 0.6 <= lo <= report["lambda_T"] <= hi <= 1.0
+    assert report["jump"] is None
 
 
 def test_cli_discretion_not_converged_exits_numerical(tmp_path):
@@ -540,6 +543,28 @@ def test_cli_solve_point_mass_counts_its_interior_type(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["regime"] == "interior" and summary["theta_min"] == 0.5
     assert summary["p_int"] == 1
+
+
+def test_cli_point_mass_without_fixed_point_names_the_jump(tmp_path, capsys):
+    # P_int of PointMass(0.5) jumps from 0 to 1 at lambda_T = 0.8, where
+    # g = omega_T - omega_b*m*P_int - lambda_T drops from +0.2 to -0.2
+    out = tmp_path / "run"
+    doc = point_mass_doc(out)
+    doc["discretion"] = {"enabled": True, "m": 0.5, "chi": 1.0}
+    path = write_doc(tmp_path, doc)
+    assert run_cli("discretion", "--config", path, "--quiet") == 2
+    message = ("no discretionary fixed point: P_int jumps from 0 to 1 at lambda_T = 0.8, where "
+               "omega_T - omega_b*m*P_int - lambda_T changes sign between adjacent floats and "
+               "exceeds discretion.tol in size on both sides\n")
+    assert capsys.readouterr().err == "discretion: " + message
+    report = json.loads((out / "discretion.json").read_text())
+    assert report["converged"] is False
+    assert report["jump"] == {"at": 0.8, "p_int_below": 0, "p_int_above": 1}
+    assert report["bracket"] == [0.8, 0.8]  # adjacent floats at 10 digits
+    assert len(report["trace"]) == report["iterations"] < 100
+    # a command that needs the fixed point exits 2 with the same message
+    assert run_cli("solve", "--config", path, "--quiet") == 2
+    assert capsys.readouterr().err == "softbudget solve: " + message
 
 
 def test_cli_oracle(tmp_path):

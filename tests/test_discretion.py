@@ -10,12 +10,14 @@ from softbudget import (
     SignalRule,
     TabulatedCost,
     UnsupportedRuleError,
+    Weibull,
     effective_lambda,
     fixed_point,
     interior_probability,
     solve_cap,
     virtual_weight,
 )
+from softbudget import discretion, statics
 from conftest import BENCH
 
 
@@ -135,13 +137,79 @@ def test_fixed_point_benchmark(bench_dist, bench_cost, bench_prim):
     assert sol.schedule.theta_dagger == pytest.approx(BENCH["disc_theta_dagger"], abs=1e-6)
 
 
-def test_fixed_point_trace_stays_in_bracket(bench_dist, bench_cost, bench_prim):
-    sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
-    lo = bench_prim.omega_T - bench_prim.omega_b * bench_prim.m
+def steep_case():
+    # P_int rises steeply in lambda near the root, and plain Picard iteration
+    # 2-cycles between lambda ~ 0.1924 and ~ 0.9991 instead of converging
+    prim = PolicyPrimitives(omega_T=1.0, omega_b=0.9, gamma=1.0, b_bar=5.0, m=0.9, chi=1.0)
+    return virtual_weight(Weibull(1.01, 1.0), prim, 1.0, grid_size=4097), QuadraticCost(0.5, 0.2)
+
+
+def assert_trace_in_bracket(sol):
+    prim = sol.curve.prim
+    floor = prim.omega_T - prim.omega_b * prim.m
+    lo, hi = sol.bracket
+    assert floor <= lo <= hi <= prim.omega_T
     for lam, p in sol.trace:
-        assert lo - 1e-12 <= lam <= bench_prim.omega_T + 1e-12
+        assert floor <= lam <= prim.omega_T
         assert 0.0 <= p <= 1.0
-    assert sol.trace[0][0] == bench_prim.omega_T
+    assert sol.trace[0][0] == prim.omega_T
+    if sol.converged:
+        assert lo <= sol.lambda_T <= hi
+
+
+def test_fixed_point_trace_stays_in_bracket(bench_dist, bench_cost, bench_prim):
+    assert_trace_in_bracket(fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost))
+    assert_trace_in_bracket(fixed_point(*steep_case()))
+    assert_trace_in_bracket(fixed_point(virtual_weight(PointMass(0.5), bench_prim, 1.0), bench_cost))
+
+
+def test_fixed_point_benchmark_evaluations(bench_dist, bench_cost, bench_prim):
+    # omega_T, its Picard image, then secant steps: plain Picard iteration
+    # took 11 evaluations at tol 1e-8 and 18 at 1e-13
+    commitment = virtual_weight(bench_dist, bench_prim, 1.0)
+    for tol in (1e-8, 1e-13):
+        sol = fixed_point(commitment, bench_cost, tol=tol)
+        assert sol.converged and len(sol.trace) == sol.iterations <= 6
+        assert abs(effective_lambda(bench_prim, sol.p_int) - sol.lambda_T) <= tol
+    assert sol.trace[1][0] == effective_lambda(bench_prim, sol.trace[0][1])
+
+
+def test_m_sensitivity_fixed_points_take_few_evaluations(monkeypatch, bench_dist, bench_cost, bench_prim):
+    calls = []
+
+    def counted(*args, **kwargs):
+        sol = fixed_point(*args, **kwargs)
+        calls.append((kwargs["tol"], sol.converged, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(statics, "fixed_point", counted)
+    statics.m_sensitivity(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
+    assert len(calls) == 3
+    assert all(tol == 1e-13 and converged and iterations <= 8 for tol, converged, iterations in calls)
+
+
+def test_fixed_point_steep_case_converges():
+    curve, cost = steep_case()
+    sol = fixed_point(curve, cost, tol=1e-8)
+    assert sol.converged and sol.jump is None
+    assert sol.lambda_T == pytest.approx(0.6036508928, abs=1e-8)
+    assert abs(effective_lambda(curve.prim, sol.p_int) - sol.lambda_T) <= 1e-8
+    assert sol.iterations <= 12
+
+
+def test_fixed_point_point_mass_jump_has_no_root(bench_cost, bench_prim):
+    # P_int of one type is 0 or 1: here it jumps from 0 to 1 at lambda = 0.8,
+    # where g = omega_T - omega_b*m*P_int - lambda drops from +0.2 to -0.2
+    sol = fixed_point(virtual_weight(PointMass(0.5), bench_prim, 1.0), bench_cost)
+    assert not sol.converged
+    lo, hi = sol.bracket
+    assert hi == np.nextafter(lo, np.inf)
+    assert sol.jump == (hi, 0.0, 1.0)
+    assert sol.jump.at == pytest.approx(0.8, abs=1e-15)
+    assert (lo, 0.0) in sol.trace and (hi, 1.0) in sol.trace
+    assert sol.iterations < 100
+    # the best evaluated point comes back with its own curve and schedule
+    assert sol.lambda_T in (lo, hi) and sol.curve.lambda_T == sol.lambda_T
 
 
 def test_fixed_point_m_zero_is_commitment(bench_dist, bench_cost, bench_prim):
@@ -170,10 +238,43 @@ def test_discretion_weakens_discipline(bench_dist, bench_cost, bench_prim):
     assert sol.schedule.theta_dagger < BENCH["theta_dagger"]
 
 
+def test_fixed_point_evaluates_the_floor_before_naming_a_jump(monkeypatch, bench_dist, bench_cost, bench_prim):
+    # a synthetic P_int, 1 below lambda = 0.9 and 1/2 above: every evaluation
+    # above the floor 0.6 has g < 0, and with a tol below float resolution
+    # the bracket collapses onto the floor, which has g = 0 but was never
+    # evaluated, so the solver evaluates it rather than report a jump
+    monkeypatch.setattr(discretion, "interior_probability",
+                        lambda schedule, dist: 1.0 if schedule.lambda_T < 0.9 else 0.5)
+    sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257), bench_cost, tol=1e-300)
+    assert sol.converged and sol.jump is None
+    assert sol.lambda_T == sol.trace[-1][0] == 0.6 and sol.p_int == 1.0
+    assert sol.bracket == (0.6, np.nextafter(0.6, 1.0))
+
+
+def test_fixed_point_bracket_halves_at_a_flat_root(monkeypatch, bench_dist, bench_cost, bench_prim):
+    # a synthetic P_int whose g = -0.04 sign(x) |x / 0.4|^9, x = lambda - 0.65,
+    # is flat at its root: secant steps creep towards it from one side, and
+    # took 37 evaluations at tol 1e-13 without the rule that the bracket
+    # halve over every two evaluations
+    def p_int(schedule, dist):
+        x = schedule.lambda_T - 0.65
+        return (1.0 - schedule.lambda_T + 0.04 * np.sign(x) * abs(x / 0.4) ** 9) / 0.4
+
+    monkeypatch.setattr(discretion, "interior_probability", p_int)
+    sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257), bench_cost, tol=1e-13)
+    assert sol.converged and sol.iterations <= 12
+    assert_trace_in_bracket(sol)
+
+
 def test_fixed_point_exhaustion_reports_not_converged(bench_dist, bench_cost, bench_prim):
     sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, max_iter=2, tol=1e-14)
     assert not sol.converged
     assert sol.iterations == 2
+    # out of evaluations, the result is the best point found, with its own
+    # curve and schedule: the steep case's third point beats its fourth
+    sol = fixed_point(*steep_case(), max_iter=4)
+    assert not sol.converged and sol.jump is None and sol.iterations == 4
+    assert (sol.lambda_T, sol.p_int) == sol.trace[2] and sol.curve.lambda_T == sol.lambda_T
 
 
 def test_fixed_point_keeps_last_curve_and_accepts_commitment_curve(bench_dist, bench_cost, bench_prim):

@@ -654,3 +654,15 @@ def test_caps_from_targets_sends_targets_at_or_above_the_top_to_b_bar():
     table = TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0])
     targets = np.array([0.1, table.marginal(0.8), 5.0])
     assert caps_from_targets(targets, table, 0.8).tolist() == [0.0, 0.8, 0.8]
+
+
+def test_caps_from_targets_gives_no_cap_at_the_marginal_cost_at_zero():
+    # solve_cap puts a type whose target equals C'(0) below theta_min (its
+    # test is psi > C'(0)), so its cap must be exactly 0, the leftmost
+    # preimage, for a tabulated cost as for a quadratic one
+    for cost in (TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0]), QuadraticCost(0.2, 1.0)):
+        inv = cost.inverse_marginal(0.2)
+        assert inv.payout == 0.0 and inv.below_origin is False
+        assert caps_from_targets(np.array([0.2, 0.3]), cost, 0.8)[0] == 0.0
+    # a plateau starting at the origin inverts to the origin too
+    assert TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.2, 1.0]).inverse_marginal(0.2).payout == 0.0

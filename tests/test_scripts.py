@@ -42,3 +42,8 @@ def test_statics_report_fails_on_the_statics_verdict():
     assert done.stderr == (
         "certification failed: d_b_max_d_lambda_T rel_error 2.506e-03 > STATICS_REL_TOL 0.0001\n"
     )
+    # the signs alone are right, but the printed verdict is the one the exit code reports
+    lines = done.stdout.splitlines()
+    assert "signs_ok=True" in lines[-3] and "all_ok" not in done.stdout
+    assert lines[-1] == "passed=False"
+    assert run_script("statics_report.py").stdout.splitlines()[-1] == "passed=True"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -427,6 +428,16 @@ def test_welfare_bruteforce_frozen_instance(bench_prim, bench_cost):
     assert np.all(np.diff(rep.best_caps) >= 0.0)
     # enumerated optimum brackets the exact relaxed optimum
     assert np.max(np.abs(rep.best_caps - rep.kkt_caps)) <= bench_prim.b_bar / 20.0
+
+
+@pytest.mark.parametrize("levels, n", [(21, 5), (21, 1), (2, 1), (2, 6), (3, 4), (7, 2)])
+def test_bruteforce_enumeration_matches_itertools(levels, n):
+    # the oracle's table of nondecreasing level tuples: same rows, same
+    # lexicographic order, same dtype as combinations_with_replacement
+    expected = np.array(list(itertools.combinations_with_replacement(range(levels), n)), dtype=np.intp)
+    table = simulation._nondecreasing_tuples(levels, n)
+    assert table.dtype == expected.dtype and table.shape == expected.shape
+    assert np.array_equal(table, expected)
 
 
 def test_welfare_bruteforce_no_rescue_instance(bench_prim):
