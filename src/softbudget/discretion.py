@@ -16,7 +16,12 @@ effective multiplier on transfer resources:
     lambda_T = omega_T - omega_b * m * P(0 < b*(theta) < b_bar),
 
 where the interior probability is computed from the cap schedule solved at
-that same lambda_T.  A credible lambda_T is a root of
+that same lambda_T.  lambda_T enters the virtual weight only as the scale
+1/lambda_T, and ironing commutes with a positive scale, so the cutoffs at
+any lambda are crossings of the commitment curve's ironed weight psi_bar
+at targets C'(0) * lambda / omega_T and C'(b_bar) * lambda / omega_T: an
+evaluation of P_int costs two crossings and two survivor calls.  A
+credible lambda_T is a root of
 
     g(lambda) = omega_T - omega_b * m * P_int(lambda) - lambda.
 
@@ -46,7 +51,7 @@ import numpy as np
 from .costs import QuadraticCost, RescueCost
 from .distributions import TypeDistribution
 from .errors import ParameterError, UnsupportedRuleError
-from .mechanism import CapSchedule, VirtualWeightCurve, solve_cap, virtual_weight
+from .mechanism import CapSchedule, VirtualWeightCurve, _rescaled_crossing, solve_cap
 from .primitives import PolicyPrimitives
 
 __all__ = [
@@ -175,12 +180,31 @@ def interior_probability(cap: CapSchedule, dist: TypeDistribution) -> float:
     interior and 0 otherwise; the survivor P(type > theta_min) would miss
     the atom at theta_min.
     """
-    if cap.theta.size == 1:
-        return 1.0 if cap.regime == "interior" else 0.0
-    if cap.theta_min is None:
+    return _interior(cap.theta_min, cap.theta_dagger, dist, cap.theta.size == 1)
+
+
+def _interior(theta_min: Optional[float], theta_dagger: Optional[float], dist: TypeDistribution,
+              degenerate: bool) -> float:
+    if theta_min is None:
         return 0.0
-    upper_surv = 0.0 if cap.theta_dagger is None else float(dist.survivor(cap.theta_dagger))
-    return float(dist.survivor(cap.theta_min)) - upper_surv
+    if degenerate:
+        return 1.0 if theta_dagger is None else 0.0
+    upper_surv = 0.0 if theta_dagger is None else float(dist.survivor(theta_dagger))
+    return float(dist.survivor(theta_min)) - upper_surv
+
+
+def _interior_probability_at(curve: VirtualWeightCurve, cost: RescueCost, lam: float) -> float:
+    """``interior_probability`` of the schedule solved at ``lam``, read off the commitment ``curve``.
+
+    Both cutoffs are rescaled crossings of ``curve.psi_bar``, equal to the
+    ones ``solve_cap`` finds on the curve at ``lam``; no curve, ironing or
+    cap array is built.
+    """
+    prim = curve.prim
+    theta_min = _rescaled_crossing(curve, lam, cost.marginal_at_zero, strict=True)
+    theta_dagger = None if theta_min is None else _rescaled_crossing(curve, lam, float(cost.marginal(prim.b_bar)),
+                                                                      strict=False)
+    return _interior(theta_min, theta_dagger, curve.dist, curve.degenerate)
 
 
 def fixed_point(
@@ -193,8 +217,10 @@ def fixed_point(
 
     ``curve`` is the commitment curve (lambda_T = omega_T), the first
     evaluation; the distribution, primitives and grid are read from it.
-    Each evaluation solves the full cap schedule at one lambda to get the
-    interior probability.  The search keeps the bracket
+    Each evaluation finds the interior probability at one lambda from two
+    crossings of the commitment curve's psi_bar at rescaled targets (see the
+    module docstring); the curve and cap schedule are built once, at the
+    returned lambda_T.  The search keeps the bracket
     [omega_T - omega_b*m, omega_T] (g >= 0 at its lower end, g <= 0 at its
     upper end; see the module docstring) and evaluates, in turn, omega_T,
     its Picard image omega_T + g(omega_T), and then the secant point of the
@@ -211,7 +237,7 @@ def fixed_point(
     the ``jump``.  Exhausting ``max_iter`` evaluations also returns
     ``converged=False``, with the best point found, rather than raising.
     """
-    dist, prim = curve.dist, curve.prim
+    prim = curve.prim
     if not prim.omega_b_constant:
         raise ParameterError("the credibility fixed point requires a constant omega_b")
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -233,16 +259,13 @@ def fixed_point(
     jump = None
     lam = prim.omega_T
     while True:
-        if curve.lambda_T != lam:
-            curve = virtual_weight(dist, prim, lam, curve.grid_size, curve.tail_mass)
-        schedule = solve_cap(curve, cost, prim.b_bar)
-        p = interior_probability(schedule, dist)
+        p = _interior_probability_at(curve, cost, lam)
         target = effective_lambda(prim, p)
         g = target - lam
         trace.append((lam, p))
         residuals.append(g)
         if best is None or abs(g) < abs(best[0]):
-            best = (g, lam, p, curve, schedule)
+            best = (g, lam, p)
         if abs(g) <= tol:
             break
         if g > 0.0:
@@ -268,6 +291,7 @@ def fixed_point(
             secant = x1 - g1 * (x1 - x0) / (g1 - g0)
             if lo < secant < hi:
                 lam = secant
-    g, lam, p, curve, schedule = best
+    g, lam, p = best
+    curve = curve.at(prim, lam)
     return DiscretionSolution(lam, p, len(trace), abs(g) <= tol, tuple(trace), (lo, hi),
-                              schedule, curve, jump)
+                              solve_cap(curve, cost, prim.b_bar), curve, jump)

@@ -18,6 +18,9 @@ by the grid size (see ``iron_weights`` for its tie and zero-weight
 conventions).  ``virtual_weight`` builds the curve, which
 records its inputs and is the one input of every stage that needs psi; it
 irons on first use, so the knife-edge test, which reads only psi, never does.
+lambda_T, gamma and a constant omega_b enter psi only as a positive scale,
+so ``VirtualWeightCurve.at`` gives the curve at other weights from the same
+hazard, and ironing commutes with that scale: PAV pools the same blocks.
 
 The transfer schedule follows from the incentive budget identity
 dT = -(omega_b / omega_T) db along the cap schedule, anchored at zero where
@@ -40,7 +43,7 @@ no rescue is optimal exactly when C'(0+) >= sup_theta psi(theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -69,6 +72,9 @@ DEFAULT_GRID_SIZE = 4097
 DEFAULT_TAIL_MASS = 1e-10
 
 _CUTOFF_TOL = 1e-14  # bisection width, well inside the 1e-8 contract
+# relative band around a rescaled target inside which nodes are recomputed at
+# the new scale; rounding moves a rescaled psi_bar by a few ulps per summed node
+_RESCALE_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,10 +83,10 @@ class VirtualWeightCurve:
 
     Every stage that needs psi takes the curve, so the distribution,
     primitives, lambda and grid it reads are the ones psi was built from.
-    ``density`` (f at the nodes, the ironing weights; the unit mass for a
-    point mass), ``psi_bar`` and ``ironed`` are computed on first use and
-    kept: a caller that reads only ``psi`` never irons, and a curve irons at
-    most once.
+    ``hazard`` (h at the nodes; 1 for a point mass), ``density`` (f at the
+    nodes, the ironing weights; the unit mass for a point mass), ``psi_bar``
+    and ``ironed`` are computed on first use and kept: a caller that reads
+    only ``psi`` never irons, and a curve irons at most once.
     """
 
     theta: np.ndarray
@@ -91,9 +97,17 @@ class VirtualWeightCurve:
     grid_size: int = DEFAULT_GRID_SIZE
     tail_mass: float = DEFAULT_TAIL_MASS
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.psi)):
+            raise ParameterError("virtual weight is not finite on the grid; tighten the truncation")
+
     @property
     def degenerate(self) -> bool:
         return self.theta.size == 1
+
+    @cached_property
+    def hazard(self) -> np.ndarray:
+        return _hazard(self.dist, self.theta)
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -118,6 +132,26 @@ class VirtualWeightCurve:
     def psi_bar_at(self, theta):
         """Linear interpolation of the monotone weight curve."""
         return np.interp(theta, self.theta, self.psi_bar)
+
+    def at(self, prim: PolicyPrimitives, lambda_T: float) -> "VirtualWeightCurve":
+        """The curve of the same distribution and grid at other weights.
+
+        It shares theta and, once computed, the hazard and the density with
+        this curve, and its psi is the expression ``virtual_weight`` evaluates, so
+        it equals a fresh build bit for bit; it irons on its own first use.
+        When psi is unchanged (only m or chi differ) it shares this curve's
+        ironing instead, which is computed here if it was not yet.
+        """
+        lam = _check_lambda(lambda_T)
+        if lam == self.lambda_T and (prim.gamma, prim.omega_b) == (self.prim.gamma, self.prim.omega_b):
+            curve = replace(self, prim=prim)
+            curve.__dict__["_ironing"] = self._ironing
+        else:
+            curve = replace(self, psi=_weight(prim, lam, self.theta, self.hazard), prim=prim, lambda_T=lam)
+        for name in ("hazard", "density"):
+            if name in self.__dict__:
+                curve.__dict__[name] = self.__dict__[name]
+        return curve
 
 
 @dataclass(frozen=True)
@@ -370,18 +404,24 @@ def virtual_weight(
     """
     lam = _check_lambda(lambda_T)
     theta = dist.grid(grid_size, tail_mass)
-    psi = _psi_on(dist, prim, lam, theta)
-    if not np.all(np.isfinite(psi)):
-        raise ParameterError("virtual weight is not finite on the grid; tighten the truncation")
-    return VirtualWeightCurve(theta, psi, dist, prim, lam, grid_size, tail_mass)
+    return VirtualWeightCurve(theta, _psi_on(dist, prim, lam, theta), dist, prim, lam, grid_size, tail_mass)
+
+
+def _hazard(dist: TypeDistribution, theta: np.ndarray) -> np.ndarray:
+    """Hazard at the given types; a point mass has none and weighs 1."""
+    return np.ones_like(theta) if isinstance(dist, PointMass) else dist.hazard(theta)
+
+
+def _weight(prim: PolicyPrimitives, lam: float, theta: np.ndarray, hazard) -> np.ndarray:
+    """psi = gamma * omega_b / lambda * h: the one expression every curve evaluates."""
+    return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
 
 
 def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: np.ndarray) -> np.ndarray:
     """Raw virtual weight at the given types; a point mass bypasses the hazard."""
     # the hazard first: its temporaries are freed before the weight array is
     # built, which matters when mc_run passes millions of sampled types
-    hazard = 1.0 if isinstance(dist, PointMass) else dist.hazard(theta)
-    return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
+    return _weight(prim, lam, theta, _hazard(dist, theta))
 
 
 def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, strict: bool) -> Optional[float]:
@@ -412,6 +452,34 @@ def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, str
         else:
             lo = mid
     return hi
+
+
+def _rescaled_crossing(curve: VirtualWeightCurve, lambda_T: float, target: float, strict: bool) -> Optional[float]:
+    """``_leftmost_crossing`` of ``target`` on the curve at ``lambda_T``, read off ``curve``.
+
+    lambda scales psi by 1/lambda and ironing commutes with the scale, so the
+    crossing lies where ``curve.psi_bar`` crosses the target scaled by
+    lambda_T / curve.lambda_T; no hazard, PAV or cap array is built.  The
+    scales round differently, so the nodes within ``_RESCALE_BAND`` of the
+    scaled target, and one on each side, take the values the curve at
+    lambda_T holds (psi from ``_weight``, pooled blocks summed as
+    ``iron_weights`` sums them): the crossing is ``solve_cap``'s, bit for bit.
+    """
+    psi_bar = curve.psi_bar
+    scaled = target * (lambda_T / curve.lambda_T)
+    band = abs(scaled) * _RESCALE_BAND
+    near, far = psi_bar >= scaled - band, psi_bar > scaled + band
+    if not bool(near.any()):
+        return None
+    nodes = slice(max(int(near.argmax()) - 1, 0), int(far.argmax()) + 1 if bool(far.any()) else psi_bar.size)
+    values = _weight(curve.prim, lambda_T, curve.theta[nodes], curve.hazard[nodes])
+    pooled = curve.ironed[nodes]
+    for level in set(psi_bar[nodes][pooled].tolist()):
+        block = slice(np.searchsorted(psi_bar, level, "left"), np.searchsorted(psi_bar, level, "right"))
+        weights = curve.density[block]
+        mass = weights * _weight(curve.prim, lambda_T, curve.theta[block], curve.hazard[block])
+        values[pooled & (psi_bar[nodes] == level)] = np.add.reduceat(mass, [0])[0] / np.add.reduceat(weights, [0])[0]
+    return _leftmost_crossing(curve.theta[nodes], values, target, strict)
 
 
 def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) -> np.ndarray:

@@ -2,29 +2,37 @@
 
 Two local quantities summarize the schedule: the lower cutoff ``theta_min``
 (the neediest type still denied rescue) and the interior cap level
-``b_max`` evaluated at the reference type where the hazard equals one,
+``b_max`` at the reference type theta_ref where the hazard equals one,
 
     h(theta_min) = alpha * lambda_T / (gamma * omega_b),
-    b_max        = (gamma * omega_b / lambda_T - alpha) / kappa.
+    b_max        = (psi_bar(theta_ref) - alpha) / kappa,
 
-Implicit differentiation of the first identity (denominator h'(theta_min))
-and direct differentiation of the second give seven analytic partials:
+where psi_bar(theta_ref), the ironed weight the solver reads there, is
+gamma * omega_b / lambda_T when theta_ref is unpooled (h(theta_ref) = 1),
+and the pooled level, which a positive scale keeps proportional to
+gamma * omega_b / lambda_T, when it lies on a pooled stretch.  Implicit
+differentiation of the first identity (denominator h'(theta_min)) and
+direct differentiation of the second give seven analytic partials:
 
     d theta_min / d alpha    = (1/h') * lambda_T / (gamma * omega_b)        > 0
     d theta_min / d omega_b  = -(1/h') * alpha * lambda_T / (gamma omega_b^2) < 0
     d theta_min / d lambda_T = (1/h') * alpha / (gamma * omega_b)           > 0
     d theta_min / d gamma    = -(1/h') * alpha * lambda_T / (gamma^2 omega_b) < 0
-    d b_max / d kappa        = -(gamma omega_b/lambda_T - alpha) / kappa^2  < 0
-    d b_max / d lambda_T     = -gamma * omega_b / (kappa * lambda_T^2)      < 0
-    d b_max / d gamma        = omega_b / (kappa * lambda_T)                 > 0
+    d b_max / d kappa        = -(psi_bar(theta_ref) - alpha) / kappa^2      < 0
+    d b_max / d lambda_T     = -psi_bar(theta_ref) / (kappa * lambda_T)     < 0
+    d b_max / d gamma        = psi_bar(theta_ref) / (kappa * gamma)         > 0
 
 with the stated signs valid whenever gamma*omega_b/lambda_T > alpha (an
-interior lower cutoff exists).  ``fd_certify`` re-solves the full pipeline
-at centrally perturbed parameters and reports relative errors plus a sign
-table; perturbed solves that cross a regime boundary are flagged instead of
-silently differenced.  ``m_sensitivity`` differentiates through the
-discretionary fixed point in the rule-sensitivity parameter m, with
-analytic chain-rule values for comparison.
+interior lower cutoff exists).  An unpooled theta_ref keeps the b_max
+partials in their gamma*omega_b/lambda_T forms.  A lower cutoff on or next
+to a pooled stretch is rejected: psi_bar there follows the block mean, not h.
+
+``fd_certify`` re-solves the full pipeline at centrally perturbed
+parameters and reports relative errors plus a sign table; perturbed solves
+that cross a regime boundary are flagged instead of silently differenced.
+``m_sensitivity`` differentiates through the discretionary fixed point in
+the rule-sensitivity parameter m, with analytic chain-rule values for
+comparison.
 
 These formulas are specific to quadratic costs and a constant omega_b;
 other configurations are rejected.
@@ -40,9 +48,8 @@ import numpy as np
 
 from .costs import QuadraticCost, RescueCost
 from .discretion import fixed_point
-from .distributions import TypeDistribution
 from .errors import IllPosedError, ParameterError
-from .mechanism import CapSchedule, VirtualWeightCurve, solve_cap, virtual_weight
+from .mechanism import CapSchedule, VirtualWeightCurve, solve_cap
 from .primitives import PolicyPrimitives
 
 __all__ = [
@@ -131,11 +138,24 @@ def _interior_theta_min(sched: CapSchedule) -> Optional[float]:
     return sched.theta_min
 
 
+def _pooled_stretch(sched: CapSchedule, theta: float) -> Optional[tuple[float, float]]:
+    """First and last type of the pooled stretch psi_bar interpolates at ``theta``, or None."""
+    i = int(np.searchsorted(sched.theta, theta))
+    cell = np.flatnonzero(sched.ironed[max(i - 1, 0):i + 1])
+    if not cell.size:
+        return None
+    node = max(i - 1, 0) + int(cell[0])
+    unpooled = np.flatnonzero(~sched.ironed)
+    k = int(np.searchsorted(unpooled, node))
+    first = int(unpooled[k - 1]) + 1 if k else 0
+    last = int(unpooled[k]) - 1 if k < unpooled.size else sched.theta.size - 1
+    return float(sched.theta[first]), float(sched.theta[last])
+
+
 def _hazard_reference(curve: VirtualWeightCurve) -> Optional[float]:
     """Type where the hazard crosses one on the curve's grid: the anchor for b_max."""
     dist, grid = curve.dist, curve.theta
-    h = dist.hazard(grid)
-    above = h >= 1.0
+    above = curve.hazard >= 1.0
     if bool(above[0]) or not bool(np.any(above)):
         return None
     i = int(np.argmax(above))
@@ -158,22 +178,28 @@ def analytic_partials(curve: VirtualWeightCurve, cost: RescueCost) -> dict:
     ------
     IllPosedError
         If the hazard slope at the lower cutoff is zero to tolerance (the
-        implicit-function denominator vanishes, e.g. constant hazards).
+        implicit-function denominator vanishes, e.g. constant hazards), or
+        the lower cutoff lies on or next to a pooled stretch of psi_bar.
     ParameterError
         If there is no interior lower cutoff, the cost is not quadratic, or
         omega_b is type-dependent.
     """
-    prim = curve.prim
-    qcost = _require_quadratic_scalar(prim, cost)
-    return _partials_at(solve_cap(curve, cost, prim.b_bar), curve.dist, prim, qcost, curve.lambda_T)
+    qcost = _require_quadratic_scalar(curve.prim, cost)
+    return _partials_at(curve, solve_cap(curve, cost, curve.prim.b_bar), qcost, _hazard_reference(curve))
 
 
-def _partials_at(sched: CapSchedule, dist: TypeDistribution, prim: PolicyPrimitives,
-                 qcost: QuadraticCost, lam: float) -> dict:
-    """``analytic_partials`` at a schedule already solved at ``lam``."""
+def _partials_at(curve: VirtualWeightCurve, sched: CapSchedule, qcost: QuadraticCost,
+                 theta_ref: Optional[float]) -> dict:
+    """``analytic_partials`` at the schedule already solved on ``curve``."""
+    dist, prim, lam = curve.dist, curve.prim, curve.lambda_T
     theta_min = _interior_theta_min(sched)
     if theta_min is None:
         raise ParameterError("no interior lower cutoff at these parameters; statics not applicable")
+    block = _pooled_stretch(sched, theta_min)
+    if block is not None:
+        raise IllPosedError(f"lower cutoff theta_min = {theta_min:.10g} lies on or next to the pooled stretch "
+                            f"[{block[0]:.10g}, {block[1]:.10g}] of psi_bar, which moves it instead of "
+                            "h'(theta_min); cutoff statics ill-posed")
     h_slope = float(dist.hazard_slope(theta_min))
     h_val = float(dist.hazard(theta_min))
     if not (h_slope > _SLOPE_TOL * max(1.0, abs(h_val))):
@@ -190,8 +216,13 @@ def _partials_at(sched: CapSchedule, dist: TypeDistribution, prim: PolicyPrimiti
         "d_b_max_d_lambda_T": -gamma * omega_b / (kappa * lam**2),
         "d_b_max_d_gamma": omega_b / (kappa * lam),
     }
+    level = gamma * omega_b / lam
+    if theta_ref is not None and _pooled_stretch(sched, theta_ref) is not None:
+        level = float(curve.psi_bar_at(theta_ref))
+        out.update(d_b_max_d_kappa=-(level - alpha) / kappa**2, d_b_max_d_lambda_T=-level / (kappa * lam),
+                   d_b_max_d_gamma=level / (kappa * gamma))
     out["theta_min"] = theta_min
-    out["b_max"] = (gamma * omega_b / lam - alpha) / kappa
+    out["b_max"] = (level - alpha) / kappa
     out["lambda_T"] = lam
     return out
 
@@ -214,10 +245,11 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
     relative to each parameter's magnitude.  Cutoff partials difference
     ``theta_min``; cap partials difference the solved schedule evaluated at
     the hazard-one reference type.  Each distinct virtual weight curve is
-    built once: the cost perturbations reuse the base curve, and the cutoff
-    and cap partials share each lambda and gamma perturbation.
+    built once, from the base curve's hazard (``VirtualWeightCurve.at``):
+    the cost perturbations reuse the base curve, and the cutoff and cap
+    partials share each lambda and gamma perturbation.
     """
-    dist, prim, lam = curve.dist, curve.prim, curve.lambda_T
+    prim, lam = curve.prim, curve.lambda_T
     qcost = _require_quadratic_scalar(prim, cost)
     if not (0.0 < step < 1e-1):
         raise ParameterError("fd step must lie in (0, 0.1)")
@@ -232,14 +264,14 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
             for name, expected in _SIGNS.items()
         )
         return StaticsReport(rows=rows, theta_min=math.nan, b_max=math.nan, theta_ref=math.nan, lambda_T=lam)
-    analytic = _partials_at(base, dist, prim, qcost, lam)
     theta_ref = _hazard_reference(curve)
+    analytic = _partials_at(curve, base, qcost, theta_ref)
 
     def solve_variant(d_alpha=0.0, d_kappa=0.0, d_omega_b=0.0, d_gamma=0.0, d_lambda=0.0):
         key = (d_omega_b, d_gamma, d_lambda)
         if key not in curves:
             p = replace(prim, omega_b=float(prim.omega_b) + d_omega_b, gamma=prim.gamma + d_gamma)
-            curves[key] = virtual_weight(dist, p, lam + d_lambda, curve.grid_size, curve.tail_mass)
+            curves[key] = curve.at(p, lam + d_lambda)
         c = QuadraticCost(qcost.alpha + d_alpha, qcost.kappa + d_kappa)
         return solve_cap(curves[key], c, prim.b_bar)
 
@@ -316,7 +348,7 @@ def m_sensitivity(
 
     ``curve`` is the commitment curve (lambda_T = omega_T).  m does not
     enter psi, so the three fixed points start from copies of it that
-    differ only in m.
+    differ only in m and share its ironing.
     """
     dist, prim = curve.dist, curve.prim
     qcost = _require_quadratic_scalar(prim, cost)
@@ -325,7 +357,7 @@ def m_sensitivity(
     h = step * prim.m
 
     def solve_at(m_val: float):
-        sol = fixed_point(replace(curve, prim=replace(prim, m=m_val)), cost, tol=fp_tol)
+        sol = fixed_point(curve.at(replace(prim, m=m_val), curve.lambda_T), cost, tol=fp_tol)
         if not sol.converged:
             raise IllPosedError("fixed point did not converge during m perturbation")
         return sol
@@ -345,7 +377,7 @@ def m_sensitivity(
     else:
         fd_b_max = (float(up.schedule.cap_at(theta_ref)) - float(dn.schedule.cap_at(theta_ref))) / (2.0 * h)
 
-    an = _partials_at(base.schedule, dist, prim, qcost, lam0)
+    an = _partials_at(base.curve, base.schedule, qcost, theta_ref)
     theta_min0 = an["theta_min"]
     theta_dag0 = base.schedule.theta_dagger
     dp_dlam = -float(dist.pdf(theta_min0)) * an["d_theta_min_d_lambda_T"]

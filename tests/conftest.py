@@ -1,7 +1,16 @@
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from softbudget import PolicyPrimitives, QuadraticCost, Tabulated, Weibull
+from softbudget import (
+    PolicyPrimitives, QuadraticCost, Tabulated, TypeDistribution, Weibull, load_config, parse_config, virtual_weight,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # benchmark family used throughout: Weibull(2,1) types, quadratic cost
 # C(x) = 0.2 x + 0.5 x^2, weights (omega_T, omega_b, gamma) = (1, 0.8, 1),
@@ -73,3 +82,90 @@ def irregular_tabulated():
         -0.5 * ((nodes - 1.6) / 0.2) ** 2
     ) / 0.2
     return Tabulated(nodes, dens)
+
+
+def config_commitment(cfg):
+    """The commitment curve (lambda_T = omega_T) of a loaded config, on its grid."""
+    return virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+
+
+def pooled_config():
+    """``configs/pooled_benchmark.json``: a tabulated density whose virtual weight pools."""
+    return load_config(str(ROOT / "configs" / "pooled_benchmark.json"))
+
+
+def irregular_config(seed, grid_size):
+    """The benchmark's ``irregular`` workload config (``perfbench/workloads.py``) at ``grid_size`` nodes."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    doc = workloads._irregular(seed)
+    doc["grid"] = {"size": grid_size}
+    return parse_config(doc)
+
+
+class PlateauHazard(TypeDistribution):
+    """Hazard exactly flat at 0.25 on [0.4, 0.6], rising on either side.
+
+    The benchmark weights put the lower cutoff on the plateau, where the
+    implicit-function denominator (the hazard slope) is identically zero.
+    """
+
+    kind = "plateau-hazard"
+
+    @property
+    def support(self):
+        return (0.0, math.inf)
+
+    @property
+    def is_ifr(self):
+        return True
+
+    def hazard(self, theta):
+        arr = np.asarray(theta, dtype=float)
+        out = np.where(
+            arr < 0.4,
+            0.05 + 0.5 * arr,
+            np.where(arr <= 0.6, 0.25, 0.25 + 0.5 * (arr - 0.6)),
+        )
+        return float(out) if arr.ndim == 0 else out
+
+    def hazard_slope(self, theta):
+        arr = np.asarray(theta, dtype=float)
+        out = np.where((arr >= 0.4) & (arr <= 0.6), 0.0, 0.5)
+        return float(out) if arr.ndim == 0 else out
+
+    def _cum_hazard(self, arr):
+        low = 0.05 * np.minimum(arr, 0.4) + 0.25 * np.minimum(arr, 0.4) ** 2
+        mid = 0.25 * np.clip(arr - 0.4, 0.0, 0.2)
+        hi = arr - 0.6
+        high = np.where(hi > 0.0, 0.25 * hi + 0.25 * hi**2, 0.0)
+        return low + mid + high
+
+    def pdf(self, theta):
+        arr = np.asarray(theta, dtype=float)
+        out = self.hazard(arr) * np.exp(-self._cum_hazard(arr))
+        return float(out) if arr.ndim == 0 else out
+
+    def cdf(self, theta):
+        arr = np.asarray(theta, dtype=float)
+        out = -np.expm1(-self._cum_hazard(arr))
+        return float(out) if arr.ndim == 0 else out
+
+    def survivor(self, theta):
+        arr = np.asarray(theta, dtype=float)
+        out = np.exp(-self._cum_hazard(arr))
+        return float(out) if arr.ndim == 0 else out
+
+    def ppf(self, u):
+        arr = np.asarray(u, dtype=float)
+        target = -np.log1p(-arr)
+        lo = np.zeros_like(arr)
+        hi = np.full_like(arr, 200.0)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            ge = self._cum_hazard(mid) >= target
+            hi = np.where(ge, mid, hi)
+            lo = np.where(ge, lo, mid)
+        return float(hi) if arr.ndim == 0 else hi

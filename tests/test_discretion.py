@@ -18,7 +18,7 @@ from softbudget import (
     virtual_weight,
 )
 from softbudget import discretion, statics
-from conftest import BENCH
+from conftest import BENCH, PlateauHazard, config_commitment, pooled_config
 
 
 # -- ex-post rule -----------------------------------------------------------
@@ -243,8 +243,7 @@ def test_fixed_point_evaluates_the_floor_before_naming_a_jump(monkeypatch, bench
     # above the floor 0.6 has g < 0, and with a tol below float resolution
     # the bracket collapses onto the floor, which has g = 0 but was never
     # evaluated, so the solver evaluates it rather than report a jump
-    monkeypatch.setattr(discretion, "interior_probability",
-                        lambda schedule, dist: 1.0 if schedule.lambda_T < 0.9 else 0.5)
+    monkeypatch.setattr(discretion, "_interior_probability_at", lambda curve, cost, lam: 1.0 if lam < 0.9 else 0.5)
     sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257), bench_cost, tol=1e-300)
     assert sol.converged and sol.jump is None
     assert sol.lambda_T == sol.trace[-1][0] == 0.6 and sol.p_int == 1.0
@@ -256,11 +255,11 @@ def test_fixed_point_bracket_halves_at_a_flat_root(monkeypatch, bench_dist, benc
     # is flat at its root: secant steps creep towards it from one side, and
     # took 37 evaluations at tol 1e-13 without the rule that the bracket
     # halve over every two evaluations
-    def p_int(schedule, dist):
-        x = schedule.lambda_T - 0.65
-        return (1.0 - schedule.lambda_T + 0.04 * np.sign(x) * abs(x / 0.4) ** 9) / 0.4
+    def p_int(curve, cost, lam):
+        x = lam - 0.65
+        return (1.0 - lam + 0.04 * np.sign(x) * abs(x / 0.4) ** 9) / 0.4
 
-    monkeypatch.setattr(discretion, "interior_probability", p_int)
+    monkeypatch.setattr(discretion, "_interior_probability_at", p_int)
     sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257), bench_cost, tol=1e-13)
     assert sol.converged and sol.iterations <= 12
     assert_trace_in_bracket(sol)
@@ -301,3 +300,84 @@ def test_fixed_point_validation(bench_dist, bench_cost, bench_prim):
         fixed_point(virtual_weight(bench_dist, heavy, 0.5), bench_cost)
     with pytest.raises(ParameterError):
         PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=1.3, chi=1.0)
+
+
+# -- evaluations as rescaled crossings on the commitment curve -------------
+
+
+def rescaled_cases():
+    """Commitment curves and costs the rescaled P_int is checked on."""
+    bench_prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.5, chi=1.0)
+    pooled = pooled_config()
+    return {
+        "benchmark": (virtual_weight(Weibull(2.0, 1.0), bench_prim, 1.0), QuadraticCost(0.2, 1.0)),
+        "pooled": (config_commitment(pooled), pooled.cost),
+        # C'(0) = 4.1 puts the lower cutoff next to the pooled block near
+        # lambda = 0.8, where the nodes around it take the block's mean
+        "pooled-edge": (config_commitment(pooled), QuadraticCost(4.1, 1.0)),
+        "steep": steep_case(),
+        "point-mass": (virtual_weight(PointMass(0.5), bench_prim, 1.0), QuadraticCost(0.2, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["benchmark", "pooled", "pooled-edge", "steep", "point-mass"])
+def test_rescaled_p_int_equals_the_full_evaluation(case):
+    # P_int read off the commitment curve by rescaled crossings is the P_int
+    # of the schedule solved on a fresh curve at lambda, to the bit, across
+    # the bracket; lambda = 0.8 (the point mass's jump) and its neighbours
+    # included
+    curve, cost = rescaled_cases()[case]
+    prim, dist = curve.prim, curve.dist
+    floor = prim.omega_T - prim.omega_b * prim.m
+    lams = np.append(np.linspace(floor, prim.omega_T, 201), np.nextafter(0.8, [0.0, 0.8, 1.0]))
+    cutoff_cells_pooled = 0
+    for lam in lams.tolist():
+        fresh = virtual_weight(dist, prim, lam, curve.grid_size, curve.tail_mass)
+        assert np.array_equal(fresh.ironed, curve.ironed)  # a positive scale pools the same blocks
+        sched = solve_cap(fresh, cost, prim.b_bar)
+        assert discretion._interior_probability_at(curve, cost, lam) == interior_probability(sched, dist), lam
+        if sched.theta_min is not None:
+            i = int(np.searchsorted(fresh.theta, sched.theta_min))
+            cutoff_cells_pooled += bool(fresh.ironed[max(i - 1, 0):i + 1].any())
+    assert np.any(curve.ironed) == case.startswith("pooled")
+    assert (cutoff_cells_pooled > 0) == (case == "pooled-edge")
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_fixed_point_curve_matches_a_fresh_build(pooled, bench_dist, bench_cost, bench_prim):
+    # the returned curve and schedule, derived from the commitment curve's
+    # hazard, are those a fresh build at lambda_T gives, bit for bit
+    if pooled:
+        cfg = pooled_config()
+        commitment, cost = config_commitment(cfg), cfg.cost
+    else:
+        commitment, cost = virtual_weight(bench_dist, bench_prim, 1.0), bench_cost
+    sol = fixed_point(commitment, cost)
+    assert sol.converged and sol.lambda_T < commitment.lambda_T
+    assert sol.curve.hazard is commitment.hazard and sol.curve.density is commitment.density
+    prim = commitment.prim
+    fresh = virtual_weight(commitment.dist, prim, sol.lambda_T, commitment.grid_size, commitment.tail_mass)
+    for name in ("psi", "psi_bar", "ironed"):
+        assert getattr(sol.curve, name).tobytes() == getattr(fresh, name).tobytes(), name
+    sched = solve_cap(fresh, cost, prim.b_bar)
+    assert sol.schedule.b_star.tobytes() == sched.b_star.tobytes()
+    assert (sol.schedule.theta_min, sol.schedule.theta_dagger) == (sched.theta_min, sched.theta_dagger)
+    assert sol.p_int == interior_probability(sched, commitment.dist)
+    assert np.any(sol.curve.ironed) == pooled
+
+
+def test_rescaled_p_int_equals_the_full_evaluation_on_a_flat_hazard():
+    # the hazard is flat at 0.25 on [0.4, 0.6], so psi is flat there on 84
+    # nodes; C'(0) set to that level at lambda puts every plateau node within
+    # an ulp of the rescaled target, and the nodes recomputed at lambda must
+    # span the whole plateau (P_int read 0 instead of 0.552 at lambda 0.76
+    # when only the nodes next to the first rescaled crossing were)
+    prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.5, chi=1.0)
+    dist = PlateauHazard()
+    curve = virtual_weight(dist, prim, 1.0)
+    for lam in np.linspace(0.6, 0.99, 40).tolist():
+        level = prim.gamma * prim.omega_b / lam * 0.25
+        for alpha in np.nextafter(level, [0.0, level, 1.0]).tolist():
+            cost = QuadraticCost(alpha, 1.0)
+            full = interior_probability(solve_cap(virtual_weight(dist, prim, lam), cost, prim.b_bar), dist)
+            assert discretion._interior_probability_at(curve, cost, lam) == full, (lam, alpha)

@@ -10,7 +10,6 @@ from softbudget import (
     PolicyPrimitives,
     QuadraticCost,
     TabulatedCost,
-    TypeDistribution,
     Uniform,
     WeightCurve,
     analytic_partials,
@@ -18,75 +17,12 @@ from softbudget import (
     m_sensitivity,
     virtual_weight,
 )
-from softbudget.statics import FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_REGIME_BOUNDARY
+from softbudget import mechanism
+from softbudget.mechanism import VirtualWeightCurve, solve_cap
+from softbudget.statics import FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_REGIME_BOUNDARY, statics_failures
+from conftest import PlateauHazard, config_commitment, irregular_config, pooled_config
 
 FROZEN_D_LAMBDA_D_M = -0.1724158793
-
-
-class PlateauHazard(TypeDistribution):
-    """Hazard exactly flat at 0.25 on [0.4, 0.6], rising on either side.
-
-    The benchmark weights put the lower cutoff on the plateau, where the
-    implicit-function denominator (the hazard slope) is identically zero.
-    """
-
-    kind = "plateau-hazard"
-
-    @property
-    def support(self):
-        return (0.0, math.inf)
-
-    @property
-    def is_ifr(self):
-        return True
-
-    def hazard(self, theta):
-        arr = np.asarray(theta, dtype=float)
-        out = np.where(
-            arr < 0.4,
-            0.05 + 0.5 * arr,
-            np.where(arr <= 0.6, 0.25, 0.25 + 0.5 * (arr - 0.6)),
-        )
-        return float(out) if arr.ndim == 0 else out
-
-    def hazard_slope(self, theta):
-        arr = np.asarray(theta, dtype=float)
-        out = np.where((arr >= 0.4) & (arr <= 0.6), 0.0, 0.5)
-        return float(out) if arr.ndim == 0 else out
-
-    def _cum_hazard(self, arr):
-        low = 0.05 * np.minimum(arr, 0.4) + 0.25 * np.minimum(arr, 0.4) ** 2
-        mid = 0.25 * np.clip(arr - 0.4, 0.0, 0.2)
-        hi = arr - 0.6
-        high = np.where(hi > 0.0, 0.25 * hi + 0.25 * hi**2, 0.0)
-        return low + mid + high
-
-    def pdf(self, theta):
-        arr = np.asarray(theta, dtype=float)
-        out = self.hazard(arr) * np.exp(-self._cum_hazard(arr))
-        return float(out) if arr.ndim == 0 else out
-
-    def cdf(self, theta):
-        arr = np.asarray(theta, dtype=float)
-        out = -np.expm1(-self._cum_hazard(arr))
-        return float(out) if arr.ndim == 0 else out
-
-    def survivor(self, theta):
-        arr = np.asarray(theta, dtype=float)
-        out = np.exp(-self._cum_hazard(arr))
-        return float(out) if arr.ndim == 0 else out
-
-    def ppf(self, u):
-        arr = np.asarray(u, dtype=float)
-        target = -np.log1p(-arr)
-        lo = np.zeros_like(arr)
-        hi = np.full_like(arr, 200.0)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            ge = self._cum_hazard(mid) >= target
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        return float(hi) if arr.ndim == 0 else hi
 
 
 def test_analytic_partials_benchmark_values(bench_dist, bench_cost, bench_prim):
@@ -219,3 +155,79 @@ def test_m_sensitivity_requires_positive_m(bench_dist, bench_cost):
     prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.0, chi=1.0)
     with pytest.raises(ParameterError):
         m_sensitivity(virtual_weight(bench_dist, prim, 1.0), bench_cost)
+
+
+# -- pooled curves and derived curves ---------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_b_max_partials_hold_where_theta_ref_is_pooled(seed):
+    # the irregular workload's theta_ref lies on a pooled stretch, where the
+    # solver reads psi_bar(theta_ref), not gamma*omega_b/lambda_T = 0.8: the
+    # b_max partials missed their differences by 2.1e-2 (seed 1) and 6.0e-2
+    # (seed 7) at every grid size before they were written in psi_bar
+    cfg = irregular_config(seed, 16385)
+    curve = config_commitment(cfg)
+    report = fd_certify(curve, cfg.cost)
+    assert statics_failures(report, None) == []
+    i = int(np.searchsorted(curve.theta, report.theta_ref))
+    assert curve.ironed[i - 1] and curve.ironed[i]
+    level = float(curve.psi_bar_at(report.theta_ref))
+    assert level < 0.79
+    assert report.b_max == (level - cfg.cost.alpha) / cfg.cost.kappa
+    rows = {r.partial: r for r in report.rows}
+    assert rows["d_b_max_d_kappa"].rel_error < 1e-8 and rows["d_b_max_d_gamma"].analytic == level / cfg.cost.kappa
+
+
+def test_analytic_partials_reject_a_cutoff_on_a_pooled_stretch():
+    # psi_bar pools on [0.2236, 0.6829] at 3.2845 and sits at 3.2754 just
+    # below it: with C'(0) = 3.28 the lower cutoff falls in the cell that
+    # rises onto the block, where it moves with the block mean, not h
+    cfg = pooled_config()
+    curve = config_commitment(cfg)
+    cost = QuadraticCost(3.28, 1.0)
+    block = r"theta_min = 0\.2235124132 lies on or next to the pooled stretch \[0\.2236327868, 0\.6828612497\]"
+    with pytest.raises(IllPosedError, match=block):
+        analytic_partials(curve, cost)
+    with pytest.raises(IllPosedError, match=block):
+        fd_certify(curve, cost)
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_fd_certify_perturbed_curves_match_fresh_builds(monkeypatch, pooled, bench_dist, bench_cost, bench_prim):
+    # the six omega_b, gamma and lambda perturbations are derived from the
+    # base curve's hazard; each equals a fresh build bit for bit
+    if pooled:
+        cfg = pooled_config()
+        base, cost = config_commitment(cfg), cfg.cost
+    else:
+        base, cost = virtual_weight(bench_dist, bench_prim, 1.0), bench_cost
+    derived = []
+    at = VirtualWeightCurve.at
+
+    def recording(self, prim, lambda_T):
+        derived.append(at(self, prim, lambda_T))
+        return derived[-1]
+
+    monkeypatch.setattr(VirtualWeightCurve, "at", recording)
+    fd_certify(base, cost)
+    assert len(derived) == 6
+    for curve in derived:
+        assert curve.hazard is base.hazard and curve.theta is base.theta
+        fresh = virtual_weight(curve.dist, curve.prim, curve.lambda_T, base.grid_size, base.tail_mass)
+        for name in ("psi", "psi_bar", "ironed"):
+            assert getattr(curve, name).tobytes() == getattr(fresh, name).tobytes(), name
+        b_bar = curve.prim.b_bar
+        assert solve_cap(curve, cost, b_bar).b_star.tobytes() == solve_cap(fresh, cost, b_bar).b_star.tobytes()
+        assert np.any(curve.ironed) == pooled
+
+
+def test_m_sensitivity_irons_the_commitment_curve_once(monkeypatch, bench_dist, bench_cost, bench_prim):
+    # m does not enter psi: the three fixed points share the commitment
+    # curve's ironing, and each irons only the curve at its lambda_T
+    calls = []
+    original = mechanism.iron_weights
+    monkeypatch.setattr(mechanism, "iron_weights", lambda psi, w: calls.append(len(psi)) or original(psi, w))
+    commitment = virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257)
+    m_sensitivity(commitment, bench_cost)
+    assert calls == [257] * 4
