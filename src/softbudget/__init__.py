@@ -45,15 +45,7 @@ from .mechanism import (
     virtual_weight,
 )
 from .primitives import PolicyPrimitives, WeightCurve
-from .simulation import (
-    RevenueModel,
-    capmin_oracle,
-    gap_density_at_rule,
-    mc_run,
-    simulate_payout,
-    solve_effort,
-    welfare_bruteforce,
-)
+from .simulation import capmin_oracle, mc_run, welfare_bruteforce
 from .statics import analytic_partials, fd_certify, m_sensitivity
 
 __version__ = "0.1.0"
@@ -74,8 +66,7 @@ __all__ = [
     # statics
     "analytic_partials", "fd_certify", "m_sensitivity",
     # simulation
-    "RevenueModel", "mc_run", "simulate_payout", "gap_density_at_rule", "solve_effort", "capmin_oracle",
-    "welfare_bruteforce",
+    "mc_run", "capmin_oracle", "welfare_bruteforce",
     # config
     "parse_config", "load_config",
     # errors

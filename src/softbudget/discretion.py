@@ -244,7 +244,7 @@ def fixed_point(
         raise ParameterError("tol must be positive and finite")
     if max_iter < 1:
         raise ParameterError("max_iter must be at least 1")
-    floor = prim.omega_T - float(prim.omega_b) * prim.m
+    floor = effective_lambda(prim, 1.0)
     if floor <= 0.0:
         raise ParameterError("fixed point requires omega_T > omega_b * m")
     if curve.lambda_T != prim.omega_T:

@@ -19,10 +19,10 @@ closed form (the defaults are ``_pdf / _survivor`` and a 5-point stencil on
 ``hazard``).  :class:`TypeDistribution` owns the six public evaluators: each
 coerces its input once to a float array and returns a Python float for
 scalar input, a float64 array of the input's shape otherwise; ``ppf`` raises
-:class:`DomainError` outside [0, 1), and ``hazard`` raises it outside the
-support and :class:`UpperSupportError` wherever the hazard is not finite
-(zero survival at the upper end, or a divergence such as a decreasing-hazard
-Weibull's at zero).
+:class:`DomainError` outside [0, 1), and ``hazard`` and ``hazard_slope``
+raise it outside the support and :class:`UpperSupportError` wherever the
+value is not finite (zero survival at the upper end, or a divergence such as
+a decreasing-hazard Weibull's at zero).
 
 Supported kinds
 ---------------
@@ -123,24 +123,26 @@ class TypeDistribution:
             If the hazard is not finite at some point (zero survival or a
             divergence); the caller must truncate its grid there.
         """
+        return self._on_support(self._hazard, theta, "hazard")
+
+    def hazard_slope(self, theta):
+        """Derivative of the hazard in theta, with the checks of :meth:`hazard`.
+
+        Analytic for kinds that have one; otherwise a 5-point central
+        stencil on :meth:`hazard`.
+        """
+        return self._on_support(self._hazard_slope, theta, "hazard slope")
+
+    def _on_support(self, formula, theta, name: str):
         arr = np.asarray(theta, dtype=float)
         lo, hi = self.support
         if np.any(arr < lo) or np.any(arr > hi):
             raise DomainError(f"type value outside support [{lo}, {hi}] for kind '{self.kind}'")
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self._hazard(arr)
+            out = formula(arr)
         if not np.all(np.isfinite(out)):
-            raise UpperSupportError(f"{self.kind} hazard not finite (zero survival or a divergence); truncate the grid")
+            raise UpperSupportError(f"{self.kind} {name} not finite (zero survival or a divergence); truncate the grid")
         return _returned(out, arr)
-
-    def hazard_slope(self, theta):
-        """Derivative of the hazard in theta.
-
-        Analytic for kinds that have one; otherwise a 5-point central
-        stencil on :meth:`hazard`.
-        """
-        arr = np.asarray(theta, dtype=float)
-        return _returned(self._hazard_slope(arr), arr)
 
     def _hazard(self, arr: np.ndarray) -> np.ndarray:
         """Hazard at types inside the support; non-finite where undefined."""
@@ -432,6 +434,15 @@ class Tabulated(TypeDistribution):
         # and _survivor, so the hazard equals pdf / survivor bit for bit
         idx, s = self._locate(arr)
         return self._density_in(idx, s) / np.where(arr <= self.nodes[0], 1.0, self._survival_in(idx, s))
+
+    def _hazard_slope(self, arr):
+        # the density is linear inside a cell, so h' = f'/S + h^2 with f' the
+        # cell's slope, exact on either side of a node's kink, which a
+        # difference stencil would straddle; a node takes the slope above it
+        idx, s = self._locate(arr)
+        surv = np.where(arr <= self.nodes[0], 1.0, self._survival_in(idx, s))
+        h = self._density_in(idx, s) / surv
+        return self._slope[idx] / surv + h * h
 
     def _ppf(self, arr):
         # in place, to hold few sample-sized arrays at once (for 200,000

@@ -1,4 +1,4 @@
-"""Policy primitives: welfare weights, cap bound, and behavioral parameters.
+"""Policy primitives: welfare weights, cap bound, and the ex-post rescue rule.
 
 A :class:`PolicyPrimitives` bundle collects everything about the policy
 environment that is not the type distribution or the cost technology:
@@ -12,16 +12,16 @@ environment that is not the type distribution or the cost technology:
 * ``m``         -- reduced-form sensitivity of the ex-post rescue rule to
   interior types (enters the discretionary fixed point),
 * ``chi``       -- weight on period-2 recipient welfare in the ex-post
-  rescue problem,
-* ``phi_e``, ``phi_d`` -- marginal effort disutility and default welfare
-  loss in the recipient's effort problem,
-* ``eta_scale`` -- standard deviation of the audit noise on the fiscal gap.
+  rescue problem.
+
+The recipient's effort problem has its own bundle,
+:class:`softbudget.effort.EffortParameters`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -62,7 +62,7 @@ class WeightCurve:
 
 @dataclass(frozen=True)
 class PolicyPrimitives:
-    """Validated bundle of welfare weights and behavioral parameters."""
+    """Validated bundle of welfare weights, cap bound and the ex-post rule's m and chi."""
 
     omega_T: float
     omega_b: Union[float, WeightCurve]
@@ -70,19 +70,14 @@ class PolicyPrimitives:
     b_bar: float
     m: float = 0.0
     chi: float = 1.0
-    phi_e: float = 1.0
-    phi_d: float = 0.0
-    eta_scale: float = 0.1
 
     def __post_init__(self):
-        for name in ("omega_T", "gamma", "b_bar", "chi", "phi_e", "eta_scale"):
+        for name in ("omega_T", "gamma", "b_bar", "chi"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ParameterError(f"{name} must be positive and finite")
         if not (0.0 <= self.m < 1.0):
             raise ParameterError("m must lie in [0, 1)")
-        if not (self.phi_d >= 0.0 and math.isfinite(self.phi_d)):
-            raise ParameterError("phi_d must be nonnegative and finite")
         if isinstance(self.omega_b, WeightCurve):
             return
         # zero is allowed: it switches the rescue channel off entirely

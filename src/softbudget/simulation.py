@@ -1,4 +1,4 @@
-"""Monte Carlo verification, payout simulation, effort, and oracle checks.
+"""Monte Carlo verification and oracle checks.
 
 This module closes the loop between the closed-form screening solution and
 its sampled counterpart, and provides two independent oracles used by the
@@ -7,20 +7,6 @@ acceptance suite:
 * ``mc_run`` samples types through the deterministic Philox stream, pushes
   them through the solved cap schedule, and reports sample-based cutoff and
   interior-probability estimates plus binned means of the cap against type.
-* ``simulate_payout`` applies the two-instrument payout convention: a
-  payout is released only for positive audited gaps and equals the minimum
-  of the signal rule's payout, the reported type's cap, and the gap itself.
-* ``solve_effort`` solves the recipient's effort condition
-
-      R_e(e, theta) * (1 + phi_d * Lambda(e)) = phi_e,
-
-  for threshold-shaped rules (slope zero almost everywhere), where
-  Lambda(e) = E[f_eta(G_hat - beta(G_hat))] is the expected noise density
-  at the post-rescue residual gap.  With Gaussian audit noise the
-  expectation has an exact Gaussian-product form per rule branch, which
-  this module uses directly: node-based quadrature cannot meet the stated
-  residual tolerance across the rule's jump.  With phi_d = 0 the condition
-  collapses to the closed form e* = rho(theta)/phi_e - 1.
 * ``capmin_oracle`` certifies the cap-minimum calculus d/db E[min(X, b)] =
   P(X >= b) and d/db E[min(X, b)^2] = 2 b P(X >= b) by central differences
   against exact tail probabilities.
@@ -44,26 +30,13 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .costs import RescueCost
-from .discretion import THRESHOLD, SignalRule, interior_probability
+from .discretion import interior_probability
 from .distributions import SAMPLE_BLOCK, TypeDistribution, sample_types
-from .errors import NumericalError, ParameterError, UnsupportedRuleError
-from .mechanism import CapSchedule, VirtualWeightCurve, _psi_on, caps_from_targets, solve_cap
+from .errors import ParameterError
+from .mechanism import CapSchedule, VirtualWeightCurve, _psi_on, _weight, caps_from_targets, solve_cap
 from .primitives import PolicyPrimitives
 
-__all__ = [
-    "MCReport",
-    "PayoutResult",
-    "RevenueModel",
-    "EffortSolution",
-    "CapMinReport",
-    "BruteForceReport",
-    "mc_run",
-    "simulate_payout",
-    "gap_density_at_rule",
-    "solve_effort",
-    "capmin_oracle",
-    "welfare_bruteforce",
-]
+__all__ = ["MCReport", "CapMinReport", "BruteForceReport", "mc_run", "capmin_oracle", "welfare_bruteforce"]
 
 DEFAULT_BINS = 30
 MIN_SAMPLES = 1000
@@ -215,219 +188,6 @@ def _bin_index(theta: np.ndarray, edges: np.ndarray) -> np.ndarray:
     idx -= theta < edges[idx]
     idx += theta >= upper[idx]
     return idx
-
-
-# ---------------------------------------------------------------------------
-# payout simulation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PayoutResult:
-    """One simulated rescue event."""
-
-    g_hat: Union[float, np.ndarray]
-    payout: Union[float, np.ndarray]
-    defaulted: Union[bool, np.ndarray]
-    report: Optional[float] = None
-
-
-def simulate_payout(
-    gap,
-    report: Optional[float],
-    rule: SignalRule,
-    cap,
-    noise,
-) -> PayoutResult:
-    """Realized payout min{rule(G_hat), cap, G_hat} for positive signals.
-
-    ``gap`` is the true fiscal gap, ``noise`` the audit disturbance, and
-    ``cap`` the cap assigned to the submitted report.  Default occurs when
-    the payout leaves part of a positive gap uncovered.
-    """
-    gap_arr = np.asarray(gap, dtype=float)
-    noise_arr = np.asarray(noise, dtype=float)
-    cap_arr = np.asarray(cap, dtype=float)
-    if np.any(cap_arr < 0.0):
-        raise ParameterError("cap must be nonnegative")
-    g_hat = gap_arr + noise_arr
-    rule_pay = np.asarray(rule.payout(g_hat), dtype=float)
-    pay = np.where(g_hat > 0.0, np.minimum(np.minimum(rule_pay, cap_arr), g_hat), 0.0)
-    pay = np.maximum(pay, 0.0)
-    defaulted = pay < gap_arr
-    if np.ndim(gap) == 0 and np.ndim(noise) == 0 and np.ndim(cap) == 0:
-        return PayoutResult(float(g_hat), float(pay), bool(defaulted), report)
-    return PayoutResult(g_hat, pay, defaulted, report)
-
-
-# ---------------------------------------------------------------------------
-# effort condition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RevenueModel:
-    """Concave revenue fixture R(e, theta) = rho0 * ln(1+e) / (1+theta).
-
-    Needier types (larger theta) raise revenue less effectively; the
-    marginal product rho(theta)/(1+e) falls in both arguments.  ``base_gap``
-    is the pre-revenue fiscal gap, so G(e) = base_gap - R(e, theta).
-    """
-
-    rho0: float = 2.0
-    base_gap: float = 1.0
-
-    def __post_init__(self):
-        if not (self.rho0 > 0.0 and math.isfinite(self.rho0)):
-            raise ParameterError("rho0 must be positive and finite")
-        if not math.isfinite(self.base_gap):
-            raise ParameterError("base_gap must be finite")
-
-    def rho(self, theta: float) -> float:
-        return self.rho0 / (1.0 + theta)
-
-    def revenue(self, effort: float, theta: float) -> float:
-        return self.rho(theta) * math.log1p(effort)
-
-    def marginal_revenue(self, effort: float, theta: float) -> float:
-        return self.rho(theta) / (1.0 + effort)
-
-    def gap(self, effort: float, theta: float) -> float:
-        return self.base_gap - self.revenue(effort, theta)
-
-
-@dataclass(frozen=True)
-class EffortSolution:
-    """Solved effort condition for one type."""
-
-    theta: float
-    effort: float
-    residual: float
-    corner: bool
-    iterations: int
-    bracket: Tuple[float, float]
-    lambda_density: float
-    revenue: RevenueModel
-    converged: bool
-
-
-def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def _norm_pdf(x: float, sd: float) -> float:
-    return math.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-
-
-def gap_density_at_rule(gap: float, rule: SignalRule, noise_scale: float) -> float:
-    """E_eta[ f_eta(G_hat - rule(G_hat)) ] for Gaussian audit noise.
-
-    The observed signal is G_hat = gap + eta with eta ~ N(0, noise_scale^2).
-    On each branch of a threshold rule the integrand is a product of two
-    Gaussians, so per branch
-
-        integral = pdf(gap - level; sqrt(2)*scale) * Gaussian mass of the
-                   branch around (gap + level)/2,
-
-    which this function assembles exactly.  Only threshold-shaped rules are
-    supported: the expectation is continuous in the gap here, which the
-    effort solver's tolerance contract requires.
-    """
-    if rule.shape != THRESHOLD:
-        raise UnsupportedRuleError("gap-density expectation implemented for threshold rules only")
-    if not (noise_scale > 0.0 and math.isfinite(noise_scale)):
-        raise ParameterError("noise scale must be positive and finite")
-    s = noise_scale
-
-    def branch(a: float, b: float, level: float) -> float:
-        center = 0.5 * (gap + level)
-        z_hi = math.inf if math.isinf(b) else (b - center) * math.sqrt(2.0) / s
-        z_lo = -math.inf if math.isinf(a) else (a - center) * math.sqrt(2.0) / s
-        mass = (1.0 if math.isinf(z_hi) else _norm_cdf(z_hi)) - (0.0 if math.isinf(z_lo) else _norm_cdf(z_lo))
-        return _norm_pdf(gap - level, math.sqrt(2.0) * s) * mass
-
-    t = rule.threshold
-    return branch(-math.inf, t, 0.0) + branch(t, math.inf, rule.level)
-
-
-_EFFORT_DAMPING = 0.5  # weight of the fixed-point map in each effort update
-
-
-def solve_effort(
-    theta: float,
-    prim: PolicyPrimitives,
-    rule: SignalRule,
-    revenue: RevenueModel = RevenueModel(),
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    report_cap: Optional[float] = None,
-) -> EffortSolution:
-    """Solve R_e(e, theta) * (1 + phi_d * Lambda(e)) = phi_e for effort.
-
-    A fixed point on e, damped by ``_EFFORT_DAMPING``, with a bisection
-    safeguard inside a bracket [0, e_hi], where e_hi comes from bounding
-    Lambda by the noise-density peak.  ``report_cap`` is the cap implied by the submitted report; on
-    the threshold branch (slope-zero rules) the optimality condition does
-    not involve it, so the solved effort is report-invariant by
-    construction.  Returns a corner solution at e = 0 when even the first
-    unit of effort does not pay.
-    """
-    if not (theta >= 0.0 and math.isfinite(theta)):
-        raise ParameterError("theta must be nonnegative and finite")
-    if rule.shape != THRESHOLD:
-        raise UnsupportedRuleError(
-            "effort condition implemented for threshold rules; discretionary shapes are not supported"
-        )
-    if report_cap is not None and report_cap < 0.0:
-        raise ParameterError("report_cap must be nonnegative")
-    rho = revenue.rho(theta)
-    phi_e, phi_d, scale = prim.phi_e, prim.phi_d, prim.eta_scale
-
-    def lam_at(e: float) -> float:
-        return gap_density_at_rule(revenue.gap(e, theta), rule, scale)
-
-    def foc(e: float) -> tuple[float, float]:
-        lam = lam_at(e)
-        return revenue.marginal_revenue(e, theta) * (1.0 + phi_d * lam) - phi_e, lam
-
-    g0, lam0 = foc(0.0)
-    if g0 <= 0.0:
-        return EffortSolution(
-            theta=theta, effort=0.0, residual=g0, corner=True, iterations=0,
-            bracket=(0.0, 0.0), lambda_density=lam0, revenue=revenue, converged=True,
-        )
-    lam_peak = 1.0 / (scale * math.sqrt(2.0 * math.pi))
-    e_hi = rho * (1.0 + phi_d * lam_peak) / phi_e - 1.0
-    e_hi = max(e_hi, 1e-6)
-    g_hi, _ = foc(e_hi)
-    widen = 0
-    while g_hi > 0.0 and widen < 60:  # paranoid: the peak bound already caps the root
-        e_hi *= 2.0
-        g_hi, _ = foc(e_hi)
-        widen += 1
-    bracket = (0.0, e_hi)
-    lo, hi = 0.0, e_hi
-
-    e = min(max(rho / phi_e - 1.0, 0.0), e_hi)  # closed-form seed (exact when phi_d = 0)
-    g, lam = foc(e)
-    iterations = 0
-    while abs(g) > tol and iterations < max_iter:
-        iterations += 1
-        if g > 0.0:
-            lo = e
-        else:
-            hi = e
-        proposal = (1.0 - _EFFORT_DAMPING) * e + _EFFORT_DAMPING * (rho * (1.0 + phi_d * lam) / phi_e - 1.0)
-        if not (lo < proposal < hi):
-            proposal = 0.5 * (lo + hi)
-        e = proposal
-        g, lam = foc(e)
-    if abs(g) > tol:
-        raise NumericalError(f"effort condition residual {g:.3e} above tolerance after {iterations} iterations")
-    return EffortSolution(
-        theta=theta, effort=e, residual=g, corner=False, iterations=iterations,
-        bracket=bracket, lambda_density=lam, revenue=revenue, converged=True,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +408,7 @@ def welfare_bruteforce(
 
     survivor = np.cumsum(w[::-1])[::-1]  # P(type >= theta_i), inclusive
     hazard = w / survivor
-    psi = prim.gamma * float(prim.omega_b) / lam * hazard
+    psi = _weight(prim, lam, th, hazard)
 
     inv = cost.inverse_marginal(psi)
     kkt_caps = np.clip(np.asarray(inv.payout, dtype=float), 0.0, prim.b_bar)

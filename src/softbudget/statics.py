@@ -227,6 +227,18 @@ def _partials_at(curve: VirtualWeightCurve, sched: CapSchedule, qcost: Quadratic
     return out
 
 
+def _row(name: str, analytic: float, fd: float, expected: int) -> StaticsRow:
+    """A computed row: the relative error of ``fd`` against ``analytic`` and the sign check of ``fd``.
+
+    A NaN difference (no quantity to difference) makes the row not applicable.
+    """
+    if math.isnan(fd):
+        return StaticsRow(name, analytic, math.nan, math.nan, expected, False, FLAG_NOT_APPLICABLE)
+    rel = abs(fd - analytic) / max(abs(analytic), 1e-12)
+    sign_ok = (fd > 0) if expected > 0 else (fd < 0)
+    return StaticsRow(name, analytic, fd, rel, expected, bool(sign_ok))
+
+
 _SIGNS = {
     "d_theta_min_d_alpha": +1,
     "d_theta_min_d_omega_b": -1,
@@ -259,10 +271,7 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
     if _interior_theta_min(base) is None:
         # no interior lower cutoff at the base point: report every partial
         # as not applicable instead of raising
-        rows = tuple(
-            StaticsRow(name, math.nan, math.nan, math.nan, expected, False, FLAG_NOT_APPLICABLE)
-            for name, expected in _SIGNS.items()
-        )
+        rows = tuple(_row(name, math.nan, math.nan, expected) for name, expected in _SIGNS.items())
         return StaticsReport(rows=rows, theta_min=math.nan, b_max=math.nan, theta_ref=math.nan, lambda_T=lam)
     theta_ref = _hazard_reference(curve)
     analytic = _partials_at(curve, base, qcost, theta_ref)
@@ -301,7 +310,7 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
         expected = _SIGNS[name]
         an = analytic[name]
         if extract is cap_ref_of and theta_ref is None:
-            rows.append(StaticsRow(name, an, math.nan, math.nan, expected, False, FLAG_NOT_APPLICABLE))
+            rows.append(_row(name, an, math.nan, expected))
             continue
         h = step * abs(magnitude)
         if h == 0.0:
@@ -311,10 +320,7 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
         if hi is None or lo is None:
             rows.append(StaticsRow(name, an, math.nan, math.nan, expected, False, FLAG_REGIME_BOUNDARY))
             continue
-        fd = (hi - lo) / (2.0 * h)
-        rel = abs(fd - an) / max(abs(an), 1e-12)
-        sign_ok = (fd > 0) if expected > 0 else (fd < 0)
-        rows.append(StaticsRow(name, an, fd, rel, expected, bool(sign_ok)))
+        rows.append(_row(name, an, (hi - lo) / (2.0 * h), expected))
     return StaticsReport(
         rows=tuple(rows),
         theta_min=analytic["theta_min"],
@@ -393,17 +399,10 @@ def m_sensitivity(
     chain_fd = an["d_theta_min_d_lambda_T"] * fd_lambda
     chain_gap = abs(fd_theta_min - chain_fd) / max(abs(fd_theta_min), 1e-12)
 
-    def row(name, analytic_value, fd_value, expected):
-        if math.isnan(fd_value):
-            return StaticsRow(name, analytic_value, math.nan, math.nan, expected, False, FLAG_NOT_APPLICABLE)
-        rel = abs(fd_value - analytic_value) / max(abs(analytic_value), 1e-12)
-        sign_ok = (fd_value > 0) if expected > 0 else (fd_value < 0)
-        return StaticsRow(name, analytic_value, fd_value, rel, expected, bool(sign_ok))
-
     rows = (
-        row("d_lambda_T_d_m", an_lambda, fd_lambda, -1),
-        row("d_theta_min_d_m", an_theta_min, fd_theta_min, -1),
-        row("d_b_max_d_m", an_b_max, fd_b_max, +1),
+        _row("d_lambda_T_d_m", an_lambda, fd_lambda, -1),
+        _row("d_theta_min_d_m", an_theta_min, fd_theta_min, -1),
+        _row("d_b_max_d_m", an_b_max, fd_b_max, +1),
     )
     return StaticsReport(
         rows=rows,

@@ -94,14 +94,19 @@ def pooled_config():
     return load_config(str(ROOT / "configs" / "pooled_benchmark.json"))
 
 
-def irregular_config(seed, grid_size):
-    """The benchmark's ``irregular`` workload config (``perfbench/workloads.py``) at ``grid_size`` nodes."""
+def irregular_config(seed, grid_size, discretion=False):
+    """The benchmark's ``irregular`` workload config (``perfbench/workloads.py``) at ``grid_size`` nodes.
+
+    ``discretion`` enables the discretion block of the ``discretion-verify`` workload (m = 0.5).
+    """
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
     doc = workloads._irregular(seed)
     doc["grid"] = {"size": grid_size}
+    if discretion:
+        doc["discretion"] = {"enabled": True, "m": 0.5, "chi": 1.0}
     return parse_config(doc)
 
 

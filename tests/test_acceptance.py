@@ -19,7 +19,6 @@ from softbudget import (
     Exponential,
     PolicyPrimitives,
     QuadraticCost,
-    RevenueModel,
     Uniform,
     capmin_oracle,
     fd_certify,
@@ -29,11 +28,11 @@ from softbudget import (
     m_sensitivity,
     mc_run,
     solve_cap,
-    solve_effort,
     virtual_weight,
     welfare_bruteforce,
 )
 from softbudget.cli import main
+from softbudget.effort import RevenueModel, solve_effort
 from softbudget.statics import FLAG_OK
 
 from conftest import BENCH

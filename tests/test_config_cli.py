@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
-from dataclasses import replace
+import subprocess
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +296,21 @@ def test_null_truncated_base_is_reported():
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert err.value.problems == ["distribution.base: expected an object"]
+
+
+# -- what the CLI loads ------------------------------------------------------------
+
+
+def test_cli_path_does_not_load_the_effort_layer():
+    # a fresh interpreter: the CLI compiles and imports none of the effort model
+    code = ("import sys, softbudget.cli; "
+            "print('softbudget.effort' in sys.modules, hasattr(sys.modules['softbudget.simulation'], 'solve_effort'))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
+    assert [f.name for f in fields(PolicyPrimitives)] == ["omega_T", "omega_b", "gamma", "b_bar", "m", "chi"]
 
 
 # -- CLI flags -------------------------------------------------------------------

@@ -147,6 +147,19 @@ def test_tabulated_hazard_is_bit_identical_to_pdf_over_survivor():
             dist.hazard(point)
 
 
+def test_tabulated_hazard_slope_is_the_cells_derivative_next_to_a_node():
+    # a type a fraction of the stencil's step below a node: the slope is the
+    # derivative inside its cell, not a blend of the two cells' slopes
+    dist = irregular_tabulated()
+    nodes = dist.nodes[1:-60]
+    for gap in (1e-5, 1e-4, 1e-3):
+        theta = nodes - gap * dist._step
+        eps = 0.5 * gap * dist._step  # stays inside the cell below the node
+        diff = (np.asarray(dist.hazard(theta + eps)) - np.asarray(dist.hazard(theta - eps))) / (2.0 * eps)
+        slope = np.asarray(dist.hazard_slope(theta))
+        assert np.max(np.abs(slope - diff) / np.maximum(np.abs(slope), 1.0)) <= 1e-5
+
+
 def test_tabulated_interpolation_consistency():
     dist = bimodal_tabulated()
     pts = np.linspace(0.01, 0.99, 137)
@@ -326,7 +339,7 @@ PINNED_DIGESTS = {
         "survivor": "3e108b94183451616826f2a3768f1377b8561f552c40e405b546e14218936889",
         "ppf": "c4360122d1b4a67123e879fcf768016e37f39c334492f6a8afaf38659819a1a0",
         "hazard": "cc8f82b99ec53e11ffb0c8ca6cf2d1c5ab9f2a771010f94f7f41c3c382c4ec40",
-        "hazard_slope": "d8805a58d691ec340f2c846e0972b39d0f362f0a1b2eaaac28fd22de1f6eab70",
+        "hazard_slope": "2fe1619f84d7b5a3028e663de3c24343d8e44fc49bbe822c543ffd2649c4daf9",
     },
 }
 
@@ -388,3 +401,19 @@ def test_evaluator_contract(name):
         for point in (divergent[name], [mid, divergent[name]]):
             with pytest.raises(UpperSupportError):
                 dist.hazard(point)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_hazard_slope_checks_the_support_like_the_hazard(name):
+    dist = PINNED[name]
+    lo, hi = dist.support
+    mid = dist.ppf(0.5)
+    for point in [lo - 1e-9, [mid, lo - 1.0]] + ([hi + 1e-9] if math.isfinite(hi) else []):
+        with pytest.raises(DomainError):
+            dist.hazard_slope(point)
+    # zero survival at the upper end, or the decreasing-hazard Weibull's divergence at zero
+    divergent = {"uniform": hi, "tabulated": hi, "weibull-dfr": 0.0}
+    if name in divergent:
+        for point in (divergent[name], [mid, divergent[name]]):
+            with pytest.raises(UpperSupportError):
+                dist.hazard_slope(point)

@@ -4,30 +4,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from softbudget import (
     NumericalError,
     ParameterError,
     PointMass,
-    PolicyPrimitives,
     QuadraticCost,
-    RevenueModel,
     SignalRule,
     Uniform,
     UnsupportedRuleError,
     Weibull,
     capmin_oracle,
-    gap_density_at_rule,
     mc_run,
-    simulate_payout,
     solve_cap,
-    solve_effort,
     virtual_weight,
     welfare_bruteforce,
 )
 from softbudget import simulation
+from softbudget.effort import EffortParameters, RevenueModel, gap_density_at_rule, solve_effort
 from softbudget.distributions import sample_types
 from softbudget.mechanism import _psi_on, caps_from_targets
 from conftest import BENCH, irregular_tabulated
@@ -198,55 +192,6 @@ def test_mc_run_holds_no_sample_sized_array_but_the_types(bench_dist, bench_cost
     assert run_peak <= sampling_peak + 2**20
 
 
-# -- payout simulation --------------------------------------------------------
-
-
-def test_simulate_payout_scalar_branches():
-    rule = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.5)
-    hit = simulate_payout(gap=2.0, report=2.0, rule=rule, cap=0.3, noise=0.0)
-    assert hit.g_hat == 2.0
-    assert hit.payout == 0.3  # cap binds below the rule level
-    assert hit.defaulted is True
-    small = simulate_payout(gap=0.3, report=0.3, rule=rule, cap=0.8, noise=0.4)
-    assert small.payout == pytest.approx(0.5, abs=1e-15)  # rule level binds
-    assert small.defaulted is False
-    generous = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.8)
-    signal_bound = simulate_payout(gap=0.2, report=0.2, rule=generous, cap=0.8, noise=0.4)
-    assert signal_bound.payout == pytest.approx(0.6, abs=1e-15)  # signal binds
-    assert signal_bound.defaulted is False
-    negative = simulate_payout(gap=0.2, report=0.2, rule=rule, cap=0.8, noise=-0.5)
-    assert negative.payout == 0.0  # nonpositive signal: no rescue
-    assert negative.defaulted is True
-    surplus = simulate_payout(gap=-1.0, report=None, rule=rule, cap=0.8, noise=0.0)
-    assert surplus.payout == 0.0
-    assert surplus.defaulted is False
-
-
-def test_simulate_payout_array_path():
-    rule = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.5)
-    gaps = np.array([2.0, 0.3, 0.2, -1.0])
-    noise = np.array([0.0, 0.4, -0.5, 0.0])
-    caps = np.array([0.3, 0.8, 0.8, 0.8])
-    out = simulate_payout(gaps, None, rule, caps, noise)
-    assert np.allclose(out.payout, [0.3, 0.5, 0.0, 0.0])
-    assert list(out.defaulted) == [True, False, True, False]
-    with pytest.raises(ParameterError):
-        simulate_payout(1.0, None, rule, -0.1, 0.0)
-
-
-@given(
-    gap=st.floats(min_value=-2.0, max_value=3.0, allow_nan=False),
-    noise=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-    cap=st.floats(min_value=0.0, max_value=0.8, allow_nan=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_simulate_payout_bounds(gap, noise, cap):
-    out = simulate_payout(gap, None, THRESHOLD_RULE, cap, noise)
-    assert 0.0 <= out.payout <= cap + 1e-15
-    assert out.payout <= max(out.g_hat, 0.0) + 1e-15
-    assert out.defaulted == (out.payout < gap)
-
-
 # -- audit-density expectation ------------------------------------------------
 
 
@@ -296,10 +241,7 @@ def test_gap_density_validation(bench_prim, bench_cost):
 
 
 def effort_prim(phi_d):
-    return PolicyPrimitives(
-        omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.5, chi=1.0,
-        phi_e=1.0, phi_d=phi_d, eta_scale=0.1,
-    )
+    return EffortParameters(phi_e=1.0, phi_d=phi_d, eta_scale=0.1)
 
 
 def test_solve_effort_closed_form_without_default_weight():

@@ -179,6 +179,17 @@ def test_b_max_partials_hold_where_theta_ref_is_pooled(seed):
     assert rows["d_b_max_d_kappa"].rel_error < 1e-8 and rows["d_b_max_d_gamma"].analytic == level / cfg.cost.kappa
 
 
+def test_m_sensitivity_holds_where_theta_min_is_next_to_a_tabulation_node():
+    # on the seed-7 density the discretionary theta_min lies 1.8e-4 below a
+    # node of the piecewise-linear density; a 5-point stencil of step 3e-4
+    # straddled the kink there and read h' = 2.480 against 2.4574 in the
+    # cell, so the chain gap was 9.1e-3 at 16,385 and 65,537 nodes
+    cfg = irregular_config(7, 16385, discretion=True)
+    curve = config_commitment(cfg)
+    m_report = m_sensitivity(curve, cfg.cost)
+    assert statics_failures(fd_certify(curve, cfg.cost), m_report) == []
+
+
 def test_analytic_partials_reject_a_cutoff_on_a_pooled_stretch():
     # psi_bar pools on [0.2236, 0.6829] at 3.2845 and sits at 3.2754 just
     # below it: with C'(0) = 3.28 the lower cutoff falls in the cell that
