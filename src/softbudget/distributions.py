@@ -43,7 +43,9 @@ deterministic uniform stream.  The stream is produced by the Philox4x64-10
 counter-based generator: sample block ``j`` (blocks of 65,536 draws) comes
 from ``Philox(key=seed)`` jumped ``j`` times.  The mapping from
 ``(seed, n)`` to output is therefore bit-reproducible and independent of
-how a caller partitions the blocks across workers.
+how a caller partitions the blocks across workers.  Each block goes through
+``ppf`` on its own into the output, so sampling holds the types and a few
+blocks of working set; the draws are ``ppf(uniform_stream(seed, n))`` bit for bit.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class TypeDistribution:
     def ppf(self, u):
         """Quantile function; accepts u in [0, 1)."""
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        if not (np.all(arr >= 0.0) and np.all(arr < 1.0)):  # NaN fails both
             raise DomainError("quantile argument must lie in [0, 1)")
         return _returned(self._ppf(arr), arr)
 
@@ -136,7 +138,7 @@ class TypeDistribution:
     def _on_support(self, formula, theta, name: str):
         arr = np.asarray(theta, dtype=float)
         lo, hi = self.support
-        if np.any(arr < lo) or np.any(arr > hi):
+        if not (np.all(arr >= lo) and np.all(arr <= hi)):  # NaN fails both
             raise DomainError(f"type value outside support [{lo}, {hi}] for kind '{self.kind}'")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = formula(arr)
@@ -445,34 +447,14 @@ class Tabulated(TypeDistribution):
         return self._slope[idx] / surv + h * h
 
     def _ppf(self, arr):
-        # in place, to hold few sample-sized arrays at once (for 200,000
-        # draws 9.2 MB of numpy memory, not 13.7); the float operations and
-        # so the results are those of the plain expression form
-        flat = np.atleast_1d(arr)
-        idx = np.searchsorted(self._cdf_nodes, flat, side="right")
-        idx -= 1
-        np.clip(idx, 0, self.nodes.size - 2, out=idx)
-        f0 = self.density[idx]
-        resid = self._cdf_nodes[idx]
-        np.subtract(flat, resid, out=resid)
+        idx = np.clip(np.searchsorted(self._cdf_nodes, arr, side="right") - 1, 0, self.nodes.size - 2)
+        f0, resid = self.density[idx], arr - self._cdf_nodes[idx]
         # solve f0*s + slope*s^2/2 = resid for s in [0, step], stable form:
         # s = 2 resid / (f0 + sqrt(f0^2 + 2 slope resid)), 0 where that fails
-        denom = self._slope[idx]
-        denom *= 2.0
-        denom *= resid
-        denom += np.square(f0)
-        np.maximum(denom, 0.0, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += f0
-        s = resid
-        s *= 2.0
+        denom = f0 + np.sqrt(np.maximum(np.square(f0) + 2.0 * self._slope[idx] * resid, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            s /= denom
-        s[~(denom > 0.0)] = 0.0
-        np.clip(s, 0.0, self._step, out=s)
-        out = self.nodes[idx]
-        out += s
-        return out.reshape(arr.shape)
+            s = np.where(denom > 0.0, 2.0 * resid / denom, 0.0)
+        return self.nodes[idx] + np.clip(s, 0.0, self._step)
 
 
 @dataclass(frozen=True)
@@ -527,22 +509,25 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     ``j`` times, so any partition of [0, n) into whole blocks generates the
     identical merged array.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError("sample size must be a positive integer")
-    if not isinstance(seed, (int, np.integer)) or not (0 <= int(seed) <= MAX_SEED):
-        raise ParameterError("seed must be an unsigned 64-bit integer")
-    out = np.empty(int(n), dtype=float)
-    for j in range((int(n) + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK):
-        start = j * SAMPLE_BLOCK
-        count = min(SAMPLE_BLOCK, int(n) - start)
-        gen = np.random.Generator(np.random.Philox(key=int(seed)).jumped(j))
-        out[start : start + count] = gen.random(count)
-    return out
+    return _by_block(seed, n, lambda u: u)
 
 
 def sample_types(dist: TypeDistribution, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. types by inverse-CDF transform of the uniform stream.
 
-    Identical ``(seed, n, kind)`` triples reproduce bit-identical output.
+    Inverted block by block (module docstring), ``dist.ppf(uniform_stream(seed, n))`` bit for bit.
     """
-    return dist.ppf(uniform_stream(seed, n))
+    return _by_block(seed, n, dist.ppf)
+
+
+def _by_block(seed: int, n: int, transform) -> np.ndarray:
+    """The stream's blocks, each passed through ``transform`` into one output array."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError("sample size must be a positive integer")
+    if not isinstance(seed, (int, np.integer)) or not (0 <= int(seed) <= MAX_SEED):
+        raise ParameterError("seed must be an unsigned 64-bit integer")
+    out = np.empty(int(n), dtype=float)
+    for start in range(0, int(n), SAMPLE_BLOCK):
+        gen = np.random.Generator(np.random.Philox(key=int(seed)).jumped(start // SAMPLE_BLOCK))
+        out[start : start + SAMPLE_BLOCK] = transform(gen.random(min(SAMPLE_BLOCK, int(n) - start)))
+    return out

@@ -130,8 +130,8 @@ class VirtualWeightCurve:
         return self._ironing[1]
 
     def psi_bar_at(self, theta):
-        """Linear interpolation of the monotone weight curve."""
-        return np.interp(theta, self.theta, self.psi_bar)
+        """Linear interpolation of the monotone weight curve, ``np.interp`` bit for bit (``_interp``)."""
+        return _interp(theta, self.theta, self.psi_bar)
 
     def at(self, prim: PolicyPrimitives, lambda_T: float) -> "VirtualWeightCurve":
         """The curve of the same distribution and grid at other weights.
@@ -174,8 +174,8 @@ class CapSchedule:
     b_bar: float
 
     def cap_at(self, theta):
-        """Cap level interpolated from the solved grid."""
-        return np.interp(theta, self.theta, self.b_star)
+        """Cap level interpolated from the solved grid, ``np.interp`` bit for bit (``_interp``)."""
+        return _interp(theta, self.theta, self.b_star)
 
 
 @dataclass(frozen=True)
@@ -422,6 +422,57 @@ def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: n
     # the hazard first: its temporaries are freed before the weight array is
     # built, which matters when mc_run passes millions of sampled types
     return _weight(prim, lam, theta, _hazard(dist, theta))
+
+
+def _grid_cell(x: np.ndarray, xp: np.ndarray) -> Optional[np.ndarray]:
+    """Cell j of each x on an increasing grid, xp[j] <= x < xp[j + 1], clipped to [0, xp.size - 2].
+
+    The guess floor((x - xp[0]) * (n - 1) / (xp[-1] - xp[0])), one multiply
+    on a linspace, moves one cell where rounding put x on the wrong side of a
+    node.  None where that leaves an x in [xp[0], xp[-1]) unbracketed (an
+    uneven grid, NaN), or when xp[-1] <= xp[0].
+    """
+    lo, hi, last = xp[0], xp[-1], xp.size - 2
+    if not hi > lo:
+        return None
+    with np.errstate(all="ignore"):
+        guess = np.subtract(x, lo)
+        guess *= (last + 1) / (hi - lo)
+    np.fmax(guess, 0.0, out=guess)
+    np.fmin(guess, last, out=guess)
+    j = guess.astype(np.intp)
+    below = ~(xp.take(j, out=guess) <= x)  # NaN counts as below
+    above = xp[1:].take(j, out=guess) <= x
+    moved = np.flatnonzero(below | above)  # rounding, or x outside the grid
+    if moved.size:
+        xm = x[moved]
+        jm = np.clip(j[moved] - below[moved] + above[moved], 0, last)
+        if not np.all(((xp[jm] <= xm) | (xm < lo)) & ((xm < xp[jm + 1]) | (xm >= hi))):
+            return None
+        j[moved] = jm
+    return j
+
+
+def _interp(x, xp: np.ndarray, fp: np.ndarray):
+    """``np.interp(x, xp, fp)`` bit for bit on a strictly increasing grid and finite fp.
+
+    The cell comes from ``_grid_cell``, not a binary search, and the value
+    is np.interp's expression (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) *
+    (x - xp[j]) + fp[j] with its cases: fp[j] at a node, fp[0] below the
+    grid, fp[-1] from its last node up.  A 1-node grid or an unbracketed
+    query takes ``np.interp`` itself.
+    """
+    arr = np.asarray(x, dtype=float)
+    flat = arr.reshape(-1)
+    j = _grid_cell(flat, xp)
+    if j is None:
+        return np.interp(x, xp, fp)
+    xj, fj = xp.take(j), fp.take(j)
+    out = (fp[1:].take(j) - fj) / (xp[1:].take(j) - xj) * (flat - xj) + fj
+    np.copyto(out, fj, where=flat == xj)
+    out[flat < xp[0]] = fp[0]
+    out[flat >= xp[-1]] = fp[-1]
+    return out.reshape(arr.shape)[()]
 
 
 def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, strict: bool) -> Optional[float]:

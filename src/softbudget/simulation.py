@@ -33,7 +33,7 @@ from .costs import RescueCost
 from .discretion import interior_probability
 from .distributions import SAMPLE_BLOCK, TypeDistribution, sample_types
 from .errors import ParameterError
-from .mechanism import CapSchedule, VirtualWeightCurve, _psi_on, _weight, caps_from_targets, solve_cap
+from .mechanism import CapSchedule, VirtualWeightCurve, _grid_cell, _psi_on, _weight, caps_from_targets, solve_cap
 from .primitives import PolicyPrimitives
 
 __all__ = ["MCReport", "CapMinReport", "BruteForceReport", "mc_run", "capmin_oracle", "welfare_bruteforce"]
@@ -94,8 +94,9 @@ def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins:
       so the variance does not cancel, and a bin whose caps are all equal
       gets its cap as mean and a standard error of exactly zero.
 
-    No array of the sample's size other than the types themselves is
-    held.
+    Memory is the types plus a working set of a few blocks: sampling inverts
+    block by block and no other array of the sample's size is held.  The
+    interpolated weight is ``np.interp``'s on the ironed curve, bit for bit.
     """
     if n < MIN_SAMPLES:
         raise ParameterError(f"mc_run needs n >= {MIN_SAMPLES} for cutoff estimation")
@@ -172,21 +173,13 @@ def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins:
 def _bin_index(theta: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin of each type: edges[i] <= theta < edges[i + 1], the last bin closed.
 
-    numpy's equal-width rule: a scaled index, then moved one bin down or up
-    where rounding put a type on the wrong side of an edge.  When every
-    edge coincides (a point mass) all types land in the last bin, as they
-    do in ``np.histogram`` with those edges.
+    The edges' grid cell (``_grid_cell``), or a search where that misses.
+    When every edge coincides (a point mass) all types land in the last
+    bin, as they do in ``np.histogram`` with those edges.
     """
-    bins = edges.size - 1
-    lo, hi = float(edges[0]), float(edges[-1])
-    if not hi > lo:
-        return np.full(theta.size, bins - 1, dtype=np.intp)
-    idx = ((theta - lo) / (hi - lo) * bins).astype(np.intp)
-    np.minimum(idx, bins - 1, out=idx)
-    upper = edges[1:].copy()
-    upper[-1] = math.inf  # the last bin includes the top edge
-    idx -= theta < edges[idx]
-    idx += theta >= upper[idx]
+    idx = _grid_cell(theta, edges)
+    if idx is None:
+        idx = np.clip(np.searchsorted(edges, theta, side="right") - 1, 0, edges.size - 2)
     return idx
 
 

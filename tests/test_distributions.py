@@ -417,3 +417,27 @@ def test_hazard_slope_checks_the_support_like_the_hazard(name):
         for point in (divergent[name], [mid, divergent[name]]):
             with pytest.raises(UpperSupportError):
                 dist.hazard_slope(point)
+
+
+# every kind; the point mass has no hazard, but its domain checks come first
+KINDS = {**PINNED, "point-mass": PointMass(0.5)}
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_nan_lies_outside_every_domain(name):
+    dist = KINDS[name]
+    mid = dist.ppf(0.5)
+    for evaluator, inside in (("ppf", 0.5), ("hazard", mid), ("hazard_slope", mid)):
+        for point in (math.nan, [inside, math.nan]):
+            with pytest.raises(DomainError) as raised:
+                getattr(dist, evaluator)(point)
+            assert raised.type is DomainError
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_sampling_by_block_is_the_whole_stream_inverted(name):
+    dist = KINDS[name]
+    n = 3 * SAMPLE_BLOCK + 17
+    for seed in (0, 20260814):
+        whole = dist.ppf(uniform_stream(seed, n))
+        assert np.array_equal(sample_types(dist, n, seed).view(np.int64), whole.view(np.int64))

@@ -22,7 +22,7 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
-from softbudget.mechanism import caps_from_targets
+from softbudget.mechanism import _grid_cell, _interp, caps_from_targets
 from conftest import BENCH
 
 
@@ -666,3 +666,49 @@ def test_caps_from_targets_gives_no_cap_at_the_marginal_cost_at_zero():
         assert caps_from_targets(np.array([0.2, 0.3]), cost, 0.8)[0] == 0.0
     # a plateau starting at the origin inverts to the origin too
     assert TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.2, 1.0]).inverse_marginal(0.2).payout == 0.0
+
+
+# -- grid-indexed interpolation ----------------------------------------------
+
+
+def assert_interp_bits(x, xp, fp):
+    """``_interp`` returns what ``np.interp`` returns: the same type and the same bits."""
+    got, want = _interp(x, xp, fp), np.interp(x, xp, fp)
+    assert type(got) is type(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+@given(
+    n=st.sampled_from([2, 3, 65_537]) | st.integers(min_value=2, max_value=65_537),
+    lo=st.floats(min_value=-1e3, max_value=1e3),
+    width=st.floats(min_value=1e-3, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=2000, derandomize=True)
+def test_interp_is_np_interp_bit_for_bit_on_linspace_grids(n, lo, width, seed):
+    xp = np.linspace(lo, lo + width, n)
+    rng = np.random.Generator(np.random.Philox(seed))
+    fp = rng.standard_normal(n) * rng.uniform(0.0, 10.0)
+    nodes = xp[rng.integers(0, n, size=64)]
+    queries = np.concatenate([
+        nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        [xp[0], xp[-1], -0.0, 0.0, xp[0] - width, xp[-1] + width, -np.inf, np.inf],
+        rng.uniform(xp[0], xp[-1], size=256),
+    ])
+    assert _grid_cell(queries, xp) is not None  # the indexed path, not the fallback
+    assert_interp_bits(queries, xp, fp)
+    assert_interp_bits(queries.reshape(2, -1), xp, fp)
+    for q in (nodes[0], queries[-1], xp[-1], -0.0):
+        assert_interp_bits(q, xp, fp)
+        assert_interp_bits(np.asarray(q), xp, fp)
+
+
+def test_interp_falls_back_off_a_linspace():
+    rng = np.random.Generator(np.random.Philox(5))
+    xp = np.geomspace(1e-6, 1e3, 4097)  # cells of very different widths
+    fp = np.cumsum(rng.uniform(0.0, 1.0, xp.size))
+    queries = np.concatenate([rng.uniform(0.0, 1e3, 1000), xp, [0.0, 2e3]])
+    assert _grid_cell(queries, xp) is None
+    assert_interp_bits(queries, xp, fp)
+    assert_interp_bits(np.array([0.5, np.nan]), np.linspace(0.0, 1.0, 5), np.arange(5.0))
+    assert_interp_bits(0.3, np.array([0.5]), np.array([2.0]))  # a 1-node grid

@@ -9,6 +9,7 @@ run; these tests make it fail here instead.
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_spans", SPANS)
 
 
 def _function(module_name, function):
@@ -115,3 +122,21 @@ def test_tracer_sees_one_ironing_per_pooled_solve(spans, tmp_path):
     assert [name for name, *_ in tracer.spans].count("mechanism.iron_weights") == 1
     assert tracer.counters["mechanism.iron_weights.nodes"] == curve.theta.size
     assert tracer.counters["mechanism.iron_weights.pooled"] == int(curve.ironed.sum())
+
+
+@pytest.mark.parametrize("name, pooled", [("irregular", True), ("commit-fine", False)])
+def test_workload_simulate_takes_the_path_its_why_names(name, pooled, monkeypatch):
+    # irregular's simulate interpolates the ironed curve (psi_bar_at);
+    # commit-fine's curve pools nothing, so its simulate evaluates psi exactly
+    import softbudget
+    from softbudget.mechanism import VirtualWeightCurve
+
+    workload = _load("perfbench_workloads", WORKLOADS).WORKLOADS[name]
+    cfg = softbudget.parse_config(workload.config(1))
+    curve = softbudget.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    assert bool(np.any(curve.ironed)) is pooled
+    calls = []
+    at = VirtualWeightCurve.psi_bar_at
+    monkeypatch.setattr(VirtualWeightCurve, "psi_bar_at", lambda self, theta: calls.append(1) or at(self, theta))
+    softbudget.mc_run(curve, cfg.cost, 1000, seed=1)
+    assert bool(calls) is pooled

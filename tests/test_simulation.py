@@ -22,7 +22,7 @@ from softbudget import (
 )
 from softbudget import simulation
 from softbudget.effort import EffortParameters, RevenueModel, gap_density_at_rule, solve_effort
-from softbudget.distributions import sample_types
+from softbudget.distributions import SAMPLE_BLOCK, sample_types
 from softbudget.mechanism import _psi_on, caps_from_targets
 from conftest import BENCH, irregular_tabulated
 
@@ -177,19 +177,24 @@ def test_mc_run_point_mass_fills_the_last_bin(bench_cost, bench_prim):
 
 
 def test_mc_run_holds_no_sample_sized_array_but_the_types(bench_dist, bench_cost, bench_prim):
+    # the types plus a working set of a few blocks, with the exact and the
+    # interpolated virtual weight: 16.4 MB at a million draws
     n = 1_000_000
-    curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    tracemalloc.start()
-    try:
-        sample_types(bench_dist, n, 7)
-        sampling_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        mc_run(curve, bench_cost, n, seed=7)
-        run_peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert run_peak <= sampling_peak + 2**20
+    bound = 8 * n + 16 * SAMPLE_BLOCK * 8
+    for dist in (bench_dist, irregular_tabulated()):
+        curve = virtual_weight(dist, bench_prim, 1.0)
+        assert bool(np.any(curve.ironed)) is (dist is not bench_dist)
+        tracemalloc.start()
+        try:
+            sample_types(dist, n, 7)
+            sampling_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            mc_run(curve, bench_cost, n, seed=7)
+            run_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sampling_peak <= bound and run_peak <= bound
 
 
 # -- audit-density expectation ------------------------------------------------
