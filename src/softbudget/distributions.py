@@ -46,6 +46,9 @@ from ``Philox(key=seed)`` jumped ``j`` times.  The mapping from
 how a caller partitions the blocks across workers.  Each block goes through
 ``ppf`` on its own into the output, so sampling holds the types and a few
 blocks of working set; the draws are ``ppf(uniform_stream(seed, n))`` bit for bit.
+A :class:`Tabulated` quantile finds each CDF cell in O(1) from a guide table
+over u (Chen & Asau, 1974), built on the first query of ``GUIDE_CELLS`` or
+more entries; smaller ones, such as ``grid()``'s, keep the binary search.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ __all__ = [
 SAMPLE_BLOCK = 65_536
 
 MAX_SEED = 2**64 - 1
+
+GUIDE_CELLS = 2**13  # tabulated quantile's guide-table cells: a power of two, so u*K and k/K are exact
 
 
 def _returned(values, arr: np.ndarray):
@@ -347,7 +352,9 @@ class Truncated(TypeDistribution):
         return np.clip((self.base.survivor(arr) - self._surv_hi) / self._mass, 0.0, 1.0)
 
     def _ppf(self, arr):
-        return np.clip(self.base.ppf(self._cdf_lo + arr * self._mass), self.lower, self.upper)
+        # cdf_lo + u*mass reaches 1.0 where the base CDF rounds to 1: hold it below
+        base_u = np.minimum(self._cdf_lo + arr * self._mass, math.nextafter(1.0, 0.0))
+        return np.clip(self.base.ppf(base_u), self.lower, self.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +369,8 @@ class Tabulated(TypeDistribution):
     the CDF piecewise quadratic and exactly integrable per cell.  The input
     is renormalized so the trapezoid integral equals one; the survival
     function is accumulated from the right so upper-tail hazards do not
-    suffer cancellation.
+    suffer cancellation.  The quantile finds its cell in a guide table over u
+    (module docstring), equal to ``searchsorted(cdf, u, "right") - 1``.
     """
 
     kind = "tabulated"
@@ -396,6 +404,7 @@ class Tabulated(TypeDistribution):
         surv = np.concatenate([[0.0], np.cumsum(self._areas[::-1])])[::-1]
         surv[0] = 1.0
         self._surv_nodes = surv
+        self._guide = None
 
     @property
     def support(self):
@@ -446,8 +455,19 @@ class Tabulated(TypeDistribution):
         h = self._density_in(idx, s) / surv
         return self._slope[idx] / surv + h * h
 
+    def _cdf_cell(self, u):
+        """searchsorted(cdf, u, "right") - 1, through the guide table for large queries."""
+        if u.size < GUIDE_CELLS:
+            return np.searchsorted(self._cdf_nodes, u, side="right") - 1
+        if self._guide is None:
+            self._guide = _guide_table(self._cdf_nodes)
+        idx = self._guide.take((u * GUIDE_CELLS).astype(np.intp))
+        miss = idx < 0
+        idx[miss] = np.searchsorted(self._cdf_nodes, u[miss], side="right") - 1
+        return idx
+
     def _ppf(self, arr):
-        idx = np.clip(np.searchsorted(self._cdf_nodes, arr, side="right") - 1, 0, self.nodes.size - 2)
+        idx = np.clip(self._cdf_cell(arr), 0, self.nodes.size - 2)
         f0, resid = self.density[idx], arr - self._cdf_nodes[idx]
         # solve f0*s + slope*s^2/2 = resid for s in [0, step], stable form:
         # s = 2 resid / (f0 + sqrt(f0^2 + 2 slope resid)), 0 where that fails
@@ -495,6 +515,14 @@ class PointMass(TypeDistribution):
 
     def grid(self, size: int, tail_mass: float) -> np.ndarray:
         return np.array([self.value])
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Per u-cell k, the CDF cell of every u in [k/K, (k+1)/K), or -1 where that cell is not unique."""
+    edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
+    lo = np.searchsorted(cdf, edges[:-1], side="right") - 1
+    hi = np.searchsorted(cdf, edges[1:], side="left") - 1
+    return np.where(lo == hi, lo, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,9 @@ def _hazard(dist: TypeDistribution, theta: np.ndarray) -> np.ndarray:
 
 
 def _weight(prim: PolicyPrimitives, lam: float, theta: np.ndarray, hazard) -> np.ndarray:
-    """psi = gamma * omega_b / lambda * h: the one expression every curve evaluates."""
+    """psi = gamma * omega_b / lambda * h, the one expression every curve evaluates (omega_b constant: one scalar)."""
+    if prim.omega_b_constant:
+        return (prim.gamma * float(prim.omega_b) / lam) * hazard
     return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
 
 
@@ -538,12 +540,15 @@ def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) ->
 
     Targets at or above C'(b_bar) map straight to b_bar; the inversion sees
     them clipped to C'(b_bar), so tabulated costs never see a target above
-    their table.
+    their table, and the select on ``psi >= C'(b_bar)`` runs only when
+    clip(C'^{-1}(C'(b_bar)), 0, b_bar) rounds off b_bar (some quadratic costs).
     """
     psi_values = np.asarray(psi_values, dtype=float)
     c_top = float(cost.marginal(b_bar))
-    inv = cost.inverse_marginal(np.minimum(psi_values, c_top))
-    return np.where(psi_values >= c_top, float(b_bar), np.clip(inv.payout, 0.0, b_bar))
+    caps = np.clip(cost.inverse_marginal(np.minimum(psi_values, c_top)).payout, 0.0, b_bar)
+    if float(np.clip(cost.inverse_marginal(c_top).payout, 0.0, b_bar)) != b_bar:
+        caps = np.where(psi_values >= c_top, float(b_bar), caps)
+    return caps
 
 
 def solve_cap(curve: VirtualWeightCurve, cost: RescueCost, b_bar: float) -> CapSchedule:

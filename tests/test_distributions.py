@@ -19,7 +19,7 @@ from softbudget import (
     sample_types,
     uniform_stream,
 )
-from softbudget.distributions import SAMPLE_BLOCK
+from softbudget.distributions import GUIDE_CELLS, SAMPLE_BLOCK
 from conftest import irregular_tabulated
 
 ANALYTIC = [
@@ -195,6 +195,21 @@ def test_truncated_renormalizes():
         Truncated(base, 5.0, 4.0)
     with pytest.raises(ParameterError):
         Truncated(dist, 0.3, 1.0)  # no nesting
+
+
+@pytest.mark.parametrize("lower", [0.0, 1.0, 1.5, 1.910885061964363, 3.0, 4.0])
+def test_truncated_ppf_accepts_u_next_to_one(lower):
+    # the base CDF rounds to 1 at upper = 10, so cdf_lo + u*mass reaches 1.0
+    # for u < 1 once the lower cut carries enough mass; the base argument is
+    # held just below 1, and every argument that stayed below 1 keeps its value
+    dist = Truncated(Weibull(2.0, 1.0), lower, 10.0)
+    u = np.array([0.0, 0.5, 0.9, 1 - 2**-40, 1 - 2**-50, 1 - 2**-52, 1 - 2**-53])
+    got = dist.ppf(u)
+    assert np.all((got >= lower) & (got <= 10.0)) and np.all(np.diff(got) >= 0.0)
+    base_u = dist._cdf_lo + u * dist._mass
+    kept = base_u < 1.0
+    assert np.array_equal(got[kept], np.clip(Weibull(2.0, 1.0).ppf(base_u[kept]), lower, 10.0))
+    assert got[-1] == dist.ppf(1 - 2**-53) == float(Weibull(2.0, 1.0).ppf(1 - 2**-53))
 
 
 def test_point_mass_behavior():
@@ -441,3 +456,53 @@ def test_sampling_by_block_is_the_whole_stream_inverted(name):
     for seed in (0, 20260814):
         whole = dist.ppf(uniform_stream(seed, n))
         assert np.array_equal(sample_types(dist, n, seed).view(np.int64), whole.view(np.int64))
+
+
+# -- guide-table quantile cells ------------------------------------------------
+
+
+@st.composite
+def tabulated_tables(draw):
+    """Densities with zero stretches (repeated CDF nodes), a narrow spike, or 2 nodes."""
+    n = draw(st.sampled_from([2, 3, 401]) | st.integers(min_value=2, max_value=64))
+    dens = np.array(draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=n, max_size=n)))
+    shape = draw(st.sampled_from(["plain", "zero-stretches", "spike"]))
+    if shape == "zero-stretches":
+        dens[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0
+        lo = draw(st.integers(min_value=0, max_value=n - 1))
+        dens[lo : draw(st.integers(min_value=lo, max_value=n))] = 0.0
+    elif shape == "spike":
+        dens = np.full(n, 1e-9)
+        dens[draw(st.integers(min_value=0, max_value=n - 1))] = 1e6
+    if not np.any(dens > 0.0):
+        dens[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    return np.linspace(0.0, draw(st.floats(min_value=0.01, max_value=100.0)), n), dens
+
+
+@given(table=tabulated_tables(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=2000, derandomize=True)
+def test_tabulated_quantile_cell_is_the_binary_search(table, seed):
+    theta, dens = table
+    dist = Tabulated(theta, dens)
+    cdf = dist._cdf_nodes
+    # 0, every cell edge k/K, the largest u below 1, one ulp around every CDF node
+    u = np.concatenate([
+        [0.0, 1 - 2**-53], np.arange(GUIDE_CELLS) / GUIDE_CELLS,
+        cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
+        np.random.Generator(np.random.Philox(seed)).random(1000),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert u.size >= GUIDE_CELLS
+    want = np.searchsorted(cdf, u, side="right") - 1
+    # below the size gate: the binary search itself, and no table
+    chunks = np.array_split(u, -(-u.size // (GUIDE_CELLS - 1)))
+    assert np.array_equal(np.concatenate([dist._cdf_cell(c) for c in chunks]), want)
+    assert dist._guide is None
+    small = np.concatenate([dist.ppf(c) for c in chunks])
+    # at or above it: the guide table, built once
+    assert np.array_equal(dist._cdf_cell(u), want)
+    guide = dist._guide
+    assert guide is not None and guide.size == GUIDE_CELLS
+    assert np.array_equal(dist.ppf(u).view(np.int64), small.view(np.int64))
+    assert np.array_equal(dist._cdf_cell(u.reshape(-1, 1)).ravel(), want)
+    assert dist._guide is guide

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from softbudget import (
     GridMismatchError,
     ParameterError,
     PointMass,
+    PolicyPrimitives,
     QuadraticCost,
     Tabulated,
     TabulatedCost,
@@ -22,7 +25,8 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
-from softbudget.mechanism import _grid_cell, _interp, caps_from_targets
+from softbudget.mechanism import _grid_cell, _interp, _weight, caps_from_targets
+from softbudget.primitives import WeightCurve
 from conftest import BENCH
 
 
@@ -643,6 +647,53 @@ def test_iron_weights_ramp_then_deep_drop():
     assert out[0] == pytest.approx((np.sum(psi[:-1]) + psi[-1]) / psi.size, rel=1e-15)
 
 
+def exact_pav(values, weights):
+    """Pool-adjacent-violators in exact rational arithmetic, ties not pooled.
+
+    Returns the per-node means, the per-node pooled flags, and whether any
+    comparison of a block mean with its left neighbour met an exact tie.
+    """
+    blocks = []  # [mass, weight, nodes]
+    tied = False
+    for value, weight in zip(values, weights):
+        blocks.append([value * weight, Fraction(weight), 1])
+        while len(blocks) > 1:
+            (m0, w0, c0), (m1, w1, c1) = blocks[-2], blocks[-1]
+            tied |= m1 / w1 == m0 / w0
+            if not m1 / w1 < m0 / w0:
+                break
+            blocks[-2:] = [[m0 + m1, w0 + w1, c0 + c1]]
+    means, flags, sizes = [], [], []
+    for mass, weight, count in blocks:
+        means += [mass / weight] * count
+        flags += [count > 1] * count
+        sizes += [count] * count
+    return means, flags, sizes, tied
+
+
+@given(
+    steps=st.sampled_from([10, 100]),
+    cells=st.lists(st.tuples(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=5)),
+                   min_size=2, max_size=15),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_iron_weights_matches_exact_pav_on_lattices(steps, cells):
+    # values k/steps on a 0.1 or 0.01 lattice, small-integer weights: exact
+    # ties between a pooled mean and its neighbour are common, and only
+    # there may rounding decide whether a node pools
+    values = [Fraction(k % (5 * steps + 1), steps) for k, _ in cells]
+    weights = [w for _, w in cells]
+    out, flags = iron_weights(np.array([float(v) for v in values]), np.array(weights, dtype=float))
+    means, exact_flags, sizes, tied = exact_pav(values, weights)
+    exact = np.array([float(m) for m in means])
+    # a pooled value is one sum of m rounded products w*psi over an exact sum
+    # of weights: within 2 ulp up to 6 nodes a block, within m/2 above
+    ulps = np.maximum(2.0, np.array(sizes) / 2.0) * np.spacing(exact)
+    assert np.all(np.abs(out - exact) <= ulps)
+    if not tied:
+        assert flags.tolist() == exact_flags
+
+
 def test_caps_from_targets_sends_targets_at_or_above_the_top_to_b_bar():
     # C'^{-1}(C'(0.7)) is 0.6999999999999998 for this cost, so only the
     # comparison with C'(b_bar) gives the cap exactly b_bar there
@@ -666,6 +717,100 @@ def test_caps_from_targets_gives_no_cap_at_the_marginal_cost_at_zero():
         assert caps_from_targets(np.array([0.2, 0.3]), cost, 0.8)[0] == 0.0
     # a plateau starting at the origin inverts to the origin too
     assert TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.2, 1.0]).inverse_marginal(0.2).payout == 0.0
+
+
+# -- caps and weights keep the bits of their select forms ---------------------
+
+
+def quadratic_inverse_reference(cost, y):
+    """``QuadraticCost.inverse_marginal``'s payout as a select, the form it had before."""
+    arr = np.asarray(y, dtype=float)
+    return np.where(arr < cost.alpha, 0.0, (arr - cost.alpha) / cost.kappa)
+
+
+def caps_reference(psi_values, cost, b_bar):
+    """``caps_from_targets`` with its select always applied, the form it had before."""
+    psi_values = np.asarray(psi_values, dtype=float)
+    c_top = float(cost.marginal(b_bar))
+    clipped = np.minimum(psi_values, c_top)
+    if isinstance(cost, QuadraticCost):
+        payout = quadratic_inverse_reference(cost, clipped)
+    else:
+        payout = cost.inverse_marginal(clipped).payout
+    return np.where(psi_values >= c_top, float(b_bar), np.clip(payout, 0.0, b_bar))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def edge_targets(cost, b_bar, nan=True):
+    """-0.0, 0.0, NaN, C'(0) and C'(b_bar) each with its neighbours, and a spread between."""
+    ends = np.array([cost.marginal_at_zero, cost.marginal(b_bar)])
+    spread = np.linspace(-0.5, 1.5, 41) * ends[1]
+    targets = [[-0.0, 0.0], ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf), spread]
+    if nan:
+        targets.append([np.nan, -np.inf, np.inf])
+    return np.concatenate(targets)
+
+
+# alpha = 0 and alpha > 0; the select path: C'^{-1}(C'(2.22)) rounds to 2.2199999999999998;
+# a kappa whose quotient underflows to -0.0 just below alpha
+QUADRATIC_CASES = [
+    (QuadraticCost(0.0, 1.0), 0.8),
+    (QuadraticCost(0.0, 0.37), 2.22),
+    (QuadraticCost(0.2, 1.0), 0.8),
+    (QuadraticCost(1.16, 0.37), 2.22),
+    (QuadraticCost(0.5, 1e308), 1e-300),
+]
+
+
+@pytest.mark.parametrize("cost, b_bar", QUADRATIC_CASES, ids=lambda v: repr(v))
+def test_quadratic_inverse_keeps_the_bits_of_its_select(cost, b_bar):
+    targets = edge_targets(cost, b_bar)
+    inv = cost.inverse_marginal(targets)
+    assert same_bits(inv.payout, quadratic_inverse_reference(cost, targets))
+    assert np.array_equal(inv.below_origin, targets < cost.alpha)
+    for y in targets:
+        scalar = cost.inverse_marginal(float(y))
+        assert type(scalar.payout) is float and same_bits(scalar.payout, quadratic_inverse_reference(cost, y))
+    if cost.alpha == 0.0:  # a target of -0.0 keeps its sign
+        assert np.signbit(cost.inverse_marginal(-0.0).payout)
+
+
+@pytest.mark.parametrize("cost, b_bar", QUADRATIC_CASES + [(TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0]), 0.8)],
+                         ids=lambda v: repr(v))
+def test_caps_from_targets_keeps_the_bits_of_its_select(cost, b_bar):
+    targets = edge_targets(cost, b_bar, nan=isinstance(cost, QuadraticCost))  # a table rejects NaN
+    assert same_bits(caps_from_targets(targets, cost, b_bar), caps_reference(targets, cost, b_bar))
+
+
+def test_caps_from_targets_selects_only_where_the_top_inversion_rounds_off_b_bar():
+    select = QuadraticCost(1.16, 0.37)
+    assert select.inverse_marginal(select.marginal(2.22)).payout == 2.2199999999999998
+    assert caps_from_targets(np.array([select.marginal(2.22), 9.0]), select, 2.22).tolist() == [2.22, 2.22]
+    bench = QuadraticCost(0.2, 1.0)  # the benchmark cost needs no select
+    assert bench.inverse_marginal(bench.marginal(0.8)).payout == 0.8
+
+
+def weight_reference(prim, lam, theta, hazard):
+    """``_weight`` through the broadcast omega_b array, the form it had before."""
+    return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
+
+
+@pytest.mark.parametrize("omega_b, gamma", [
+    (0.8, 1.0), (0.37, 1.7), (2, 3), (0.0, 1.0),
+    (WeightCurve([0.0, 1.0, 2.0], [0.5, 0.7, 1.3]), 1.3),
+], ids=["bench", "scaled", "integers", "zero", "curve"])
+def test_weight_keeps_the_bits_of_its_broadcast(omega_b, gamma):
+    prim = PolicyPrimitives(omega_T=1.0, omega_b=omega_b, gamma=gamma, b_bar=0.8)
+    rng = np.random.Generator(np.random.Philox(3))
+    theta = np.linspace(0.0, 2.5, 257)
+    hazard = np.concatenate([rng.uniform(0.0, 50.0, 250), [0.0, -0.0, 5e-324, 1e300, np.inf, np.nan, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 / 1e-300 overflows, 0 * inf is NaN
+        for lam in (1.0, 0.897, 3.0, 1e-300):
+            assert same_bits(_weight(prim, lam, theta, hazard), weight_reference(prim, lam, theta, hazard))
 
 
 # -- grid-indexed interpolation ----------------------------------------------
