@@ -76,9 +76,7 @@ class QuadraticCost:
     def inverse_marginal(self, y) -> InverseMarginal:
         arr, scalar = _as_float_array(y)
         below = arr < self.alpha
-        # with alpha > 0, arr - alpha is never -0.0, so a clamp keeps the select's bits
-        x = np.maximum(arr - self.alpha, 0.0) / self.kappa if self.alpha > 0.0 else \
-            np.where(below, 0.0, (arr - self.alpha) / self.kappa)
+        x = np.maximum(arr - self.alpha, 0.0) / self.kappa
         if scalar:
             return InverseMarginal(float(x), bool(below))
         return InverseMarginal(x, below)

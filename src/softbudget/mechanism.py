@@ -413,9 +413,7 @@ def _hazard(dist: TypeDistribution, theta: np.ndarray) -> np.ndarray:
 
 
 def _weight(prim: PolicyPrimitives, lam: float, theta: np.ndarray, hazard) -> np.ndarray:
-    """psi = gamma * omega_b / lambda * h, the one expression every curve evaluates (omega_b constant: one scalar)."""
-    if prim.omega_b_constant:
-        return (prim.gamma * float(prim.omega_b) / lam) * hazard
+    """psi = gamma * omega_b / lambda * h: the one expression every curve evaluates."""
     return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
 
 

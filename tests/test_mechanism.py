@@ -11,7 +11,6 @@ from softbudget import (
     GridMismatchError,
     ParameterError,
     PointMass,
-    PolicyPrimitives,
     QuadraticCost,
     Tabulated,
     TabulatedCost,
@@ -25,8 +24,7 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
-from softbudget.mechanism import _grid_cell, _interp, _weight, caps_from_targets
-from softbudget.primitives import WeightCurve
+from softbudget.mechanism import _grid_cell, _interp, caps_from_targets
 from conftest import BENCH
 
 
@@ -719,7 +717,7 @@ def test_caps_from_targets_gives_no_cap_at_the_marginal_cost_at_zero():
     assert TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.2, 1.0]).inverse_marginal(0.2).payout == 0.0
 
 
-# -- caps and weights keep the bits of their select forms ---------------------
+# -- caps keep the bits of their select forms ---------------------------------
 
 
 def quadratic_inverse_reference(cost, y):
@@ -743,6 +741,13 @@ def caps_reference(psi_values, cost, b_bar):
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_select_bits(got, want, targets):
+    """Equal bits, but a target of -0.0 gives +0.0 where the select gave -0.0 (alpha = 0)."""
+    signed_zero = (targets == 0.0) & np.signbit(targets)
+    assert same_bits(got[~signed_zero], want[~signed_zero])
+    assert same_bits(got[signed_zero], np.abs(want[signed_zero]))
 
 
 def edge_targets(cost, b_bar, nan=True):
@@ -770,20 +775,18 @@ QUADRATIC_CASES = [
 def test_quadratic_inverse_keeps_the_bits_of_its_select(cost, b_bar):
     targets = edge_targets(cost, b_bar)
     inv = cost.inverse_marginal(targets)
-    assert same_bits(inv.payout, quadratic_inverse_reference(cost, targets))
+    assert_select_bits(inv.payout, quadratic_inverse_reference(cost, targets), targets)
     assert np.array_equal(inv.below_origin, targets < cost.alpha)
-    for y in targets:
+    for y, payout in zip(targets, inv.payout):
         scalar = cost.inverse_marginal(float(y))
-        assert type(scalar.payout) is float and same_bits(scalar.payout, quadratic_inverse_reference(cost, y))
-    if cost.alpha == 0.0:  # a target of -0.0 keeps its sign
-        assert np.signbit(cost.inverse_marginal(-0.0).payout)
+        assert type(scalar.payout) is float and same_bits(scalar.payout, payout)
 
 
 @pytest.mark.parametrize("cost, b_bar", QUADRATIC_CASES + [(TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0]), 0.8)],
                          ids=lambda v: repr(v))
 def test_caps_from_targets_keeps_the_bits_of_its_select(cost, b_bar):
     targets = edge_targets(cost, b_bar, nan=isinstance(cost, QuadraticCost))  # a table rejects NaN
-    assert same_bits(caps_from_targets(targets, cost, b_bar), caps_reference(targets, cost, b_bar))
+    assert_select_bits(caps_from_targets(targets, cost, b_bar), caps_reference(targets, cost, b_bar), targets)
 
 
 def test_caps_from_targets_selects_only_where_the_top_inversion_rounds_off_b_bar():
@@ -792,25 +795,6 @@ def test_caps_from_targets_selects_only_where_the_top_inversion_rounds_off_b_bar
     assert caps_from_targets(np.array([select.marginal(2.22), 9.0]), select, 2.22).tolist() == [2.22, 2.22]
     bench = QuadraticCost(0.2, 1.0)  # the benchmark cost needs no select
     assert bench.inverse_marginal(bench.marginal(0.8)).payout == 0.8
-
-
-def weight_reference(prim, lam, theta, hazard):
-    """``_weight`` through the broadcast omega_b array, the form it had before."""
-    return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
-
-
-@pytest.mark.parametrize("omega_b, gamma", [
-    (0.8, 1.0), (0.37, 1.7), (2, 3), (0.0, 1.0),
-    (WeightCurve([0.0, 1.0, 2.0], [0.5, 0.7, 1.3]), 1.3),
-], ids=["bench", "scaled", "integers", "zero", "curve"])
-def test_weight_keeps_the_bits_of_its_broadcast(omega_b, gamma):
-    prim = PolicyPrimitives(omega_T=1.0, omega_b=omega_b, gamma=gamma, b_bar=0.8)
-    rng = np.random.Generator(np.random.Philox(3))
-    theta = np.linspace(0.0, 2.5, 257)
-    hazard = np.concatenate([rng.uniform(0.0, 50.0, 250), [0.0, -0.0, 5e-324, 1e300, np.inf, np.nan, 1.0]])
-    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 / 1e-300 overflows, 0 * inf is NaN
-        for lam in (1.0, 0.897, 3.0, 1e-300):
-            assert same_bits(_weight(prim, lam, theta, hazard), weight_reference(prim, lam, theta, hazard))
 
 
 # -- grid-indexed interpolation ----------------------------------------------

@@ -143,21 +143,19 @@ def test_workload_simulate_takes_the_path_its_why_names(name, pooled, monkeypatc
 
 
 @pytest.mark.parametrize("name, builds", [("irregular", True), ("commit-fine", False), ("discretion-verify", False)])
-def test_workload_simulate_builds_a_guide_table_where_its_types_are_tabulated(name, builds, tmp_path, monkeypatch):
+def test_workload_sampling_builds_a_guide_table_where_its_types_are_tabulated(name, builds, monkeypatch):
     # irregular's tabulated types are drawn in 65,536-draw blocks through the
     # guide table, built once, while grid()'s one scalar quantile keeps the
     # binary search; the Weibull workloads have no table to build
     import softbudget
     from softbudget import distributions
-    from softbudget.cli import main
 
     built = []
     table = distributions._guide_table
     monkeypatch.setattr(distributions, "_guide_table", lambda cdf: built.append(cdf.size) or table(cdf))
-    workloads = _load("perfbench_workloads", WORKLOADS)
-    config = workloads.write_config(workloads.WORKLOADS[name], 1, str(tmp_path))
-    cfg = softbudget.load_config(config)
+    workload = _load("perfbench_workloads", WORKLOADS).WORKLOADS[name]
+    cfg = softbudget.parse_config(workload.config(1))
     cfg.dist.grid(cfg.grid.size, cfg.grid.tail_mass)
     assert built == []
-    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    distributions.sample_types(cfg.dist, 2 * distributions.SAMPLE_BLOCK, cfg.simulation.seed)
     assert built == ([401] if builds else [])
