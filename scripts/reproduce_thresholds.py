@@ -4,9 +4,10 @@
 Benchmark family: Weibull(2, 1) fiscal-need types, quadratic rescue cost
 0.2 x + 0.5 x^2, welfare weights (omega_T, omega_b, gamma) = (1, 0.8, 1),
 statutory cap 0.8, discretionary signal slope m = 0.5.  The commitment row
-solves the cap schedule at lambda_T = omega_T; the discretion row first
-runs the credibility fixed point.  Both rows are then re-estimated from
-sampled types so the table shows the estimator bias at the chosen n.
+solves the cap schedule at lambda_T = omega_T; the discretion row takes the
+schedule of the credibility fixed point.  Each row reads everything else
+off its schedule, and is re-estimated from types sampled against it, so
+the table shows the estimator bias at the chosen n.
 """
 
 import argparse
@@ -42,25 +43,23 @@ def main(argv=None) -> int:
     prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.5, chi=1.0)
 
     commitment = virtual_weight(dist, prim, prim.omega_T)
-    solution = fixed_point(commitment, cost)
     rows = []
-    for label, curve, sched in (
-        ("commitment", commitment, solve_cap(commitment, cost, prim.b_bar)),
-        ("discretion", solution.curve, solution.schedule),
+    for label, sched in (
+        ("commitment", solve_cap(commitment, cost)),
+        ("discretion", fixed_point(commitment, cost).schedule),
     ):
-        mc = mc_run(curve, cost, n=args.n, seed=args.seed)
-        cost_value = leader_cost(curve, sched, transfer_schedule(sched, prim), cost)
+        mc = mc_run(sched, n=args.n, seed=args.seed)
         rows.append(
             {
                 "regime": label,
-                "lambda_T": curve.lambda_T,
+                "lambda_T": sched.curve.lambda_T,
                 "theta_min": sched.theta_min,
                 "theta_dagger": sched.theta_dagger,
-                "p_int": interior_probability(sched, dist),
+                "p_int": interior_probability(sched),
                 "theta_min_hat": mc.theta_min_hat,
                 "theta_dagger_hat": mc.theta_dagger_hat,
                 "p_int_hat": mc.p_int_hat,
-                "leader_cost": cost_value,
+                "leader_cost": leader_cost(transfer_schedule(sched)),
             }
         )
 

@@ -27,7 +27,6 @@ from .distributions import (
 from .errors import (
     ConfigError,
     DomainError,
-    GridMismatchError,
     IllPosedError,
     NumericalError,
     ParameterError,
@@ -70,6 +69,6 @@ __all__ = [
     # config
     "parse_config", "load_config",
     # errors
-    "SoftBudgetError", "ParameterError", "DomainError", "UpperSupportError", "GridMismatchError",
+    "SoftBudgetError", "ParameterError", "DomainError", "UpperSupportError",
     "UnsupportedRuleError", "IllPosedError", "NumericalError", "ConfigError",
 ]

@@ -25,6 +25,11 @@ failed embedded check), 3 I/O error.  All floats in artifacts carry 10
 significant digits; writes are atomic; identical configs and seeds give
 byte-identical artifacts.  The wall-clock duration is printed to stdout
 only, so artifacts stay reproducible byte for byte.
+
+``solve`` and ``simulate`` solve one cap schedule (the fixed point's under
+discretion, the commitment one otherwise) and read everything after it,
+transfers, leader cost, P_int and the Monte Carlo check, off that schedule.
+``knife-edge`` reads only a curve, so without discretion it never irons.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ from .errors import (
     ParameterError,
     SoftBudgetError,
 )
-from .mechanism import VirtualWeightCurve, knife_edge, leader_cost, solve_cap, transfer_schedule, virtual_weight
+from .mechanism import (
+    CapSchedule, VirtualWeightCurve, knife_edge, leader_cost, solve_cap, transfer_schedule, virtual_weight,
+)
 from .reporting import format_float, write_csv, write_csvs, write_json
 from .simulation import capmin_oracle, mc_run, welfare_bruteforce
 from .statics import fd_certify, m_sensitivity, statics_failures
@@ -95,18 +102,24 @@ def _commitment(cfg: RunConfig) -> VirtualWeightCurve:
     return virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
 
 
-def _resolve_curve(cfg: RunConfig) -> tuple[VirtualWeightCurve, Optional[DiscretionSolution]]:
-    """The curve at the effective grant weight, and the fixed point that found it.
-
-    Under discretion that is the converged fixed point's last curve; without
-    it, the commitment curve and no solution.
-    """
+def _converged_fixed_point(cfg: RunConfig) -> Optional[DiscretionSolution]:
+    """The converged fixed point when the config enables discretion, else None."""
     if not cfg.discretion.enabled:
-        return _commitment(cfg), None
+        return None
     sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
     if not sol.converged:
         raise NumericalError(_fixed_point_failure(sol))
-    return sol.curve, sol
+    return sol
+
+
+def _resolve_schedule(cfg: RunConfig) -> tuple[CapSchedule, Optional[DiscretionSolution]]:
+    """The cap schedule at the effective grant weight, solved once, and the fixed point that found it.
+
+    Under discretion that is the converged fixed point's schedule; without
+    it, the commitment schedule and no solution.
+    """
+    sol = _converged_fixed_point(cfg)
+    return (solve_cap(_commitment(cfg), cfg.cost) if sol is None else sol.schedule), sol
 
 
 def _fixed_point_failure(sol: DiscretionSolution) -> str:
@@ -200,29 +213,26 @@ def _print_summary(command: str, summary: dict, out_dir: str, started: float) ->
 
 
 def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
-    curve, sol = _resolve_curve(cfg)
-    # the fixed point's last evaluation solved the schedule on its curve
-    sched = solve_cap(curve, cfg.cost, cfg.prim.b_bar) if sol is None else sol.schedule
-    transfers = transfer_schedule(sched, cfg.prim)
-    cost_total = leader_cost(curve, sched, transfers, cfg.cost)
+    sched, sol = _resolve_schedule(cfg)
+    curve = sched.curve
+    transfers = transfer_schedule(sched)
+    cost_total = leader_cost(transfers)
     knife = knife_edge(curve, cfg.cost)
-    p_int = interior_probability(sched, cfg.dist)
 
-    # one call, so the columns both files hold (transfers.theta is
-    # sched.theta) are rendered once
+    # one call, so the columns both files hold are rendered once
     out.csvs(
         ("cap_schedule", ["theta", "b_star", "ironed", "t_star", "ll_binding"],
-         [sched.theta, sched.b_star, sched.ironed, transfers.t_star, transfers.ll_binding]),
+         [curve.theta, sched.b_star, curve.ironed, transfers.t_star, transfers.ll_binding]),
         ("transfers", ["theta", "t_pre", "t_star", "ll_binding", "unpinned"],
-         [transfers.theta, transfers.t_pre, transfers.t_star, transfers.ll_binding,
-          np.full(transfers.theta.shape, transfers.unpinned)]),
+         [curve.theta, transfers.t_pre, transfers.t_star, transfers.ll_binding,
+          np.full(curve.theta.shape, transfers.unpinned)]),
     )
     return {
         "regime": sched.regime,
         "lambda_T": curve.lambda_T,
         "theta_min": _maybe(sched.theta_min),
         "theta_dagger": _maybe(sched.theta_dagger),
-        "p_int": p_int,
+        "p_int": interior_probability(sched),
         "leader_cost": cost_total,
         "knife_edge_margin": knife.margin,
         "no_rescue": knife.no_rescue,
@@ -232,8 +242,9 @@ def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_knife_edge(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
-    curve, sol = _resolve_curve(cfg)
-    report = knife_edge(curve, cfg.cost)
+    sol = _converged_fixed_point(cfg)
+    # the test reads only psi, so without discretion nothing is ironed
+    report = knife_edge(_commitment(cfg) if sol is None else sol.schedule.curve, cfg.cost)
     return {
         "no_rescue": report.no_rescue,
         "knife_edge_margin": report.margin,
@@ -288,37 +299,37 @@ def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_simulate(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
-    curve, sol = _resolve_curve(cfg)
-    mc = mc_run(curve, cfg.cost, n=cfg.simulation.n, seed=cfg.simulation.seed, bins=cfg.simulation.bins)
+    sched, sol = _resolve_schedule(cfg)
+    mc = mc_run(sched, n=cfg.simulation.n, seed=cfg.simulation.seed, bins=cfg.simulation.bins)
     centers = 0.5 * (mc.bin_edges[:-1] + mc.bin_edges[1:])
-    closed_form = mc.schedule.cap_at(centers)
+    p_int = interior_probability(sched)
 
     out.json("mc_report", {
         "n": mc.n,
         "seed": mc.seed,
         "bins": mc.bins,
-        "lambda_T": mc.lambda_T,
-        "regime": mc.regime,
+        "lambda_T": sched.curve.lambda_T,
+        "regime": sched.regime,
         "theta_min_hat": _maybe(mc.theta_min_hat),
         "theta_dagger_hat": _maybe(mc.theta_dagger_hat),
         "p_int_hat": mc.p_int_hat,
-        "theta_min": _maybe(mc.theta_min),
-        "theta_dagger": _maybe(mc.theta_dagger),
-        "p_int": mc.p_int,
-        "dev_theta_min": None if (mc.theta_min is None or mc.theta_min_hat is None)
-        else abs(mc.theta_min_hat - mc.theta_min),
-        "dev_theta_dagger": None if (mc.theta_dagger is None or mc.theta_dagger_hat is None)
-        else abs(mc.theta_dagger_hat - mc.theta_dagger),
-        "dev_p_int": abs(mc.p_int_hat - mc.p_int),
+        "theta_min": _maybe(sched.theta_min),
+        "theta_dagger": _maybe(sched.theta_dagger),
+        "p_int": p_int,
+        "dev_theta_min": None if (sched.theta_min is None or mc.theta_min_hat is None)
+        else abs(mc.theta_min_hat - sched.theta_min),
+        "dev_theta_dagger": None if (sched.theta_dagger is None or mc.theta_dagger_hat is None)
+        else abs(mc.theta_dagger_hat - sched.theta_dagger),
+        "dev_p_int": abs(mc.p_int_hat - p_int),
     })
     out.csv(
         "binned_means",
         ["bin_center", "mean_b", "count", "stderr", "b_closed_form"],
-        [centers, mc.bin_means, mc.bin_counts, mc.bin_stderr, closed_form],
+        [centers, mc.bin_means, mc.bin_counts, mc.bin_stderr, sched.cap_at(centers)],
     )
     return {
-        "regime": mc.regime,
-        "lambda_T": mc.lambda_T,
+        "regime": sched.regime,
+        "lambda_T": sched.curve.lambda_T,
         "theta_min": _maybe(mc.theta_min_hat),
         "theta_dagger": _maybe(mc.theta_dagger_hat),
         "p_int": mc.p_int_hat,

@@ -4,22 +4,24 @@ The budget authority pays a convex resource cost C(x) for a rescue payout
 x >= 0.  The solver only ever touches the cost through three methods:
 
 * ``marginal``          -- C'(x),
-* ``inverse_marginal``  -- smallest x >= 0 with C'(x) = y, plus a flag for
-  targets below C'(0+) (where the nonnegativity constraint binds),
+* ``inverse_marginal``  -- the payout: smallest x >= 0 with C'(x) = y, and 0
+  for targets at or below C'(0+) (where the nonnegativity constraint binds);
+  a float for scalar input,
 * ``value``             -- C(x) itself, for expected-cost quadrature.
 
-Two kinds are supported.  The quadratic kind C(x) = alpha*x + kappa/2 * x^2
-has closed-form marginal inversion.  The tabulated kind takes (payout,
-marginal) pairs, models the marginal as piecewise linear, and inverts by
-bisection on the predicate C'(x) >= y, which lands on the *leftmost*
-preimage when the marginal has flat stretches.
+Two kinds are supported, both inverted in closed form.  The quadratic kind
+C(x) = alpha*x + kappa/2 * x^2 inverts to (y - alpha)/kappa.  The tabulated
+kind takes (payout, marginal) pairs, models the marginal as piecewise
+linear, and inverts on the first segment whose upper node reaches the
+target, which is the *leftmost* preimage when the marginal has flat
+stretches; it rejects a target that is not finite or lies above its table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,19 +31,7 @@ __all__ = [
     "QuadraticCost",
     "TabulatedCost",
     "RescueCost",
-    "InverseMarginal",
 ]
-
-
-class InverseMarginal(NamedTuple):
-    """Result of a marginal-cost inversion.
-
-    ``payout`` is the smallest x >= 0 with C'(x) = y (or 0 when the target
-    sits below C'(0+), in which case ``below_origin`` is set).
-    """
-
-    payout: Union[float, np.ndarray]
-    below_origin: Union[bool, np.ndarray]
 
 
 def _as_float_array(x):
@@ -73,13 +63,10 @@ class QuadraticCost:
         out = self.alpha + self.kappa * arr
         return float(out) if scalar else out
 
-    def inverse_marginal(self, y) -> InverseMarginal:
+    def inverse_marginal(self, y):
         arr, scalar = _as_float_array(y)
-        below = arr < self.alpha
         x = np.maximum(arr - self.alpha, 0.0) / self.kappa
-        if scalar:
-            return InverseMarginal(float(x), bool(below))
-        return InverseMarginal(x, below)
+        return float(x) if scalar else x
 
     def value(self, x):
         arr, scalar = _as_float_array(x)
@@ -123,33 +110,22 @@ class TabulatedCost:
         out = np.interp(arr, self.payout_nodes, self.marginal_nodes)
         return float(out) if scalar else out
 
-    def inverse_marginal(self, y) -> InverseMarginal:
+    def inverse_marginal(self, y):
         arr, scalar = _as_float_array(y)
-        top = float(self.marginal_nodes[-1])
-        if np.any(arr > top):
-            raise ParameterError(
-                f"marginal-cost target exceeds the tabulated maximum {top:.6g}; extend the table"
-            )
-        below = arr < self.marginal_nodes[0]
-        lo = np.zeros_like(arr)
-        hi = np.full_like(arr, self.payout_nodes[-1])
-        # bisect C'(x) >= y; the marginal is nondecreasing so this converges
-        # to the leftmost preimage, including across flat stretches.  The
-        # bisection never reaches 0 itself, which is the leftmost preimage of
-        # every target at or below C'(0).
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            ge = np.interp(mid, self.payout_nodes, self.marginal_nodes) >= arr
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        x = np.where(arr <= self.marginal_nodes[0], 0.0, hi)
-        resid = np.abs(np.interp(x, self.payout_nodes, self.marginal_nodes) - arr)
-        ok = below | (resid <= 1e-10 * np.maximum(1.0, np.abs(arr)))
-        if not np.all(ok):  # pragma: no cover - bisection is exhaustive
-            raise ParameterError("marginal inversion residual above tolerance")
-        if scalar:
-            return InverseMarginal(float(x), bool(below))
-        return InverseMarginal(x, below)
+        if not np.all(np.isfinite(arr)):
+            bad = arr[~np.isfinite(arr)]
+            raise ParameterError(f"marginal-cost targets must be finite; {bad.size} are not, the first is {bad[0]}")
+        xs, ms = self.payout_nodes, self.marginal_nodes
+        if np.any(arr > ms[-1]):
+            raise ParameterError(f"marginal-cost target exceeds the tabulated maximum {ms[-1]:.6g}; extend the table")
+        # segment i with ms[i - 1] < y <= ms[i]: the first node reaching the
+        # target, so a flat stretch at y maps to its left end; targets at or
+        # below C'(0) have no such segment and take 0
+        i = np.clip(np.searchsorted(ms, arr, side="left"), 1, ms.size - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = xs[i - 1] + (arr - ms[i - 1]) / (ms[i] - ms[i - 1]) * (xs[i] - xs[i - 1])
+        x = np.where(arr <= ms[0], 0.0, x)
+        return float(x) if scalar else x
 
     def value(self, x):
         arr, scalar = _as_float_array(x)

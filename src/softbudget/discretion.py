@@ -149,8 +149,8 @@ class DiscretionSolution:
     g(lo) >= 0 >= g(hi).  ``jump`` is set when the bracket collapsed onto a
     jump of P_int, so that no fixed point exists.  ``lambda_T`` and ``p_int``
     are the evaluated point with the smallest |g| (the one with
-    |g| <= tol when ``converged``), and ``curve`` and ``schedule`` are the
-    virtual-weight curve and cap schedule at that ``lambda_T``.
+    |g| <= tol when ``converged``), and ``schedule`` is the cap schedule at
+    that ``lambda_T``, solved on the curve ``schedule.curve``.
     """
 
     lambda_T: float
@@ -160,7 +160,6 @@ class DiscretionSolution:
     trace: tuple
     bracket: tuple
     schedule: CapSchedule = field(repr=False)
-    curve: VirtualWeightCurve = field(repr=False)
     jump: Optional[Jump] = None
 
 
@@ -173,14 +172,14 @@ def effective_lambda(prim: PolicyPrimitives, p_int: float) -> float:
     return prim.omega_T - float(prim.omega_b) * prim.m * p_int
 
 
-def interior_probability(cap: CapSchedule, dist: TypeDistribution) -> float:
-    """P(0 < b*(theta) < b_bar) from the schedule cutoffs and the exact CDF.
+def interior_probability(cap: CapSchedule) -> float:
+    """P(0 < b*(theta) < b_bar) from the schedule cutoffs and the exact CDF of its curve's distribution.
 
     A point mass has one type, so the probability is 1 when its cap is
     interior and 0 otherwise; the survivor P(type > theta_min) would miss
     the atom at theta_min.
     """
-    return _interior(cap.theta_min, cap.theta_dagger, dist, cap.theta.size == 1)
+    return _interior(cap.theta_min, cap.theta_dagger, cap.curve.dist, cap.curve.degenerate)
 
 
 def _interior(theta_min: Optional[float], theta_dagger: Optional[float], dist: TypeDistribution,
@@ -292,6 +291,5 @@ def fixed_point(
             if lo < secant < hi:
                 lam = secant
     g, lam, p = best
-    curve = curve.at(prim, lam)
     return DiscretionSolution(lam, p, len(trace), abs(g) <= tol, tuple(trace), (lo, hi),
-                              solve_cap(curve, cost, prim.b_bar), curve, jump)
+                              solve_cap(curve.at(prim, lam), cost), jump)

@@ -14,10 +14,10 @@ hazards stay accurate deep into the upper tail.
 Evaluation protocol
 -------------------
 A kind writes only its formulas on float arrays: ``_pdf``, ``_cdf``,
-``_survivor``, ``_ppf``, and ``_hazard`` or ``_hazard_slope`` where it has a
-closed form (the defaults are ``_pdf / _survivor`` and a 5-point stencil on
-``hazard``).  :class:`TypeDistribution` owns the six public evaluators: each
-coerces its input once to a float array and returns a Python float for
+``_survivor``, ``_ppf``, the closed-form ``_hazard_slope``, and ``_hazard``
+where it has a closed form (the default is ``_pdf / _survivor``).
+:class:`TypeDistribution` owns the six public evaluators: each coerces its
+input once to a float array and returns a Python float for
 scalar input, a float64 array of the input's shape otherwise; ``ppf`` raises
 :class:`DomainError` outside [0, 1), and ``hazard`` and ``hazard_slope``
 raise it outside the support and :class:`UpperSupportError` wherever the
@@ -133,11 +133,7 @@ class TypeDistribution:
         return self._on_support(self._hazard, theta, "hazard")
 
     def hazard_slope(self, theta):
-        """Derivative of the hazard in theta, with the checks of :meth:`hazard`.
-
-        Analytic for kinds that have one; otherwise a 5-point central
-        stencil on :meth:`hazard`.
-        """
+        """Derivative of the hazard in theta, in closed form, with the checks of :meth:`hazard`."""
         return self._on_support(self._hazard_slope, theta, "hazard slope")
 
     def _on_support(self, formula, theta, name: str):
@@ -154,17 +150,6 @@ class TypeDistribution:
     def _hazard(self, arr: np.ndarray) -> np.ndarray:
         """Hazard at types inside the support; non-finite where undefined."""
         return self._pdf(arr) / self._survivor(arr)
-
-    def _hazard_slope(self, arr: np.ndarray) -> np.ndarray:
-        lo, hi = self.support
-        width = (hi - lo) if math.isfinite(hi) else max(1.0, abs(float(np.max(arr))))
-        step = 1e-4 * max(width, 1e-8)
-        # keep the stencil inside the support
-        step = float(np.minimum(step, np.maximum((np.minimum(arr - lo, hi - arr)) / 2.5, 1e-12)).min()) \
-            if arr.size else step
-        shifts = np.array([-2.0, -1.0, 1.0, 2.0]) * step
-        coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * step)
-        return sum(c * self.hazard(arr + s) for s, c in zip(shifts, coeff))
 
     # -- grids ----------------------------------------------------------
 
@@ -355,6 +340,13 @@ class Truncated(TypeDistribution):
         # cdf_lo + u*mass reaches 1.0 where the base CDF rounds to 1: hold it below
         base_u = np.minimum(self._cdf_lo + arr * self._mass, math.nextafter(1.0, 0.0))
         return np.clip(self.base.ppf(base_u), self.lower, self.upper)
+
+    def _hazard_slope(self, arr):
+        # h_T = f_b / (S_b - S_b(upper)), and f_b' = S_b (h_b' - h_b^2), so
+        # h_T' = S_b (h_b' - h_b^2) / (S_b - S_b(upper)) + h_T^2
+        base = self.base
+        surv, h_base = base._survivor(arr), base._hazard(arr)
+        return surv * (base._hazard_slope(arr) - h_base * h_base) / (surv - self._surv_hi) + self._hazard(arr) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,6 @@ class UpperSupportError(DomainError):
     """
 
 
-class GridMismatchError(ParameterError):
-    """Two schedules that must share a grid were built on different grids."""
-
-
 class UnsupportedRuleError(SoftBudgetError, NotImplementedError):
     """The requested operation is not defined for this rule or cost shape."""
 

@@ -21,6 +21,9 @@ irons on first use, so the knife-edge test, which reads only psi, never does.
 lambda_T, gamma and a constant omega_b enter psi only as a positive scale,
 so ``VirtualWeightCurve.at`` gives the curve at other weights from the same
 hazard, and ironing commutes with that scale: PAV pools the same blocks.
+``solve_cap`` returns a schedule that records the curve and cost it was
+solved from, and is in turn the one input of every stage after the solve:
+the transfers, the leader's cost, P_int and the Monte Carlo check.
 
 The transfer schedule follows from the incentive budget identity
 dT = -(omega_b / omega_T) db along the cap schedule, anchored at zero where
@@ -43,7 +46,7 @@ no rescue is optimal exactly when C'(0+) >= sup_theta psi(theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -51,7 +54,7 @@ import numpy as np
 
 from .costs import RescueCost
 from .distributions import PointMass, TypeDistribution
-from .errors import GridMismatchError, ParameterError
+from .errors import ParameterError
 from .primitives import PolicyPrimitives
 
 __all__ = [
@@ -156,31 +159,31 @@ class VirtualWeightCurve:
 
 @dataclass(frozen=True)
 class CapSchedule:
-    """Solved rescue-cap schedule with regime cutoffs.
+    """Solved rescue-cap schedule with regime cutoffs, and the curve and cost it was solved from.
 
-    ``theta_min`` / ``theta_dagger`` are None when the corresponding
-    boundary does not occur on the (truncated) support.  ``regime`` is
-    ``no-rescue`` when the cap is identically zero, ``mixed`` when the cap
-    reaches ``b_bar`` somewhere, and ``interior`` otherwise.
+    ``b_star`` holds the caps on ``curve.theta``; the grid, the pooling
+    flags, the distribution, the primitives (b_bar among them) and lambda_T
+    are the curve's.  ``theta_min`` / ``theta_dagger`` are None when the
+    corresponding boundary does not occur on the (truncated) support.
+    ``regime`` is ``no-rescue`` when the cap is identically zero, ``mixed``
+    when the cap reaches b_bar somewhere, and ``interior`` otherwise.
     """
 
-    theta: np.ndarray
+    curve: VirtualWeightCurve = field(repr=False)
+    cost: RescueCost
     b_star: np.ndarray
-    ironed: np.ndarray
     theta_min: Optional[float]
     theta_dagger: Optional[float]
     regime: str
-    lambda_T: float
-    b_bar: float
 
     def cap_at(self, theta):
         """Cap level interpolated from the solved grid, ``np.interp`` bit for bit (``_interp``)."""
-        return _interp(theta, self.theta, self.b_star)
+        return _interp(theta, self.curve.theta, self.b_star)
 
 
 @dataclass(frozen=True)
 class TransferSchedule:
-    """Transfer schedule paired with a cap schedule.
+    """Transfer schedule along the cap schedule ``cap``, on its grid.
 
     ``t_pre`` is the unprojected integral of -(omega_b/omega_T) db;
     ``t_star`` is its projection onto T >= 0.  ``ll_binding`` marks points
@@ -189,7 +192,7 @@ class TransferSchedule:
     (reported as zero by convention).
     """
 
-    theta: np.ndarray
+    cap: CapSchedule = field(repr=False)
     t_pre: np.ndarray
     t_star: np.ndarray
     ll_binding: np.ndarray
@@ -543,22 +546,21 @@ def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) ->
     """
     psi_values = np.asarray(psi_values, dtype=float)
     c_top = float(cost.marginal(b_bar))
-    caps = np.clip(cost.inverse_marginal(np.minimum(psi_values, c_top)).payout, 0.0, b_bar)
-    if float(np.clip(cost.inverse_marginal(c_top).payout, 0.0, b_bar)) != b_bar:
+    caps = np.clip(cost.inverse_marginal(np.minimum(psi_values, c_top)), 0.0, b_bar)
+    if float(np.clip(cost.inverse_marginal(c_top), 0.0, b_bar)) != b_bar:
         caps = np.where(psi_values >= c_top, float(b_bar), caps)
     return caps
 
 
-def solve_cap(curve: VirtualWeightCurve, cost: RescueCost, b_bar: float) -> CapSchedule:
+def solve_cap(curve: VirtualWeightCurve, cost: RescueCost) -> CapSchedule:
     """Project the pointwise optimality condition onto [0, b_bar].
 
     Each grid point solves C'(b) = psi_bar, with b = 0 where the target sits
-    below C'(0+) and b = b_bar where it exceeds C'(b_bar).  The cutoffs are
-    located by bisection on the interpolated weight curve.
+    below C'(0+) and b = b_bar (``curve.prim.b_bar``) where it exceeds
+    C'(b_bar).  The cutoffs are located by bisection on the interpolated
+    weight curve.
     """
-    if not (isinstance(b_bar, (int, float)) and math.isfinite(b_bar) and b_bar > 0.0):
-        raise ParameterError("b_bar must be positive and finite")
-    b_bar = float(b_bar)
+    b_bar = float(curve.prim.b_bar)
     c_origin = cost.marginal_at_zero
     c_top = float(cost.marginal(b_bar))
     psi_bar = curve.psi_bar
@@ -572,16 +574,7 @@ def solve_cap(curve: VirtualWeightCurve, cost: RescueCost, b_bar: float) -> CapS
         regime = "mixed"
     else:
         regime = "interior"
-    return CapSchedule(
-        theta=curve.theta,
-        b_star=b,
-        ironed=curve.ironed,
-        theta_min=theta_min,
-        theta_dagger=theta_dagger,
-        regime=regime,
-        lambda_T=curve.lambda_T,
-        b_bar=b_bar,
-    )
+    return CapSchedule(curve, cost, b, theta_min, theta_dagger, regime)
 
 
 def knife_edge(curve: VirtualWeightCurve, cost: RescueCost) -> KnifeEdgeReport:
@@ -607,14 +600,15 @@ def knife_edge(curve: VirtualWeightCurve, cost: RescueCost) -> KnifeEdgeReport:
     )
 
 
-def transfer_schedule(cap: CapSchedule, prim: PolicyPrimitives) -> TransferSchedule:
+def transfer_schedule(cap: CapSchedule) -> TransferSchedule:
     """Integrate dT = -(omega_b/omega_T) db along the cap schedule.
 
     The integral is accumulated through the exact cap increments (the
     trapezoid rule in the db measure), anchored at zero where the cap first
-    turns positive, then projected onto T >= 0.
+    turns positive, then projected onto T >= 0.  The weights are the
+    primitives of the curve the schedule was solved on.
     """
-    theta = cap.theta
+    theta, prim = cap.curve.theta, cap.curve.prim
     b = cap.b_star
     mid = 0.5 * (theta[:-1] + theta[1:])
     ratio = np.asarray(prim.omega_b_at(mid), dtype=float) / prim.omega_T
@@ -635,25 +629,20 @@ def transfer_schedule(cap: CapSchedule, prim: PolicyPrimitives) -> TransferSched
     t_star = np.maximum(t_pre, 0.0)
     ll_binding = t_pre < 0.0
     unpinned = b <= 0.0
-    return TransferSchedule(theta=theta, t_pre=t_pre, t_star=t_star, ll_binding=ll_binding, unpinned=unpinned)
+    return TransferSchedule(cap=cap, t_pre=t_pre, t_star=t_star, ll_binding=ll_binding, unpinned=unpinned)
 
 
-def leader_cost(
-    curve: VirtualWeightCurve,
-    cap: CapSchedule,
-    transfers: TransferSchedule,
-    cost: RescueCost,
-) -> float:
+def leader_cost(transfers: TransferSchedule) -> float:
     """Expected authority objective E[C(b(theta)) + gamma * T(theta)].
 
-    ``curve`` is the one the schedules were solved on: its density weights
-    the trapezoid quadrature over the schedule grid (a direct sum for
-    degenerate supports) and its primitives give gamma.
+    Everything else is read through ``transfers.cap``: its cost prices the
+    caps, and the density of the curve it was solved on weights the
+    trapezoid quadrature over the grid (a direct sum for degenerate
+    supports) while that curve's primitives give gamma.
     """
-    for schedule in (cap, transfers):
-        if schedule.theta.shape != curve.theta.shape or np.any(schedule.theta != curve.theta):
-            raise GridMismatchError("cap and transfer schedules must be built on the curve's grid")
-    pointwise = np.asarray(cost.value(cap.b_star), dtype=float) + curve.prim.gamma * transfers.t_star
+    cap = transfers.cap
+    curve = cap.curve
+    pointwise = np.asarray(cap.cost.value(cap.b_star), dtype=float) + curve.prim.gamma * transfers.t_star
     if curve.degenerate:
         return float(pointwise[0])
     return float(np.trapezoid(pointwise * curve.density, curve.theta))

@@ -5,8 +5,10 @@ its sampled counterpart, and provides two independent oracles used by the
 acceptance suite:
 
 * ``mc_run`` samples types through the deterministic Philox stream, pushes
-  them through the solved cap schedule, and reports sample-based cutoff and
-  interior-probability estimates plus binned means of the cap against type.
+  them through a solved cap schedule (the only input besides the sample
+  size, seed and bins), and reports sample-based cutoff and
+  interior-probability estimates plus binned means of the cap against type;
+  the closed-form values to compare them with are the schedule's.
 * ``capmin_oracle`` certifies the cap-minimum calculus d/db E[min(X, b)] =
   P(X >= b) and d/db E[min(X, b)^2] = 2 b P(X >= b) by central differences
   against exact tail probabilities.
@@ -30,10 +32,9 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .costs import RescueCost
-from .discretion import interior_probability
 from .distributions import SAMPLE_BLOCK, TypeDistribution, sample_types
 from .errors import ParameterError
-from .mechanism import CapSchedule, VirtualWeightCurve, _grid_cell, _psi_on, _weight, caps_from_targets, solve_cap
+from .mechanism import CapSchedule, _grid_cell, _psi_on, _weight, caps_from_targets
 from .primitives import PolicyPrimitives
 
 __all__ = ["MCReport", "CapMinReport", "BruteForceReport", "mc_run", "capmin_oracle", "welfare_bruteforce"]
@@ -51,14 +52,13 @@ MIN_SAMPLES = 1000
 class MCReport:
     """Sampled verification of a solved cap schedule.
 
-    ``schedule`` is the cap schedule the samples were checked against.
+    ``schedule`` is the cap schedule the samples were checked against; its
+    cutoffs, regime and lambda_T are the closed-form side of the check.
     """
 
     n: int
     seed: int
     bins: int
-    lambda_T: float
-    regime: str
     theta_min_hat: Optional[float]
     theta_dagger_hat: Optional[float]
     p_int_hat: float
@@ -66,16 +66,14 @@ class MCReport:
     bin_means: np.ndarray
     bin_counts: np.ndarray
     bin_stderr: np.ndarray
-    theta_min: Optional[float]
-    theta_dagger: Optional[float]
-    p_int: float
     schedule: CapSchedule = field(repr=False)
 
 
-def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins: int = DEFAULT_BINS) -> MCReport:
+def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> MCReport:
     """Sample types, evaluate the optimal cap at each, and summarize.
 
-    The schedule is solved on ``curve``, and the types are drawn from its
+    The caps follow the rule ``sched`` was solved with, its cost on its
+    curve; nothing is solved again.  The types are drawn from the curve's
     distribution in fixed Philox blocks (``sample_types``), so identical
     (seed, n) pairs are bit-identical.  The bin edges span the
     sampled range, ``np.linspace(min, max, bins + 1)``.  One loop then
@@ -102,8 +100,8 @@ def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins:
         raise ParameterError(f"mc_run needs n >= {MIN_SAMPLES} for cutoff estimation")
     if bins < 2:
         raise ParameterError("mc_run needs at least 2 bins")
+    curve, cost = sched.curve, sched.cost
     dist, prim = curve.dist, curve.prim
-    sched = solve_cap(curve, cost, prim.b_bar)
     theta_s = sample_types(dist, n, seed)
     pooled = bool(np.any(curve.ironed))
     edges = np.linspace(float(np.min(theta_s)), float(np.max(theta_s)), bins + 1)
@@ -154,8 +152,6 @@ def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins:
         n=int(n),
         seed=int(seed),
         bins=int(bins),
-        lambda_T=curve.lambda_T,
-        regime=sched.regime,
         theta_min_hat=None if theta_min_hat == math.inf else theta_min_hat,
         theta_dagger_hat=None if theta_dagger_hat == math.inf else theta_dagger_hat,
         p_int_hat=interior / int(n),
@@ -163,9 +159,6 @@ def mc_run(curve: VirtualWeightCurve, cost: RescueCost, n: int, seed: int, bins:
         bin_means=means,
         bin_counts=counts,
         bin_stderr=stderr,
-        theta_min=sched.theta_min,
-        theta_dagger=sched.theta_dagger,
-        p_int=interior_probability(sched, dist),
         schedule=sched,
     )
 
@@ -403,8 +396,7 @@ def welfare_bruteforce(
     hazard = w / survivor
     psi = _weight(prim, lam, th, hazard)
 
-    inv = cost.inverse_marginal(psi)
-    kkt_caps = np.clip(np.asarray(inv.payout, dtype=float), 0.0, prim.b_bar)
+    kkt_caps = caps_from_targets(psi, cost, prim.b_bar)
     kkt_cost = float(np.sum(w * (np.asarray(cost.value(kkt_caps)) - psi * kkt_caps)))
 
     grid = np.linspace(0.0, prim.b_bar, levels)

@@ -29,7 +29,8 @@ to a pooled stretch is rejected: psi_bar there follows the block mean, not h.
 
 ``fd_certify`` re-solves the full pipeline at centrally perturbed
 parameters and reports relative errors plus a sign table; perturbed solves
-that cross a regime boundary are flagged instead of silently differenced.
+that cross a regime boundary, or a perturbation that leaves its parameter's
+domain (alpha - step < 0 at alpha = 0), are flagged instead of differenced.
 ``m_sensitivity`` differentiates through the discretionary fixed point in
 the rule-sensitivity parameter m, with analytic chain-rule values for
 comparison.
@@ -133,23 +134,23 @@ def _interior_theta_min(sched: CapSchedule) -> Optional[float]:
     """Lower cutoff, or None when it is absent or stuck at the grid edge."""
     if sched.theta_min is None:
         return None
-    if sched.theta_min <= float(sched.theta[0]):
+    if sched.theta_min <= float(sched.curve.theta[0]):
         return None
     return sched.theta_min
 
 
-def _pooled_stretch(sched: CapSchedule, theta: float) -> Optional[tuple[float, float]]:
+def _pooled_stretch(curve: VirtualWeightCurve, theta: float) -> Optional[tuple[float, float]]:
     """First and last type of the pooled stretch psi_bar interpolates at ``theta``, or None."""
-    i = int(np.searchsorted(sched.theta, theta))
-    cell = np.flatnonzero(sched.ironed[max(i - 1, 0):i + 1])
+    i = int(np.searchsorted(curve.theta, theta))
+    cell = np.flatnonzero(curve.ironed[max(i - 1, 0):i + 1])
     if not cell.size:
         return None
     node = max(i - 1, 0) + int(cell[0])
-    unpooled = np.flatnonzero(~sched.ironed)
+    unpooled = np.flatnonzero(~curve.ironed)
     k = int(np.searchsorted(unpooled, node))
     first = int(unpooled[k - 1]) + 1 if k else 0
-    last = int(unpooled[k]) - 1 if k < unpooled.size else sched.theta.size - 1
-    return float(sched.theta[first]), float(sched.theta[last])
+    last = int(unpooled[k]) - 1 if k < unpooled.size else curve.theta.size - 1
+    return float(curve.theta[first]), float(curve.theta[last])
 
 
 def _hazard_reference(curve: VirtualWeightCurve) -> Optional[float]:
@@ -185,17 +186,17 @@ def analytic_partials(curve: VirtualWeightCurve, cost: RescueCost) -> dict:
         omega_b is type-dependent.
     """
     qcost = _require_quadratic_scalar(curve.prim, cost)
-    return _partials_at(curve, solve_cap(curve, cost, curve.prim.b_bar), qcost, _hazard_reference(curve))
+    return _partials_at(solve_cap(curve, cost), qcost, _hazard_reference(curve))
 
 
-def _partials_at(curve: VirtualWeightCurve, sched: CapSchedule, qcost: QuadraticCost,
-                 theta_ref: Optional[float]) -> dict:
-    """``analytic_partials`` at the schedule already solved on ``curve``."""
+def _partials_at(sched: CapSchedule, qcost: QuadraticCost, theta_ref: Optional[float]) -> dict:
+    """``analytic_partials`` at a schedule already solved."""
+    curve = sched.curve
     dist, prim, lam = curve.dist, curve.prim, curve.lambda_T
     theta_min = _interior_theta_min(sched)
     if theta_min is None:
         raise ParameterError("no interior lower cutoff at these parameters; statics not applicable")
-    block = _pooled_stretch(sched, theta_min)
+    block = _pooled_stretch(curve, theta_min)
     if block is not None:
         raise IllPosedError(f"lower cutoff theta_min = {theta_min:.10g} lies on or next to the pooled stretch "
                             f"[{block[0]:.10g}, {block[1]:.10g}] of psi_bar, which moves it instead of "
@@ -217,7 +218,7 @@ def _partials_at(curve: VirtualWeightCurve, sched: CapSchedule, qcost: Quadratic
         "d_b_max_d_gamma": omega_b / (kappa * lam),
     }
     level = gamma * omega_b / lam
-    if theta_ref is not None and _pooled_stretch(sched, theta_ref) is not None:
+    if theta_ref is not None and _pooled_stretch(curve, theta_ref) is not None:
         level = float(curve.psi_bar_at(theta_ref))
         out.update(d_b_max_d_kappa=-(level - alpha) / kappa**2, d_b_max_d_lambda_T=-level / (kappa * lam),
                    d_b_max_d_gamma=level / (kappa * gamma))
@@ -267,14 +268,14 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
         raise ParameterError("fd step must lie in (0, 0.1)")
     # keyed by the (omega_b, gamma, lambda) perturbation; the cost does not enter the curve
     curves = {(0.0, 0.0, 0.0): curve}
-    base = solve_cap(curve, cost, prim.b_bar)
+    base = solve_cap(curve, cost)
     if _interior_theta_min(base) is None:
         # no interior lower cutoff at the base point: report every partial
         # as not applicable instead of raising
         rows = tuple(_row(name, math.nan, math.nan, expected) for name, expected in _SIGNS.items())
         return StaticsReport(rows=rows, theta_min=math.nan, b_max=math.nan, theta_ref=math.nan, lambda_T=lam)
     theta_ref = _hazard_reference(curve)
-    analytic = _partials_at(curve, base, qcost, theta_ref)
+    analytic = _partials_at(base, qcost, theta_ref)
 
     def solve_variant(d_alpha=0.0, d_kappa=0.0, d_omega_b=0.0, d_gamma=0.0, d_lambda=0.0):
         key = (d_omega_b, d_gamma, d_lambda)
@@ -282,25 +283,22 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
             p = replace(prim, omega_b=float(prim.omega_b) + d_omega_b, gamma=prim.gamma + d_gamma)
             curves[key] = curve.at(p, lam + d_lambda)
         c = QuadraticCost(qcost.alpha + d_alpha, qcost.kappa + d_kappa)
-        return solve_cap(curves[key], c, prim.b_bar)
-
-    def cutoff_of(sched: CapSchedule) -> Optional[float]:
-        return _interior_theta_min(sched)
+        return solve_cap(curves[key], c)
 
     def cap_ref_of(sched: CapSchedule) -> Optional[float]:
         if theta_ref is None:
             return None
         val = float(sched.cap_at(theta_ref))
-        if not (1e-12 < val < sched.b_bar - 1e-12):
+        if not (1e-12 < val < prim.b_bar - 1e-12):
             return None
         return val
 
     # (name, perturbation keyword, base magnitude, quantity extractor)
     specs = [
-        ("d_theta_min_d_alpha", "d_alpha", qcost.alpha, cutoff_of),
-        ("d_theta_min_d_omega_b", "d_omega_b", float(prim.omega_b), cutoff_of),
-        ("d_theta_min_d_lambda_T", "d_lambda", lam, cutoff_of),
-        ("d_theta_min_d_gamma", "d_gamma", prim.gamma, cutoff_of),
+        ("d_theta_min_d_alpha", "d_alpha", qcost.alpha, _interior_theta_min),
+        ("d_theta_min_d_omega_b", "d_omega_b", float(prim.omega_b), _interior_theta_min),
+        ("d_theta_min_d_lambda_T", "d_lambda", lam, _interior_theta_min),
+        ("d_theta_min_d_gamma", "d_gamma", prim.gamma, _interior_theta_min),
         ("d_b_max_d_kappa", "d_kappa", qcost.kappa, cap_ref_of),
         ("d_b_max_d_lambda_T", "d_lambda", lam, cap_ref_of),
         ("d_b_max_d_gamma", "d_gamma", prim.gamma, cap_ref_of),
@@ -315,8 +313,11 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
         h = step * abs(magnitude)
         if h == 0.0:
             h = step
-        hi = extract(solve_variant(**{kw: +h}))
-        lo = extract(solve_variant(**{kw: -h}))
+        try:
+            hi = extract(solve_variant(**{kw: +h}))
+            lo = extract(solve_variant(**{kw: -h}))
+        except ParameterError:  # the perturbed parameter left its domain, as alpha - h does at alpha = 0
+            hi = lo = None
         if hi is None or lo is None:
             rows.append(StaticsRow(name, an, math.nan, math.nan, expected, False, FLAG_REGIME_BOUNDARY))
             continue
@@ -383,7 +384,7 @@ def m_sensitivity(
     else:
         fd_b_max = (float(up.schedule.cap_at(theta_ref)) - float(dn.schedule.cap_at(theta_ref))) / (2.0 * h)
 
-    an = _partials_at(base.curve, base.schedule, qcost, theta_ref)
+    an = _partials_at(base.schedule, qcost, theta_ref)
     theta_min0 = an["theta_min"]
     theta_dag0 = base.schedule.theta_dagger
     dp_dlam = -float(dist.pdf(theta_min0)) * an["d_theta_min_d_lambda_T"]

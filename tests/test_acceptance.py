@@ -56,8 +56,8 @@ def _run_cli(*argv):
 def test_criterion_01_closed_form_table(bench_dist, bench_prim, bench_cost):
     start = time.perf_counter()
     commitment = virtual_weight(bench_dist, bench_prim, 1.0)
-    commit = solve_cap(commitment, bench_cost, bench_prim.b_bar)
-    p_commit = interior_probability(commit, bench_dist)
+    commit = solve_cap(commitment, bench_cost)
+    p_commit = interior_probability(commit)
     disc = fixed_point(commitment, bench_cost)
     elapsed = time.perf_counter() - start
     ok = (
@@ -84,20 +84,22 @@ def test_criterion_01_closed_form_table(bench_dist, bench_prim, bench_cost):
 
 def test_criterion_02_monte_carlo_table(bench_dist, bench_prim, bench_cost):
     start = time.perf_counter()
-    rep = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, n=200_000, seed=20260814, bins=30)
+    sched = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
+    rep = mc_run(sched, n=200_000, seed=20260814, bins=30)
+    p_int = interior_probability(sched)
     elapsed = time.perf_counter() - start
     ok = (
-        abs(rep.theta_min_hat - rep.theta_min) <= 5e-3
-        and abs(rep.theta_dagger_hat - rep.theta_dagger) <= 5e-3
-        and abs(rep.p_int_hat - rep.p_int) <= 5e-3
+        abs(rep.theta_min_hat - sched.theta_min) <= 5e-3
+        and abs(rep.theta_dagger_hat - sched.theta_dagger) <= 5e-3
+        and abs(rep.p_int_hat - p_int) <= 5e-3
         and elapsed < 30.0
     )
     _report(
         2,
         ok,
-        f"monte carlo n=200000: cutoff errors ({abs(rep.theta_min_hat - rep.theta_min):.2e}, "
-        f"{abs(rep.theta_dagger_hat - rep.theta_dagger):.2e}), "
-        f"p_int error {abs(rep.p_int_hat - rep.p_int):.2e}; {elapsed:.2f}s",
+        f"monte carlo n=200000: cutoff errors ({abs(rep.theta_min_hat - sched.theta_min):.2e}, "
+        f"{abs(rep.theta_dagger_hat - sched.theta_dagger):.2e}), "
+        f"p_int error {abs(rep.p_int_hat - p_int):.2e}; {elapsed:.2f}s",
     )
 
 
@@ -117,7 +119,7 @@ def test_criterion_03_randomized_interior_residual(bench_dist):
         prim = PolicyPrimitives(omega_T=1.0, omega_b=omega_b, gamma=gamma, b_bar=0.8, m=0.5)
         cost = QuadraticCost(alpha, kappa)
         curve = virtual_weight(bench_dist, prim, 1.0)
-        sched = solve_cap(curve, cost, prim.b_bar)
+        sched = solve_cap(curve, cost)
         interior = (sched.b_star > 1e-9) & (sched.b_star < prim.b_bar - 1e-9)
         assert np.any(interior)
         resid = np.abs(cost.marginal(sched.b_star[interior]) - curve.psi_bar[interior])
@@ -143,7 +145,7 @@ def test_criterion_04_knife_edge_grid():
             if report.no_rescue == (alpha >= threshold):
                 agree += 1
             if report.no_rescue:
-                sched = solve_cap(curve, cost, prim.b_bar)
+                sched = solve_cap(curve, cost)
                 if np.all(sched.b_star == 0.0) and sched.regime == "no-rescue":
                     shutdowns += 1
                 else:

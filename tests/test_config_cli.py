@@ -256,7 +256,7 @@ def test_default_tail_mass_is_the_librarys(tmp_path):
     doc = make_doc(distribution={"kind": "weibull", "shape": 0.7, "scale": 1.0}, output={"directory": str(out)})
     assert run_cli("solve", "--config", write_doc(tmp_path, doc), "--quiet") == 0
     prim = parse_config(doc).prim
-    sched = solve_cap(virtual_weight(Weibull(0.7, 1.0), prim, prim.omega_T), QuadraticCost(0.2, 1.0), prim.b_bar)
+    sched = solve_cap(virtual_weight(Weibull(0.7, 1.0), prim, prim.omega_T), QuadraticCost(0.2, 1.0))
     summary = json.loads((out / "summary.json").read_text())
     assert summary["theta_min"] == float(format_float(sched.theta_min))
 
@@ -502,6 +502,26 @@ def test_cli_statics_failure_names_its_cause(tmp_path, capsys):
     assert cols["flag"][4:] == ["regime-boundary"] * 3
 
 
+def test_cli_statics_at_alpha_zero_flags_the_alpha_row(tmp_path, capsys):
+    # at alpha = 0 the perturbation alpha - step leaves the cost's domain, so
+    # the alpha row is flagged; the command exits 0 or 2, naming every failed check
+    out = tmp_path / "run"
+    doc = make_doc(cost={"kind": "quadratic", "alpha": 0.0, "kappa": 1.0}, output={"directory": str(out)})
+    code = run_cli("statics", "--config", write_doc(tmp_path, doc), "--quiet")
+    assert code in (0, 2)
+    err = capsys.readouterr().err
+    cols = read_csv_columns(out / "statics.csv")
+    assert cols["flag"][cols["partial"].index("d_theta_min_d_alpha")] == "regime-boundary"
+    unflagged = [i for i, flag in enumerate(cols["flag"]) if flag == ""]
+    wrong_sign = [cols["partial"][i] for i in unflagged if cols["sign_ok"][i] == "false"]
+    errors = {cols["partial"][i]: float(cols["rel_error"][i]) for i in unflagged}
+    worst = max(errors.values())
+    assert (code == 2) == (bool(wrong_sign) or worst > 1e-4)
+    assert all(f"{name} has the wrong sign" in err for name in wrong_sign)
+    if worst > 1e-4:  # rows tied at the printed precision: the certification names one of them
+        assert any(f"{name} rel_error" in err for name, error in errors.items() if error == worst)
+
+
 def test_statics_failures_name_every_failed_check():
     row = StaticsRow("d_theta_min_d_alpha", 1.0, 1.0, 0.0, +1, True)
     wrong = StaticsRow("d_b_max_d_kappa", -1.0, 1.0, 2.0, -1, False)
@@ -597,6 +617,23 @@ def test_cli_oracle(tmp_path):
     assert brute["passed"] is True
     assert brute["kkt_cost"] == pytest.approx(-0.0404444444, abs=1e-9)
     assert brute["n_schedules"] == 53130
+
+
+def test_cli_oracle_caps_targets_above_a_tabulated_cost_at_b_bar(tmp_path):
+    # omega_b = 2 puts two of the oracle's five targets above C'(b_bar) = 0.84
+    # and one above the table's top marginal 1; the solver's cap rule sends
+    # both to b_bar without inverting past the table, in every command
+    doc = make_doc(cost={"kind": "tabulated", "payout": [0.0, 0.5, 1.0], "marginal": [0.2, 0.6, 1.0]},
+                   weights={"omega_T": 1.0, "omega_b": 2.0, "gamma": 1.0, "b_bar": 0.8},
+                   simulation={"n": 5000})
+    for command in ("solve", "simulate", "oracle"):
+        out = tmp_path / command
+        doc["output"] = {"directory": str(out)}
+        assert run_cli(command, "--config", write_doc(tmp_path, doc), "--quiet") == 0, command
+    brute = json.loads((tmp_path / "oracle" / "oracle_bruteforce.json").read_text())
+    assert brute["passed"] is True
+    assert brute["kkt_caps"][-2:] == [0.8, 0.8]
+    assert brute["kkt_caps"][0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_cli_missing_config_is_io_error(tmp_path):

@@ -14,15 +14,9 @@ def test_quadratic_marginal_values(bench_cost):
 
 
 def test_quadratic_inverse_marginal(bench_cost):
-    res = bench_cost.inverse_marginal(1.0)
-    assert res.payout == pytest.approx(0.8, abs=1e-15)
-    assert res.below_origin is False
-    low = bench_cost.inverse_marginal(0.1)
-    assert low.payout == 0.0
-    assert low.below_origin is True
-    arr = bench_cost.inverse_marginal(np.array([0.1, 0.2, 0.7]))
-    assert np.allclose(arr.payout, [0.0, 0.0, 0.5])
-    assert list(arr.below_origin) == [True, False, False]
+    assert bench_cost.inverse_marginal(1.0) == pytest.approx(0.8, abs=1e-15)
+    assert bench_cost.inverse_marginal(0.1) == 0.0
+    assert np.allclose(bench_cost.inverse_marginal(np.array([0.1, 0.2, 0.7])), [0.0, 0.0, 0.5])
 
 
 def test_quadratic_validation():
@@ -37,12 +31,8 @@ def test_quadratic_validation():
 def test_tabulated_interpolates_and_inverts():
     cost = TabulatedCost([0.0, 1.0], [0.1, 0.5])
     assert cost.marginal(0.5) == pytest.approx(0.3, abs=1e-15)
-    res = cost.inverse_marginal(0.3)
-    assert res.payout == pytest.approx(0.5, abs=1e-12)
-    assert res.below_origin is False
-    below = cost.inverse_marginal(0.05)
-    assert below.payout == 0.0
-    assert below.below_origin is True
+    assert cost.inverse_marginal(0.3) == pytest.approx(0.5, abs=1e-12)
+    assert cost.inverse_marginal(0.05) == 0.0
     # exact value from integrating the linear marginal
     assert cost.value(1.0) == pytest.approx(0.3, abs=1e-15)
     assert cost.value(0.5) == pytest.approx(0.1 * 0.5 + 0.5 * 0.4 * 0.25, abs=1e-15)
@@ -50,15 +40,40 @@ def test_tabulated_interpolates_and_inverts():
 
 def test_tabulated_plateau_returns_leftmost_preimage():
     cost = TabulatedCost([0.0, 0.3, 0.7, 1.0], [0.1, 0.4, 0.4, 0.9])
-    res = cost.inverse_marginal(0.4)
-    assert res.payout == pytest.approx(0.3, abs=1e-9)
-    assert res.below_origin is False
+    assert cost.inverse_marginal(0.4) == pytest.approx(0.3, abs=1e-9)
 
 
 def test_tabulated_rejects_targets_beyond_table():
     cost = TabulatedCost([0.0, 1.0], [0.1, 0.5])
     with pytest.raises(ParameterError):
         cost.inverse_marginal(0.6)
+
+
+def test_tabulated_rejects_non_finite_targets_by_name():
+    cost = TabulatedCost([0.0, 1.0], [0.1, 0.5])
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ParameterError, match=f"must be finite; 1 are not, the first is {bad}"):
+            cost.inverse_marginal(np.array([0.3, bad]))
+
+
+def bisection_inverse(cost, y, steps=200):
+    """Leftmost preimage by bisection on C'(x) >= y, 0 at or below C'(0): the inversion's definition."""
+    lo, hi = 0.0, float(cost.payout_nodes[-1])
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if cost.marginal(mid) >= y else (mid, hi)
+    return 0.0 if y <= cost.marginal_at_zero else hi
+
+
+def test_tabulated_closed_form_inverse_matches_bisection_on_plateaus_and_nodes():
+    cost = TabulatedCost([0.0, 0.2, 0.5, 0.6, 1.0, 1.5], [0.1, 0.1, 0.4, 0.4, 0.9, 1.3])
+    targets = np.concatenate([cost.marginal_nodes, np.linspace(-0.2, 1.3, 301)])
+    closed = cost.inverse_marginal(targets)
+    assert type(cost.inverse_marginal(0.4)) is float
+    for y, x in zip(targets, closed):
+        assert x == pytest.approx(bisection_inverse(cost, y), abs=1e-15), y
+    # flat stretches and the origin plateau invert to their left end exactly
+    assert cost.inverse_marginal(np.array([0.1, 0.4])).tolist() == [0.0, 0.5]
 
 
 def test_tabulated_validation():
@@ -76,7 +91,7 @@ def test_tabulated_validation():
 @settings(max_examples=200, deadline=None)
 def test_quadratic_inverse_identity(y):
     cost = QuadraticCost(0.2, 1.0)
-    x = cost.inverse_marginal(y).payout
+    x = cost.inverse_marginal(y)
     assert abs(cost.marginal(x) - y) <= 1e-9 * max(1.0, abs(y))
 
 
@@ -84,7 +99,7 @@ def test_quadratic_inverse_identity(y):
 @settings(max_examples=200, deadline=None)
 def test_tabulated_inverse_identity(y):
     cost = TabulatedCost([0.0, 0.25, 0.5, 1.0], [0.1, 0.3, 0.6, 0.9])
-    x = cost.inverse_marginal(y).payout
+    x = cost.inverse_marginal(y)
     assert abs(cost.marginal(x) - y) <= 1e-6
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,16 +88,16 @@ def test_effective_lambda_values(bench_prim):
 
 def test_interior_probability_commitment(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
-    p = interior_probability(sched, bench_dist)
+    sched = solve_cap(curve, bench_cost)
+    p = interior_probability(sched)
     assert p == pytest.approx(BENCH["p_int"], abs=1e-9)
 
 
 def test_interior_probability_no_rescue(bench_prim):
     dist = Exponential(1.0)
     curve = virtual_weight(dist, bench_prim, 1.0, grid_size=257)
-    sched = solve_cap(curve, QuadraticCost(1.0, 1.0), bench_prim.b_bar)
-    assert interior_probability(sched, dist) == 0.0
+    sched = solve_cap(curve, QuadraticCost(1.0, 1.0))
+    assert interior_probability(sched) == 0.0
 
 
 def test_interior_probability_point_mass(bench_cost, bench_prim):
@@ -107,9 +109,9 @@ def test_interior_probability_point_mass(bench_cost, bench_prim):
         (QuadraticCost(1.0, 1.0), bench_prim.b_bar, "no-rescue", 0.0),
     ]
     for cost, b_bar, regime, expected in cases:
-        sched = solve_cap(virtual_weight(point, bench_prim, 1.0), cost, b_bar)
+        sched = solve_cap(virtual_weight(point, replace(bench_prim, b_bar=b_bar), 1.0), cost)
         assert sched.regime == regime
-        assert interior_probability(sched, point) == expected
+        assert interior_probability(sched) == expected
 
 
 def test_cutoffs_scale_with_lambda(bench_dist, bench_cost, bench_prim):
@@ -117,7 +119,7 @@ def test_cutoffs_scale_with_lambda(bench_dist, bench_cost, bench_prim):
     # i.e. 0.125 * lambda on the benchmark
     for lam in (0.7, 0.85, 1.0, 1.2, 1.6):
         curve = virtual_weight(bench_dist, bench_prim, lam)
-        sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+        sched = solve_cap(curve, bench_cost)
         assert sched.theta_min == pytest.approx(0.125 * lam, abs=1e-8)
         assert sched.theta_dagger == pytest.approx(0.625 * lam, abs=1e-8)
 
@@ -145,7 +147,7 @@ def steep_case():
 
 
 def assert_trace_in_bracket(sol):
-    prim = sol.curve.prim
+    prim = sol.schedule.curve.prim
     floor = prim.omega_T - prim.omega_b * prim.m
     lo, hi = sol.bracket
     assert floor <= lo <= hi <= prim.omega_T
@@ -209,7 +211,7 @@ def test_fixed_point_point_mass_jump_has_no_root(bench_cost, bench_prim):
     assert (lo, 0.0) in sol.trace and (hi, 1.0) in sol.trace
     assert sol.iterations < 100
     # the best evaluated point comes back with its own curve and schedule
-    assert sol.lambda_T in (lo, hi) and sol.curve.lambda_T == sol.lambda_T
+    assert sol.lambda_T in (lo, hi) and sol.schedule.curve.lambda_T == sol.lambda_T
 
 
 def test_fixed_point_m_zero_is_commitment(bench_dist, bench_cost, bench_prim):
@@ -273,20 +275,20 @@ def test_fixed_point_exhaustion_reports_not_converged(bench_dist, bench_cost, be
     # curve and schedule: the steep case's third point beats its fourth
     sol = fixed_point(*steep_case(), max_iter=4)
     assert not sol.converged and sol.jump is None and sol.iterations == 4
-    assert (sol.lambda_T, sol.p_int) == sol.trace[2] and sol.curve.lambda_T == sol.lambda_T
+    assert (sol.lambda_T, sol.p_int) == sol.trace[2] and sol.schedule.curve.lambda_T == sol.lambda_T
 
 
 def test_fixed_point_keeps_last_curve_and_accepts_commitment_curve(bench_dist, bench_cost, bench_prim):
     commitment = virtual_weight(bench_dist, bench_prim, bench_prim.omega_T)
     sol = fixed_point(commitment, bench_cost)
-    assert sol.curve.lambda_T == sol.lambda_T
-    assert sol.curve.dist is bench_dist and sol.curve.prim is bench_prim
-    assert np.array_equal(solve_cap(sol.curve, bench_cost, bench_prim.b_bar).b_star, sol.schedule.b_star)
-    assert sol.trace[0] == (bench_prim.omega_T, interior_probability(
-        solve_cap(commitment, bench_cost, bench_prim.b_bar), bench_dist))
+    assert sol.schedule.curve.lambda_T == sol.lambda_T
+    assert sol.schedule.curve.dist is bench_dist and sol.schedule.curve.prim is bench_prim
+    assert sol.schedule.cost is bench_cost
+    assert np.array_equal(solve_cap(sol.schedule.curve, bench_cost).b_star, sol.schedule.b_star)
+    assert sol.trace[0] == (bench_prim.omega_T, interior_probability(solve_cap(commitment, bench_cost)))
     # the iteration starts at omega_T: a curve at another lambda is not a start
     with pytest.raises(ParameterError):
-        fixed_point(sol.curve, bench_cost)
+        fixed_point(sol.schedule.curve, bench_cost)
 
 
 def test_fixed_point_validation(bench_dist, bench_cost, bench_prim):
@@ -334,8 +336,8 @@ def test_rescaled_p_int_equals_the_full_evaluation(case):
     for lam in lams.tolist():
         fresh = virtual_weight(dist, prim, lam, curve.grid_size, curve.tail_mass)
         assert np.array_equal(fresh.ironed, curve.ironed)  # a positive scale pools the same blocks
-        sched = solve_cap(fresh, cost, prim.b_bar)
-        assert discretion._interior_probability_at(curve, cost, lam) == interior_probability(sched, dist), lam
+        sched = solve_cap(fresh, cost)
+        assert discretion._interior_probability_at(curve, cost, lam) == interior_probability(sched), lam
         if sched.theta_min is not None:
             i = int(np.searchsorted(fresh.theta, sched.theta_min))
             cutoff_cells_pooled += bool(fresh.ironed[max(i - 1, 0):i + 1].any())
@@ -354,16 +356,16 @@ def test_fixed_point_curve_matches_a_fresh_build(pooled, bench_dist, bench_cost,
         commitment, cost = virtual_weight(bench_dist, bench_prim, 1.0), bench_cost
     sol = fixed_point(commitment, cost)
     assert sol.converged and sol.lambda_T < commitment.lambda_T
-    assert sol.curve.hazard is commitment.hazard and sol.curve.density is commitment.density
+    assert sol.schedule.curve.hazard is commitment.hazard and sol.schedule.curve.density is commitment.density
     prim = commitment.prim
     fresh = virtual_weight(commitment.dist, prim, sol.lambda_T, commitment.grid_size, commitment.tail_mass)
     for name in ("psi", "psi_bar", "ironed"):
-        assert getattr(sol.curve, name).tobytes() == getattr(fresh, name).tobytes(), name
-    sched = solve_cap(fresh, cost, prim.b_bar)
+        assert getattr(sol.schedule.curve, name).tobytes() == getattr(fresh, name).tobytes(), name
+    sched = solve_cap(fresh, cost)
     assert sol.schedule.b_star.tobytes() == sched.b_star.tobytes()
     assert (sol.schedule.theta_min, sol.schedule.theta_dagger) == (sched.theta_min, sched.theta_dagger)
-    assert sol.p_int == interior_probability(sched, commitment.dist)
-    assert np.any(sol.curve.ironed) == pooled
+    assert sol.p_int == interior_probability(sched)
+    assert np.any(sol.schedule.curve.ironed) == pooled
 
 
 def test_rescaled_p_int_equals_the_full_evaluation_on_a_flat_hazard():
@@ -379,5 +381,5 @@ def test_rescaled_p_int_equals_the_full_evaluation_on_a_flat_hazard():
         level = prim.gamma * prim.omega_b / lam * 0.25
         for alpha in np.nextafter(level, [0.0, level, 1.0]).tolist():
             cost = QuadraticCost(alpha, 1.0)
-            full = interior_probability(solve_cap(virtual_weight(dist, prim, lam), cost, prim.b_bar), dist)
+            full = interior_probability(solve_cap(virtual_weight(dist, prim, lam), cost))
             assert discretion._interior_probability_at(curve, cost, lam) == full, (lam, alpha)

@@ -346,7 +346,7 @@ PINNED_DIGESTS = {
         "survivor": "e9fa66f41ab277e8635dd15d1e3444715d277cbd731e02eaaed5aeedc4da0b65",
         "ppf": "6c6b179ff99a2fed25d2173a80aa53eb38dbd6eb635058808683f3dfaf8e9093",
         "hazard": "93a2eb1fd3492dabd1ea16f3b31d760ba0b1dfb3741d49cfb947e4843621306b",
-        "hazard_slope": "7832b4793d5f6b34142fbce73f2122be57bd52d24310ccb5021a8d9a8293c21c",
+        "hazard_slope": "cee174632c24c1ad01a1bd0a887983ac885732fce7d56b9c25156d35070c6570",
     },
     "tabulated": {
         "pdf": "d43e6e09f3451fa19afe75ab8c81117e13280e02ed37468eca6fbd22d836944d",
@@ -371,7 +371,7 @@ def evaluator_points(dist):
     u = np.concatenate([np.linspace(0.0, 1.0, 257)[:-1], [1.0 - 1e-12, np.nextafter(1.0, 0.0)]])
     grid = dist.grid(257, 1e-9)
     extra = np.random.default_rng(9).uniform(grid[0], grid[-1], 64)
-    inner = np.concatenate([grid[1:-1], extra])  # the stencil stays inside the support
+    inner = np.concatenate([grid[1:-1], extra])  # the slope's points leave out the grid's end nodes
     return {"pdf": wide, "cdf": wide, "survivor": wide, "ppf": u,
             "hazard": np.concatenate([grid, extra]), "hazard_slope": inner}
 
@@ -427,11 +427,34 @@ def test_hazard_slope_checks_the_support_like_the_hazard(name):
         with pytest.raises(DomainError):
             dist.hazard_slope(point)
     # zero survival at the upper end, or the decreasing-hazard Weibull's divergence at zero
-    divergent = {"uniform": hi, "tabulated": hi, "weibull-dfr": 0.0}
+    divergent = {"uniform": hi, "truncated": hi, "tabulated": hi, "weibull-dfr": 0.0}
     if name in divergent:
         for point in (divergent[name], [mid, divergent[name]]):
             with pytest.raises(UpperSupportError):
                 dist.hazard_slope(point)
+
+
+TRUNCATED_BASES = [
+    Truncated(Weibull(2.0, 1.0), 0.5, 2.0),
+    Truncated(Weibull(0.7, 2.0), 0.3, 4.0),
+    Truncated(Exponential(1.3), 0.2, 1.5),
+    Truncated(Uniform(0.0, 3.0), 1.0, 2.5),
+]
+
+
+@pytest.mark.parametrize("dist", TRUNCATED_BASES, ids=lambda d: d.base.kind + f"-{d.lower}")
+def test_truncated_hazard_slope_at_the_lower_bound(dist):
+    # the slope at the lower bound needs no evaluation below it: a second-order
+    # forward difference of the hazard checks it
+    lo = dist.support[0]
+    slope = dist.hazard_slope(lo)
+    step = 1e-6
+    forward = (-3.0 * dist.hazard(lo) + 4.0 * dist.hazard(lo + step) - dist.hazard(lo + 2 * step)) / (2 * step)
+    assert slope == pytest.approx(forward, rel=1e-5)
+    inside = np.linspace(lo, dist.support[1], 9)[:-1]
+    assert dist.hazard_slope(inside)[0] == pytest.approx(slope, rel=1e-12)
+    if dist == TRUNCATED_BASES[0]:
+        assert slope == pytest.approx(2.0728324987, abs=1e-9)
 
 
 # every kind; the point mass has no hazard, but its domain checks come first

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from softbudget import (
     CapSchedule,
     Exponential,
-    GridMismatchError,
     ParameterError,
     PointMass,
     QuadraticCost,
@@ -24,7 +24,7 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
-from softbudget.mechanism import _grid_cell, _interp, caps_from_targets
+from softbudget.mechanism import VirtualWeightCurve, _grid_cell, _interp, caps_from_targets
 from conftest import BENCH
 
 
@@ -184,7 +184,7 @@ def test_exponential_weight_is_flat_and_unironed(bench_prim):
 
 def test_benchmark_cutoffs_and_interior_cap(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    sched = solve_cap(curve, bench_cost)
     assert sched.regime == "mixed"
     assert sched.theta_min == pytest.approx(BENCH["theta_min"], abs=1e-6)
     assert sched.theta_dagger == pytest.approx(BENCH["theta_dagger"], abs=1e-6)
@@ -196,8 +196,8 @@ def test_benchmark_cutoffs_and_interior_cap(bench_dist, bench_cost, bench_prim):
 
 def test_interior_first_order_condition(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
-    interior = (sched.b_star > 1e-9) & (sched.b_star < bench_prim.b_bar - 1e-9) & ~sched.ironed
+    sched = solve_cap(curve, bench_cost)
+    interior = (sched.b_star > 1e-9) & (sched.b_star < bench_prim.b_bar - 1e-9) & ~curve.ironed
     assert np.any(interior)
     resid = np.abs(bench_cost.marginal(sched.b_star[interior]) - curve.psi_bar[interior])
     scale = np.maximum(1.0, curve.psi_bar[interior])
@@ -208,7 +208,7 @@ def test_uniform_support_cutoff_at_lower_edge(bench_cost, bench_prim):
     # Uniform(0, 1) hazard starts at 1, so the weight 0.8 already exceeds
     # marginal cost at zero: every type gets a positive cap
     curve = virtual_weight(Uniform(0.0, 1.0), bench_prim, 1.0, grid_size=2049)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    sched = solve_cap(curve, bench_cost)
     assert sched.theta_min == 0.0
     assert float(sched.b_star[0]) == pytest.approx(0.6, abs=1e-12)
     assert np.all(sched.b_star > 0.0)
@@ -216,17 +216,25 @@ def test_uniform_support_cutoff_at_lower_edge(bench_cost, bench_prim):
 
 def test_monotone_cap_schedule(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    sched = solve_cap(curve, bench_cost)
     assert np.all(np.diff(sched.b_star) >= -1e-12)
     assert np.all((sched.b_star >= 0.0) & (sched.b_star <= bench_prim.b_bar))
 
 
 def test_cap_regime_interior_when_bound_never_binds(bench_cost, bench_prim):
     curve = virtual_weight(Exponential(1.0), bench_prim, 1.0, grid_size=513)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    sched = solve_cap(curve, bench_cost)
     assert sched.regime == "interior"
     assert sched.theta_dagger is None
     assert np.allclose(sched.b_star, 0.6, atol=1e-12)
+
+
+def test_schedule_records_the_curve_and_cost_it_was_solved_from(bench_dist, bench_cost, bench_prim):
+    curve = virtual_weight(bench_dist, replace(bench_prim, b_bar=0.5), 0.9, grid_size=257)
+    sched = solve_cap(curve, bench_cost)
+    assert sched.curve is curve and sched.cost is bench_cost
+    assert sched.b_star.max() == 0.5  # b_bar is the curve's
+    assert transfer_schedule(sched).cap is sched
 
 
 # -- knife edge -------------------------------------------------------------
@@ -257,7 +265,7 @@ def test_knife_edge_true_forces_zero_caps(bench_prim):
     cost = QuadraticCost(1.0, 1.0)
     curve = virtual_weight(dist, bench_prim, 1.0, grid_size=513)
     assert knife_edge(curve, cost).no_rescue
-    sched = solve_cap(curve, cost, bench_prim.b_bar)
+    sched = solve_cap(curve, cost)
     assert sched.regime == "no-rescue"
     assert sched.theta_min is None and sched.theta_dagger is None
     assert np.all(sched.b_star == 0.0)
@@ -273,23 +281,23 @@ def test_knife_edge_uses_commitment_lambda_by_default(bench_prim):
 
 def test_benchmark_transfers_clip_to_zero(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
-    tr = transfer_schedule(sched, bench_prim)
+    sched = solve_cap(curve, bench_cost)
+    tr = transfer_schedule(sched)
     # caps rise with type, so the unprojected transfer falls; the
     # nonnegativity projection pins it at zero everywhere
     assert np.all(tr.t_star == 0.0)
-    above = sched.theta > sched.theta_min + 1e-3
+    above = curve.theta > sched.theta_min + 1e-3
     assert np.all(tr.t_pre[above] < 0.0)
     assert np.all(tr.ll_binding[above])
-    below = sched.theta < sched.theta_min - 1e-3
+    below = curve.theta < sched.theta_min - 1e-3
     assert np.all(tr.t_pre[below] == 0.0)
     assert not np.any(tr.ll_binding[below])
 
 
 def test_no_rescue_transfers_unpinned(bench_prim):
     curve = virtual_weight(Exponential(1.0), bench_prim, 1.0, grid_size=257)
-    sched = solve_cap(curve, QuadraticCost(1.0, 1.0), bench_prim.b_bar)
-    tr = transfer_schedule(sched, bench_prim)
+    sched = solve_cap(curve, QuadraticCost(1.0, 1.0))
+    tr = transfer_schedule(sched)
     assert np.all(tr.t_star == 0.0)
     assert np.all(tr.t_pre == 0.0)
     assert np.all(tr.unpinned)
@@ -300,17 +308,10 @@ def test_decreasing_cap_fixture_raises_transfers(bench_prim):
     # must rise by (omega_b / omega_T) * 0.1 = 0.08 to keep incentives flat
     theta = np.linspace(0.0, 1.0, 101)
     b = 0.5 - 0.1 * theta
-    sched = CapSchedule(
-        theta=theta,
-        b_star=b,
-        ironed=np.zeros(theta.size, dtype=bool),
-        theta_min=0.0,
-        theta_dagger=None,
-        regime="interior",
-        lambda_T=1.0,
-        b_bar=0.8,
-    )
-    tr = transfer_schedule(sched, bench_prim)
+    curve = VirtualWeightCurve(theta, np.ones(theta.size), Uniform(0.0, 1.0), bench_prim, 1.0)
+    sched = CapSchedule(curve=curve, cost=QuadraticCost(0.2, 1.0), b_star=b, theta_min=0.0, theta_dagger=None,
+                        regime="interior")
+    tr = transfer_schedule(sched)
     assert tr.t_star[0] == 0.0
     assert tr.t_star[-1] == pytest.approx(0.08, abs=1e-12)
     assert np.all(np.diff(tr.t_star) > 0.0)
@@ -323,26 +324,26 @@ def test_decreasing_cap_fixture_raises_transfers(bench_prim):
 
 def test_leader_cost_zero_under_no_rescue(bench_prim):
     curve = virtual_weight(Exponential(1.0), bench_prim, 1.0, grid_size=257)
-    sched = solve_cap(curve, QuadraticCost(1.0, 1.0), bench_prim.b_bar)
-    tr = transfer_schedule(sched, bench_prim)
-    assert leader_cost(curve, sched, tr, QuadraticCost(1.0, 1.0)) == 0.0
+    sched = solve_cap(curve, QuadraticCost(1.0, 1.0))
+    tr = transfer_schedule(sched)
+    assert leader_cost(tr) == 0.0
 
 
 def test_leader_cost_benchmark_quadrature(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
-    tr = transfer_schedule(sched, bench_prim)
-    value = leader_cost(curve, sched, tr, bench_cost)
+    sched = solve_cap(curve, bench_cost)
+    tr = transfer_schedule(sched)
+    value = leader_cost(tr)
     assert value == pytest.approx(BENCH["leader_cost"], abs=1e-5)
 
 
 def test_leader_cost_monte_carlo_cross_check(bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
-    tr = transfer_schedule(sched, bench_prim)
-    value = leader_cost(curve, sched, tr, bench_cost)
+    sched = solve_cap(curve, bench_cost)
+    tr = transfer_schedule(sched)
+    value = leader_cost(tr)
     draws = sample_types(bench_dist, 400_000, seed=31)
-    caps = sched.cap_at(np.minimum(draws, sched.theta[-1]))
+    caps = sched.cap_at(np.minimum(draws, curve.theta[-1]))
     mc = float(np.mean(bench_cost.value(caps)))  # transfers are zero here
     assert abs(mc - value) <= 2e-3
 
@@ -350,36 +351,26 @@ def test_leader_cost_monte_carlo_cross_check(bench_dist, bench_cost, bench_prim)
 def test_leader_cost_point_mass(bench_cost, bench_prim):
     dist = PointMass(0.5)
     curve = virtual_weight(dist, bench_prim, 1.0)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    sched = solve_cap(curve, bench_cost)
     assert float(sched.b_star[0]) == pytest.approx(0.6, abs=1e-12)
-    tr = transfer_schedule(sched, bench_prim)
-    value = leader_cost(curve, sched, tr, bench_cost)
+    tr = transfer_schedule(sched)
+    value = leader_cost(tr)
     assert value == pytest.approx(0.30, abs=1e-12)
 
 
 
 def test_leader_cost_reads_the_curve_density(monkeypatch, bench_dist, bench_cost, bench_prim):
     curve = virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
-    tr = transfer_schedule(sched, bench_prim)
+    sched = solve_cap(curve, bench_cost)
+    tr = transfer_schedule(sched)
     expected = np.trapezoid(bench_cost.value(sched.b_star) * curve.density, curve.theta)
 
     def no_pdf(self, theta):
         raise AssertionError("leader_cost evaluated the density again")
 
     monkeypatch.setattr(type(bench_dist), "pdf", no_pdf)
-    assert leader_cost(curve, sched, tr, bench_cost) == expected
+    assert leader_cost(tr) == expected
 
-
-def test_leader_cost_rejects_schedules_off_the_curve_grid(bench_dist, bench_cost, bench_prim):
-    curve = virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257)
-    other = virtual_weight(bench_dist, bench_prim, 1.0, grid_size=513)
-    sched = solve_cap(other, bench_cost, bench_prim.b_bar)
-    with pytest.raises(GridMismatchError):
-        leader_cost(curve, sched, transfer_schedule(sched, bench_prim), bench_cost)
-    own = solve_cap(curve, bench_cost, bench_prim.b_bar)
-    with pytest.raises(GridMismatchError):
-        leader_cost(curve, own, transfer_schedule(sched, bench_prim), bench_cost)
 
 # -- ironing ----------------------------------------------------------------
 
@@ -453,10 +444,10 @@ def test_decreasing_hazard_weibull_solves(bench_prim, bench_cost):
     assert np.all(np.isfinite(curve.psi))
     assert np.any(curve.ironed)
     assert np.max(np.abs(curve.psi_bar - hull_ironed(curve.psi, curve.density))) <= 1e-8 * np.max(curve.psi_bar)
-    sched = solve_cap(curve, bench_cost, bench_prim.b_bar)
+    sched = solve_cap(curve, bench_cost)
     assert np.all(np.diff(sched.b_star) >= 0.0)
-    transfers = transfer_schedule(sched, bench_prim)
-    assert np.isfinite(leader_cost(curve, sched, transfers, bench_cost))
+    transfers = transfer_schedule(sched)
+    assert np.isfinite(leader_cost(transfers))
     assert not knife_edge(curve, bench_cost).no_rescue
 
 
@@ -545,7 +536,7 @@ def test_curve_irons_at_most_once(monkeypatch, bench_prim, bench_cost):
     for _ in range(3):
         assert curve.psi_bar is first
         assert np.any(curve.ironed) and curve.density.size == 257
-        solve_cap(curve, bench_cost, bench_prim.b_bar)
+        solve_cap(curve, bench_cost)
     assert calls == [257]
 
 
@@ -698,7 +689,7 @@ def test_caps_from_targets_sends_targets_at_or_above_the_top_to_b_bar():
     cost = QuadraticCost(0.1, 0.2)
     c_top = cost.marginal(0.7)
     b = caps_from_targets(np.array([0.05, 0.2, c_top, 2.0]), cost, 0.7)
-    assert b.tolist() == [0.0, cost.inverse_marginal(0.2).payout, 0.7, 0.7]
+    assert b.tolist() == [0.0, cost.inverse_marginal(0.2), 0.7, 0.7]
     # a tabulated cost never inverts a target above its table
     table = TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0])
     targets = np.array([0.1, table.marginal(0.8), 5.0])
@@ -710,18 +701,17 @@ def test_caps_from_targets_gives_no_cap_at_the_marginal_cost_at_zero():
     # test is psi > C'(0)), so its cap must be exactly 0, the leftmost
     # preimage, for a tabulated cost as for a quadratic one
     for cost in (TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0]), QuadraticCost(0.2, 1.0)):
-        inv = cost.inverse_marginal(0.2)
-        assert inv.payout == 0.0 and inv.below_origin is False
+        assert cost.inverse_marginal(0.2) == 0.0
         assert caps_from_targets(np.array([0.2, 0.3]), cost, 0.8)[0] == 0.0
     # a plateau starting at the origin inverts to the origin too
-    assert TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.2, 1.0]).inverse_marginal(0.2).payout == 0.0
+    assert TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.2, 1.0]).inverse_marginal(0.2) == 0.0
 
 
 # -- caps keep the bits of their select forms ---------------------------------
 
 
 def quadratic_inverse_reference(cost, y):
-    """``QuadraticCost.inverse_marginal``'s payout as a select, the form it had before."""
+    """``QuadraticCost.inverse_marginal`` as a select, the form it had before."""
     arr = np.asarray(y, dtype=float)
     return np.where(arr < cost.alpha, 0.0, (arr - cost.alpha) / cost.kappa)
 
@@ -734,7 +724,7 @@ def caps_reference(psi_values, cost, b_bar):
     if isinstance(cost, QuadraticCost):
         payout = quadratic_inverse_reference(cost, clipped)
     else:
-        payout = cost.inverse_marginal(clipped).payout
+        payout = cost.inverse_marginal(clipped)
     return np.where(psi_values >= c_top, float(b_bar), np.clip(payout, 0.0, b_bar))
 
 
@@ -774,12 +764,11 @@ QUADRATIC_CASES = [
 @pytest.mark.parametrize("cost, b_bar", QUADRATIC_CASES, ids=lambda v: repr(v))
 def test_quadratic_inverse_keeps_the_bits_of_its_select(cost, b_bar):
     targets = edge_targets(cost, b_bar)
-    inv = cost.inverse_marginal(targets)
-    assert_select_bits(inv.payout, quadratic_inverse_reference(cost, targets), targets)
-    assert np.array_equal(inv.below_origin, targets < cost.alpha)
-    for y, payout in zip(targets, inv.payout):
+    payouts = cost.inverse_marginal(targets)
+    assert_select_bits(payouts, quadratic_inverse_reference(cost, targets), targets)
+    for y, payout in zip(targets, payouts):
         scalar = cost.inverse_marginal(float(y))
-        assert type(scalar.payout) is float and same_bits(scalar.payout, payout)
+        assert type(scalar) is float and same_bits(scalar, payout)
 
 
 @pytest.mark.parametrize("cost, b_bar", QUADRATIC_CASES + [(TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0]), 0.8)],
@@ -791,10 +780,10 @@ def test_caps_from_targets_keeps_the_bits_of_its_select(cost, b_bar):
 
 def test_caps_from_targets_selects_only_where_the_top_inversion_rounds_off_b_bar():
     select = QuadraticCost(1.16, 0.37)
-    assert select.inverse_marginal(select.marginal(2.22)).payout == 2.2199999999999998
+    assert select.inverse_marginal(select.marginal(2.22)) == 2.2199999999999998
     assert caps_from_targets(np.array([select.marginal(2.22), 9.0]), select, 2.22).tolist() == [2.22, 2.22]
     bench = QuadraticCost(0.2, 1.0)  # the benchmark cost needs no select
-    assert bench.inverse_marginal(bench.marginal(0.8)).payout == 0.8
+    assert bench.inverse_marginal(bench.marginal(0.8)) == 0.8
 
 
 # -- grid-indexed interpolation ----------------------------------------------

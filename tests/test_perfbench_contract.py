@@ -124,6 +124,26 @@ def test_tracer_sees_one_ironing_per_pooled_solve(spans, tmp_path):
     assert tracer.counters["mechanism.iron_weights.pooled"] == int(curve.ironed.sum())
 
 
+def test_tracer_sees_one_schedule_solve_per_command(spans, tmp_path):
+    # solve and simulate resolve the schedule once (under discretion, the
+    # fixed point's) and read transfers, leader cost and Monte Carlo off it
+    from softbudget.cli import main
+
+    config = str(ROOT / "configs" / "discretion_benchmark.json")
+    names = {}
+    for command in ("solve", "simulate"):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert main([command, "--config", config, "--out", str(tmp_path / command), "--quiet"]) == 0
+        finally:
+            tracer.uninstall()
+        names[command] = [name for name, *_ in tracer.spans]
+        assert names[command].count("mechanism.solve_cap") == 1, command
+    assert {"mechanism.transfer_schedule", "mechanism.leader_cost"} <= set(names["solve"])
+    assert "simulation.mc_run" in names["simulate"]
+
+
 @pytest.mark.parametrize("name, pooled", [("irregular", True), ("commit-fine", False)])
 def test_workload_simulate_takes_the_path_its_why_names(name, pooled, monkeypatch):
     # irregular's simulate interpolates the ironed curve (psi_bar_at);
@@ -138,7 +158,7 @@ def test_workload_simulate_takes_the_path_its_why_names(name, pooled, monkeypatc
     calls = []
     at = VirtualWeightCurve.psi_bar_at
     monkeypatch.setattr(VirtualWeightCurve, "psi_bar_at", lambda self, theta: calls.append(1) or at(self, theta))
-    softbudget.mc_run(curve, cfg.cost, 1000, seed=1)
+    softbudget.mc_run(softbudget.solve_cap(curve, cfg.cost), 1000, seed=1)
     assert bool(calls) is pooled
 
 

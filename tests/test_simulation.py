@@ -15,12 +15,13 @@ from softbudget import (
     UnsupportedRuleError,
     Weibull,
     capmin_oracle,
+    interior_probability,
     mc_run,
     solve_cap,
     virtual_weight,
     welfare_bruteforce,
 )
-from softbudget import simulation
+from softbudget import mechanism, simulation
 from softbudget.effort import EffortParameters, RevenueModel, gap_density_at_rule, solve_effort
 from softbudget.distributions import SAMPLE_BLOCK, sample_types
 from softbudget.mechanism import _psi_on, caps_from_targets
@@ -33,8 +34,8 @@ THRESHOLD_RULE = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.4
 
 
 def test_mc_run_deterministic(bench_dist, bench_cost, bench_prim):
-    a = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 5000, seed=42, bins=10)
-    b = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 5000, seed=42, bins=10)
+    a = mc_run(solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost), 5000, seed=42, bins=10)
+    b = mc_run(solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost), 5000, seed=42, bins=10)
     assert a.theta_min_hat == b.theta_min_hat
     assert a.p_int_hat == b.p_int_hat
     assert np.array_equal(a.bin_edges, b.bin_edges)
@@ -42,41 +43,45 @@ def test_mc_run_deterministic(bench_dist, bench_cost, bench_prim):
     assert np.array_equal(a.bin_counts, b.bin_counts)
 
 
-def test_mc_run_reuses_a_given_curve(bench_dist, bench_cost, bench_prim):
-    curve = virtual_weight(bench_dist, bench_prim, 0.9)
-    a = mc_run(curve, bench_cost, 5000, seed=42, bins=10)
-    b = mc_run(curve, bench_cost, 5000, seed=42, bins=10)
+def test_mc_run_reuses_a_given_curve(monkeypatch, bench_dist, bench_cost, bench_prim):
+    # mc_run samples against the schedule it is given, on that schedule's curve, and solves nothing
+    sched = solve_cap(virtual_weight(bench_dist, bench_prim, 0.9), bench_cost)
+    for module in (mechanism, simulation):
+        monkeypatch.setattr(module, "solve_cap", None, raising=False)
+    a = mc_run(sched, 5000, seed=42, bins=10)
+    b = mc_run(sched, 5000, seed=42, bins=10)
     assert (a.theta_min_hat, a.theta_dagger_hat, a.p_int_hat) == (b.theta_min_hat, b.theta_dagger_hat, b.p_int_hat)
     assert np.array_equal(a.bin_means, b.bin_means, equal_nan=True)
-    assert np.array_equal(a.schedule.b_star, solve_cap(curve, bench_cost, bench_prim.b_bar).b_star)
-    assert a.schedule.theta_min == a.theta_min and a.schedule.lambda_T == a.lambda_T == 0.9
+    assert a.schedule is sched and sched.curve.lambda_T == 0.9
 
 
 def test_mc_run_validation(bench_dist, bench_cost, bench_prim):
+    sched = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
     with pytest.raises(ParameterError):
-        mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 999, seed=1)
+        mc_run(sched, 999, seed=1)
     with pytest.raises(ParameterError):
-        mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 5000, seed=1, bins=1)
+        mc_run(sched, 5000, seed=1, bins=1)
 
 
 def test_mc_run_estimates_near_analytic(bench_dist, bench_cost, bench_prim):
-    rep = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 200_000, seed=20260814)
-    assert rep.regime == "mixed"
-    assert rep.theta_min == pytest.approx(BENCH["theta_min"], abs=1e-6)
-    assert rep.theta_dagger == pytest.approx(BENCH["theta_dagger"], abs=1e-6)
-    assert rep.p_int == pytest.approx(BENCH["p_int"], abs=1e-9)
+    sched = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
+    rep = mc_run(sched, 200_000, seed=20260814)
+    assert sched.regime == "mixed"
+    assert sched.theta_min == pytest.approx(BENCH["theta_min"], abs=1e-6)
+    assert sched.theta_dagger == pytest.approx(BENCH["theta_dagger"], abs=1e-6)
+    assert interior_probability(sched) == pytest.approx(BENCH["p_int"], abs=1e-9)
     # sample estimates sit on top of the analytic values
     assert rep.theta_min_hat == pytest.approx(BENCH["theta_min"], abs=0.005)
     assert rep.theta_dagger_hat == pytest.approx(BENCH["theta_dagger"], abs=0.005)
     assert rep.p_int_hat == pytest.approx(BENCH["p_int"], abs=0.005)
     # sample cutoffs can only overshoot the true boundaries
-    assert rep.theta_min_hat >= rep.theta_min - 1e-12
-    assert rep.theta_dagger_hat >= rep.theta_dagger - 1e-12
+    assert rep.theta_min_hat >= sched.theta_min - 1e-12
+    assert rep.theta_dagger_hat >= sched.theta_dagger - 1e-12
 
 
 def test_mc_binned_means_match_conditional_expectation(bench_dist, bench_cost, bench_prim):
-    rep = mc_run(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, 200_000, seed=20260814)
-    sched = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, bench_prim.b_bar)
+    sched = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
+    rep = mc_run(sched, 200_000, seed=20260814)
     checked = 0
     for i in range(rep.bins):
         count = int(rep.bin_counts[i])
@@ -93,8 +98,8 @@ def test_mc_binned_means_match_conditional_expectation(bench_dist, bench_cost, b
 
 
 def test_mc_p_int_stable_across_seeds(bench_dist, bench_cost, bench_prim):
-    curve = virtual_weight(bench_dist, bench_prim, 1.0)
-    vals = [mc_run(curve, bench_cost, 200_000, seed=s).p_int_hat for s in range(10)]
+    sched = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
+    vals = [mc_run(sched, 200_000, seed=s).p_int_hat for s in range(10)]
     assert max(vals) - min(vals) < 0.01
     assert abs(float(np.mean(vals)) - BENCH["p_int"]) < 0.002
 
@@ -159,7 +164,7 @@ def test_mc_run_matches_whole_array_reference(n, pooled, bench_cost, bench_prim,
     positions = np.random.default_rng(n).choice(n, planted.size, replace=False)
     theta_s[positions] = planted
     monkeypatch.setattr(simulation, "sample_types", lambda *args: theta_s.copy())
-    rep = mc_run(curve, bench_cost, n, seed=20260814, bins=bins)
+    rep = mc_run(solve_cap(curve, bench_cost), n, seed=20260814, bins=bins)
     assert np.array_equal(rep.bin_edges, edges)
     assert_matches_reference(rep, dist, bench_prim, bench_cost, curve, theta_s)
     assert np.count_nonzero(rep.bin_stderr == 0.0) >= 2  # the zero-cap and the b_bar bins
@@ -168,7 +173,7 @@ def test_mc_run_matches_whole_array_reference(n, pooled, bench_cost, bench_prim,
 def test_mc_run_point_mass_fills_the_last_bin(bench_cost, bench_prim):
     dist = PointMass(0.5)
     n = 70_000  # two sample blocks
-    rep = mc_run(virtual_weight(dist, bench_prim, 1.0), bench_cost, n, seed=3, bins=30)
+    rep = mc_run(solve_cap(virtual_weight(dist, bench_prim, 1.0), bench_cost), n, seed=3, bins=30)
     theta_s = sample_types(dist, n, 3)
     assert np.all(rep.bin_edges == 0.5)
     assert rep.bin_counts[-1] == n and not np.any(rep.bin_counts[:-1])
@@ -190,7 +195,7 @@ def test_mc_run_holds_no_sample_sized_array_but_the_types(bench_dist, bench_cost
             sampling_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            mc_run(curve, bench_cost, n, seed=7)
+            mc_run(solve_cap(curve, bench_cost), n, seed=7)
             run_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
