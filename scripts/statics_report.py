@@ -6,15 +6,17 @@ Prints the seven analytic partial derivatives of the benchmark solution
 central-difference counterparts and relative errors, then differentiates
 the discretionary fixed point in the signal slope m.  Clean rows certify
 the implicit-function formulas; flagged rows mark parameter points where
-a partial is not identified (regime boundary, no interior cutoff).  The
-last line, ``passed=``, is the verdict of the ``statics`` command; the
+a partial is not identified (regime boundary, no interior cutoff); with no
+interior cutoff the fixed point is not differentiated, as in ``statics``.
+The last line, ``passed=``, is the verdict of the ``statics`` command; the
 ``signs_ok=`` lines cover the sign checks alone.  Exits 2, naming each
-failed check on stderr, when that verdict fails: the worst unflagged
-relative error above STATICS_REL_TOL, a wrong sign, or a chain-rule gap
-above CHAIN_GAP_TOL.
+failed check on stderr, when that verdict fails: no certified row, the
+worst unflagged relative error above STATICS_REL_TOL, a wrong sign, or a
+chain-rule gap above CHAIN_GAP_TOL.
 """
 
 import argparse
+import math
 import sys
 
 from softbudget import (
@@ -69,7 +71,7 @@ def main(argv=None) -> int:
     )
 
     sens = None
-    if not args.skip_discretion:
+    if not (args.skip_discretion or math.isnan(report.theta_min)):
         sens = m_sensitivity(commitment, cost, step=args.step)
         print()
         print_rows(sens, "sensitivity to the signal slope m through the fixed point")

@@ -17,10 +17,9 @@ effective multiplier on transfer resources:
 
 where the interior probability is computed from the cap schedule solved at
 that same lambda_T.  lambda_T enters the virtual weight only as the scale
-1/lambda_T, and ironing commutes with a positive scale, so the cutoffs at
-any lambda are crossings of the commitment curve's ironed weight psi_bar
-at targets C'(0) * lambda / omega_T and C'(b_bar) * lambda / omega_T: an
-evaluation of P_int costs two crossings and two survivor calls.  A
+1/lambda_T, so an evaluation derives the curve at lambda from the
+commitment curve, inheriting its pooled blocks (``VirtualWeightCurve.at``),
+and reads the two cutoffs off it: no PAV pass and no cap array.  A
 credible lambda_T is a root of
 
     g(lambda) = omega_T - omega_b * m * P_int(lambda) - lambda.
@@ -51,7 +50,7 @@ import numpy as np
 from .costs import QuadraticCost, RescueCost
 from .distributions import TypeDistribution
 from .errors import ParameterError, UnsupportedRuleError
-from .mechanism import CapSchedule, VirtualWeightCurve, _rescaled_crossing, solve_cap
+from .mechanism import CapSchedule, VirtualWeightCurve, _cutoffs, solve_cap
 from .primitives import PolicyPrimitives
 
 __all__ = [
@@ -193,17 +192,12 @@ def _interior(theta_min: Optional[float], theta_dagger: Optional[float], dist: T
 
 
 def _interior_probability_at(curve: VirtualWeightCurve, cost: RescueCost, lam: float) -> float:
-    """``interior_probability`` of the schedule solved at ``lam``, read off the commitment ``curve``.
+    """``interior_probability`` of the schedule solved at ``lam``: the cutoffs of the curve derived at ``lam``.
 
-    Both cutoffs are rescaled crossings of ``curve.psi_bar``, equal to the
-    ones ``solve_cap`` finds on the curve at ``lam``; no curve, ironing or
-    cap array is built.
+    The curve at ``lam`` inherits the commitment ``curve``'s pooled blocks
+    (``VirtualWeightCurve.at``), so no PAV pass and no cap array is built.
     """
-    prim = curve.prim
-    theta_min = _rescaled_crossing(curve, lam, cost.marginal_at_zero, strict=True)
-    theta_dagger = None if theta_min is None else _rescaled_crossing(curve, lam, float(cost.marginal(prim.b_bar)),
-                                                                      strict=False)
-    return _interior(theta_min, theta_dagger, curve.dist, curve.degenerate)
+    return _interior(*_cutoffs(curve.at(curve.prim, lam), cost), curve.dist, curve.degenerate)
 
 
 def fixed_point(
@@ -216,10 +210,9 @@ def fixed_point(
 
     ``curve`` is the commitment curve (lambda_T = omega_T), the first
     evaluation; the distribution, primitives and grid are read from it.
-    Each evaluation finds the interior probability at one lambda from two
-    crossings of the commitment curve's psi_bar at rescaled targets (see the
-    module docstring); the curve and cap schedule are built once, at the
-    returned lambda_T.  The search keeps the bracket
+    Each evaluation reads the interior probability off the curve derived at
+    one lambda (see the module docstring); the cap schedule is solved once,
+    at the returned lambda_T.  The search keeps the bracket
     [omega_T - omega_b*m, omega_T] (g >= 0 at its lower end, g <= 0 at its
     upper end; see the module docstring) and evaluates, in turn, omega_T,
     its Picard image omega_T + g(omega_T), and then the secant point of the

@@ -19,8 +19,10 @@ conventions).  ``virtual_weight`` builds the curve, which
 records its inputs and is the one input of every stage that needs psi; it
 irons on first use, so the knife-edge test, which reads only psi, never does.
 lambda_T, gamma and a constant omega_b enter psi only as a positive scale,
-so ``VirtualWeightCurve.at`` gives the curve at other weights from the same
-hazard, and ironing commutes with that scale: PAV pools the same blocks.
+at which PAV pools the same blocks, so a curve derived at other weights
+(``VirtualWeightCurve.at``) inherits its source's partition and re-sums the
+pooled blocks: where a block mean ties its neighbour exactly, whether they
+pool is decided once, by the source's PAV pass, not again at each weight.
 ``solve_cap`` returns a schedule that records the curve and cost it was
 solved from, and is in turn the one input of every stage after the solve:
 the transfers, the leader's cost, P_int and the Monte Carlo check.
@@ -75,9 +77,6 @@ DEFAULT_GRID_SIZE = 4097
 DEFAULT_TAIL_MASS = 1e-10
 
 _CUTOFF_TOL = 1e-14  # bisection width, well inside the 1e-8 contract
-# relative band around a rescaled target inside which nodes are recomputed at
-# the new scale; rounding moves a rescaled psi_bar by a few ulps per summed node
-_RESCALE_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,8 @@ class VirtualWeightCurve:
     ``hazard`` (h at the nodes; 1 for a point mass), ``density`` (f at the
     nodes, the ironing weights; the unit mass for a point mass), ``psi_bar``
     and ``ironed`` are computed on first use and kept: a caller that reads
-    only ``psi`` never irons, and a curve irons at most once.
+    only ``psi`` never irons, and a curve irons at most once.  A curve from
+    ``at`` shares its source's hazard and density and re-pools its blocks.
     """
 
     theta: np.ndarray
@@ -139,21 +139,24 @@ class VirtualWeightCurve:
     def at(self, prim: PolicyPrimitives, lambda_T: float) -> "VirtualWeightCurve":
         """The curve of the same distribution and grid at other weights.
 
-        It shares theta and, once computed, the hazard and the density with
-        this curve, and its psi is the expression ``virtual_weight`` evaluates, so
-        it equals a fresh build bit for bit; it irons on its own first use.
-        When psi is unchanged (only m or chi differ) it shares this curve's
-        ironing instead, which is computed here if it was not yet.
+        It shares theta, the hazard and the density with this curve, and its
+        psi is the expression ``virtual_weight`` evaluates, bit for bit.  The
+        weights differ only by a positive scale, which keeps every comparison
+        of means PAV makes, so the curve inherits this curve's partition
+        (ironing this curve if it has not yet) and sums each pooled block at
+        its own psi as ``iron_weights`` does, with no PAV pass; a block of
+        zero weight keeps its value, rescaled.  Another omega_b curve is no
+        scale, and is rejected.
         """
         lam = _check_lambda(lambda_T)
-        if lam == self.lambda_T and (prim.gamma, prim.omega_b) == (self.prim.gamma, self.prim.omega_b):
-            curve = replace(self, prim=prim)
-            curve.__dict__["_ironing"] = self._ironing
-        else:
-            curve = replace(self, psi=_weight(prim, lam, self.theta, self.hazard), prim=prim, lambda_T=lam)
-        for name in ("hazard", "density"):
-            if name in self.__dict__:
-                curve.__dict__[name] = self.__dict__[name]
+        if prim.omega_b is not self.prim.omega_b and not (prim.omega_b_constant and self.prim.omega_b_constant):
+            raise ParameterError("a curve at other weights keeps its omega_b curve; only a constant omega_b may change")
+        starts, pooled = self._ironing.starts, self._ironing.pooled
+        curve = replace(self, psi=_weight(prim, lam, self.theta, self.hazard), prim=prim, lambda_T=lam)
+        first = self.theta[starts[pooled]]
+        scale = _weight(prim, lam, first, 1.0) / _weight(self.prim, self.lambda_T, first, 1.0) if first.size else 1.0
+        curve.__dict__.update(hazard=self.hazard, density=self.density, _ironing=_pool(
+            curve.psi, self.density, starts, pooled, self.psi_bar[starts[pooled]] * scale))
         return curve
 
 
@@ -223,7 +226,7 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     Pooling averages with the supplied weights, so the weighted integral of
     the output over every pooled block equals that of the input exactly.
     Returns the monotone sequence and a per-point flag marking pooled
-    stretches.
+    stretches, as an ``_Ironing`` pair that also records the partition.
 
     Values and weights must be finite, and weights nonnegative; a NaN
     would compare false in every merge test and an infinity would pool
@@ -266,7 +269,7 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     n = psi.size
     drop = psi[1:] < psi[:-1]  # drop[i]: node i + 1 lies strictly below node i
     if not bool(drop.any()):
-        return psi.copy(), np.zeros(n, dtype=bool)
+        return _pool(psi, weights, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=bool), ())
     mass = weights * psi
     positive = weights > 0.0
     # violations: each maximal strictly decreasing run of positive-weight
@@ -326,16 +329,29 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 
     # the entries tile [0, n): sum each once, now that the partition is known
     starts = np.array([entry[0] for entry in stack])
-    sizes = np.diff(np.append(starts, n))
-    pooled = np.array([entry[2] is not None for entry in stack]) & (sizes > 1)
-    block_weight = np.add.reduceat(weights, starts)[pooled]
-    block_mass = np.add.reduceat(mass, starts)[pooled]
-    zero_weight_means = np.array([entry[2] for entry, keep in zip(stack, pooled.tolist()) if keep])
-    values = np.divide(block_mass, block_weight, out=zero_weight_means, where=block_weight > 0.0)
-    flags = np.repeat(pooled, sizes)
-    out = psi.copy()
-    out[flags] = np.repeat(values, sizes[pooled])
-    return out, flags
+    pooled = np.array([entry[2] is not None for entry in stack]) & (np.diff(np.append(starts, n)) > 1)
+    return _pool(psi, weights, starts, pooled, [entry[2] for entry, keep in zip(stack, pooled.tolist()) if keep])
+
+
+class _Ironing(tuple):
+    """``(psi_bar, flags)`` as ``iron_weights`` returns it, with the partition it pooled.
+
+    ``starts`` holds the first node of each block (the blocks tile the
+    nodes), and ``pooled`` marks the blocks that pool.
+    """
+
+
+def _pool(psi: np.ndarray, weights: np.ndarray, starts: np.ndarray, pooled: np.ndarray, fill) -> _Ironing:
+    """Each pooled block at its weighted mean, summed once, or at its ``fill`` entry if it weighs nothing."""
+    sizes = np.diff(np.append(starts, psi.size))
+    ironing = _Ironing((psi.copy(), np.repeat(pooled, sizes)))
+    ironing.starts, ironing.pooled = starts, pooled
+    if pooled.any():
+        block_weight = np.add.reduceat(weights, starts)[pooled]
+        block_mass = np.add.reduceat(weights * psi, starts)[pooled]
+        values = np.divide(block_mass, block_weight, out=np.array(fill, dtype=float), where=block_weight > 0.0)
+        ironing[0][ironing[1]] = np.repeat(values, sizes[pooled])
+    return ironing
 
 
 _REACH_SCALAR_STEPS = 8  # values taken one at a time before scanning in chunks
@@ -486,11 +502,13 @@ def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, str
     finite-difference statics harness relies on.
     """
     above = values > target if strict else values >= target
-    if not bool(np.any(above)):
-        return None
     i = int(np.argmax(above))
+    if not above[i]:
+        return None
     if i == 0:
         return float(theta[0])
+    if strict and values[i - 1] == target:  # the interpolant leaves the target at that node
+        return float(theta[i - 1])
     lo, hi = float(theta[i - 1]), float(theta[i])
     x0, x1 = lo, hi
     v0, v1 = float(values[i - 1]), float(values[i])
@@ -506,34 +524,6 @@ def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, str
         else:
             lo = mid
     return hi
-
-
-def _rescaled_crossing(curve: VirtualWeightCurve, lambda_T: float, target: float, strict: bool) -> Optional[float]:
-    """``_leftmost_crossing`` of ``target`` on the curve at ``lambda_T``, read off ``curve``.
-
-    lambda scales psi by 1/lambda and ironing commutes with the scale, so the
-    crossing lies where ``curve.psi_bar`` crosses the target scaled by
-    lambda_T / curve.lambda_T; no hazard, PAV or cap array is built.  The
-    scales round differently, so the nodes within ``_RESCALE_BAND`` of the
-    scaled target, and one on each side, take the values the curve at
-    lambda_T holds (psi from ``_weight``, pooled blocks summed as
-    ``iron_weights`` sums them): the crossing is ``solve_cap``'s, bit for bit.
-    """
-    psi_bar = curve.psi_bar
-    scaled = target * (lambda_T / curve.lambda_T)
-    band = abs(scaled) * _RESCALE_BAND
-    near, far = psi_bar >= scaled - band, psi_bar > scaled + band
-    if not bool(near.any()):
-        return None
-    nodes = slice(max(int(near.argmax()) - 1, 0), int(far.argmax()) + 1 if bool(far.any()) else psi_bar.size)
-    values = _weight(curve.prim, lambda_T, curve.theta[nodes], curve.hazard[nodes])
-    pooled = curve.ironed[nodes]
-    for level in set(psi_bar[nodes][pooled].tolist()):
-        block = slice(np.searchsorted(psi_bar, level, "left"), np.searchsorted(psi_bar, level, "right"))
-        weights = curve.density[block]
-        mass = weights * _weight(curve.prim, lambda_T, curve.theta[block], curve.hazard[block])
-        values[pooled & (psi_bar[nodes] == level)] = np.add.reduceat(mass, [0])[0] / np.add.reduceat(weights, [0])[0]
-    return _leftmost_crossing(curve.theta[nodes], values, target, strict)
 
 
 def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) -> np.ndarray:
@@ -552,29 +542,29 @@ def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) ->
     return caps
 
 
+def _cutoffs(curve: VirtualWeightCurve, cost: RescueCost) -> tuple[Optional[float], Optional[float]]:
+    """``solve_cap``'s theta_min and theta_dagger: where psi_bar first exceeds C'(0+) and first reaches C'(b_bar).
+
+    With no theta_min both are None.
+    """
+    theta_min = _leftmost_crossing(curve.theta, curve.psi_bar, cost.marginal_at_zero, strict=True)
+    if theta_min is None:
+        return None, None
+    c_top = float(cost.marginal(float(curve.prim.b_bar)))
+    return theta_min, _leftmost_crossing(curve.theta, curve.psi_bar, c_top, strict=False)
+
+
 def solve_cap(curve: VirtualWeightCurve, cost: RescueCost) -> CapSchedule:
     """Project the pointwise optimality condition onto [0, b_bar].
 
     Each grid point solves C'(b) = psi_bar, with b = 0 where the target sits
     below C'(0+) and b = b_bar (``curve.prim.b_bar``) where it exceeds
-    C'(b_bar).  The cutoffs are located by bisection on the interpolated
-    weight curve.
+    C'(b_bar); the cutoffs are ``_cutoffs``'.
     """
-    b_bar = float(curve.prim.b_bar)
-    c_origin = cost.marginal_at_zero
-    c_top = float(cost.marginal(b_bar))
-    psi_bar = curve.psi_bar
-    b = caps_from_targets(psi_bar, cost, b_bar)
-    theta_min = _leftmost_crossing(curve.theta, psi_bar, c_origin, strict=True)
-    theta_dagger = _leftmost_crossing(curve.theta, psi_bar, c_top, strict=False)
-    if theta_min is None:
-        regime = "no-rescue"
-        theta_dagger = None
-    elif theta_dagger is not None:
-        regime = "mixed"
-    else:
-        regime = "interior"
-    return CapSchedule(curve, cost, b, theta_min, theta_dagger, regime)
+    theta_min, theta_dagger = _cutoffs(curve, cost)
+    regime = "no-rescue" if theta_min is None else "interior" if theta_dagger is None else "mixed"
+    return CapSchedule(curve, cost, caps_from_targets(curve.psi_bar, cost, float(curve.prim.b_bar)),
+                       theta_min, theta_dagger, regime)
 
 
 def knife_edge(curve: VirtualWeightCurve, cost: RescueCost) -> KnifeEdgeReport:

@@ -26,11 +26,15 @@ with the stated signs valid whenever gamma*omega_b/lambda_T > alpha (an
 interior lower cutoff exists).  An unpooled theta_ref keeps the b_max
 partials in their gamma*omega_b/lambda_T forms.  A lower cutoff on or next
 to a pooled stretch is rejected: psi_bar there follows the block mean, not h.
+Unless alpha < psi_bar(theta_ref) <= C'(b_bar), the cap at theta_ref is 0 or
+b_bar, so b_max is NaN and its partials are not applicable.
 
 ``fd_certify`` re-solves the full pipeline at centrally perturbed
 parameters and reports relative errors plus a sign table; perturbed solves
-that cross a regime boundary, or a perturbation that leaves its parameter's
-domain (alpha - step < 0 at alpha = 0), are flagged instead of differenced.
+that cross a regime boundary (for the cap rows: a cap of 0 or b_bar on
+either node around theta_ref, where the schedule kinks), or a perturbation
+that leaves its parameter's domain (alpha - step < 0 at alpha = 0), are
+flagged instead of differenced.  A report that certifies no row fails.
 ``m_sensitivity`` differentiates through the discretionary fixed point in
 the rule-sensitivity parameter m, with analytic chain-rule values for
 comparison.
@@ -104,17 +108,17 @@ class StaticsReport:
 def statics_failures(report: StaticsReport, m_report: Optional[StaticsReport]) -> list[str]:
     """One phrase per failed certification check; empty when every check passes.
 
-    The worst unflagged relative error of ``report`` must be within
-    STATICS_REL_TOL, every unflagged row of both reports must have its
-    expected sign, and the fixed point's chain gap must be within
-    CHAIN_GAP_TOL.
+    Some row of the two reports must be unflagged (certified), the worst
+    unflagged relative error of ``report`` must be within STATICS_REL_TOL,
+    every unflagged row of both reports must have its expected sign, and
+    the fixed point's chain gap must be within CHAIN_GAP_TOL.
     """
-    failures = []
+    reports = [report] if m_report is None else [report, m_report]
+    failures = [] if any(r.flag == FLAG_OK for rep in reports for r in rep.rows) else ["no partial was certified"]
     worst = report.max_rel_error
     if worst > STATICS_REL_TOL:
         name = next(r.partial for r in report.rows if r.flag == FLAG_OK and r.rel_error == worst)
         failures.append(f"{name} rel_error {worst:.3e} > STATICS_REL_TOL {STATICS_REL_TOL:g}")
-    reports = [report] if m_report is None else [report, m_report]
     failures += [f"{r.partial} has the wrong sign (expected {r.sign_expected:+d})"
                  for rep in reports for r in rep.rows if r.flag == FLAG_OK and not r.sign_ok]
     if m_report is not None and not m_report.chain_gap <= CHAIN_GAP_TOL:
@@ -132,11 +136,8 @@ def _require_quadratic_scalar(prim: PolicyPrimitives, cost: RescueCost) -> Quadr
 
 def _interior_theta_min(sched: CapSchedule) -> Optional[float]:
     """Lower cutoff, or None when it is absent or stuck at the grid edge."""
-    if sched.theta_min is None:
-        return None
-    if sched.theta_min <= float(sched.curve.theta[0]):
-        return None
-    return sched.theta_min
+    theta_min = sched.theta_min
+    return None if theta_min is None or theta_min <= float(sched.curve.theta[0]) else theta_min
 
 
 def _pooled_stretch(curve: VirtualWeightCurve, theta: float) -> Optional[tuple[float, float]]:
@@ -223,7 +224,7 @@ def _partials_at(sched: CapSchedule, qcost: QuadraticCost, theta_ref: Optional[f
         out.update(d_b_max_d_kappa=-(level - alpha) / kappa**2, d_b_max_d_lambda_T=-level / (kappa * lam),
                    d_b_max_d_gamma=level / (kappa * gamma))
     out["theta_min"] = theta_min
-    out["b_max"] = (level - alpha) / kappa
+    out["b_max"] = (level - alpha) / kappa if alpha < level <= alpha + kappa * prim.b_bar else math.nan
     out["lambda_T"] = lam
     return out
 
@@ -258,9 +259,10 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
     relative to each parameter's magnitude.  Cutoff partials difference
     ``theta_min``; cap partials difference the solved schedule evaluated at
     the hazard-one reference type.  Each distinct virtual weight curve is
-    built once, from the base curve's hazard (``VirtualWeightCurve.at``):
-    the cost perturbations reuse the base curve, and the cutoff and cap
-    partials share each lambda and gamma perturbation.
+    built once, from the base curve's hazard and pooled blocks
+    (``VirtualWeightCurve.at``): the cost perturbations reuse the base
+    curve, and the cutoff and cap partials share each lambda and gamma
+    perturbation.
     """
     prim, lam = curve.prim, curve.lambda_T
     qcost = _require_quadratic_scalar(prim, cost)
@@ -286,12 +288,11 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
         return solve_cap(curves[key], c)
 
     def cap_ref_of(sched: CapSchedule) -> Optional[float]:
-        if theta_ref is None:
-            return None
-        val = float(sched.cap_at(theta_ref))
-        if not (1e-12 < val < prim.b_bar - 1e-12):
-            return None
-        return val
+        # None unless the caps on both nodes around theta_ref are interior:
+        # a cell holding a kink of the schedule has no derivative to difference
+        j = int(np.searchsorted(sched.curve.theta, theta_ref))
+        caps = sched.b_star[max(j - 1, 0):j + 1]
+        return float(sched.cap_at(theta_ref)) if np.all((caps > 0.0) & (caps < prim.b_bar)) else None
 
     # (name, perturbation keyword, base magnitude, quantity extractor)
     specs = [
@@ -307,7 +308,7 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
     for name, kw, magnitude, extract in specs:
         expected = _SIGNS[name]
         an = analytic[name]
-        if extract is cap_ref_of and theta_ref is None:
+        if extract is cap_ref_of and (theta_ref is None or math.isnan(analytic["b_max"])):
             rows.append(_row(name, an, math.nan, expected))
             continue
         h = step * abs(magnitude)
@@ -353,9 +354,9 @@ def m_sensitivity(
     cutoff sensitivity and the chain-rule product built from the FD lambda
     sensitivity.
 
-    ``curve`` is the commitment curve (lambda_T = omega_T).  m does not
-    enter psi, so the three fixed points start from copies of it that
-    differ only in m and share its ironing.
+    ``curve`` is the commitment curve (lambda_T = omega_T).  The three fixed
+    points start from curves derived from it that differ only in m, and
+    every curve they derive inherits its pooled blocks.
     """
     dist, prim = curve.dist, curve.prim
     qcost = _require_quadratic_scalar(prim, cost)
@@ -379,12 +380,11 @@ def m_sensitivity(
     if tm_up is None or tm_dn is None:
         raise ParameterError("m perturbation crossed a regime boundary; shrink the step")
     fd_theta_min = (tm_up - tm_dn) / (2.0 * h)
-    if theta_ref is None:
+    an = _partials_at(base.schedule, qcost, theta_ref)
+    if theta_ref is None or math.isnan(an["b_max"]):
         fd_b_max = math.nan
     else:
         fd_b_max = (float(up.schedule.cap_at(theta_ref)) - float(dn.schedule.cap_at(theta_ref))) / (2.0 * h)
-
-    an = _partials_at(base.schedule, qcost, theta_ref)
     theta_min0 = an["theta_min"]
     theta_dag0 = base.schedule.theta_dagger
     dp_dlam = -float(dist.pdf(theta_min0)) * an["d_theta_min_d_lambda_T"]

@@ -466,23 +466,33 @@ def test_cli_statics_with_discretion(benchmark_config, tmp_path):
     assert "d_lambda_T_d_m" in cols["partial"]
 
 
-def test_cli_statics_not_applicable_still_passes(tmp_path):
+@pytest.mark.parametrize("distribution,alpha", [
+    ({"kind": "exponential", "rate": 1.0}, 1.0),  # psi = 0.8 below alpha: no rescue
+    ({"kind": "weibull", "shape": 0.8, "scale": 1.0}, 0.2),  # a decreasing hazard: no interior lower cutoff
+], ids=["no-rescue", "decreasing-hazard"])
+def test_cli_statics_that_certifies_nothing_fails(tmp_path, capsys, distribution, alpha):
+    # every row is not applicable: the command writes its rows, then exits 2
+    # and says that it certified nothing
     out = tmp_path / "run"
     doc = make_doc(
-        distribution={"kind": "exponential", "rate": 1.0},
-        cost={"kind": "quadratic", "alpha": 1.0, "kappa": 1.0},
+        distribution=distribution,
+        cost={"kind": "quadratic", "alpha": alpha, "kappa": 1.0},
         output={"directory": str(out)},
     )
-    path = write_doc(tmp_path, doc)
-    assert run_cli("statics", "--config", path) == 0
+    assert run_cli("statics", "--config", write_doc(tmp_path, doc), "--quiet") == 2
+    assert capsys.readouterr().err == (
+        "statics: finite-difference certification failed on the 4097-node grid: no partial was certified\n"
+    )
     cols = read_csv_columns(out / "statics.csv")
     assert set(cols["flag"]) == {"not-applicable"}
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is False and summary["theta_min"] is None
 
 
 def test_cli_statics_failure_names_its_cause(tmp_path, capsys):
     # uniform [0, 10] with gamma*omega_b/lambda_T = 0.495 below alpha = 2, on a
-    # 257-node grid: the four cutoff partials miss by 3.5e-2 and the cap
-    # partials cross a regime boundary
+    # 257-node grid: the four cutoff partials miss by 3.5e-2, and the cap
+    # partials do not apply (psi_bar(theta_ref) = 0.495 <= alpha)
     out = tmp_path / "run"
     doc = make_doc(
         distribution={"kind": "uniform", "lower": 0.0, "upper": 10.0},
@@ -499,27 +509,35 @@ def test_cli_statics_failure_names_its_cause(tmp_path, capsys):
     assert json.loads((out / "summary.json").read_text())["passed"] is False
     cols = read_csv_columns(out / "statics.csv")
     assert cols["rel_error"][:4] == ["0.03467787943"] * 4
-    assert cols["flag"][4:] == ["regime-boundary"] * 3
+    assert cols["flag"][4:] == ["not-applicable"] * 3
 
 
-def test_cli_statics_at_alpha_zero_flags_the_alpha_row(tmp_path, capsys):
-    # at alpha = 0 the perturbation alpha - step leaves the cost's domain, so
-    # the alpha row is flagged; the command exits 0 or 2, naming every failed check
+@pytest.mark.parametrize("discretion", [False, True])
+def test_cli_statics_at_alpha_zero_certifies_nothing(tmp_path, capsys, discretion):
+    # at alpha = 0, psi(0) = 0 = C'(0): the lower cutoff is the support's
+    # edge theta[0], so no partial applies (three cutoff rows failed "wrong
+    # sign" when it was bisected to 8.52e-15, and the cap rows differenced
+    # across the kink at theta_dagger = theta_ref); the m rows are not run
     out = tmp_path / "run"
-    doc = make_doc(cost={"kind": "quadratic", "alpha": 0.0, "kappa": 1.0}, output={"directory": str(out)})
-    code = run_cli("statics", "--config", write_doc(tmp_path, doc), "--quiet")
-    assert code in (0, 2)
-    err = capsys.readouterr().err
+    doc = make_doc(cost={"kind": "quadratic", "alpha": 0.0, "kappa": 1.0},
+                   discretion={"enabled": discretion, "m": 0.5, "chi": 1.0}, output={"directory": str(out)})
+    assert run_cli("statics", "--config", write_doc(tmp_path, doc), "--quiet") == 2
+    assert capsys.readouterr().err.endswith(": no partial was certified\n")
     cols = read_csv_columns(out / "statics.csv")
-    assert cols["flag"][cols["partial"].index("d_theta_min_d_alpha")] == "regime-boundary"
-    unflagged = [i for i, flag in enumerate(cols["flag"]) if flag == ""]
-    wrong_sign = [cols["partial"][i] for i in unflagged if cols["sign_ok"][i] == "false"]
-    errors = {cols["partial"][i]: float(cols["rel_error"][i]) for i in unflagged}
-    worst = max(errors.values())
-    assert (code == 2) == (bool(wrong_sign) or worst > 1e-4)
-    assert all(f"{name} has the wrong sign" in err for name in wrong_sign)
-    if worst > 1e-4:  # rows tied at the printed precision: the certification names one of them
-        assert any(f"{name} rel_error" in err for name, error in errors.items() if error == worst)
+    assert cols["flag"] == ["not-applicable"] * 7
+    assert json.loads((out / "summary.json").read_text())["theta_min"] is None
+
+
+def test_cli_statics_below_the_b_max_domain_reports_no_b_max(tmp_path):
+    # alpha = 0.9 above psi_bar(theta_ref) = 0.8: b_max was reported as -0.1
+    # with d_b_max_d_kappa = +0.1; now it is null and its rows do not apply
+    out = tmp_path / "run"
+    doc = make_doc(cost={"kind": "quadratic", "alpha": 0.9, "kappa": 1.0}, output={"directory": str(out)})
+    assert run_cli("statics", "--config", write_doc(tmp_path, doc), "--quiet") == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["b_max"] is None and summary["passed"] is True and summary["theta_min"] == 0.5625
+    cols = read_csv_columns(out / "statics.csv")
+    assert cols["flag"] == [""] * 4 + ["not-applicable"] * 3
 
 
 def test_statics_failures_name_every_failed_check():

@@ -345,6 +345,16 @@ def test_rescaled_p_int_equals_the_full_evaluation(case):
     assert (cutoff_cells_pooled > 0) == (case == "pooled-edge")
 
 
+@pytest.mark.parametrize("case", ["benchmark", "pooled", "pooled-edge", "steep", "point-mass"])
+def test_fixed_point_p_int_is_that_of_its_schedule(case):
+    # the evaluations read P_int off curves derived from the commitment
+    # curve; the returned P_int is the returned schedule's, to the bit
+    curve, cost = rescaled_cases()[case]
+    sol = fixed_point(curve, cost)
+    assert sol.p_int == interior_probability(sol.schedule)
+    assert sol.schedule.curve.lambda_T == sol.lambda_T
+
+
 @pytest.mark.parametrize("pooled", [False, True])
 def test_fixed_point_curve_matches_a_fresh_build(pooled, bench_dist, bench_cost, bench_prim):
     # the returned curve and schedule, derived from the commitment curve's

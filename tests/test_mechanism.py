@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from softbudget import (
@@ -11,11 +11,13 @@ from softbudget import (
     Exponential,
     ParameterError,
     PointMass,
+    PolicyPrimitives,
     QuadraticCost,
     Tabulated,
     TabulatedCost,
     Uniform,
     Weibull,
+    WeightCurve,
     iron_weights,
     knife_edge,
     leader_cost,
@@ -24,7 +26,7 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
-from softbudget.mechanism import VirtualWeightCurve, _grid_cell, _interp, caps_from_targets
+from softbudget.mechanism import VirtualWeightCurve, _grid_cell, _interp, _leftmost_crossing, caps_from_targets
 from conftest import BENCH
 
 
@@ -681,6 +683,66 @@ def test_iron_weights_matches_exact_pav_on_lattices(steps, cells):
     assert np.all(np.abs(out - exact) <= ulps)
     if not tied:
         assert flags.tolist() == exact_flags
+
+
+def hand_built_curve(hazard, density):
+    """A curve whose psi is ``hazard`` exactly (gamma = omega_b = lambda_T = 1), with the given ironing weights."""
+    prim = PolicyPrimitives(omega_T=1.0, omega_b=1.0, gamma=1.0, b_bar=1.0)
+    curve = VirtualWeightCurve(np.arange(float(hazard.size)), hazard.copy(), None, prim, 1.0)
+    curve.__dict__.update(hazard=hazard, density=density)
+    return curve
+
+
+@given(pav_inputs(), st.integers(min_value=-8, max_value=8))
+@example(case=(np.array([1.5, 0.5, 1.0, 0.8]), np.array([2.0, 3.0, 2.0, 2.0])), power=3)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_curve_at_other_weights_repools_as_iron_weights_irons(case, power):
+    # at lambda_T = 2^-power psi is 2^power times the source's, exactly, so
+    # PAV on it pools the source's blocks and rounds every mean the same
+    # way: the inherited partition must give iron_weights' output bit for
+    # bit.  The example holds two adjacent blocks with the same mean 0.9,
+    # which PAV keeps apart; pooled as one block they read 0.8999999999999999
+    psi, w = case
+    assume(np.all((psi == 0.0) | (np.abs(psi) > 1e-200)))  # no subnormal products
+    derived = hand_built_curve(psi, w).at(PolicyPrimitives(omega_T=1.0, omega_b=1.0, gamma=1.0, b_bar=1.0),
+                                          2.0**-power)
+    assert derived.psi.tobytes() == (psi * 2.0**power).tobytes()
+    out, flags = iron_weights(derived.psi, w)
+    assert derived.psi_bar.tobytes() == out.tobytes()
+    assert derived.ironed.tobytes() == flags.tobytes()
+
+
+def test_ironing_records_adjacent_blocks_with_equal_means_apart():
+    curve = hand_built_curve(np.array([1.5, 0.5, 1.0, 0.8]), np.array([2.0, 3.0, 2.0, 2.0]))
+    assert curve.psi_bar.tolist() == [0.9] * 4 and curve.ironed.all()
+    assert curve._ironing.starts.tolist() == [0, 2] and curve._ironing.pooled.tolist() == [True, True]
+
+
+def test_curve_at_keeps_its_omega_b_curve(bench_dist, bench_prim):
+    # re-pooling holds for a scalar rescale only: a different omega_b curve
+    # is rejected, while the same curve at another lambda_T or gamma is kept
+    weights = WeightCurve([0.0, 3.0], [0.5, 1.0])
+    prim = replace(bench_prim, omega_b=weights)
+    curve = virtual_weight(bench_dist, prim, 1.0, grid_size=257)
+    derived = curve.at(replace(prim, gamma=0.9), 0.8)
+    assert derived.psi.tobytes() == virtual_weight(bench_dist, derived.prim, 0.8, grid_size=257).psi.tobytes()
+    for other in (WeightCurve([0.0, 3.0], [0.5, 1.0]), 0.8):
+        with pytest.raises(ParameterError, match="omega_b"):
+            curve.at(replace(prim, omega_b=other), 1.0)
+    with pytest.raises(ParameterError, match="omega_b"):
+        virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257).at(prim, 1.0)
+
+
+def test_strict_crossing_on_a_node_that_meets_the_target_is_that_node(bench_dist, bench_prim):
+    # quadratic alpha = 0 on Weibull(2, 1): psi(0) = 0 = C'(0), so the lower
+    # cutoff is the support's edge theta[0], not 8.52e-15 inside the first cell
+    sched = solve_cap(virtual_weight(bench_dist, bench_prim, 1.0), QuadraticCost(0.0, 1.0))
+    assert sched.theta_min == sched.curve.theta[0] == 0.0
+    theta = np.array([0.0, 1.0, 2.0, 3.0])
+    values = np.array([0.0, 0.5, 0.5, 1.0])
+    assert _leftmost_crossing(theta, values, 0.5, strict=True) == 2.0
+    assert _leftmost_crossing(theta, values, 0.5, strict=False) == 1.0
+    assert 0.0 < _leftmost_crossing(theta, values, 0.25, strict=True) - 0.5 < 1e-13
 
 
 def test_caps_from_targets_sends_targets_at_or_above_the_top_to_b_bar():

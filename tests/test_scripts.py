@@ -47,3 +47,13 @@ def test_statics_report_fails_on_the_statics_verdict():
     assert "signs_ok=True" in lines[-3] and "all_ok" not in done.stdout
     assert lines[-1] == "passed=False"
     assert run_script("statics_report.py").stdout.splitlines()[-1] == "passed=True"
+
+
+def test_statics_report_fails_when_nothing_is_certified():
+    # at alpha = 0 the lower cutoff sits on the support's edge: every row is
+    # not applicable, and the verdict says so instead of passing
+    done = run_script("statics_report.py", "--alpha", "0", "--skip-discretion")
+    assert done.returncode == 2, done.stdout
+    assert done.stderr == "certification failed: no partial was certified\n"
+    assert done.stdout.count("[not-applicable]") == 7
+    assert done.stdout.splitlines()[-1] == "passed=False"

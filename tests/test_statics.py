@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from softbudget import (
     WeightCurve,
     analytic_partials,
     fd_certify,
+    fixed_point,
     m_sensitivity,
     virtual_weight,
 )
 from softbudget import mechanism
 from softbudget.mechanism import VirtualWeightCurve, solve_cap
-from softbudget.statics import FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_REGIME_BOUNDARY, statics_failures
+from softbudget.statics import (
+    FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_REGIME_BOUNDARY, StaticsReport, StaticsRow, statics_failures,
+)
 from conftest import PlateauHazard, config_commitment, irregular_config, pooled_config
 
 FROZEN_D_LAMBDA_D_M = -0.1724158793
@@ -233,11 +237,76 @@ def test_fd_certify_perturbed_curves_match_fresh_builds(monkeypatch, pooled, ben
 
 
 def test_m_sensitivity_irons_the_commitment_curve_once(monkeypatch, bench_dist, bench_cost, bench_prim):
-    # m does not enter psi: the three fixed points share the commitment
-    # curve's ironing, and each irons only the curve at its lambda_T
+    # every curve of the three fixed points is derived from the commitment
+    # curve and inherits its pooled blocks: one PAV pass in all
     calls = []
     original = mechanism.iron_weights
     monkeypatch.setattr(mechanism, "iron_weights", lambda psi, w: calls.append(len(psi)) or original(psi, w))
     commitment = virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257)
     m_sensitivity(commitment, bench_cost)
-    assert calls == [257] * 4
+    assert calls == [257]
+
+
+def test_fixed_point_and_statics_iron_the_pooled_commitment_curve_once(monkeypatch):
+    # every other curve of the fixed point, fd_certify and m_sensitivity is
+    # derived from the commitment curve and inherits its pooled blocks
+    cfg = pooled_config()
+    calls = []
+    original = mechanism.iron_weights
+    monkeypatch.setattr(mechanism, "iron_weights", lambda psi, w: calls.append(len(psi)) or original(psi, w))
+    curve = config_commitment(cfg)
+    assert fixed_point(curve, cfg.cost).converged and cfg.prim.m == 0.5
+    fd_certify(curve, cfg.cost)
+    m_sensitivity(curve, cfg.cost)
+    assert calls == [curve.theta.size]
+    assert curve.ironed.any()
+
+
+THETA_MIN_ROWS = ["d_theta_min_d_alpha", "d_theta_min_d_omega_b", "d_theta_min_d_lambda_T", "d_theta_min_d_gamma"]
+B_MAX_ROWS = ["d_b_max_d_kappa", "d_b_max_d_lambda_T", "d_b_max_d_gamma"]
+
+
+def test_fd_certify_flags_cap_rows_whose_cell_holds_the_kink(bench_dist, bench_cost, bench_prim):
+    # omega_b = 1 puts theta_ref = theta_dagger = 0.5: the caps kink onto
+    # b_bar inside theta_ref's cell, where central differences read 0.1615
+    # against 0.8 (rel_error 0.798); those rows are regime boundaries, and
+    # the cutoff rows still certify.  At the discretionary lambda_T < 1 the
+    # cap at theta_ref is b_bar, above the b_max domain: d_b_max_d_m does
+    # not apply (it read a difference of 0, "wrong sign")
+    curve = virtual_weight(bench_dist, replace(bench_prim, omega_b=1.0), 1.0)
+    report = fd_certify(curve, bench_cost)
+    flags = {r.partial: r.flag for r in report.rows}
+    assert [flags[name] for name in B_MAX_ROWS] == [FLAG_REGIME_BOUNDARY] * 3
+    assert [flags[name] for name in THETA_MIN_ROWS] == [FLAG_OK] * 4
+    assert report.max_rel_error < 1e-8 and report.b_max == 0.8
+    m_report = m_sensitivity(curve, bench_cost)
+    assert math.isnan(m_report.b_max)
+    assert [r.flag for r in m_report.rows] == [FLAG_OK, FLAG_OK, FLAG_NOT_APPLICABLE]
+    assert statics_failures(report, m_report) == []
+
+
+def test_b_max_below_its_domain_is_not_applicable(bench_dist, bench_prim):
+    # alpha = 0.9 lies above psi_bar(theta_ref) = 0.8, so the cap at theta_ref
+    # is zero: b_max (-0.1 by the formula) and its three rows do not apply,
+    # while the cutoff rows certify.  At the discretionary lambda_T the cap
+    # there is interior again, and m_sensitivity's b_max row certifies
+    curve = virtual_weight(bench_dist, bench_prim, 1.0)
+    cost = QuadraticCost(0.9, 1.0)
+    assert math.isnan(analytic_partials(curve, cost)["b_max"])
+    report = fd_certify(curve, cost)
+    assert math.isnan(report.b_max)
+    flags = {r.partial: r.flag for r in report.rows}
+    assert [flags[name] for name in B_MAX_ROWS] == [FLAG_NOT_APPLICABLE] * 3
+    assert [flags[name] for name in THETA_MIN_ROWS] == [FLAG_OK] * 4
+    assert report.max_rel_error < 1e-8
+    m_report = m_sensitivity(curve, cost)
+    assert m_report.b_max > 0.0 and all(r.flag == FLAG_OK for r in m_report.rows)
+    assert statics_failures(report, m_report) == []
+
+
+def test_statics_failures_name_a_report_that_certifies_nothing():
+    flagged = StaticsRow("d_theta_min_d_alpha", 1.0, math.nan, math.nan, +1, False, FLAG_NOT_APPLICABLE)
+    report = StaticsReport(rows=(flagged,), theta_min=math.nan, b_max=math.nan, theta_ref=math.nan, lambda_T=1.0)
+    assert statics_failures(report, None) == ["no partial was certified"]
+    certified = replace(report, rows=(StaticsRow("d_lambda_T_d_m", -1.0, -1.0, 0.0, -1, True),), chain_gap=0.0)
+    assert statics_failures(report, certified) == []
