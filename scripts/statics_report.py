@@ -8,6 +8,8 @@ the discretionary fixed point in the signal slope m.  Clean rows certify
 the implicit-function formulas; flagged rows mark parameter points where
 a partial is not identified (regime boundary, no interior cutoff); with no
 interior cutoff the fixed point is not differentiated, as in ``statics``.
+The m rows follow the same flag rules, and the chain-rule gap is "none"
+when one of its two rows is flagged.
 The last line, ``passed=``, is the verdict of the ``statics`` command; the
 ``signs_ok=`` lines cover the sign checks alone.  Exits 2, naming each
 failed check on stderr, when that verdict fails: no certified row, the
@@ -75,7 +77,8 @@ def main(argv=None) -> int:
         sens = m_sensitivity(commitment, cost, step=args.step)
         print()
         print_rows(sens, "sensitivity to the signal slope m through the fixed point")
-        print(f"chain-rule gap={sens.chain_gap:.2e}  signs_ok={sens.all_ok}")
+        gap = "none" if sens.chain_gap is None else f"{sens.chain_gap:.2e}"
+        print(f"chain-rule gap={gap}  signs_ok={sens.all_ok}")
     failures = statics_failures(report, sens)
     print()
     print(f"passed={not failures}")

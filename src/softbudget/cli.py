@@ -44,15 +44,9 @@ from typing import Optional
 import numpy as np
 
 from .config import OutputSettings, RunConfig, load_config
-from .discretion import DiscretionSolution, fixed_point, interior_probability
+from .discretion import DiscretionSolution, fixed_point, fixed_point_failure, interior_probability
 from .distributions import Uniform
-from .errors import (
-    ConfigError,
-    IllPosedError,
-    NumericalError,
-    ParameterError,
-    SoftBudgetError,
-)
+from .errors import ConfigError, IllPosedError, NumericalError, SoftBudgetError
 from .mechanism import (
     CapSchedule, VirtualWeightCurve, knife_edge, leader_cost, solve_cap, transfer_schedule, virtual_weight,
 )
@@ -108,7 +102,7 @@ def _converged_fixed_point(cfg: RunConfig) -> Optional[DiscretionSolution]:
         return None
     sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
     if not sol.converged:
-        raise NumericalError(_fixed_point_failure(sol))
+        raise NumericalError(fixed_point_failure(sol))
     return sol
 
 
@@ -120,16 +114,6 @@ def _resolve_schedule(cfg: RunConfig) -> tuple[CapSchedule, Optional[DiscretionS
     """
     sol = _converged_fixed_point(cfg)
     return (solve_cap(_commitment(cfg), cfg.cost) if sol is None else sol.schedule), sol
-
-
-def _fixed_point_failure(sol: DiscretionSolution) -> str:
-    """Why an unconverged fixed point failed: a jump of P_int, or the budget."""
-    if sol.jump is None:
-        return f"discretionary fixed point did not converge in {sol.iterations} evaluations"
-    at, below, above = sol.jump
-    return (f"no discretionary fixed point: P_int jumps from {below:.10g} to {above:.10g} at "
-            f"lambda_T = {at:.10g}, where omega_T - omega_b*m*P_int - lambda_T changes sign "
-            "between adjacent floats and exceeds discretion.tol in size on both sides")
 
 
 def _maybe(value):
@@ -224,8 +208,7 @@ def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
         ("cap_schedule", ["theta", "b_star", "ironed", "t_star", "ll_binding"],
          [curve.theta, sched.b_star, curve.ironed, transfers.t_star, transfers.ll_binding]),
         ("transfers", ["theta", "t_pre", "t_star", "ll_binding", "unpinned"],
-         [curve.theta, transfers.t_pre, transfers.t_star, transfers.ll_binding,
-          np.full(curve.theta.shape, transfers.unpinned)]),
+         [curve.theta, transfers.t_pre, transfers.t_star, transfers.ll_binding, transfers.unpinned]),
     )
     return {
         "regime": sched.regime,
@@ -267,7 +250,7 @@ def _cmd_discretion(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str
         "jump": None if sol.jump is None else sol.jump._asdict(),
         "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace],
     })
-    return fragment, None if sol.converged else _fixed_point_failure(sol)
+    return fragment, None if sol.converged else fixed_point_failure(sol)
 
 
 def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
@@ -362,11 +345,8 @@ def _cmd_oracle(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
         "passed": uniform.passed and discrete.passed,
     }
 
-    prim = cfg.prim
-    if not prim.omega_b_constant:
-        raise ParameterError("the brute-force oracle needs a constant omega_b in the config")
     brute = welfare_bruteforce(
-        [0.2, 0.4, 0.6, 0.8, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2], prim, cfg.cost,
+        [0.2, 0.4, 0.6, 0.8, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2], cfg.prim, cfg.cost,
     )
     out.json("oracle_capmin", capmin_report)
     out.json("oracle_bruteforce", {

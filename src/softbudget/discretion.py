@@ -57,6 +57,7 @@ __all__ = [
     "SignalRule",
     "DiscretionSolution",
     "Jump",
+    "fixed_point_failure",
     "effective_lambda",
     "interior_probability",
     "fixed_point",
@@ -162,6 +163,16 @@ class DiscretionSolution:
     jump: Optional[Jump] = None
 
 
+def fixed_point_failure(sol: DiscretionSolution) -> str:
+    """Why an unconverged fixed point failed: a jump of P_int, or the evaluation budget."""
+    if sol.jump is None:
+        return f"discretionary fixed point did not converge in {sol.iterations} evaluations"
+    at, below, above = sol.jump
+    return (f"no discretionary fixed point: P_int jumps from {below:.10g} to {above:.10g} at "
+            f"lambda_T = {at:.10g}, where omega_T - omega_b*m*P_int - lambda_T changes sign "
+            "between adjacent floats and exceeds discretion.tol in size on both sides")
+
+
 def effective_lambda(prim: PolicyPrimitives, p_int: float) -> float:
     """Effective transfer multiplier omega_T - omega_b * m * p_int."""
     if not prim.omega_b_constant:
@@ -230,8 +241,6 @@ def fixed_point(
     ``converged=False``, with the best point found, rather than raising.
     """
     prim = curve.prim
-    if not prim.omega_b_constant:
-        raise ParameterError("the credibility fixed point requires a constant omega_b")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ParameterError("tol must be positive and finite")
     if max_iter < 1:

@@ -97,8 +97,6 @@ class VirtualWeightCurve:
     dist: TypeDistribution
     prim: PolicyPrimitives
     lambda_T: float
-    grid_size: int = DEFAULT_GRID_SIZE
-    tail_mass: float = DEFAULT_TAIL_MASS
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.psi)):
@@ -423,7 +421,7 @@ def virtual_weight(
     """
     lam = _check_lambda(lambda_T)
     theta = dist.grid(grid_size, tail_mass)
-    return VirtualWeightCurve(theta, _psi_on(dist, prim, lam, theta), dist, prim, lam, grid_size, tail_mass)
+    return VirtualWeightCurve(theta, _psi_on(dist, prim, lam, theta), dist, prim, lam)
 
 
 def _hazard(dist: TypeDistribution, theta: np.ndarray) -> np.ndarray:

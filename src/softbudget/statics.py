@@ -37,7 +37,10 @@ that leaves its parameter's domain (alpha - step < 0 at alpha = 0), are
 flagged instead of differenced.  A report that certifies no row fails.
 ``m_sensitivity`` differentiates through the discretionary fixed point in
 the rule-sensitivity parameter m, with analytic chain-rule values for
-comparison.
+comparison.  Its rows follow the same flag rules, with one difference
+helper for all ten rows: a fixed point at m +- h with a jump of P_int or
+no interior lower cutoff crosses a regime boundary, and ``chain_gap`` is
+None when either of its two rows is flagged.
 
 These formulas are specific to quadratic costs and a constant omega_b;
 other configurations are rejected.
@@ -47,13 +50,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .costs import QuadraticCost, RescueCost
-from .discretion import fixed_point
-from .errors import IllPosedError, ParameterError
+from .discretion import DiscretionSolution, fixed_point, fixed_point_failure
+from .errors import IllPosedError, NumericalError, ParameterError
 from .mechanism import CapSchedule, VirtualWeightCurve, solve_cap
 from .primitives import PolicyPrimitives
 
@@ -111,7 +114,8 @@ def statics_failures(report: StaticsReport, m_report: Optional[StaticsReport]) -
     Some row of the two reports must be unflagged (certified), the worst
     unflagged relative error of ``report`` must be within STATICS_REL_TOL,
     every unflagged row of both reports must have its expected sign, and
-    the fixed point's chain gap must be within CHAIN_GAP_TOL.
+    the fixed point's chain gap, where both of its rows are certified, must
+    be within CHAIN_GAP_TOL.
     """
     reports = [report] if m_report is None else [report, m_report]
     failures = [] if any(r.flag == FLAG_OK for rep in reports for r in rep.rows) else ["no partial was certified"]
@@ -121,8 +125,9 @@ def statics_failures(report: StaticsReport, m_report: Optional[StaticsReport]) -
         failures.append(f"{name} rel_error {worst:.3e} > STATICS_REL_TOL {STATICS_REL_TOL:g}")
     failures += [f"{r.partial} has the wrong sign (expected {r.sign_expected:+d})"
                  for rep in reports for r in rep.rows if r.flag == FLAG_OK and not r.sign_ok]
-    if m_report is not None and not m_report.chain_gap <= CHAIN_GAP_TOL:
-        failures.append(f"chain_gap {m_report.chain_gap:.3e} > CHAIN_GAP_TOL {CHAIN_GAP_TOL:g}")
+    gap = None if m_report is None else m_report.chain_gap
+    if gap is not None and not gap <= CHAIN_GAP_TOL:
+        failures.append(f"chain_gap {gap:.3e} > CHAIN_GAP_TOL {CHAIN_GAP_TOL:g}")
     return failures
 
 
@@ -229,18 +234,7 @@ def _partials_at(sched: CapSchedule, qcost: QuadraticCost, theta_ref: Optional[f
     return out
 
 
-def _row(name: str, analytic: float, fd: float, expected: int) -> StaticsRow:
-    """A computed row: the relative error of ``fd`` against ``analytic`` and the sign check of ``fd``.
-
-    A NaN difference (no quantity to difference) makes the row not applicable.
-    """
-    if math.isnan(fd):
-        return StaticsRow(name, analytic, math.nan, math.nan, expected, False, FLAG_NOT_APPLICABLE)
-    rel = abs(fd - analytic) / max(abs(analytic), 1e-12)
-    sign_ok = (fd > 0) if expected > 0 else (fd < 0)
-    return StaticsRow(name, analytic, fd, rel, expected, bool(sign_ok))
-
-
+# the expected sign of every certified partial: the seven commitment partials, then the three in m
 _SIGNS = {
     "d_theta_min_d_alpha": +1,
     "d_theta_min_d_omega_b": -1,
@@ -249,7 +243,46 @@ _SIGNS = {
     "d_b_max_d_kappa": -1,
     "d_b_max_d_lambda_T": -1,
     "d_b_max_d_gamma": +1,
+    "d_lambda_T_d_m": -1,
+    "d_theta_min_d_m": -1,
+    "d_b_max_d_m": +1,
 }
+
+
+def _central(name: str, analytic: float, h: float,
+             quantity: Optional[Callable[[float], Optional[float]]]) -> StaticsRow:
+    """The row of ``name``: ``analytic`` against the central difference of ``quantity`` at +h and -h.
+
+    With no quantity the row is not applicable.  A side whose quantity is
+    None, or whose perturbed parameter leaves its domain (ParameterError, as
+    alpha - h does at alpha = 0), lies across a regime boundary: the row is
+    flagged instead of differenced.
+    """
+    expected = _SIGNS[name]
+    if quantity is None:
+        return StaticsRow(name, analytic, math.nan, math.nan, expected, False, FLAG_NOT_APPLICABLE)
+    try:
+        hi, lo = quantity(+h), quantity(-h)
+    except ParameterError:
+        hi = lo = None
+    if hi is None or lo is None:
+        return StaticsRow(name, analytic, math.nan, math.nan, expected, False, FLAG_REGIME_BOUNDARY)
+    fd = (hi - lo) / (2.0 * h)
+    rel = abs(fd - analytic) / max(abs(analytic), 1e-12)
+    return StaticsRow(name, analytic, fd, rel, expected, bool(fd > 0 if expected > 0 else fd < 0))
+
+
+def _not_applicable(names, lambda_T: float) -> StaticsReport:
+    """The report at a base point without an interior lower cutoff: every row not applicable."""
+    rows = tuple(_central(name, math.nan, math.nan, None) for name in names)
+    return StaticsReport(rows=rows, theta_min=math.nan, b_max=math.nan, theta_ref=math.nan, lambda_T=lambda_T)
+
+
+def _cap_ref_of(sched: CapSchedule, theta_ref: float) -> Optional[float]:
+    """The cap at ``theta_ref``; None where a cap of 0 or b_bar on either node around it puts a kink in its cell."""
+    j = int(np.searchsorted(sched.curve.theta, theta_ref))
+    caps = sched.b_star[max(j - 1, 0):j + 1]
+    return float(sched.cap_at(theta_ref)) if np.all((caps > 0.0) & (caps < sched.curve.prim.b_bar)) else None
 
 
 def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STEP_DEFAULT) -> StaticsReport:
@@ -272,10 +305,7 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
     curves = {(0.0, 0.0, 0.0): curve}
     base = solve_cap(curve, cost)
     if _interior_theta_min(base) is None:
-        # no interior lower cutoff at the base point: report every partial
-        # as not applicable instead of raising
-        rows = tuple(_row(name, math.nan, math.nan, expected) for name, expected in _SIGNS.items())
-        return StaticsReport(rows=rows, theta_min=math.nan, b_max=math.nan, theta_ref=math.nan, lambda_T=lam)
+        return _not_applicable(tuple(_SIGNS)[:7], lam)
     theta_ref = _hazard_reference(curve)
     analytic = _partials_at(base, qcost, theta_ref)
 
@@ -287,12 +317,8 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
         c = QuadraticCost(qcost.alpha + d_alpha, qcost.kappa + d_kappa)
         return solve_cap(curves[key], c)
 
-    def cap_ref_of(sched: CapSchedule) -> Optional[float]:
-        # None unless the caps on both nodes around theta_ref are interior:
-        # a cell holding a kink of the schedule has no derivative to difference
-        j = int(np.searchsorted(sched.curve.theta, theta_ref))
-        caps = sched.b_star[max(j - 1, 0):j + 1]
-        return float(sched.cap_at(theta_ref)) if np.all((caps > 0.0) & (caps < prim.b_bar)) else None
+    has_b_max = theta_ref is not None and not math.isnan(analytic["b_max"])
+    cap_ref_of = (lambda sched: _cap_ref_of(sched, theta_ref)) if has_b_max else None
 
     # (name, perturbation keyword, base magnitude, quantity extractor)
     specs = [
@@ -304,32 +330,11 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
         ("d_b_max_d_lambda_T", "d_lambda", lam, cap_ref_of),
         ("d_b_max_d_gamma", "d_gamma", prim.gamma, cap_ref_of),
     ]
-    rows = []
-    for name, kw, magnitude, extract in specs:
-        expected = _SIGNS[name]
-        an = analytic[name]
-        if extract is cap_ref_of and (theta_ref is None or math.isnan(analytic["b_max"])):
-            rows.append(_row(name, an, math.nan, expected))
-            continue
-        h = step * abs(magnitude)
-        if h == 0.0:
-            h = step
-        try:
-            hi = extract(solve_variant(**{kw: +h}))
-            lo = extract(solve_variant(**{kw: -h}))
-        except ParameterError:  # the perturbed parameter left its domain, as alpha - h does at alpha = 0
-            hi = lo = None
-        if hi is None or lo is None:
-            rows.append(StaticsRow(name, an, math.nan, math.nan, expected, False, FLAG_REGIME_BOUNDARY))
-            continue
-        rows.append(_row(name, an, (hi - lo) / (2.0 * h), expected))
-    return StaticsReport(
-        rows=tuple(rows),
-        theta_min=analytic["theta_min"],
-        b_max=analytic["b_max"],
-        theta_ref=math.nan if theta_ref is None else theta_ref,
-        lambda_T=lam,
-    )
+    rows = tuple(_central(name, analytic[name], step * abs(magnitude) or step,
+                          None if extract is None else (lambda d, kw=kw, ex=extract: ex(solve_variant(**{kw: d}))))
+                 for name, kw, magnitude, extract in specs)
+    return StaticsReport(rows=rows, theta_min=analytic["theta_min"], b_max=analytic["b_max"],
+                         theta_ref=math.nan if theta_ref is None else theta_ref, lambda_T=lam)
 
 
 def m_sensitivity(
@@ -352,39 +357,42 @@ def m_sensitivity(
     with dp/dlambda assembled from the cutoff partials and the density at
     the cutoffs.  ``chain_gap`` reports the relative gap between the FD
     cutoff sensitivity and the chain-rule product built from the FD lambda
-    sensitivity.
+    sensitivity; it is None when either of those rows is flagged.
+
+    The rows follow ``fd_certify``'s rules.  A fixed point at m +- h with a
+    jump of P_int or no interior lower cutoff lies across a regime boundary
+    (lambda(m) kinks there) and flags all three rows; no fixed point at m
+    itself raises NumericalError, naming the jump.
 
     ``curve`` is the commitment curve (lambda_T = omega_T).  The three fixed
     points start from curves derived from it that differ only in m, and
-    every curve they derive inherits its pooled blocks.
+    every curve they derive inherits its pooled blocks; each is solved once.
     """
     dist, prim = curve.dist, curve.prim
     qcost = _require_quadratic_scalar(prim, cost)
     if prim.m <= 0.0:
         raise ParameterError("m sensitivity needs m > 0")
     h = step * prim.m
+    solutions = {}
 
-    def solve_at(m_val: float):
-        sol = fixed_point(curve.at(replace(prim, m=m_val), curve.lambda_T), cost, tol=fp_tol)
-        if not sol.converged:
-            raise IllPosedError("fixed point did not converge during m perturbation")
-        return sol
+    def solved(dm: float) -> Optional[DiscretionSolution]:
+        """The fixed point at m + dm, solved once; None across a regime boundary."""
+        if dm not in solutions:
+            sol = fixed_point(curve.at(replace(prim, m=prim.m + dm), curve.lambda_T), cost, tol=fp_tol)
+            if not sol.converged and (dm == 0.0 or sol.jump is None):
+                raise NumericalError(fixed_point_failure(sol))
+            solutions[dm] = sol
+        sol = solutions[dm]
+        return sol if sol.converged and _interior_theta_min(sol.schedule) is not None else None
 
-    base = solve_at(prim.m)
-    up, dn = solve_at(prim.m + h), solve_at(prim.m - h)
+    def of(read):
+        return lambda dm: None if solved(dm) is None else read(solved(dm))
+
+    base = solved(0.0)
+    if base is None:
+        return _not_applicable(tuple(_SIGNS)[7:], solutions[0.0].lambda_T)
     theta_ref = _hazard_reference(curve)
-
-    lam0 = base.lambda_T
-    fd_lambda = (up.lambda_T - dn.lambda_T) / (2.0 * h)
-    tm_up, tm_dn = _interior_theta_min(up.schedule), _interior_theta_min(dn.schedule)
-    if tm_up is None or tm_dn is None:
-        raise ParameterError("m perturbation crossed a regime boundary; shrink the step")
-    fd_theta_min = (tm_up - tm_dn) / (2.0 * h)
     an = _partials_at(base.schedule, qcost, theta_ref)
-    if theta_ref is None or math.isnan(an["b_max"]):
-        fd_b_max = math.nan
-    else:
-        fd_b_max = (float(up.schedule.cap_at(theta_ref)) - float(dn.schedule.cap_at(theta_ref))) / (2.0 * h)
     theta_min0 = an["theta_min"]
     theta_dag0 = base.schedule.theta_dagger
     dp_dlam = -float(dist.pdf(theta_min0)) * an["d_theta_min_d_lambda_T"]
@@ -394,22 +402,20 @@ def m_sensitivity(
             d_theta_dag_d_lambda = (qcost.alpha + qcost.kappa * prim.b_bar) / (prim.gamma * float(prim.omega_b) * slope_dag)
             dp_dlam += float(dist.pdf(theta_dag0)) * d_theta_dag_d_lambda
     an_lambda = -float(prim.omega_b) * base.p_int / (1.0 + float(prim.omega_b) * prim.m * dp_dlam)
-    an_theta_min = an["d_theta_min_d_lambda_T"] * an_lambda
-    an_b_max = an["d_b_max_d_lambda_T"] * an_lambda
-
-    chain_fd = an["d_theta_min_d_lambda_T"] * fd_lambda
-    chain_gap = abs(fd_theta_min - chain_fd) / max(abs(fd_theta_min), 1e-12)
+    has_b_max = theta_ref is not None and not math.isnan(an["b_max"])
 
     rows = (
-        _row("d_lambda_T_d_m", an_lambda, fd_lambda, -1),
-        _row("d_theta_min_d_m", an_theta_min, fd_theta_min, -1),
-        _row("d_b_max_d_m", an_b_max, fd_b_max, +1),
+        _central("d_lambda_T_d_m", an_lambda, h, of(lambda sol: sol.lambda_T)),
+        _central("d_theta_min_d_m", an["d_theta_min_d_lambda_T"] * an_lambda, h,
+                 of(lambda sol: sol.schedule.theta_min)),
+        _central("d_b_max_d_m", an["d_b_max_d_lambda_T"] * an_lambda, h,
+                 of(lambda sol: _cap_ref_of(sol.schedule, theta_ref)) if has_b_max else None),
     )
-    return StaticsReport(
-        rows=rows,
-        theta_min=theta_min0,
-        b_max=an["b_max"],
-        theta_ref=math.nan if theta_ref is None else theta_ref,
-        lambda_T=lam0,
-        chain_gap=chain_gap,
-    )
+    chain_gap = None
+    if rows[0].flag == FLAG_OK and rows[1].flag == FLAG_OK:
+        fd_lambda, fd_theta_min = rows[0].finite_difference, rows[1].finite_difference
+        chain_fd = an["d_theta_min_d_lambda_T"] * fd_lambda
+        chain_gap = abs(fd_theta_min - chain_fd) / max(abs(fd_theta_min), 1e-12)
+    return StaticsReport(rows=rows, theta_min=theta_min0, b_max=an["b_max"],
+                         theta_ref=math.nan if theta_ref is None else theta_ref, lambda_T=base.lambda_T,
+                         chain_gap=chain_gap)

@@ -94,8 +94,8 @@ def pooled_config():
     return load_config(str(ROOT / "configs" / "pooled_benchmark.json"))
 
 
-def irregular_config(seed, grid_size, discretion=False):
-    """The benchmark's ``irregular`` workload config (``perfbench/workloads.py``) at ``grid_size`` nodes.
+def irregular_doc(seed, grid_size, discretion=False):
+    """The benchmark's ``irregular`` workload config document (``perfbench/workloads.py``) at ``grid_size`` nodes.
 
     ``discretion`` enables the discretion block of the ``discretion-verify`` workload (m = 0.5).
     """
@@ -107,7 +107,12 @@ def irregular_config(seed, grid_size, discretion=False):
     doc["grid"] = {"size": grid_size}
     if discretion:
         doc["discretion"] = {"enabled": True, "m": 0.5, "chi": 1.0}
-    return parse_config(doc)
+    return doc
+
+
+def irregular_config(seed, grid_size, discretion=False):
+    """``irregular_doc`` parsed."""
+    return parse_config(irregular_doc(seed, grid_size, discretion))
 
 
 class PlateauHazard(TypeDistribution):

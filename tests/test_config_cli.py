@@ -26,7 +26,7 @@ from softbudget.config import _COSTS, _DISTRIBUTIONS, MAX_BINS, MAX_GRID_SIZE, M
 from softbudget.mechanism import DEFAULT_TAIL_MASS
 from softbudget.reporting import format_float
 from softbudget.statics import StaticsReport, StaticsRow, statics_failures
-from conftest import BENCH, as_floats, read_csv_columns
+from conftest import BENCH, as_floats, irregular_doc, read_csv_columns
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -540,12 +540,80 @@ def test_cli_statics_below_the_b_max_domain_reports_no_b_max(tmp_path):
     assert cols["flag"] == [""] * 4 + ["not-applicable"] * 3
 
 
+DISCRETION_ON = {"enabled": True, "m": 0.5, "chi": 1.0}
+
+
+def test_cli_statics_flags_d_b_max_d_m_across_the_kink(tmp_path):
+    # at kappa = 0.84112647..., the fixed points' theta_dagger = 0.500118 lies
+    # in the grid cell of theta_ref = 0.5, where the schedule kinks: the cap
+    # there was differenced in m, reading 0.0329 against 0.163 unflagged
+    out = tmp_path / "run"
+    doc = make_doc(cost={"kind": "quadratic", "alpha": 0.2, "kappa": 0.8411264745838027},
+                   discretion=DISCRETION_ON, output={"directory": str(out)})
+    assert run_cli("statics", "--config", write_doc(tmp_path, doc), "--quiet") == 0
+    cols = read_csv_columns(out / "statics.csv")
+    assert cols["partial"][9] == "d_b_max_d_m"
+    assert cols["flag"] == [""] * 9 + ["regime-boundary"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is True and summary["chain_gap"] <= 1e-3
+
+
+@pytest.mark.parametrize("grid,code", [(65537, 0), (4097, 2)])
+def test_cli_statics_flags_the_m_rows_across_a_regime_boundary(tmp_path, capsys, grid, code):
+    # Uniform(1, 2) at alpha = 0.97584...: the discretionary theta_min is
+    # 1 + 2.9e-7, and the fixed points at m +- h put it on theta[0]; the
+    # command exited 1 ("shrink the step") and wrote no statics.csv.  Now the
+    # m rows are flagged and there is no chain gap; on 4,097 nodes the
+    # grid-limited cutoff partial still fails
+    out = tmp_path / "run"
+    doc = make_doc(distribution={"kind": "uniform", "lower": 1.0, "upper": 2.0},
+                   cost={"kind": "quadratic", "alpha": 0.9758433097511897, "kappa": 1.0},
+                   discretion=DISCRETION_ON, output={"directory": str(out)})
+    assert run_cli("statics", "--config", write_doc(tmp_path, doc), "--grid", str(grid), "--quiet") == code
+    assert capsys.readouterr().err == ("" if code == 0 else
+        "statics: finite-difference certification failed on the 4097-node grid: "
+        "d_theta_min_d_lambda_T rel_error 2.479e-04 > STATICS_REL_TOL 0.0001\n")
+    cols = read_csv_columns(out / "statics.csv")
+    assert cols["partial"][7:] == ["d_lambda_T_d_m", "d_theta_min_d_m", "d_b_max_d_m"]
+    assert cols["flag"][7:] == ["regime-boundary", "regime-boundary", "not-applicable"]
+    assert json.loads((out / "summary.json").read_text())["chain_gap"] is None
+
+
+def test_cli_statics_names_a_missing_fixed_point(tmp_path, capsys):
+    # the irregular workload's density at seed 3 with m = 0.5 has no fixed
+    # point; statics said "fixed point did not converge during m
+    # perturbation" although nothing was perturbed
+    path = write_doc(tmp_path, irregular_doc(3, 4097, discretion=True))
+    message = ("no discretionary fixed point: P_int jumps from 0.1015823365 to 0.4719421007 at "
+               "lambda_T = 0.8626708227, where omega_T - omega_b*m*P_int - lambda_T changes sign between "
+               "adjacent floats and exceeds discretion.tol in size on both sides\n")
+    assert run_cli("discretion", "--config", path, "--out", str(tmp_path / "d"), "--quiet") == 2
+    assert capsys.readouterr().err == "discretion: " + message
+    for command in ("solve", "statics"):
+        assert run_cli(command, "--config", path, "--out", str(tmp_path / command), "--quiet") == 2
+        assert capsys.readouterr().err == f"softbudget {command}: " + message
+
+
+@pytest.mark.parametrize("command,message", [
+    ("oracle", "brute-force oracle requires a constant omega_b"),
+    ("discretion", "effective lambda requires a constant omega_b"),
+], ids=["oracle", "discretion"])
+def test_cli_commands_that_need_a_constant_omega_b_exit_1(tmp_path, capsys, command, message):
+    # the library's own check names the cause; the command keeps no copy of it
+    doc = make_doc(weights={"omega_T": 1.0, "omega_b": {"theta": [0.0, 1.0], "value": [0.5, 0.9]},
+                            "gamma": 1.0, "b_bar": 0.8},
+                   discretion=DISCRETION_ON, output={"directory": str(tmp_path / "run")})
+    assert run_cli(command, "--config", write_doc(tmp_path, doc), "--quiet") == 1
+    assert capsys.readouterr().err == f"softbudget {command}: {message}\n"
+
+
 def test_statics_failures_name_every_failed_check():
     row = StaticsRow("d_theta_min_d_alpha", 1.0, 1.0, 0.0, +1, True)
     wrong = StaticsRow("d_b_max_d_kappa", -1.0, 1.0, 2.0, -1, False)
     flagged = StaticsRow("d_b_max_d_gamma", 1.0, math.nan, math.nan, +1, False, "regime-boundary")
     report = StaticsReport(rows=(row, flagged), theta_min=0.1, b_max=0.5, theta_ref=0.5, lambda_T=1.0)
     assert statics_failures(report, None) == []
+    assert statics_failures(report, report) == []  # an m report without a chain gap: one of its rows is flagged
     bad = replace(report, rows=(row, wrong, flagged))
     m_bad = replace(report, rows=(replace(wrong, partial="d_lambda_T_d_m"),), chain_gap=2e-3)
     assert statics_failures(bad, m_bad) == [

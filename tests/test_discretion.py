@@ -334,7 +334,7 @@ def test_rescaled_p_int_equals_the_full_evaluation(case):
     lams = np.append(np.linspace(floor, prim.omega_T, 201), np.nextafter(0.8, [0.0, 0.8, 1.0]))
     cutoff_cells_pooled = 0
     for lam in lams.tolist():
-        fresh = virtual_weight(dist, prim, lam, curve.grid_size, curve.tail_mass)
+        fresh = virtual_weight(dist, prim, lam, curve.theta.size)  # every case is on the default tail mass
         assert np.array_equal(fresh.ironed, curve.ironed)  # a positive scale pools the same blocks
         sched = solve_cap(fresh, cost)
         assert discretion._interior_probability_at(curve, cost, lam) == interior_probability(sched), lam
@@ -368,7 +368,7 @@ def test_fixed_point_curve_matches_a_fresh_build(pooled, bench_dist, bench_cost,
     assert sol.converged and sol.lambda_T < commitment.lambda_T
     assert sol.schedule.curve.hazard is commitment.hazard and sol.schedule.curve.density is commitment.density
     prim = commitment.prim
-    fresh = virtual_weight(commitment.dist, prim, sol.lambda_T, commitment.grid_size, commitment.tail_mass)
+    fresh = virtual_weight(commitment.dist, prim, sol.lambda_T, commitment.theta.size)
     for name in ("psi", "psi_bar", "ironed"):
         assert getattr(sol.schedule.curve, name).tobytes() == getattr(fresh, name).tobytes(), name
     sched = solve_cap(fresh, cost)

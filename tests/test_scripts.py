@@ -1,8 +1,10 @@
 """The scripts under ``scripts/`` run as a user runs them: a fresh interpreter, ``src`` on the path."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,24 @@ def test_statics_report_fails_when_nothing_is_certified():
     assert done.stderr == "certification failed: no partial was certified\n"
     assert done.stdout.count("[not-applicable]") == 7
     assert done.stdout.splitlines()[-1] == "passed=False"
+
+
+def test_statics_report_flags_d_b_max_d_m_across_the_kink():
+    # the fixed points' theta_dagger lies in theta_ref's grid cell at this kappa
+    done = run_script("statics_report.py", "--kappa", "0.8411264745838027")
+    assert done.returncode == 0, done.stderr
+    row = next(line for line in done.stdout.splitlines() if line.startswith("d_b_max_d_m"))
+    assert row.endswith("[regime-boundary]")
+    assert done.stdout.splitlines()[-1] == "passed=True"
+
+
+def test_statics_report_prints_a_chain_gap_that_is_not_defined(monkeypatch, capsys):
+    # the script's Weibull(2, 1) has no m perturbation across a regime
+    # boundary, so the flagged report is stood in for
+    spec = importlib.util.spec_from_file_location("statics_report", ROOT / "scripts" / "statics_report.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    real = script.m_sensitivity
+    monkeypatch.setattr(script, "m_sensitivity", lambda *a, **k: replace(real(*a, **k), chain_gap=None))
+    assert script.main([]) == 0
+    assert "chain-rule gap=none  signs_ok=True" in capsys.readouterr().out

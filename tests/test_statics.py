@@ -8,6 +8,7 @@ from softbudget import (
     Exponential,
     IllPosedError,
     ParameterError,
+    PointMass,
     PolicyPrimitives,
     QuadraticCost,
     TabulatedCost,
@@ -19,7 +20,7 @@ from softbudget import (
     m_sensitivity,
     virtual_weight,
 )
-from softbudget import mechanism
+from softbudget import mechanism, statics
 from softbudget.mechanism import VirtualWeightCurve, solve_cap
 from softbudget.statics import (
     FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_REGIME_BOUNDARY, StaticsReport, StaticsRow, statics_failures,
@@ -161,6 +162,36 @@ def test_m_sensitivity_requires_positive_m(bench_dist, bench_cost):
         m_sensitivity(virtual_weight(bench_dist, prim, 1.0), bench_cost)
 
 
+def test_m_sensitivity_without_an_interior_cutoff_at_its_fixed_point_applies_nowhere(bench_prim):
+    # PointMass(0.5) at m = 0.2 has its fixed point at lambda_T = 0.84, where
+    # the one type's cap is interior and the cutoff is theta[0]: no m row
+    # applies, as no commitment row does (it raised ParameterError)
+    curve = virtual_weight(PointMass(0.5), replace(bench_prim, m=0.2), 1.0)
+    report = m_sensitivity(curve, QuadraticCost(0.2, 1.0))
+    assert [r.flag for r in report.rows] == [FLAG_NOT_APPLICABLE] * 3
+    assert report.chain_gap is None and report.lambda_T == pytest.approx(0.84, abs=1e-12)
+
+
+def test_m_sensitivity_flags_every_row_where_a_perturbed_fixed_point_jumps(monkeypatch):
+    # the irregular density at seed 3 has no fixed point for m above
+    # 0.36373418: at m = 0.3637333 the fixed points at m and m - h converge,
+    # and the one at m + h meets the jump of P_int (it raised "did not converge")
+    cfg = irregular_config(3, 4097, discretion=True)
+    prim = replace(cfg.prim, m=0.3637333)
+    curve = virtual_weight(cfg.dist, prim, prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    solutions = []
+
+    def recorded(*args, **kwargs):
+        solutions.append(fixed_point(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(statics, "fixed_point", recorded)
+    report = m_sensitivity(curve, cfg.cost)
+    assert [(sol.converged, sol.jump is None) for sol in solutions] == [(True, True), (False, False), (True, True)]
+    assert [r.flag for r in report.rows] == [FLAG_REGIME_BOUNDARY] * 3
+    assert report.chain_gap is None
+
+
 # -- pooled curves and derived curves ---------------------------------------
 
 
@@ -229,7 +260,7 @@ def test_fd_certify_perturbed_curves_match_fresh_builds(monkeypatch, pooled, ben
     assert len(derived) == 6
     for curve in derived:
         assert curve.hazard is base.hazard and curve.theta is base.theta
-        fresh = virtual_weight(curve.dist, curve.prim, curve.lambda_T, base.grid_size, base.tail_mass)
+        fresh = virtual_weight(curve.dist, curve.prim, curve.lambda_T, base.theta.size)
         for name in ("psi", "psi_bar", "ironed"):
             assert getattr(curve, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert solve_cap(curve, cost).b_star.tobytes() == solve_cap(fresh, cost).b_star.tobytes()
