@@ -20,11 +20,11 @@ oracle      self-checking fixtures for the cap-minimum calculus and the
             oracle_bruteforce.json, summary.json.
 
 Exit codes: 0 success, 1 validation error (bad flags or config), 2
-numerical failure (non-convergence, no discretionary fixed point, or a
-failed embedded check), 3 I/O error.  All floats in artifacts carry 10
-significant digits; writes are atomic; identical configs and seeds give
-byte-identical artifacts.  The wall-clock duration is printed to stdout
-only, so artifacts stay reproducible byte for byte.
+numerical failure (no discretionary fixed point, the message naming the
+jump of P_int, or a failed embedded check), 3 I/O error.  All floats in
+artifacts carry 10 significant digits; writes are atomic; identical
+configs and seeds give byte-identical artifacts.  The wall-clock duration
+is printed to stdout only, so artifacts stay reproducible byte for byte.
 
 ``solve`` and ``simulate`` solve one cap schedule (the fixed point's under
 discretion, the commitment one otherwise) and read everything after it,
@@ -98,9 +98,9 @@ def _commitment(cfg: RunConfig) -> VirtualWeightCurve:
 
 def _converged_fixed_point(cfg: RunConfig) -> Optional[DiscretionSolution]:
     """The converged fixed point when the config enables discretion, else None."""
-    if not cfg.discretion.enabled:
+    if not cfg.discretion:
         return None
-    sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
+    sol = fixed_point(_commitment(cfg), cfg.cost)
     if not sol.converged:
         raise NumericalError(fixed_point_failure(sol))
     return sol
@@ -240,9 +240,9 @@ def _cmd_knife_edge(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str
 
 
 def _cmd_discretion(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
-    if not cfg.discretion.enabled:
+    if not cfg.discretion:
         raise ConfigError(["discretion.enabled: the discretion command needs discretion enabled"])
-    sol = fixed_point(_commitment(cfg), cfg.cost, tol=cfg.discretion.tol, max_iter=cfg.discretion.max_iter)
+    sol = fixed_point(_commitment(cfg), cfg.cost)
     fragment = _discretion_fragment(sol)
     out.json("discretion", {
         **fragment,
@@ -260,7 +260,7 @@ def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     rows = list(report.rows)
     chain_gap = None
     m_report = None
-    if cfg.discretion.enabled and not math.isnan(report.theta_min):
+    if cfg.discretion and not math.isnan(report.theta_min):
         m_report = m_sensitivity(commitment, cfg.cost)
         rows.extend(m_report.rows)
         chain_gap = m_report.chain_gap

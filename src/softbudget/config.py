@@ -6,8 +6,7 @@ A run is described by one JSON document with up to seven blocks::
       "distribution": {"kind": "weibull", "shape": 2.0, "scale": 1.0},
       "cost":         {"kind": "quadratic", "alpha": 0.2, "kappa": 1.0},
       "weights":      {"omega_T": 1.0, "omega_b": 0.8, "gamma": 1.0, "b_bar": 0.8},
-      "discretion":   {"enabled": false, "m": 0.0, "chi": 1.0,
-                       "tol": 1e-8, "max_iter": 1000},
+      "discretion":   {"enabled": false, "m": 0.0, "chi": 1.0},
       "simulation":   {"n": 200000, "seed": 12345, "bins": 30},
       "grid":         {"size": 4097, "truncation_quantile": 0.9999999999},
       "output":       {"directory": "out", "formats": ["csv", "json"]}
@@ -15,13 +14,14 @@ A run is described by one JSON document with up to seven blocks::
 
 ``distribution``, ``cost``, and ``weights`` are required.  A field left
 out of another block takes the default of its settings dataclass below
-(``m`` and ``chi`` that of :class:`PolicyPrimitives`), which names the
-library's own default where there is one: the grid's tail mass is
-``DEFAULT_TAIL_MASS`` (1e-10) unless a ``truncation_quantile`` q sets it
-to ``1 - q``.  The schema is strict:
-unknown and repeated keys are rejected, and every problem found is reported
-in a single aggregated error so a bad config never needs more than one
-round trip to fix.
+(``m`` and ``chi`` that of :class:`PolicyPrimitives`, ``enabled`` false),
+which names the library's own default where there is one: the grid's
+tail mass is ``DEFAULT_TAIL_MASS`` (1e-10) unless a
+``truncation_quantile`` q sets it to ``1 - q``.  The discretionary fixed
+point is solved at the library's tolerance; the schema has no solver
+settings.  The schema is strict: unknown and repeated keys are rejected,
+and every problem found is reported in a single aggregated error so a bad
+config never needs more than one round trip to fix.
 
 The kinds of ``distribution`` and ``cost`` are the keys of ``_DISTRIBUTIONS``
 and ``_COSTS``; each maps to its constructor and the fields passed to it in
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .costs import QuadraticCost, RescueCost, TabulatedCost
-from .discretion import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .distributions import (
     MAX_SEED,
     Exponential,
@@ -61,7 +60,7 @@ from .mechanism import DEFAULT_GRID_SIZE, DEFAULT_TAIL_MASS
 from .primitives import PolicyPrimitives, WeightCurve
 from .simulation import DEFAULT_BINS, MIN_SAMPLES
 
-__all__ = ["DiscretionSettings", "SimulationSettings", "GridSettings", "OutputSettings", "RunConfig", "load_config", "parse_config"]
+__all__ = ["SimulationSettings", "GridSettings", "OutputSettings", "RunConfig", "load_config", "parse_config"]
 
 MAX_GRID_SIZE = 2**24 + 1
 MAX_SAMPLES = 100_000_000
@@ -85,13 +84,6 @@ _COSTS = {
 
 
 @dataclass(frozen=True)
-class DiscretionSettings:
-    enabled: bool = False
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-
-
-@dataclass(frozen=True)
 class SimulationSettings:
     n: int = 200_000
     seed: int = 12345
@@ -112,12 +104,16 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration with all domain objects constructed."""
+    """Validated configuration with all domain objects constructed.
+
+    ``discretion`` says whether the config enables discretion; its slope
+    ``m`` and weight ``chi`` live in ``prim``.
+    """
 
     dist: TypeDistribution
     cost: RescueCost
     prim: PolicyPrimitives
-    discretion: DiscretionSettings
+    discretion: bool
     simulation: SimulationSettings
     grid: GridSettings
     output: OutputSettings
@@ -314,13 +310,8 @@ def parse_config(document: dict) -> RunConfig:
     cost = _build("cost", _COSTS, document.get("cost"), problems)
     weights = _fields(document, "weights", problems,
                       ("omega_T", float), ("omega_b", _omega_b), ("gamma", float), ("b_bar", float), required=True)
-    discretion = _fields(
-        document, "discretion", problems,
-        ("enabled", bool), ("m", float), ("chi", float),
-        ("tol", float, lambda v: v > 0.0, "must be positive"),
-        ("max_iter", int, lambda v: v >= 1, "must be >= 1"),
-    )
-    behaviour = {key: discretion.pop(key) for key in ("m", "chi") if key in discretion}
+    behaviour = _fields(document, "discretion", problems, ("enabled", bool), ("m", float), ("chi", float))
+    enabled = behaviour.pop("enabled", False)
     simulation = _fields(
         document, "simulation", problems,
         ("n", int, lambda v: MIN_SAMPLES <= v <= MAX_SAMPLES, f"must lie in [{MIN_SAMPLES}, {MAX_SAMPLES}]"),
@@ -353,7 +344,7 @@ def parse_config(document: dict) -> RunConfig:
         raise ConfigError(problems)
     return RunConfig(
         dist=dist, cost=cost, prim=prim,
-        discretion=DiscretionSettings(**discretion), simulation=SimulationSettings(**simulation),
+        discretion=enabled, simulation=SimulationSettings(**simulation),
         grid=GridSettings(**grid), output=OutputSettings(**output),
     )
 

@@ -41,6 +41,10 @@ __all__ = ["MCReport", "CapMinReport", "BruteForceReport", "mc_run", "capmin_ora
 
 DEFAULT_BINS = 30
 MIN_SAMPLES = 1000
+CAPMIN_STEP = 1e-5  # difference step of the cap-minimum oracle
+CAPMIN_TOLERANCE = 5e-5  # largest deviation it passes
+CAPMIN_QUAD_POINTS = 4001  # trapezoid nodes of its continuous moments
+BRUTEFORCE_LEVELS = 21  # cap levels of the brute-force search, 0 to b_bar
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +201,10 @@ class CapMinReport:
     passed: bool
 
 
-def _moments_continuous(dist: TypeDistribution, b: float, quad_points: int) -> tuple[float, float]:
+def _moments_continuous(dist: TypeDistribution, b: float) -> tuple[float, float]:
     # E[min(X,b)] = int_0^b S(t) dt and E[min(X,b)^2] = int_0^b 2 t S(t) dt
     # for X >= 0; the grid stretches with b so both are smooth in b.
-    t = np.linspace(0.0, b, quad_points)
+    t = np.linspace(0.0, b, CAPMIN_QUAD_POINTS)
     surv = dist.survivor(t)
     return float(np.trapezoid(surv, t)), float(np.trapezoid(2.0 * t * surv, t))
 
@@ -213,22 +217,19 @@ def _moments_discrete(values: np.ndarray, probs: np.ndarray, b: float) -> tuple[
 def capmin_oracle(
     payout_dist: Union[TypeDistribution, Tuple[Sequence[float], Sequence[float]]],
     b_values: Sequence[float],
-    step: float = 1e-5,
-    tolerance: float = 5e-5,
-    quad_points: int = 4001,
 ) -> CapMinReport:
     """Verify d/db E[min(X,b)] = P(X >= b) and d/db E[min(X,b)^2] = 2b P(X >= b).
 
     ``payout_dist`` is either a nonnegative continuous distribution or a
     pair (values, probabilities) of atoms.  Central differences run at
-    ``step``; points that coincide with an atom (or b = 0) switch to the
-    matching one-sided difference and are flagged.
+    ``CAPMIN_STEP`` and pass within ``CAPMIN_TOLERANCE``; points that
+    coincide with an atom (or b = 0) switch to the matching one-sided
+    difference and are flagged.
     """
     b_arr = np.asarray(b_values, dtype=float)
     if b_arr.ndim != 1 or b_arr.size == 0 or np.any(b_arr < 0.0):
         raise ParameterError("b_values must be a nonempty 1-d array of nonnegative caps")
-    if not (0.0 < step < 1e-2):
-        raise ParameterError("step must lie in (0, 0.01)")
+    step = CAPMIN_STEP
 
     discrete = isinstance(payout_dist, tuple)
     if discrete:
@@ -253,7 +254,7 @@ def capmin_oracle(
             raise ParameterError("payout distribution must be nonnegative")
 
         def moments(b: float) -> tuple[float, float]:
-            return _moments_continuous(payout_dist, b, quad_points)
+            return _moments_continuous(payout_dist, b)
 
         def tail(b: float) -> float:
             return float(payout_dist.survivor(b))
@@ -295,8 +296,8 @@ def capmin_oracle(
         one_sided=flagged,
         max_dev_first=dev1,
         max_dev_second=dev2,
-        tolerance=tolerance,
-        passed=bool(dev1 <= tolerance and dev2 <= tolerance),
+        tolerance=CAPMIN_TOLERANCE,
+        passed=bool(dev1 <= CAPMIN_TOLERANCE and dev2 <= CAPMIN_TOLERANCE),
     )
 
 
@@ -356,8 +357,6 @@ def welfare_bruteforce(
     weights: Sequence[float],
     prim: PolicyPrimitives,
     cost: RescueCost,
-    lambda_T: Optional[float] = None,
-    levels: int = 21,
 ) -> BruteForceReport:
     """Enumerate monotone step cap schedules and compare with the KKT solution.
 
@@ -367,12 +366,13 @@ def welfare_bruteforce(
         sum_i w_i * [ C(b_i) - psi_i * b_i ],
 
     whose unconstrained pointwise minimizer is exactly the solver's
-    optimality condition C'(b) = psi projected onto [0, b_bar].  The search
-    walks every nondecreasing schedule on a uniform level grid, checks the
-    discrete incentive inequalities (the allocation index lambda_T*T +
-    omega_b*b must be nondecreasing) and nonnegativity, and reports the gap
-    to the KKT benchmark together with the discretization bound
-    (curvature/2) * spacing^2.
+    optimality condition C'(b) = psi projected onto [0, b_bar], at the
+    commitment weight lambda_T = omega_T.  The search walks every
+    nondecreasing schedule on ``BRUTEFORCE_LEVELS`` uniform levels from 0
+    to b_bar, checks the discrete incentive inequalities (the allocation
+    index omega_T*T + omega_b*b must be nondecreasing) and nonnegativity,
+    and reports the gap to the KKT benchmark together with the
+    discretization bound (curvature/2) * spacing^2.
     """
     th = np.asarray(types, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -384,13 +384,9 @@ def welfare_bruteforce(
         raise ParameterError("types must be strictly increasing")
     if np.any(w <= 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-9:
         raise ParameterError("weights must be positive and sum to one")
-    if not (2 <= levels <= 21):
-        raise ParameterError("levels must lie in [2, 21]")
     if not prim.omega_b_constant:
         raise ParameterError("brute-force oracle requires a constant omega_b")
-    lam = prim.omega_T if lambda_T is None else float(lambda_T)
-    if lam <= 0.0:
-        raise ParameterError("lambda_T must be positive")
+    lam = prim.omega_T
 
     survivor = np.cumsum(w[::-1])[::-1]  # P(type >= theta_i), inclusive
     hazard = w / survivor
@@ -399,10 +395,10 @@ def welfare_bruteforce(
     kkt_caps = caps_from_targets(psi, cost, prim.b_bar)
     kkt_cost = float(np.sum(w * (np.asarray(cost.value(kkt_caps)) - psi * kkt_caps)))
 
-    grid = np.linspace(0.0, prim.b_bar, levels)
+    grid = np.linspace(0.0, prim.b_bar, BRUTEFORCE_LEVELS)
     # per-type, per-level contribution to the virtual cost
     table = w[:, None] * (np.asarray(cost.value(grid))[None, :] - psi[:, None] * grid[None, :])
-    combos = _nondecreasing_tuples(levels, th.size)
+    combos = _nondecreasing_tuples(BRUTEFORCE_LEVELS, th.size)
     totals = table[np.arange(th.size)[None, :], combos].sum(axis=1)
     best_idx = int(np.argmin(totals))
     best_caps = grid[combos[best_idx]]
@@ -418,7 +414,7 @@ def welfare_bruteforce(
     else:
         slopes = np.diff(cost.marginal_nodes) / np.diff(cost.payout_nodes)
         curvature = float(np.max(slopes)) if slopes.size else 0.0
-    spacing = prim.b_bar / (levels - 1)
+    spacing = prim.b_bar / (BRUTEFORCE_LEVELS - 1)
     gap_bound = 0.5 * curvature * spacing**2
     passed = bool(
         ic_ok

@@ -62,12 +62,13 @@ from .primitives import PolicyPrimitives
 
 __all__ = [
     "StaticsRow", "StaticsReport", "analytic_partials", "fd_certify", "m_sensitivity", "statics_failures",
-    "FD_STEP_DEFAULT", "STATICS_REL_TOL", "CHAIN_GAP_TOL",
+    "FD_STEP_DEFAULT", "FIXED_POINT_TOL", "STATICS_REL_TOL", "CHAIN_GAP_TOL",
 ]
 
 _SLOPE_TOL = 1e-12
 
 FD_STEP_DEFAULT = 1e-5  # relative step for central differences
+FIXED_POINT_TOL = 1e-13  # |g| to which m_sensitivity solves the fixed points it differences
 
 STATICS_REL_TOL = 1e-4  # worst unflagged relative error a certification accepts
 CHAIN_GAP_TOL = 1e-3  # largest fixed-point chain-rule gap it accepts
@@ -337,18 +338,13 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
                          theta_ref=math.nan if theta_ref is None else theta_ref, lambda_T=lam)
 
 
-def m_sensitivity(
-    curve: VirtualWeightCurve,
-    cost: RescueCost,
-    step: float = FD_STEP_DEFAULT,
-    fp_tol: float = 1e-13,
-) -> StaticsReport:
+def m_sensitivity(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STEP_DEFAULT) -> StaticsReport:
     """Sensitivity of the discretionary solution to the rule slope m.
 
     Differentiates the converged fixed point in m by central differences
-    (the inner iteration runs at ``fp_tol`` so the difference quotient is
-    not dominated by fixed-point noise).  Analytic columns come from the
-    implicit-function chain
+    (each fixed point is solved to ``FIXED_POINT_TOL`` so the difference
+    quotient is not dominated by fixed-point noise).  Analytic columns come
+    from the implicit-function chain
 
         d lambda / d m   = -omega_b * p / (1 + omega_b * m * dp/dlambda),
         d theta_min / dm = (d theta_min / d lambda) * (d lambda / d m),
@@ -378,8 +374,8 @@ def m_sensitivity(
     def solved(dm: float) -> Optional[DiscretionSolution]:
         """The fixed point at m + dm, solved once; None across a regime boundary."""
         if dm not in solutions:
-            sol = fixed_point(curve.at(replace(prim, m=prim.m + dm), curve.lambda_T), cost, tol=fp_tol)
-            if not sol.converged and (dm == 0.0 or sol.jump is None):
+            sol = fixed_point(curve.at(replace(prim, m=prim.m + dm), curve.lambda_T), cost, tol=FIXED_POINT_TOL)
+            if not sol.converged and dm == 0.0:
                 raise NumericalError(fixed_point_failure(sol))
             solutions[dm] = sol
         sol = solutions[dm]

@@ -216,7 +216,7 @@ def test_criterion_07_capmin_identities():
 
 def test_criterion_08_brute_force_search(bench_prim, bench_cost):
     start = time.perf_counter()
-    rep = welfare_bruteforce([0.2, 0.4, 0.6, 0.8, 1.0], [0.2] * 5, bench_prim, bench_cost, lambda_T=1.0)
+    rep = welfare_bruteforce([0.2, 0.4, 0.6, 0.8, 1.0], [0.2] * 5, bench_prim, bench_cost)
     elapsed = time.perf_counter() - start
     shortfall = rep.kkt_cost - rep.best_cost
     overshoot = rep.best_cost - rep.kkt_cost

@@ -66,7 +66,7 @@ DOCS = {
     "weights-omega_b-constructor": doc(weights={**WEIGHTS, "omega_b": {"theta": [0.0, 1.0], "value": [0.9, 0.5]}}),
     "discretion-block": doc(discretion={"enabled": "yes", "m": "x", "chi": True, "tol": 0.0,
                                         "max_iter": 0.5, "damping": 0.5}),
-    "discretion-bounds": doc(discretion={"tol": HUGE_INT, "max_iter": 0}),
+    "discretion-solver-settings": doc(discretion={"enabled": True, "tol": 1e-8, "max_iter": 1000}),
     "simulation-block": doc(simulation={"n": 10, "seed": -1, "bins": True, "rho0": 1.0}),
     "simulation-types": doc(simulation={"n": 2000.0, "seed": 2**64, "bins": 10**30}),
     "grid-block": doc(grid={"size": 5, "truncation_quantile": 1.0, "tail": 1e-10}),
@@ -115,13 +115,13 @@ EXPECTED = {
         "discretion.enabled: expected a boolean, got str",
         "discretion.m: expected a number, got str",
         "discretion.chi: expected a number, got bool",
-        "discretion.tol: must be positive",
-        "discretion.max_iter: expected an integer, got float",
         "discretion.damping: unknown key",
+        "discretion.max_iter: unknown key",
+        "discretion.tol: unknown key",
     ],
-    "discretion-bounds": [
-        "discretion.tol: must be finite",
-        "discretion.max_iter: must be >= 1",
+    "discretion-solver-settings": [
+        "discretion.max_iter: unknown key",
+        "discretion.tol: unknown key",
     ],
     "distribution-kind-missing": [
         "distribution.kind: missing required field",

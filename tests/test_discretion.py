@@ -252,30 +252,60 @@ def test_fixed_point_evaluates_the_floor_before_naming_a_jump(monkeypatch, bench
     assert sol.bracket == (0.6, np.nextafter(0.6, 1.0))
 
 
-def test_fixed_point_bracket_halves_at_a_flat_root(monkeypatch, bench_dist, bench_cost, bench_prim):
-    # a synthetic P_int whose g = -0.04 sign(x) |x / 0.4|^9, x = lambda - 0.65,
-    # is flat at its root: secant steps creep towards it from one side, and
-    # took 37 evaluations at tol 1e-13 without the rule that the bracket
-    # halve over every two evaluations
-    def p_int(curve, cost, lam):
-        x = lam - 0.65
-        return (1.0 - lam + 0.04 * np.sign(x) * abs(x / 0.4) ** 9) / 0.4
+def flat_root_p_int(curve, cost, lam):
+    # g = -0.04 sign(x) |x / 0.4|^9, x = lambda - 0.65, on the benchmark weights
+    x = lam - 0.65
+    return (1.0 - lam + 0.04 * np.sign(x) * abs(x / 0.4) ** 9) / 0.4
 
-    monkeypatch.setattr(discretion, "_interior_probability_at", p_int)
+
+def test_fixed_point_bracket_halves_at_a_flat_root(monkeypatch, bench_dist, bench_cost, bench_prim):
+    # the synthetic P_int's g is flat at its root: secant steps creep towards
+    # it from one side, and took 37 evaluations at tol 1e-13 without the rule
+    # that the bracket halve over every two evaluations
+    monkeypatch.setattr(discretion, "_interior_probability_at", flat_root_p_int)
     sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0, grid_size=257), bench_cost, tol=1e-13)
     assert sol.converged and sol.iterations <= 12
     assert_trace_in_bracket(sol)
 
 
-def test_fixed_point_exhaustion_reports_not_converged(bench_dist, bench_cost, bench_prim):
-    sol = fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, max_iter=2, tol=1e-14)
-    assert not sol.converged
-    assert sol.iterations == 2
-    # out of evaluations, the result is the best point found, with its own
-    # curve and schedule: the steep case's third point beats its fourth
-    sol = fixed_point(*steep_case(), max_iter=4)
-    assert not sol.converged and sol.jump is None and sol.iterations == 4
-    assert (sol.lambda_T, sol.p_int) == sol.trace[2] and sol.schedule.curve.lambda_T == sol.lambda_T
+# the bracket halves at least every three evaluations and reaches adjacent
+# floats within 107 halvings; one more evaluation may check the floor
+EVALUATION_BOUND = 3 * 107 + 4
+
+
+def assert_ends_at_a_root_or_a_jump(sol, tol):
+    assert 1 <= sol.iterations == len(sol.trace) <= EVALUATION_BOUND
+    prim = sol.schedule.curve.prim
+    lo, hi = sol.bracket
+    if sol.converged:
+        assert abs(effective_lambda(prim, sol.p_int) - sol.lambda_T) <= tol
+    else:
+        # no budget to run out of: an unconverged search stopped on adjacent floats
+        assert hi == np.nextafter(lo, np.inf) and sol.jump.at == hi
+        assert (lo, sol.jump.p_int_below) in sol.trace and (hi, sol.jump.p_int_above) in sol.trace
+        assert abs(effective_lambda(prim, sol.jump.p_int_below) - lo) > tol
+        assert abs(effective_lambda(prim, sol.jump.p_int_above) - hi) > tol
+
+
+def test_fixed_point_ends_within_its_bound_without_a_budget(monkeypatch, bench_cost, bench_prim):
+    point = fixed_point(virtual_weight(PointMass(0.5), bench_prim, 1.0), bench_cost)
+    assert point.iterations == 53 and point.jump is not None
+    assert_ends_at_a_root_or_a_jump(point, discretion.DEFAULT_TOL)
+    steep = fixed_point(*steep_case(), tol=1e-300)
+    assert_ends_at_a_root_or_a_jump(steep, 1e-300)
+    monkeypatch.setattr(discretion, "_interior_probability_at", flat_root_p_int)
+    flat = fixed_point(virtual_weight(Weibull(2.0, 1.0), bench_prim, 1.0, grid_size=257), bench_cost, tol=1e-300)
+    assert_ends_at_a_root_or_a_jump(flat, 1e-300)
+
+
+def test_fixed_point_steep_case_converges_at_the_statics_tolerance():
+    # m_sensitivity solves its fixed points to FIXED_POINT_TOL = 1e-13; the
+    # steep case still converges a decade below it
+    curve, cost = steep_case()
+    for tol, evaluations in ((statics.FIXED_POINT_TOL, 11), (1e-14, 12)):
+        sol = fixed_point(curve, cost, tol=tol)
+        assert sol.converged and sol.iterations == evaluations
+        assert sol.lambda_T == pytest.approx(0.6036508928, abs=1e-9)
 
 
 def test_fixed_point_keeps_last_curve_and_accepts_commitment_curve(bench_dist, bench_cost, bench_prim):
@@ -294,8 +324,6 @@ def test_fixed_point_keeps_last_curve_and_accepts_commitment_curve(bench_dist, b
 def test_fixed_point_validation(bench_dist, bench_cost, bench_prim):
     with pytest.raises(ParameterError):
         fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, tol=-1.0)
-    with pytest.raises(ParameterError):
-        fixed_point(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, max_iter=0)
     # a multiplier floor at or below zero leaves no admissible lambda
     heavy = PolicyPrimitives(omega_T=0.5, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.9, chi=1.0)
     with pytest.raises(ParameterError):

@@ -144,6 +144,19 @@ def test_tracer_sees_one_schedule_solve_per_command(spans, tmp_path):
     assert "simulation.mc_run" in names["simulate"]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_workload_config_parses(seed):
+    # a schema cut that drops a field some workload sets fails here, not in
+    # a benchmark run; steep-discretion is listed nowhere else
+    import softbudget
+
+    workloads = _load("perfbench_workloads", WORKLOADS).WORKLOADS
+    assert "steep-discretion" in workloads
+    for name, workload in workloads.items():
+        cfg = softbudget.parse_config(workload.config(seed))
+        assert cfg.simulation.seed == seed, name
+
+
 @pytest.mark.parametrize("name, pooled", [("irregular", True), ("commit-fine", False)])
 def test_workload_simulate_takes_the_path_its_why_names(name, pooled, monkeypatch):
     # irregular's simulate interpolates the ironed curve (psi_bar_at);

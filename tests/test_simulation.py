@@ -358,8 +358,6 @@ def test_capmin_validation():
     with pytest.raises(ParameterError):
         capmin_oracle(Uniform(0.0, 1.0), [-0.1])
     with pytest.raises(ParameterError):
-        capmin_oracle(Uniform(0.0, 1.0), [0.5], step=0.5)
-    with pytest.raises(ParameterError):
         capmin_oracle(((0.2, 0.5), (0.3, 0.3)), [0.1])  # probs sum to 0.6
     with pytest.raises(ParameterError):
         capmin_oracle(Uniform(-1.0, 1.0), [0.1])
@@ -410,7 +408,3 @@ def test_welfare_bruteforce_validation(bench_prim, bench_cost):
         welfare_bruteforce([0.4, 0.2], [0.5, 0.5], bench_prim, bench_cost)
     with pytest.raises(ParameterError):
         welfare_bruteforce([0.2, 0.4], [0.6, 0.6], bench_prim, bench_cost)
-    with pytest.raises(ParameterError):
-        welfare_bruteforce([0.2, 0.4], [0.5, 0.5], bench_prim, bench_cost, levels=50)
-    with pytest.raises(ParameterError):
-        welfare_bruteforce([0.2, 0.4], [0.5, 0.5], bench_prim, bench_cost, lambda_T=-1.0)
