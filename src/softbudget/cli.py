@@ -165,7 +165,7 @@ class _Artifacts:
             write_csv(path, header, columns)
 
     def csvs(self, *tables) -> None:
-        """Write ``(key, header, columns)`` tables in one call, so a column they share renders once."""
+        """Write ``(key, header, columns)`` tables in one call, so a first column they share renders once."""
         tables = [(self._path(key, "csv"), header, columns) for key, header, columns in tables]
         if tables[0][0] is not None:
             write_csvs(tables)
@@ -203,7 +203,7 @@ def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     cost_total = leader_cost(transfers)
     knife = knife_edge(curve, cfg.cost)
 
-    # one call, so the columns both files hold are rendered once
+    # one call, so the type grid both files start with is rendered once
     out.csvs(
         ("cap_schedule", ["theta", "b_star", "ironed", "t_star", "ll_binding"],
          [curve.theta, sched.b_star, curve.ironed, transfers.t_star, transfers.ll_binding]),

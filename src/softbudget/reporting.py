@@ -7,23 +7,18 @@ fragile subclass tricks, so a small serializer is rolled here.  All writes
 are atomic: content goes to a temporary file in the destination directory
 and is moved into place with ``os.replace``.
 
-CSV rows are rendered in blocks of 4,096, a whole column of the block at a
-time, and each value is formatted once.  A 1-d numpy column of bools,
-integers or floats is split into runs of bit-equal values (compared through
-an unsigned-integer view, so ``-0.0`` and ``0.0`` stay apart); each run head
-becomes one Python value (``ndarray.tolist()``), is formatted as
-``_format_cell`` would format it (``true``/``false``, ``str`` of the int,
-``%.10g`` or empty for a non-finite float) and is repeated over its run.
-Optimal schedules are mostly plateaus, so most cells repeat the one above.
-Every other column (lists, object arrays, ``None`` cells, long doubles)
-goes through ``_format_cell`` one cell at a time.
-
-``write_csvs`` writes several tables in one walk over the blocks, and a
-column object that several of its tables hold is rendered once per block:
-``solve``'s two files share the type grid, the transfers and the binding
-flags.  Shared cells are kept for the current block only.  Keeping a shared
-column's cells for a whole file would hold a string object per row at once;
-per block, the cells alive stay bounded by the block size.
+CSV rows are rendered in blocks of 4,096.  A row is its key (the first
+cell) plus a tail (``,b,ironed,t,flag`` and the line end), and optimal
+schedules are mostly plateaus, so most tails repeat the row above.  A tail is
+rendered once per run of rows whose other columns are bit-equal (compared
+through an unsigned-integer view, so ``-0.0`` and ``0.0`` stay apart; a
+column that is not a 1-d bool, integer or float array counts as a change on
+every row), and a run is emitted as ``tail.join(keys) + tail``.  The floats
+of a numeric column slice are formatted in one ``%`` call, as ``_format_cell``
+would format each (``%.10g``, empty when non-finite); other columns go
+through ``_format_cell`` cell by cell.  ``write_csvs`` writes several tables
+in one walk over the blocks, and a key column that several hold (the type
+grid of ``solve``'s two files) is rendered once per block.
 """
 
 from __future__ import annotations
@@ -112,7 +107,7 @@ def _format_cell(value) -> str:
         v = float(value)
         return "%.10g" % v if math.isfinite(v) else ""
     if isinstance(value, str):
-        if any(ch in value for ch in ",\"\n"):
+        if any(ch in value for ch in ",\"\r\n"):
             return '"' + value.replace('"', '""') + '"'
         return value
     raise TypeError(f"cannot render {type(value).__name__} in CSV")
@@ -123,28 +118,39 @@ def _format_cell(value) -> str:
 _BLOCK_ROWS = 4096
 
 
-def _render(col) -> list[str]:
-    """Cells of one block of one CSV column, each distinct run formatted once."""
-    if not (isinstance(col, np.ndarray) and col.ndim == 1
-            and col.dtype.kind in "biuf" and col.itemsize in (1, 2, 4, 8)):
+def _numeric(col) -> bool:
+    return (isinstance(col, np.ndarray) and col.ndim == 1
+            and col.dtype.kind in "biuf" and col.itemsize in (1, 2, 4, 8))
+
+
+def _cells(col) -> list[str]:
+    """The CSV cells of a column slice; the floats of a numeric array in one format call."""
+    if not _numeric(col):
         return [_format_cell(v) for v in col]
-    bits = col.view(f"u{col.itemsize}")
-    change = bits[1:] != bits[:-1]
-    heads = np.concatenate(([0], np.flatnonzero(change) + 1))
-    values = col[heads]
-    kind = col.dtype.kind
-    if kind == "b":
-        cells = ["true" if v else "false" for v in values.tolist()]
-    elif kind in "iu":
-        cells = [str(v) for v in values.tolist()]
-    else:
-        cells = ["%.10g" % v for v in values.tolist()]
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            cells[i] = ""
-    if heads.size == col.size:
-        return cells
-    runs = np.concatenate(([0], np.cumsum(change)))
-    return np.array(cells, dtype=object)[runs].tolist()
+    values = col.tolist()
+    if col.dtype.kind == "b":
+        return ["true" if v else "false" for v in values]
+    if col.dtype.kind in "iu":
+        return list(map(str, values))
+    cells = (("%.10g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def _run_heads(rest: Sequence[Sequence], n: int) -> np.ndarray:
+    """Rows of an ``n``-row block whose ``rest`` columns are not all bit-equal to the row above.
+
+    Row 0 always heads a run.  Columns compare through an unsigned-integer view,
+    so ``-0.0`` and ``0.0`` differ; a column that is not numeric differs on every row.
+    """
+    if not all(map(_numeric, rest)):
+        return np.arange(n)
+    change = np.zeros(n - 1, dtype=bool)
+    for col in rest:
+        bits = col.view(f"u{col.itemsize}")
+        change |= bits[1:] != bits[:-1]
+    return np.concatenate(([0], np.flatnonzero(change) + 1))
 
 
 def _row_count(header: Sequence[str], columns: Sequence[Sequence]) -> int:
@@ -157,25 +163,30 @@ def _row_count(header: Sequence[str], columns: Sequence[Sequence]) -> int:
 
 
 def write_csvs(tables: Sequence[tuple[str, Sequence[str], Sequence[Sequence]]]) -> None:
-    """Write ``(path, header, columns)`` tables; a column shared by several renders once per block.
+    """Write ``(path, header, columns)`` tables; a first column shared by several renders once per block.
 
     Every table is checked before any file is written.
     """
     counts = [_row_count(header, columns) for _, header, columns in tables]
-    lines = [[",".join(header)] for _, header, _ in tables]
+    texts = [[",".join(map(_format_cell, header)) + "\n"] for _, header, _ in tables]
     for start in range(0, max(counts, default=0), _BLOCK_ROWS):
-        rendered: dict[int, list[str]] = {}  # id(column) -> its cells in this block
-        for (_, _, columns), n, table_lines in zip(tables, counts, lines):
+        keys: dict[int, list[str]] = {}  # id(first column) -> its cells in this block
+        for (_, _, columns), n, text in zip(tables, counts, texts):
             if start >= n:
                 continue
-            cells = []
-            for col in columns:
-                if id(col) not in rendered:
-                    rendered[id(col)] = _render(col[start : start + _BLOCK_ROWS])
-                cells.append(rendered[id(col)])
-            table_lines.append("\n".join(map(",".join, zip(*cells))))
-    for (path, _, _), table_lines in zip(tables, lines):
-        atomic_write_text(path, "\n".join(table_lines) + "\n")
+            key, *rest = columns
+            if id(key) not in keys:
+                keys[id(key)] = _cells(key[start : start + _BLOCK_ROWS])
+            cells = keys[id(key)]
+            rest = [col[start : start + _BLOCK_ROWS] for col in rest]
+            heads = _run_heads(rest, len(cells))
+            if len(heads) < len(cells):
+                rest = [col[heads] for col in rest]
+            tails = [",".join(row) + "\n" for row in zip([""] * len(heads), *map(_cells, rest))]
+            bounds = heads.tolist() + [len(cells)]
+            text.append("".join([tail.join(cells[a:b]) + tail for tail, a, b in zip(tails, bounds, bounds[1:])]))
+    for (path, _, _), text in zip(tables, texts):
+        atomic_write_text(path, "".join(text))
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:

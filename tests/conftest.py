@@ -5,12 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from softbudget import (
     PolicyPrimitives, QuadraticCost, Tabulated, TypeDistribution, Weibull, load_config, parse_config, virtual_weight,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# every property test draws the same examples on every run, and none is stored
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 # benchmark family used throughout: Weibull(2,1) types, quadratic cost
 # C(x) = 0.2 x + 0.5 x^2, weights (omega_T, omega_b, gamma) = (1, 0.8, 1),

@@ -1,14 +1,22 @@
+import csv
+import os
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softbudget import reporting
+from softbudget import cli, reporting
 from softbudget.reporting import _BLOCK_ROWS, _format_cell, write_csv, write_csvs
+from conftest import ROOT
 
 
 def reference_csv(header, columns):
     """The cell-by-cell rendering: one ``_format_cell`` call per cell, row by row."""
     n = len(columns[0]) if len(columns) else 0
-    lines = [",".join(header)]
+    lines = [",".join(map(_format_cell, header))]
     for i in range(n):
         lines.append(",".join(_format_cell(col[i]) for col in columns))
     return "\n".join(lines) + "\n"
@@ -133,19 +141,37 @@ def test_write_csv_all_equal_column(tmp_path, column):
     assert lines(written(tmp_path, ["c"], [column])) == lines(reference_csv(["c"], [column]))
 
 
-def test_write_csvs_renders_a_shared_column_once_per_block(tmp_path, monkeypatch):
-    n = 2 * _BLOCK_ROWS + 1  # three blocks
+def run_count(rest, start, stop):
+    """Runs of rows in ``[start, stop)`` whose ``rest`` cells all equal the row above's; the first row starts one."""
+    change = np.zeros(stop - start - 1, dtype=bool)
+    for col in rest:
+        change |= col[start + 1 : stop] != col[start : stop - 1]
+    return 1 + int(change.sum())
+
+
+def test_write_csvs_formats_a_shared_key_once_per_block_and_each_tail_once_per_run(tmp_path, monkeypatch):
+    n = 2 * _BLOCK_ROWS + 1  # three blocks, the last of one row
     theta = np.linspace(0.0, 1.0, n)
-    cap = np.minimum(theta, 0.5)
-    flag = theta > 0.5
-    t = np.maximum(0.5 - theta, 0.0)
-    calls = []
-    render = reporting._render
-    monkeypatch.setattr(reporting, "_render", lambda col: calls.append(len(col)) or render(col))
+    cap = np.clip(theta, 0.25, 0.35)
+    flag = theta > 0.35
+    t = np.maximum(0.35 - theta, 0.0)
+    formatted = Counter()  # "theta" or "tail" -> values formatted
+    cells = reporting._cells
+
+    def counting(col):
+        formatted["theta" if np.shares_memory(col, theta) else "tail"] += len(col)
+        return cells(col)
+
+    monkeypatch.setattr(reporting, "_cells", counting)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csvs([(str(a), ["theta", "cap", "flag"], [theta, cap, flag]),
                 (str(b), ["theta", "t", "flag"], [theta, t, flag])])
-    assert len(calls) == 3 * 4  # three blocks of the four distinct columns, not of all six
+    blocks = [(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
+    runs_a = sum(run_count([cap, flag], *block) for block in blocks)
+    runs_b = sum(run_count([t, flag], *block) for block in blocks)
+    assert runs_a + runs_b < n // 2  # the plateaus make long runs
+    # theta once per block, not once per table; each table's two tail columns once per run
+    assert formatted == Counter({"theta": n, "tail": 2 * runs_a + 2 * runs_b})
     assert lines(a.read_text()) == lines(reference_csv(["theta", "cap", "flag"], [theta, cap, flag]))
     assert lines(b.read_text()) == lines(reference_csv(["theta", "t", "flag"], [theta, t, flag]))
 
@@ -171,3 +197,95 @@ def test_write_csvs_checks_every_table_before_writing(tmp_path):
     with pytest.raises(ValueError, match="columns must share a length"):
         write_csvs([good, (str(tmp_path / "bad.csv"), ["a", "b"], [np.zeros(2), np.zeros(3)])])
     assert not any(tmp_path.iterdir())
+
+
+def read_back(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def test_write_csv_quotes_header_names(tmp_path):
+    path = tmp_path / "h.csv"
+    write_csv(str(path), ["a,b", "c", 'say "x"'], [np.array([1.0]), np.array([2.0]), ["z"]])
+    assert path.read_text() == '"a,b",c,"say ""x"""\n1,2,z\n'
+    assert read_back(path) == [["a,b", "c", 'say "x"'], ["1", "2", "z"]]
+
+
+def test_write_csv_quotes_a_carriage_return(tmp_path):
+    path = tmp_path / "cr.csv"
+    write_csv(str(path), ["s", "x"], [["x\ry", "plain"], np.array([0.5, 0.5])])
+    assert path.read_bytes() == b's,x\n"x\ry",0.5\nplain,0.5\n'
+    assert read_back(path) == [["s", "x"], ["x\ry", "0.5"], ["plain", "0.5"]]
+
+
+def nan_with_bits(bits, dtype):
+    return np.array([bits], dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)[0]
+
+
+# values a column cell can take: signed zeros, subnormals, NaN payloads and infinities
+# beside arbitrary floats, so that runs of bit-equal cells and their edges are tested
+SPECIAL_F64 = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan,
+               float(nan_with_bits(0x7FF8000000000001, np.float64)), float(nan_with_bits(0xFFF8000000000000, np.float64))]
+SPECIAL_F32 = [0.0, -0.0, 1e-45, -1e-45, np.inf, np.nan, nan_with_bits(0x7FC00001, np.float32)]
+
+
+@st.composite
+def csv_column(draw, n):
+    """A column of ``n`` cells in runs of repeated values, as a numpy array of one of several dtypes or a list."""
+    kind = draw(st.sampled_from(["f8", ">f8", "f4", "bool", "i8", "u1", "str", "list", "object"]))
+    value = {
+        "f8": st.one_of(st.sampled_from(SPECIAL_F64), st.floats()),
+        ">f8": st.one_of(st.sampled_from(SPECIAL_F64), st.floats()),
+        "f4": st.one_of(st.sampled_from(SPECIAL_F32), st.floats(width=32)),
+        "bool": st.booleans(),
+        "i8": st.integers(-(2**63), 2**63 - 1),
+        "u1": st.integers(0, 255),
+        "str": st.text(alphabet='ab,"\r\n %', max_size=4),
+        "list": st.one_of(st.none(), st.sampled_from(SPECIAL_F64), st.floats(), st.booleans(), st.integers()),
+        "object": st.one_of(st.none(), st.floats(), st.text(alphabet="a,", max_size=2)),
+    }[kind]
+    cells = []
+    while len(cells) < n:
+        cells += [draw(value)] * draw(st.integers(1, 7))
+    cells = cells[:n]
+    if kind in ("str", "list"):
+        return cells
+    dtypes = {"f8": np.float64, ">f8": ">f8", "f4": np.float32, "bool": bool, "i8": np.int64, "u1": np.uint8}
+    return np.array(cells, dtype=dtypes.get(kind, object))
+
+
+@st.composite
+def csv_tables(draw):
+    """One to four tables over a shared pool of columns, in up to three row counts (zero included)."""
+    lengths = draw(st.lists(st.integers(0, 23), min_size=1, max_size=3))
+    pools = [draw(st.lists(csv_column(n), min_size=1, max_size=4)) for n in lengths]
+    tables = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.sampled_from(pools))
+        columns = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))]
+        tables.append(([f"c{i}" for i in range(len(columns))], columns))
+    return tables
+
+
+@given(csv_tables())
+@settings(max_examples=300, deadline=None)
+def test_write_csvs_matches_cell_by_cell_rendering_across_block_edges(tmp_path_factory, tables):
+    directory = tmp_path_factory.mktemp("csvs")
+    paths = [directory / f"{i}.csv" for i in range(len(tables))]
+    with mock.patch.object(reporting, "_BLOCK_ROWS", 5):  # runs cross many block edges
+        write_csvs([(str(path), header, columns) for path, (header, columns) in zip(paths, tables)])
+    for path, (header, columns) in zip(paths, tables):
+        assert path.read_bytes().decode("utf-8") == reference_csv(header, columns)
+
+
+@pytest.mark.parametrize("config", ["commitment_benchmark.json", "pooled_benchmark.json"])
+def test_solve_csvs_at_benchmark_scale_match_cell_by_cell_rendering(tmp_path, monkeypatch, config):
+    tables = []
+    monkeypatch.setattr(cli, "write_csvs", lambda given: tables.extend(given) or write_csvs(given))
+    argv = ["solve", "--config", str(ROOT / "configs" / config), "--grid", "65537", "--out", str(tmp_path), "--quiet"]
+    assert cli.main(argv) == 0
+    assert sorted(os.path.basename(path) for path, _, _ in tables) == ["cap_schedule.csv", "transfers.csv"]
+    for path, header, columns in tables:
+        assert len(columns[0]) == 65537
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert lines(handle.read()) == lines(reference_csv(header, columns))
