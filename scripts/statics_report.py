@@ -34,7 +34,6 @@ from softbudget.statics import statics_failures
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--step", type=float, default=1e-5, help="relative finite-difference step")
     parser.add_argument("--alpha", type=float, default=0.2, help="marginal rescue cost at zero")
     parser.add_argument("--kappa", type=float, default=1.0, help="rescue cost curvature")
     parser.add_argument("--omega-b", type=float, default=0.8, help="bailout welfare weight")
@@ -65,7 +64,7 @@ def main(argv=None) -> int:
     )
 
     commitment = virtual_weight(dist, prim, prim.omega_T)
-    report = fd_certify(commitment, cost, step=args.step)
+    report = fd_certify(commitment, cost)
     print_rows(report, "commitment partials at the solved benchmark point")
     print(
         f"theta_min={report.theta_min:.6f}  b_max={report.b_max:.6f}  "
@@ -74,7 +73,7 @@ def main(argv=None) -> int:
 
     sens = None
     if not (args.skip_discretion or math.isnan(report.theta_min)):
-        sens = m_sensitivity(commitment, cost, step=args.step)
+        sens = m_sensitivity(commitment, cost)
         print()
         print_rows(sens, "sensitivity to the signal slope m through the fixed point")
         gap = "none" if sens.chain_gap is None else f"{sens.chain_gap:.2e}"

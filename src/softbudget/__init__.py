@@ -31,7 +31,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     SoftBudgetError,
-    UnsupportedRuleError,
     UpperSupportError,
 )
 from .mechanism import (
@@ -70,5 +69,5 @@ __all__ = [
     "parse_config", "load_config",
     # errors
     "SoftBudgetError", "ParameterError", "DomainError", "UpperSupportError",
-    "UnsupportedRuleError", "IllPosedError", "NumericalError", "ConfigError",
+    "IllPosedError", "NumericalError", "ConfigError",
 ]

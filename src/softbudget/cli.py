@@ -137,38 +137,28 @@ def _discretion_fragment(sol: Optional[DiscretionSolution]):
 class _Artifacts:
     """The files one command writes into the output directory.
 
-    ``output.formats`` decides which artifacts are written; each written one
-    is recorded in ``files`` under its key (``key.csv`` or ``key.json``),
-    and ``summary`` writes ``summary.json`` with that map last.
+    Each artifact is recorded in ``files`` under its key (``key.csv`` or
+    ``key.json``), and ``summary`` writes ``summary.json`` with that map last.
     """
 
     def __init__(self, output: OutputSettings):
         self.directory = output.directory
-        self.formats = output.formats
         self.files = {"summary": "summary.json"}
 
-    def _path(self, key: str, fmt: str) -> Optional[str]:
-        """Where ``key`` is written as ``fmt``, now recorded; None when the format is off."""
-        if fmt not in self.formats:
-            return None
+    def _path(self, key: str, fmt: str) -> str:
+        """Where ``key`` is written as ``fmt``, now recorded."""
         self.files[key] = f"{key}.{fmt}"
         return os.path.join(self.directory, self.files[key])
 
     def json(self, key: str, obj) -> None:
-        path = self._path(key, "json")
-        if path is not None:
-            write_json(path, obj)
+        write_json(self._path(key, "json"), obj)
 
     def csv(self, key: str, header, columns) -> None:
-        path = self._path(key, "csv")
-        if path is not None:
-            write_csv(path, header, columns)
+        write_csv(self._path(key, "csv"), header, columns)
 
     def csvs(self, *tables) -> None:
         """Write ``(key, header, columns)`` tables in one call, so a first column they share renders once."""
-        tables = [(self._path(key, "csv"), header, columns) for key, header, columns in tables]
-        if tables[0][0] is not None:
-            write_csvs(tables)
+        write_csvs([(self._path(key, "csv"), header, columns) for key, header, columns in tables])
 
     def summary(self, command: str, fields: dict) -> dict:
         summary = {"command": command, **fields, "files": self.files}

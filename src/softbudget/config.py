@@ -9,7 +9,7 @@ A run is described by one JSON document with up to seven blocks::
       "discretion":   {"enabled": false, "m": 0.0, "chi": 1.0},
       "simulation":   {"n": 200000, "seed": 12345, "bins": 30},
       "grid":         {"size": 4097, "truncation_quantile": 0.9999999999},
-      "output":       {"directory": "out", "formats": ["csv", "json"]}
+      "output":       {"directory": "out"}
     }
 
 ``distribution``, ``cost``, and ``weights`` are required.  A field left
@@ -65,7 +65,6 @@ __all__ = ["SimulationSettings", "GridSettings", "OutputSettings", "RunConfig", 
 MAX_GRID_SIZE = 2**24 + 1
 MAX_SAMPLES = 100_000_000
 MAX_BINS = 100_000
-_FORMATS = ("csv", "json")
 
 # kind -> (constructor, (field, type), ...); a dict field is a nested block of
 # the same table, a list field a list of finite numbers
@@ -99,7 +98,6 @@ class GridSettings:
 @dataclass(frozen=True)
 class OutputSettings:
     directory: str = "out"
-    formats: tuple = _FORMATS
 
 
 @dataclass(frozen=True)
@@ -325,15 +323,7 @@ def parse_config(document: dict) -> RunConfig:
     )
     if "truncation_quantile" in grid:
         grid["tail_mass"] = 1.0 - grid.pop("truncation_quantile")
-    output = _fields(document, "output", problems,
-                     ("directory", str, lambda v: len(v) > 0, "must be nonempty"), ("formats", list))
-    if "formats" in output:
-        formats = output["formats"]
-        problems += [f"output.formats: element {i} must be 'csv' or 'json'"
-                     for i, fmt in enumerate(formats) if fmt not in _FORMATS]
-        if not formats:
-            problems.append("output.formats: must not be empty")
-        output["formats"] = tuple(dict.fromkeys(fmt for fmt in formats if fmt in _FORMATS))
+    output = _fields(document, "output", problems, ("directory", str, lambda v: len(v) > 0, "must be nonempty"))
 
     if not problems:
         try:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .costs import QuadraticCost, RescueCost
 from .distributions import TypeDistribution
-from .errors import ParameterError, UnsupportedRuleError
+from .errors import ParameterError
 from .mechanism import CapSchedule, VirtualWeightCurve, _cutoffs, solve_cap
 from .primitives import PolicyPrimitives
 
@@ -63,68 +63,41 @@ __all__ = [
     "fixed_point",
 ]
 
-THRESHOLD = "threshold"
-THRESHOLD_LINEAR_CAP = "threshold-linear-cap"
-
 DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SignalRule:
-    """Payout rule over audited gap signals.
+    """The discretionary payout rule over audited gap signals (threshold-linear-cap).
 
-    ``threshold`` shape pays a flat ``level`` above the threshold signal and
-    nothing below (slope zero almost everywhere).  ``threshold-linear-cap``
-    is the discretionary shape: zero below the threshold, slope ``slope`` on
-    the interior branch, flat at ``cap``.
+    Zero below the ``threshold`` signal, slope ``slope`` on the interior
+    branch, flat at ``cap``.
     """
 
-    shape: str
     threshold: float
     cap: float
-    slope: float = 0.0
-    level: float = 0.0
+    slope: float
 
     def __post_init__(self):
-        if self.shape not in (THRESHOLD, THRESHOLD_LINEAR_CAP):
-            raise ParameterError(f"unknown signal-rule shape '{self.shape}'")
-        for name in ("threshold", "cap", "slope", "level"):
+        for name in ("threshold", "cap", "slope"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"signal rule field {name} must be finite")
         if self.cap <= 0.0:
             raise ParameterError("signal rule cap must be positive")
-        if self.shape == THRESHOLD:
-            if self.slope != 0.0:
-                raise ParameterError("threshold rules have slope 0")
-            if not (0.0 <= self.level <= self.cap):
-                raise ParameterError("threshold rule level must lie in [0, cap]")
-        else:
-            if not (0.0 <= self.slope < 1.0):
-                raise ParameterError("interior slope must lie in [0, 1)")
-            if self.level != 0.0:
-                raise ParameterError("threshold-linear-cap rules do not take a level")
+        if not (0.0 <= self.slope < 1.0):
+            raise ParameterError("interior slope must lie in [0, 1)")
 
     @classmethod
     def discretionary(cls, prim: PolicyPrimitives, cost: RescueCost) -> "SignalRule":
         """Ex-post optimal rule for the quadratic cost technology."""
         if not isinstance(cost, QuadraticCost):
-            raise UnsupportedRuleError("discretionary rule is derived for quadratic costs only")
-        slope = prim.chi / (cost.kappa + prim.chi)
-        return cls(
-            shape=THRESHOLD_LINEAR_CAP,
-            threshold=cost.alpha / prim.chi,
-            cap=prim.b_bar,
-            slope=slope,
-        )
+            raise ParameterError("the discretionary rule is derived for quadratic costs only")
+        return cls(threshold=cost.alpha / prim.chi, cap=prim.b_bar, slope=prim.chi / (cost.kappa + prim.chi))
 
     def payout(self, g_hat):
         """Rule payout at signal value(s); nondecreasing in the signal."""
-        arr = np.asarray(g_hat, dtype=float)
-        if self.shape == THRESHOLD:
-            out = np.where(arr >= self.threshold, self.level, 0.0)
-        else:
-            out = np.clip(self.slope * (arr - self.threshold), 0.0, self.cap)
-        return float(out) if arr.ndim == 0 else out
+        out = np.clip(self.slope * (np.asarray(g_hat, dtype=float) - self.threshold), 0.0, self.cap)
+        return float(out) if out.ndim == 0 else out
 
 
 class Jump(NamedTuple):

@@ -7,7 +7,7 @@ this module.  It keeps that stage as a checked model of its own.
 
     R_e(e, theta) * (1 + phi_d * Lambda(e)) = phi_e,
 
-for threshold-shaped rules (slope zero almost everywhere), where
+for a :class:`ThresholdRule` (slope zero almost everywhere), where
 Lambda(e) = E[f_eta(G_hat - beta(G_hat))] is the expected noise density at
 the post-rescue residual gap.  With Gaussian audit noise the expectation has
 an exact Gaussian-product form per rule branch, which this module uses
@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .discretion import THRESHOLD, SignalRule
-from .errors import NumericalError, ParameterError, UnsupportedRuleError
+from .errors import NumericalError, ParameterError
 
-__all__ = ["EffortParameters", "RevenueModel", "EffortSolution", "gap_density_at_rule", "solve_effort"]
+__all__ = ["EffortParameters", "ThresholdRule", "RevenueModel", "EffortSolution", "gap_density_at_rule",
+           "solve_effort"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,24 @@ class EffortParameters:
                 raise ParameterError(f"{name} must be positive and finite")
         if not (self.phi_d >= 0.0 and math.isfinite(self.phi_d)):
             raise ParameterError("phi_d must be nonnegative and finite")
+
+
+@dataclass(frozen=True)
+class ThresholdRule:
+    """A threshold rescue rule over audited gap signals: a flat ``level`` at or above ``threshold``, nothing below."""
+
+    threshold: float
+    cap: float
+    level: float
+
+    def __post_init__(self):
+        for name in ("threshold", "cap", "level"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"threshold rule field {name} must be finite")
+        if self.cap <= 0.0:
+            raise ParameterError("threshold rule cap must be positive")
+        if not (0.0 <= self.level <= self.cap):
+            raise ParameterError("threshold rule level must lie in [0, cap]")
 
 
 @dataclass(frozen=True)
@@ -105,7 +123,7 @@ def _norm_pdf(x: float, sd: float) -> float:
     return math.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
 
 
-def gap_density_at_rule(gap: float, rule: SignalRule, noise_scale: float) -> float:
+def gap_density_at_rule(gap: float, rule: ThresholdRule, noise_scale: float) -> float:
     """E_eta[ f_eta(G_hat - rule(G_hat)) ] for Gaussian audit noise.
 
     The observed signal is G_hat = gap + eta with eta ~ N(0, noise_scale^2).
@@ -115,12 +133,9 @@ def gap_density_at_rule(gap: float, rule: SignalRule, noise_scale: float) -> flo
         integral = pdf(gap - level; sqrt(2)*scale) * Gaussian mass of the
                    branch around (gap + level)/2,
 
-    which this function assembles exactly.  Only threshold-shaped rules are
-    supported: the expectation is continuous in the gap here, which the
-    effort solver's tolerance contract requires.
+    which this function assembles exactly.  The expectation is continuous in
+    the gap, which the effort solver's tolerance contract requires.
     """
-    if rule.shape != THRESHOLD:
-        raise UnsupportedRuleError("gap-density expectation implemented for threshold rules only")
     if not (noise_scale > 0.0 and math.isfinite(noise_scale)):
         raise ParameterError("noise scale must be positive and finite")
     s = noise_scale
@@ -142,7 +157,7 @@ _EFFORT_DAMPING = 0.5  # weight of the fixed-point map in each effort update
 def solve_effort(
     theta: float,
     params: EffortParameters,
-    rule: SignalRule,
+    rule: ThresholdRule,
     revenue: RevenueModel = RevenueModel(),
     tol: float = 1e-8,
     max_iter: int = 200,
@@ -160,10 +175,6 @@ def solve_effort(
     """
     if not (theta >= 0.0 and math.isfinite(theta)):
         raise ParameterError("theta must be nonnegative and finite")
-    if rule.shape != THRESHOLD:
-        raise UnsupportedRuleError(
-            "effort condition implemented for threshold rules; discretionary shapes are not supported"
-        )
     if report_cap is not None and report_cap < 0.0:
         raise ParameterError("report_cap must be nonnegative")
     rho = revenue.rho(theta)
@@ -184,13 +195,8 @@ def solve_effort(
         )
     lam_peak = 1.0 / (scale * math.sqrt(2.0 * math.pi))
     e_hi = rho * (1.0 + phi_d * lam_peak) / phi_e - 1.0
+    # Lambda(e) is an expectation of the noise density, so Lambda <= lam_peak and foc(e) <= 0 for e >= e_hi
     e_hi = max(e_hi, 1e-6)
-    g_hi, _ = foc(e_hi)
-    widen = 0
-    while g_hi > 0.0 and widen < 60:  # paranoid: the peak bound already caps the root
-        e_hi *= 2.0
-        g_hi, _ = foc(e_hi)
-        widen += 1
     bracket = (0.0, e_hi)
     lo, hi = 0.0, e_hi
 

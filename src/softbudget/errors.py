@@ -28,10 +28,6 @@ class UpperSupportError(DomainError):
     """
 
 
-class UnsupportedRuleError(SoftBudgetError, NotImplementedError):
-    """The requested operation is not defined for this rule or cost shape."""
-
-
 class IllPosedError(SoftBudgetError, ArithmeticError):
     """A comparative-statics quantity is ill-posed at the solved point.
 

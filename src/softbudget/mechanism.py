@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -507,17 +507,26 @@ def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, str
         return float(theta[0])
     if strict and values[i - 1] == target:  # the interpolant leaves the target at that node
         return float(theta[i - 1])
-    lo, hi = float(theta[i - 1]), float(theta[i])
-    x0, x1 = lo, hi
+    x0, x1 = float(theta[i - 1]), float(theta[i])
     v0, v1 = float(values[i - 1]), float(values[i])
     span = x1 - x0
-    for _ in range(200):
-        if hi - lo <= _CUTOFF_TOL * max(1.0, abs(hi)):
-            break
+
+    def ok(x: float) -> bool:
+        val = v0 + (v1 - v0) * (x - x0) / span
+        return val > target if strict else val >= target
+
+    return _bisect(ok, x0, x1, _CUTOFF_TOL)
+
+
+def _bisect(ok: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Bisect [lo, hi] on a predicate that fails at ``lo`` and holds at ``hi``: the ``hi`` end at width ``tol``.
+
+    The width is relative to max(1, |hi|), and ``tol`` must exceed 2**-52,
+    so the bracket reaches it before its ends are adjacent floats.
+    """
+    while hi - lo > tol * max(1.0, abs(hi)):
         mid = 0.5 * (lo + hi)
-        val = v0 + (v1 - v0) * (mid - x0) / span
-        ok = val > target if strict else val >= target
-        if ok:
+        if ok(mid):
             hi = mid
         else:
             lo = mid
@@ -592,28 +601,18 @@ def transfer_schedule(cap: CapSchedule) -> TransferSchedule:
     """Integrate dT = -(omega_b/omega_T) db along the cap schedule.
 
     The integral is accumulated through the exact cap increments (the
-    trapezoid rule in the db measure), anchored at zero where the cap first
-    turns positive, then projected onto T >= 0.  The weights are the
-    primitives of the curve the schedule was solved on.
+    trapezoid rule in the db measure) from zero at the first node, then
+    projected onto T >= 0.  The weights are the primitives of the curve the
+    schedule was solved on.
     """
     theta, prim = cap.curve.theta, cap.curve.prim
     b = cap.b_star
     mid = 0.5 * (theta[:-1] + theta[1:])
     ratio = np.asarray(prim.omega_b_at(mid), dtype=float) / prim.omega_T
     increments = -ratio * np.diff(b)
-    t_pre = np.concatenate([[0.0], np.cumsum(increments)])
-    # anchor T = 0 at the lower cutoff; below it the cap is flat at zero
-    # so the anchored curve is zero there as well.  Anchoring at the last
-    # zero-cap node keeps the low-type plateau exactly zero instead of
-    # leaving an O(grid-spacing) offset from interpolating inside the
-    # cell that straddles the cutoff.
-    if cap.theta_min is not None and theta[0] < cap.theta_min:
-        at_zero = np.flatnonzero((b <= 0.0) & (theta <= cap.theta_min))
-        if at_zero.size:
-            anchor = float(t_pre[int(at_zero[-1])])
-        else:
-            anchor = float(np.interp(cap.theta_min, theta, t_pre))
-        t_pre = t_pre - anchor
+    # below the lower cutoff every cap is zero, so the sum is +-0 there and T = 0 is already anchored
+    # where the cap first turns positive; adding 0.0 turns each -0.0 of that plateau into 0.0
+    t_pre = np.concatenate([[0.0], np.cumsum(increments)]) + 0.0
     t_star = np.maximum(t_pre, 0.0)
     ll_binding = t_pre < 0.0
     unpinned = b <= 0.0

@@ -33,7 +33,7 @@ b_bar, so b_max is NaN and its partials are not applicable.
 parameters and reports relative errors plus a sign table; perturbed solves
 that cross a regime boundary (for the cap rows: a cap of 0 or b_bar on
 either node around theta_ref, where the schedule kinks), or a perturbation
-that leaves its parameter's domain (alpha - step < 0 at alpha = 0), are
+that leaves its parameter's domain (alpha - h < 0 at alpha = 0), are
 flagged instead of differenced.  A report that certifies no row fails.
 ``m_sensitivity`` differentiates through the discretionary fixed point in
 the rule-sensitivity parameter m, with analytic chain-rule values for
@@ -57,17 +57,17 @@ import numpy as np
 from .costs import QuadraticCost, RescueCost
 from .discretion import DiscretionSolution, fixed_point, fixed_point_failure
 from .errors import IllPosedError, NumericalError, ParameterError
-from .mechanism import CapSchedule, VirtualWeightCurve, solve_cap
+from .mechanism import CapSchedule, VirtualWeightCurve, _bisect, solve_cap
 from .primitives import PolicyPrimitives
 
 __all__ = [
     "StaticsRow", "StaticsReport", "analytic_partials", "fd_certify", "m_sensitivity", "statics_failures",
-    "FD_STEP_DEFAULT", "FIXED_POINT_TOL", "STATICS_REL_TOL", "CHAIN_GAP_TOL",
+    "FD_STEP", "FIXED_POINT_TOL", "STATICS_REL_TOL", "CHAIN_GAP_TOL",
 ]
 
 _SLOPE_TOL = 1e-12
 
-FD_STEP_DEFAULT = 1e-5  # relative step for central differences
+FD_STEP = 1e-5  # relative step for central differences, read at each call
 FIXED_POINT_TOL = 1e-13  # |g| to which m_sensitivity solves the fixed points it differences
 
 STATICS_REL_TOL = 1e-4  # worst unflagged relative error a certification accepts
@@ -162,21 +162,12 @@ def _pooled_stretch(curve: VirtualWeightCurve, theta: float) -> Optional[tuple[f
 
 def _hazard_reference(curve: VirtualWeightCurve) -> Optional[float]:
     """Type where the hazard crosses one on the curve's grid: the anchor for b_max."""
-    dist, grid = curve.dist, curve.theta
     above = curve.hazard >= 1.0
     if bool(above[0]) or not bool(np.any(above)):
         return None
     i = int(np.argmax(above))
-    lo, hi = float(grid[i - 1]), float(grid[i])
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if float(dist.hazard(mid)) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(lambda x: float(curve.dist.hazard(x)) >= 1.0, float(curve.theta[i - 1]), float(curve.theta[i]),
+                   1e-15)
 
 
 def analytic_partials(curve: VirtualWeightCurve, cost: RescueCost) -> dict:
@@ -286,11 +277,11 @@ def _cap_ref_of(sched: CapSchedule, theta_ref: float) -> Optional[float]:
     return float(sched.cap_at(theta_ref)) if np.all((caps > 0.0) & (caps < sched.curve.prim.b_bar)) else None
 
 
-def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STEP_DEFAULT) -> StaticsReport:
+def fd_certify(curve: VirtualWeightCurve, cost: RescueCost) -> StaticsReport:
     """Certify the analytic partials with central differences of the solver.
 
-    The base point is the schedule solved on ``curve``.  ``step`` is
-    relative to each parameter's magnitude.  Cutoff partials difference
+    The base point is the schedule solved on ``curve``.  The step is
+    ``FD_STEP`` relative to each parameter's magnitude.  Cutoff partials difference
     ``theta_min``; cap partials difference the solved schedule evaluated at
     the hazard-one reference type.  Each distinct virtual weight curve is
     built once, from the base curve's hazard and pooled blocks
@@ -300,8 +291,6 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
     """
     prim, lam = curve.prim, curve.lambda_T
     qcost = _require_quadratic_scalar(prim, cost)
-    if not (0.0 < step < 1e-1):
-        raise ParameterError("fd step must lie in (0, 0.1)")
     # keyed by the (omega_b, gamma, lambda) perturbation; the cost does not enter the curve
     curves = {(0.0, 0.0, 0.0): curve}
     base = solve_cap(curve, cost)
@@ -331,18 +320,18 @@ def fd_certify(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STE
         ("d_b_max_d_lambda_T", "d_lambda", lam, cap_ref_of),
         ("d_b_max_d_gamma", "d_gamma", prim.gamma, cap_ref_of),
     ]
-    rows = tuple(_central(name, analytic[name], step * abs(magnitude) or step,
+    rows = tuple(_central(name, analytic[name], FD_STEP * abs(magnitude) or FD_STEP,
                           None if extract is None else (lambda d, kw=kw, ex=extract: ex(solve_variant(**{kw: d}))))
                  for name, kw, magnitude, extract in specs)
     return StaticsReport(rows=rows, theta_min=analytic["theta_min"], b_max=analytic["b_max"],
                          theta_ref=math.nan if theta_ref is None else theta_ref, lambda_T=lam)
 
 
-def m_sensitivity(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_STEP_DEFAULT) -> StaticsReport:
+def m_sensitivity(curve: VirtualWeightCurve, cost: RescueCost) -> StaticsReport:
     """Sensitivity of the discretionary solution to the rule slope m.
 
-    Differentiates the converged fixed point in m by central differences
-    (each fixed point is solved to ``FIXED_POINT_TOL`` so the difference
+    Differentiates the converged fixed point in m by central differences of
+    relative step ``FD_STEP`` (each fixed point is solved to ``FIXED_POINT_TOL`` so the difference
     quotient is not dominated by fixed-point noise).  Analytic columns come
     from the implicit-function chain
 
@@ -358,7 +347,8 @@ def m_sensitivity(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_
     The rows follow ``fd_certify``'s rules.  A fixed point at m +- h with a
     jump of P_int or no interior lower cutoff lies across a regime boundary
     (lambda(m) kinks there) and flags all three rows; no fixed point at m
-    itself raises NumericalError, naming the jump.
+    itself raises NumericalError, naming the jump.  At m = 0 the rule has no
+    slope to perturb within its domain, and the three rows are not applicable.
 
     ``curve`` is the commitment curve (lambda_T = omega_T).  The three fixed
     points start from curves derived from it that differ only in m, and
@@ -366,9 +356,7 @@ def m_sensitivity(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_
     """
     dist, prim = curve.dist, curve.prim
     qcost = _require_quadratic_scalar(prim, cost)
-    if prim.m <= 0.0:
-        raise ParameterError("m sensitivity needs m > 0")
-    h = step * prim.m
+    h = FD_STEP * prim.m
     solutions = {}
 
     def solved(dm: float) -> Optional[DiscretionSolution]:
@@ -385,7 +373,7 @@ def m_sensitivity(curve: VirtualWeightCurve, cost: RescueCost, step: float = FD_
         return lambda dm: None if solved(dm) is None else read(solved(dm))
 
     base = solved(0.0)
-    if base is None:
+    if base is None or h == 0.0:
         return _not_applicable(tuple(_SIGNS)[7:], solutions[0.0].lambda_T)
     theta_ref = _hazard_reference(curve)
     an = _partials_at(base.schedule, qcost, theta_ref)

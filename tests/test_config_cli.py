@@ -28,7 +28,8 @@ from softbudget.reporting import format_float
 from softbudget.statics import StaticsReport, StaticsRow, statics_failures
 from conftest import BENCH, as_floats, irregular_doc, read_csv_columns
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 BASE_DOC = {
     "distribution": {"kind": "weibull", "shape": 2.0, "scale": 1.0},
@@ -71,7 +72,6 @@ def test_parse_config_minimal_defaults():
     assert cfg.grid.size == 4097
     assert cfg.grid.tail_mass == pytest.approx(1e-10, rel=1e-3)
     assert cfg.output.directory == "out"
-    assert cfg.output.formats == ("csv", "json")
 
 
 def test_parse_config_full_blocks():
@@ -79,14 +79,14 @@ def test_parse_config_full_blocks():
         discretion={"enabled": True, "m": 0.5, "chi": 1.0},
         simulation={"n": 5000, "seed": 7, "bins": 12},
         grid={"size": 1025, "truncation_quantile": 0.99999},
-        output={"directory": "results", "formats": ["json"]},
+        output={"directory": "results"},
     )
     cfg = parse_config(doc)
     assert cfg.discretion is True
     assert cfg.prim.m == 0.5
     assert cfg.simulation.seed == 7 and cfg.simulation.bins == 12
     assert cfg.grid.size == 1025
-    assert cfg.output.formats == ("json",)
+    assert cfg.output.directory == "results"
 
 
 def test_parse_config_omega_b_table():
@@ -122,9 +122,7 @@ def test_parse_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError):
         parse_config(make_doc(simulation={"n": 10}))
     with pytest.raises(ConfigError):
-        parse_config(make_doc(output={"formats": []}))
-    with pytest.raises(ConfigError):
-        parse_config(make_doc(output={"formats": ["yaml"]}))
+        parse_config(make_doc(output={"directory": ""}))
     with pytest.raises(ConfigError):
         parse_config(make_doc(cost={"kind": "quadratic", "alpha": 0.2, "kappa": -1.0}))
     with pytest.raises(ConfigError):
@@ -147,7 +145,7 @@ def test_readme_config_example_parses():
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
     assert len(blocks) == 1
     cfg = parse_config(json.loads(blocks[0]))
-    assert cfg.discretion and cfg.output.formats == ("csv", "json")
+    assert cfg.discretion and cfg.output.directory == "out"
 
 
 def test_readme_names_every_kind_and_field():
@@ -182,6 +180,7 @@ REMOVED_FIELDS = [
     ("discretion", "damping"),
     ("discretion", "tol"),  # the fixed point ends at a root or a jump at the library's tol
     ("discretion", "max_iter"),
+    ("output", "formats"),  # every command writes all of its CSV and JSON artifacts
 ]
 
 
@@ -374,12 +373,28 @@ def test_cli_solve_success(tmp_path, capsys):
 
 
 def test_cli_solve_quiet_and_formats(tmp_path, capsys):
+    # --quiet prints nothing, and solve writes its CSV and JSON artifacts, each listed in the summary
     out = tmp_path / "run"
-    path = write_doc(tmp_path, make_doc(output={"directory": str(out), "formats": ["json"]}))
+    path = write_doc(tmp_path, make_doc(output={"directory": str(out)}))
     assert run_cli("solve", "--config", path, "--quiet") == 0
     assert capsys.readouterr().out == ""
-    assert (out / "summary.json").exists()
-    assert not (out / "cap_schedule.csv").exists()
+    files = json.loads((out / "summary.json").read_text())["files"]
+    assert files == {"summary": "summary.json", "cap_schedule": "cap_schedule.csv", "transfers": "transfers.csv"}
+    assert sorted(p.name for p in out.iterdir()) == sorted(files.values())
+
+
+def test_cli_no_rescue_solve_writes_no_negative_zero(tmp_path):
+    # with every cap 0 the transfer integral sums -0.0 increments: t_pre read
+    # -0 in 4,096 of 4,097 rows of transfers.csv
+    out = tmp_path / "run"
+    doc = make_doc(distribution={"kind": "exponential", "rate": 1.0},
+                   cost={"kind": "quadratic", "alpha": 1.0, "kappa": 1.0}, output={"directory": str(out)})
+    assert run_cli("solve", "--config", write_doc(tmp_path, doc), "--quiet") == 0
+    assert json.loads((out / "summary.json").read_text())["regime"] == "no-rescue"
+    for name in ("cap_schedule.csv", "transfers.csv"):
+        cols = read_csv_columns(out / name)
+        assert not [key for key, cells in cols.items() if "-0" in cells], name
+    assert set(read_csv_columns(out / "transfers.csv")["t_pre"]) == {"0"}
 
 
 def test_cli_knife_edge_no_rescue(tmp_path):
@@ -582,6 +597,39 @@ def test_cli_statics_names_a_missing_fixed_point(tmp_path, capsys):
     for command in ("solve", "statics"):
         assert run_cli(command, "--config", path, "--out", str(tmp_path / command), "--quiet") == 2
         assert capsys.readouterr().err == f"softbudget {command}: " + message
+
+
+def discretion_benchmark_doc(out, **discretion):
+    doc = json.loads((ROOT / "configs" / "discretion_benchmark.json").read_text(encoding="utf-8"))
+    return {**doc, "discretion": {"enabled": True, **discretion}, "output": {"directory": str(out)}}
+
+
+def test_cli_statics_with_discretion_at_the_default_m(tmp_path, capsys):
+    # m = 0 is the schema's default: statics exited 1 ("m sensitivity needs
+    # m > 0") while the other five commands exit 0; now the three m rows are
+    # not applicable and there is no chain gap
+    out = tmp_path / "run"
+    path = write_doc(tmp_path, discretion_benchmark_doc(out))
+    for command in ("solve", "knife-edge", "discretion", "simulate", "oracle", "statics"):
+        assert run_cli(command, "--config", path, "--quiet") == 0, command
+    assert capsys.readouterr().err == ""
+    cols = read_csv_columns(out / "statics.csv")
+    assert cols["partial"][7:] == ["d_lambda_T_d_m", "d_theta_min_d_m", "d_b_max_d_m"]
+    assert cols["flag"] == [""] * 7 + ["not-applicable"] * 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is True and summary["chain_gap"] is None
+
+
+def test_cli_statics_flags_the_m_rows_where_m_plus_h_leaves_the_domain(tmp_path):
+    # at m = 0.999995 the perturbation m + h is at least 1, outside [0, 1):
+    # the side raises ParameterError and all three m rows are flagged
+    out = tmp_path / "run"
+    path = write_doc(tmp_path, discretion_benchmark_doc(out, m=0.999995))
+    assert run_cli("statics", "--config", path, "--quiet") == 0
+    cols = read_csv_columns(out / "statics.csv")
+    assert cols["flag"] == [""] * 7 + ["regime-boundary"] * 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is True and summary["chain_gap"] is None
 
 
 @pytest.mark.parametrize("command,message", [

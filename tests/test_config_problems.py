@@ -166,15 +166,14 @@ EXPECTED = {
     "output-block": [
         "output.directory: must be nonempty",
         "output.compress: unknown key",
-        "output.formats: element 0 must be 'csv' or 'json'",
-        "output.formats: element 1 must be 'csv' or 'json'",
+        "output.formats: unknown key",
     ],
     "output-formats-type": [
-        "output.formats: expected an array, got str",
+        "output.formats: unknown key",
     ],
     "output-types": [
         "output.directory: expected a string, got int",
-        "output.formats: must not be empty",
+        "output.formats: unknown key",
     ],
     "point-missing": [
         "distribution.value: missing required field",

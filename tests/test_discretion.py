@@ -11,7 +11,6 @@ from softbudget import (
     QuadraticCost,
     SignalRule,
     TabulatedCost,
-    UnsupportedRuleError,
     Weibull,
     effective_lambda,
     fixed_point,
@@ -38,13 +37,12 @@ def test_discretionary_payout_branches(bench_cost, bench_prim):
 
 def test_discretionary_payout_needs_quadratic_cost(bench_prim):
     tab = TabulatedCost([0.0, 1.0], [0.1, 0.5])
-    with pytest.raises(UnsupportedRuleError):
+    with pytest.raises(ParameterError, match="quadratic costs only"):
         SignalRule.discretionary(bench_prim, tab)
 
 
-def test_discretionary_rule_shape(bench_cost, bench_prim):
+def test_discretionary_rule_is_threshold_linear_cap(bench_cost, bench_prim):
     rule = SignalRule.discretionary(bench_prim, bench_cost)
-    assert rule.shape == "threshold-linear-cap"
     assert rule.threshold == pytest.approx(0.2, abs=1e-15)
     assert rule.slope == pytest.approx(0.5, abs=1e-15)
     assert rule.cap == 0.8
@@ -61,18 +59,17 @@ def test_discretionary_rule_shape(bench_cost, bench_prim):
 
 
 def test_signal_rule_validation():
-    with pytest.raises(ParameterError):
-        SignalRule(shape="bogus", threshold=0.1, cap=0.5)
-    with pytest.raises(ParameterError):
-        SignalRule(shape="threshold", threshold=0.1, cap=0.5, slope=0.3)
-    with pytest.raises(ParameterError):
-        SignalRule(shape="threshold", threshold=0.1, cap=0.5, level=0.9)
-    with pytest.raises(ParameterError):
-        SignalRule(shape="threshold-linear-cap", threshold=0.1, cap=0.5, slope=1.0)
-    with pytest.raises(ParameterError):
-        SignalRule(shape="threshold-linear-cap", threshold=0.1, cap=0.5, slope=0.4, level=0.2)
-    rule = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.4)
-    assert rule.payout(0.49) == 0.0 and rule.payout(0.51) == 0.4
+    for fields in (
+        dict(threshold=0.1, cap=0.5, slope=1.0),
+        dict(threshold=0.1, cap=0.5, slope=-0.1),
+        dict(threshold=0.1, cap=0.0, slope=0.4),
+        dict(threshold=float("nan"), cap=0.5, slope=0.4),
+        dict(threshold=0.1, cap=float("inf"), slope=0.4),
+    ):
+        with pytest.raises(ParameterError):
+            SignalRule(**fields)
+    rule = SignalRule(threshold=0.5, cap=0.8, slope=0.5)
+    assert rule.payout(0.49) == 0.0 and rule.payout(1.5) == 0.5 and rule.payout(3.0) == 0.8
 
 
 # -- effective multiplier ---------------------------------------------------

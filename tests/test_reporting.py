@@ -289,3 +289,13 @@ def test_solve_csvs_at_benchmark_scale_match_cell_by_cell_rendering(tmp_path, mo
         assert len(columns[0]) == 65537
         with open(path, encoding="utf-8", newline="") as handle:
             assert lines(handle.read()) == lines(reference_csv(header, columns))
+
+
+def test_atomic_write_text_removes_its_temporary_file_when_the_write_fails(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails after the temporary file exists
+    target = tmp_path / "summary.json"
+    target.write_bytes(b"before\n")
+    with pytest.raises(UnicodeEncodeError):
+        reporting.atomic_write_text(str(target), "after \ud800\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+    assert target.read_bytes() == b"before\n"

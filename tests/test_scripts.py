@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from softbudget import statics
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -37,18 +39,27 @@ def test_script_prints_its_table(name, args, header):
     assert len(lines) > rows[0] + 1 and lines[rows[0] + 1].strip(), done.stdout  # a row under the header
 
 
-def test_statics_report_fails_on_the_statics_verdict():
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_statics_report_fails_on_the_statics_verdict(monkeypatch, capsys):
     # a coarse step leaves four partials 2.5e-3 off, above STATICS_REL_TOL; the worst is named
-    done = run_script("statics_report.py", "--step", "0.05", "--skip-discretion")
-    assert done.returncode == 2, done.stdout
-    assert done.stderr == (
-        "certification failed: d_b_max_d_lambda_T rel_error 2.506e-03 > STATICS_REL_TOL 0.0001\n"
-    )
+    script = load_script("statics_report.py")
+    monkeypatch.setattr(statics, "FD_STEP", 0.05)
+    assert script.main(["--skip-discretion"]) == 2
+    done = capsys.readouterr()
+    assert done.err == "certification failed: d_b_max_d_lambda_T rel_error 2.506e-03 > STATICS_REL_TOL 0.0001\n"
     # the signs alone are right, but the printed verdict is the one the exit code reports
-    lines = done.stdout.splitlines()
-    assert "signs_ok=True" in lines[-3] and "all_ok" not in done.stdout
+    lines = done.out.splitlines()
+    assert "signs_ok=True" in lines[-3] and "all_ok" not in done.out
     assert lines[-1] == "passed=False"
-    assert run_script("statics_report.py").stdout.splitlines()[-1] == "passed=True"
+    monkeypatch.undo()
+    assert script.main(["--skip-discretion"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "passed=True"
 
 
 def test_statics_report_fails_when_nothing_is_certified():
@@ -73,9 +84,7 @@ def test_statics_report_flags_d_b_max_d_m_across_the_kink():
 def test_statics_report_prints_a_chain_gap_that_is_not_defined(monkeypatch, capsys):
     # the script's Weibull(2, 1) has no m perturbation across a regime
     # boundary, so the flagged report is stood in for
-    spec = importlib.util.spec_from_file_location("statics_report", ROOT / "scripts" / "statics_report.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("statics_report.py")
     real = script.m_sensitivity
     monkeypatch.setattr(script, "m_sensitivity", lambda *a, **k: replace(real(*a, **k), chain_gap=None))
     assert script.main([]) == 0

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,7 @@ from softbudget import (
     ParameterError,
     PointMass,
     QuadraticCost,
-    SignalRule,
     Uniform,
-    UnsupportedRuleError,
     Weibull,
     capmin_oracle,
     interior_probability,
@@ -21,13 +21,13 @@ from softbudget import (
     virtual_weight,
     welfare_bruteforce,
 )
-from softbudget import mechanism, simulation
-from softbudget.effort import EffortParameters, RevenueModel, gap_density_at_rule, solve_effort
+from softbudget import effort, mechanism, simulation
+from softbudget.effort import EffortParameters, RevenueModel, ThresholdRule, gap_density_at_rule, solve_effort
 from softbudget.distributions import SAMPLE_BLOCK, sample_types
 from softbudget.mechanism import _psi_on, caps_from_targets
 from conftest import BENCH, irregular_tabulated
 
-THRESHOLD_RULE = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.4)
+THRESHOLD_RULE = ThresholdRule(threshold=0.5, cap=0.8, level=0.4)
 
 
 # -- Monte Carlo cap verification --------------------------------------------
@@ -230,7 +230,7 @@ def test_gap_density_matches_quadrature(gap):
 
 
 def test_gap_density_zero_level_limit():
-    rule = SignalRule(shape="threshold", threshold=0.5, cap=0.8, level=0.0)
+    rule = ThresholdRule(threshold=0.5, cap=0.8, level=0.0)
     scale = 0.1
     for gap in (0.1, 0.5, 1.0):
         expected = math.exp(-0.5 * (gap / (math.sqrt(2) * scale)) ** 2) / (
@@ -239,10 +239,7 @@ def test_gap_density_zero_level_limit():
         assert gap_density_at_rule(gap, rule, scale) == pytest.approx(expected, abs=1e-12)
 
 
-def test_gap_density_validation(bench_prim, bench_cost):
-    disc = SignalRule.discretionary(bench_prim, bench_cost)
-    with pytest.raises(UnsupportedRuleError):
-        gap_density_at_rule(0.5, disc, 0.1)
+def test_gap_density_validation():
     with pytest.raises(ParameterError):
         gap_density_at_rule(0.5, THRESHOLD_RULE, 0.0)
 
@@ -302,15 +299,32 @@ def test_solve_effort_interior_satisfies_foc():
     assert sol.bracket[0] == 0.0 and sol.bracket[1] >= sol.effort
 
 
-def test_solve_effort_validation(bench_prim, bench_cost):
-    with pytest.raises(UnsupportedRuleError):
-        solve_effort(0.5, effort_prim(1.0), SignalRule.discretionary(bench_prim, bench_cost))
+def test_solve_effort_validation():
     with pytest.raises(ParameterError):
         solve_effort(-0.5, effort_prim(1.0), THRESHOLD_RULE)
     with pytest.raises(ParameterError):
         solve_effort(0.5, effort_prim(1.0), THRESHOLD_RULE, report_cap=-1.0)
     with pytest.raises(NumericalError):
         solve_effort(0.5, effort_prim(2.0), THRESHOLD_RULE, max_iter=1, tol=1e-14)
+
+
+def test_threshold_rule_validation():
+    for fields in (
+        dict(threshold=0.1, cap=0.5, level=0.9),
+        dict(threshold=0.1, cap=0.5, level=-0.1),
+        dict(threshold=0.1, cap=0.0, level=0.0),
+        dict(threshold=float("nan"), cap=0.5, level=0.4),
+        dict(threshold=0.1, cap=0.5, level=float("inf")),
+    ):
+        with pytest.raises(ParameterError):
+            ThresholdRule(**fields)
+    assert ThresholdRule(threshold=0.5, cap=0.8, level=0.8).level == 0.8
+
+
+def test_effort_imports_only_the_errors_of_the_package():
+    tree = ast.parse(Path(effort.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"errors"}
 
 
 def test_revenue_model():

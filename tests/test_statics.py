@@ -92,8 +92,6 @@ def test_fd_certify_flags_regime_boundary(bench_prim):
 
 def test_fd_certify_validation(bench_dist, bench_prim, bench_cost):
     with pytest.raises(ParameterError):
-        fd_certify(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost, step=0.5)
-    with pytest.raises(ParameterError):
         fd_certify(virtual_weight(bench_dist, bench_prim, 1.0), TabulatedCost([0.0, 1.0], [0.1, 0.5]))
     curve_prim = PolicyPrimitives(
         omega_T=1.0,
@@ -156,10 +154,13 @@ def test_statics_reuse_a_given_commitment_curve(bench_dist, bench_cost, bench_pr
         m_sensitivity(virtual_weight(bench_dist, bench_prim, 0.9), bench_cost)
 
 
-def test_m_sensitivity_requires_positive_m(bench_dist, bench_cost):
+def test_m_sensitivity_at_zero_m_is_not_applicable(bench_dist, bench_cost):
+    # m = 0 is the schema's default and the edge of its domain [0, 1): m - h leaves it
     prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.0, chi=1.0)
-    with pytest.raises(ParameterError):
-        m_sensitivity(virtual_weight(bench_dist, prim, 1.0), bench_cost)
+    report = m_sensitivity(virtual_weight(bench_dist, prim, 1.0), bench_cost)
+    assert [r.partial for r in report.rows] == ["d_lambda_T_d_m", "d_theta_min_d_m", "d_b_max_d_m"]
+    assert [r.flag for r in report.rows] == [FLAG_NOT_APPLICABLE] * 3
+    assert report.chain_gap is None and report.lambda_T == 1.0
 
 
 def test_m_sensitivity_without_an_interior_cutoff_at_its_fixed_point_applies_nowhere(bench_prim):
