@@ -1,7 +1,7 @@
 """Command-line interface: config-driven runs with CSV/JSON artifacts.
 
-Subcommands
------------
+Commands
+--------
 solve       full pipeline: virtual weights, cap schedule, transfers,
             authority cost (preceded by the discretionary fixed point when
             the config enables discretion); writes summary.json,
@@ -68,27 +68,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="softbudget", description="Optimal rescue-cap mechanism toolkit")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text in [
-        ("solve", "solve the cap and transfer schedules"),
-        ("knife-edge", "test whether shutting rescue down is optimal"),
-        ("discretion", "solve the discretionary fixed point"),
-        ("statics", "certify comparative statics against finite differences"),
-        ("simulate", "Monte Carlo verification of the cap schedule"),
-        ("oracle", "run the self-checking calculus and enumeration oracles"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
-        # each override is written into the config and validated as the field it sets
-        cmd.add_argument("--out", help="output directory (sets output.directory)")
-        cmd.add_argument("--seed", type=int, help="RNG seed (sets simulation.seed)")
-        cmd.add_argument("--grid", type=int, help="type-grid size (sets grid.size)")
-        cmd.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-    return parser
 
 
 def _commitment(cfg: RunConfig) -> VirtualWeightCurve:
@@ -359,14 +338,30 @@ def _cmd_oracle(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     }, None if passed else "at least one oracle check failed"
 
 
+# each command's handler and the line `--help` lists it with
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "knife-edge": _cmd_knife_edge,
-    "discretion": _cmd_discretion,
-    "statics": _cmd_statics,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
+    "solve": (_cmd_solve, "solve the cap and transfer schedules"),
+    "knife-edge": (_cmd_knife_edge, "test whether shutting rescue down is optimal"),
+    "discretion": (_cmd_discretion, "solve the discretionary fixed point"),
+    "statics": (_cmd_statics, "certify comparative statics against finite differences"),
+    "simulate": (_cmd_simulate, "Monte Carlo verification of the cap schedule"),
+    "oracle": (_cmd_oracle, "run the self-checking calculus and enumeration oracles"),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command and the five options every command shares, in any order."""
+    commands = "".join(f"\n  {name:<12}{help_text}" for name, (_, help_text) in _COMMANDS.items())
+    parser = _Parser(prog="softbudget", description="Optimal rescue-cap mechanism toolkit",
+                     epilog=f"commands:{commands}", formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
+    # each override is written into the config and validated as the field it sets
+    parser.add_argument("--out", help="output directory (sets output.directory)")
+    parser.add_argument("--seed", type=int, help="RNG seed (sets simulation.seed)")
+    parser.add_argument("--grid", type=int, help="type-grid size (sets grid.size)")
+    parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
+    return parser
 
 
 def main(argv=None) -> int:
@@ -380,7 +375,7 @@ def main(argv=None) -> int:
         })
         os.makedirs(cfg.output.directory, exist_ok=True)
         out = _Artifacts(cfg.output)
-        fields, failure = _COMMANDS[args.command](cfg, out)
+        fields, failure = _COMMANDS[args.command][0](cfg, out)
         summary = out.summary(args.command, fields)
         if not args.quiet:
             _print_summary(args.command, summary, cfg.output.directory, started)

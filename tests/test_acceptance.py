@@ -275,6 +275,6 @@ def test_criterion_10_byte_identical_artifacts(benchmark_config, tmp_path):
     _report(
         10,
         ok,
-        f"two command-line passes over all six subcommands: "
+        f"two command-line passes over all six commands: "
         f"{len(first)} artifacts, byte-identical={identical}",
     )

@@ -21,7 +21,7 @@ from softbudget import (
     solve_cap,
     virtual_weight,
 )
-from softbudget.cli import main
+from softbudget.cli import _COMMANDS, build_parser, main
 from softbudget.config import _COSTS, _DISTRIBUTIONS, MAX_BINS, MAX_GRID_SIZE, MAX_SAMPLES
 from softbudget.mechanism import DEFAULT_TAIL_MASS
 from softbudget.reporting import format_float
@@ -784,13 +784,38 @@ def test_cli_invalid_config_is_validation_error(tmp_path):
     assert run_cli("solve", "--config", path) == 1
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     path = write_doc(tmp_path, make_doc())
-    assert run_cli("solve") == 1  # missing --config
-    assert run_cli("bogus", "--config", path) == 1  # unknown subcommand
+    for argv, cause in [
+        (("bogus", "--config", path), "argument command: invalid choice: 'bogus'"),
+        ((), "the following arguments are required: command"),
+        (("solve",), "the following arguments are required: --config"),
+        (("solve", "--config", path, "--grid", "x"), "argument --grid: invalid int value: 'x'"),
+    ]:
+        assert run_cli(*argv) == 1
+        assert f"softbudget: error: {cause}" in capsys.readouterr().err
     assert run_cli("solve", "--config", path, "--seed", "-4") == 1
     assert run_cli("solve", "--config", path, "--grid", "3") == 1
-    assert run_cli() == 1  # no subcommand at all
+
+
+def test_cli_parser_lists_every_command(capsys):
+    (command,) = [action for action in build_parser()._actions if action.dest == "command"]
+    assert list(command.choices) == list(_COMMANDS)
+    assert run_cli("--help") == 0
+    listed = capsys.readouterr().out
+    for name, (_, help_text) in _COMMANDS.items():
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(help_text)}$", listed, re.MULTILINE), name
+
+
+def test_cli_options_may_precede_the_command(tmp_path):
+    path = write_doc(tmp_path, make_doc())
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert run_cli("--config", path, "--out", str(before), "--quiet", "solve") == 0
+    assert run_cli("solve", "--config", path, "--out", str(after), "--quiet") == 0
+    names = sorted(p.name for p in before.iterdir())
+    assert names == sorted(p.name for p in after.iterdir())
+    for name in names:
+        assert (before / name).read_bytes() == (after / name).read_bytes(), name
 
 
 def test_cli_overrides(tmp_path):
