@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .costs import RescueCost
-from .distributions import SAMPLE_BLOCK, TypeDistribution, sample_types
+from .distributions import SAMPLE_BLOCK, PointMass, TypeDistribution, sample_types
 from .errors import ParameterError
 from .mechanism import CapSchedule, _grid_cell, _psi_on, _weight, caps_from_targets
 from .primitives import PolicyPrimitives
@@ -221,14 +222,14 @@ def capmin_oracle(
     """Verify d/db E[min(X,b)] = P(X >= b) and d/db E[min(X,b)^2] = 2b P(X >= b).
 
     ``payout_dist`` is either a nonnegative continuous distribution or a
-    pair (values, probabilities) of atoms.  Central differences run at
-    ``CAPMIN_STEP`` and pass within ``CAPMIN_TOLERANCE``; points that
-    coincide with an atom (or b = 0) switch to the matching one-sided
-    difference and are flagged.
+    pair (values, probabilities) of finite atoms, the form a point mass
+    takes.  Central differences run at ``CAPMIN_STEP`` and pass within
+    ``CAPMIN_TOLERANCE``; points that coincide with an atom (or b = 0)
+    switch to the matching one-sided difference and are flagged.
     """
     b_arr = np.asarray(b_values, dtype=float)
-    if b_arr.ndim != 1 or b_arr.size == 0 or np.any(b_arr < 0.0):
-        raise ParameterError("b_values must be a nonempty 1-d array of nonnegative caps")
+    if b_arr.ndim != 1 or b_arr.size == 0 or not np.all(np.isfinite(b_arr) & (b_arr >= 0.0)):
+        raise ParameterError("b_values must be a nonempty 1-d array of finite nonnegative caps")
     step = CAPMIN_STEP
 
     discrete = isinstance(payout_dist, tuple)
@@ -237,11 +238,9 @@ def capmin_oracle(
         probs = np.asarray(payout_dist[1], dtype=float)
         if values.shape != probs.shape or values.ndim != 1:
             raise ParameterError("discrete payout distribution needs matching value/probability arrays")
-        if np.any(values < 0.0) or np.any(probs < 0.0) or abs(float(np.sum(probs)) - 1.0) > 1e-9:
-            raise ParameterError("discrete payout probabilities must be nonnegative and sum to one")
-
-        def moments(b: float) -> tuple[float, float]:
-            return _moments_discrete(values, probs, b)
+        if not np.all(np.isfinite(values) & (values >= 0.0) & (probs >= 0.0)) or abs(float(np.sum(probs)) - 1.0) > 1e-9:
+            raise ParameterError("discrete payout atoms must be finite, probabilities sum to one, both nonnegative")
+        moments = partial(_moments_discrete, values, probs)
 
         def tail(b: float) -> float:
             return float(np.sum(probs[values >= b]))
@@ -250,11 +249,9 @@ def capmin_oracle(
             return bool(np.any(np.abs(values - b) <= step))
 
     else:
-        if payout_dist.support[0] < 0.0:
-            raise ParameterError("payout distribution must be nonnegative")
-
-        def moments(b: float) -> tuple[float, float]:
-            return _moments_continuous(payout_dist, b)
+        if payout_dist.support[0] < 0.0 or isinstance(payout_dist, PointMass):  # quadrature misses an atom
+            raise ParameterError("payout distribution must be nonnegative; pass a point mass as (values, probabilities)")
+        moments = partial(_moments_continuous, payout_dist)
 
         def tail(b: float) -> float:
             return float(payout_dist.survivor(b))
@@ -269,21 +266,16 @@ def capmin_oracle(
     flagged = np.zeros(b_arr.shape, dtype=bool)
     for i, b in enumerate(b_arr):
         ex1[i] = tail(b)
-        ex2[i] = 2.0 * b * tail(b)
+        ex2[i] = 2.0 * b * ex1[i]
         if b < step:  # forward difference at the origin
-            m0, q0 = moments(b)
-            m1, q1 = moments(b + step)
-            fd1[i], fd2[i] = (m1 - m0) / step, (q1 - q0) / step
-            flagged[i] = True
+            lo, hi, width = b, b + step, step
         elif on_atom(b):  # backward difference matches the inclusive tail
-            m0, q0 = moments(b - step)
-            m1, q1 = moments(b)
-            fd1[i], fd2[i] = (m1 - m0) / step, (q1 - q0) / step
-            flagged[i] = True
+            lo, hi, width = b - step, b, step
         else:
-            m_lo, q_lo = moments(b - step)
-            m_hi, q_hi = moments(b + step)
-            fd1[i], fd2[i] = (m_hi - m_lo) / (2 * step), (q_hi - q_lo) / (2 * step)
+            lo, hi, width = b - step, b + step, 2 * step
+        flagged[i] = width == step  # one-sided
+        (m_lo, q_lo), (m_hi, q_hi) = moments(lo), moments(hi)
+        fd1[i], fd2[i] = (m_hi - m_lo) / width, (q_hi - q_lo) / width
     clean = ~flagged
     dev1 = float(np.max(np.abs(fd1[clean] - ex1[clean]))) if bool(np.any(clean)) else 0.0
     dev2 = float(np.max(np.abs(fd2[clean] - ex2[clean]))) if bool(np.any(clean)) else 0.0
@@ -336,20 +328,20 @@ def _discrete_transfers(caps: np.ndarray, prim: PolicyPrimitives) -> np.ndarray:
     return np.maximum(t_pre, 0.0)
 
 
-def _nondecreasing_tuples(levels: int, n: int) -> np.ndarray:
-    """Every nondecreasing n-tuple over range(levels), one per row, in lexicographic order.
+def _nondecreasing_tuples(levels: int, n: int) -> list[np.ndarray]:
+    """Every nondecreasing n-tuple over range(levels), as n columns of ``intp``.
 
-    The rows of itertools.combinations_with_replacement(range(levels), n),
+    Row r is row r of itertools.combinations_with_replacement(range(levels), n),
     built a column at a time: each row is repeated once per admissible next
     value (levels - last) and takes last, last + 1, ..., levels - 1.
     """
-    combos = np.arange(levels, dtype=np.intp)[:, None]
+    columns = [np.arange(levels, dtype=np.intp)]
     for _ in range(n - 1):
-        counts = levels - combos[:, -1]
-        rows = np.repeat(combos, counts, axis=0)
-        offset = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-        combos = np.column_stack([rows, rows[:, -1] + offset])
-    return combos
+        counts = levels - columns[-1]
+        shift = columns[-1] - (np.cumsum(counts) - counts)  # last minus its group's first row
+        columns = [np.repeat(c, counts) for c in (*columns, shift)]
+        columns[-1] += np.arange(columns[-1].size)
+    return columns
 
 
 def welfare_bruteforce(
@@ -369,10 +361,13 @@ def welfare_bruteforce(
     optimality condition C'(b) = psi projected onto [0, b_bar], at the
     commitment weight lambda_T = omega_T.  The search walks every
     nondecreasing schedule on ``BRUTEFORCE_LEVELS`` uniform levels from 0
-    to b_bar, checks the discrete incentive inequalities (the allocation
-    index omega_T*T + omega_b*b must be nondecreasing) and nonnegativity,
-    and reports the gap to the KKT benchmark together with the
-    discretization bound (curvature/2) * spacing^2.
+    to b_bar (53,130 for 5 types), held as one column of level indices per
+    type; the totals add one gathered column of costs at a time, left to
+    right as a row sum of at most 6 terms adds.  It checks the discrete
+    incentive inequalities (the allocation index omega_T*T + omega_b*b
+    must be nondecreasing) and nonnegativity, and reports the gap to the
+    KKT benchmark together with the discretization bound
+    (curvature/2) * spacing^2.
     """
     th = np.asarray(types, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -380,10 +375,10 @@ def welfare_bruteforce(
         raise ParameterError("types and weights must be matching 1-d arrays")
     if th.size > 6:
         raise ParameterError("brute-force oracle is limited to 6 types")
-    if np.any(np.diff(th) <= 0.0):
-        raise ParameterError("types must be strictly increasing")
-    if np.any(w <= 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-9:
-        raise ParameterError("weights must be positive and sum to one")
+    if not np.all(np.isfinite(th)) or np.any(np.diff(th) <= 0.0):
+        raise ParameterError("types must be finite and strictly increasing")
+    if not np.all(w > 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-9:  # NaN fails both, inf the sum
+        raise ParameterError("weights must be finite, positive and sum to one")
     if not prim.omega_b_constant:
         raise ParameterError("brute-force oracle requires a constant omega_b")
     lam = prim.omega_T
@@ -398,10 +393,12 @@ def welfare_bruteforce(
     grid = np.linspace(0.0, prim.b_bar, BRUTEFORCE_LEVELS)
     # per-type, per-level contribution to the virtual cost
     table = w[:, None] * (np.asarray(cost.value(grid))[None, :] - psi[:, None] * grid[None, :])
-    combos = _nondecreasing_tuples(BRUTEFORCE_LEVELS, th.size)
-    totals = table[np.arange(th.size)[None, :], combos].sum(axis=1)
+    columns = _nondecreasing_tuples(BRUTEFORCE_LEVELS, th.size)
+    totals = table[0].take(columns[0])
+    for costs, column in zip(table[1:], columns[1:]):
+        totals += costs.take(column)
     best_idx = int(np.argmin(totals))
-    best_caps = grid[combos[best_idx]]
+    best_caps = grid[[column[best_idx] for column in columns]]
     best_cost = float(totals[best_idx])
 
     transfers = _discrete_transfers(best_caps, prim)
@@ -431,7 +428,7 @@ def welfare_bruteforce(
         best_caps=best_caps,
         best_cost=best_cost,
         gap_bound=gap_bound,
-        n_schedules=int(combos.shape[0]),
+        n_schedules=int(totals.size),
         transfers=transfers,
         ic_ok=ic_ok,
         ir_ok=ir_ok,

@@ -377,6 +377,28 @@ def test_capmin_validation():
         capmin_oracle(Uniform(-1.0, 1.0), [0.1])
 
 
+@pytest.mark.parametrize("payout, b", [
+    (Uniform(0.0, 1.0), [0.2, math.nan]),
+    (Uniform(0.0, 1.0), [0.2, math.inf]),
+    (((0.2, math.nan), (0.5, 0.5)), [0.1]),
+    (((0.2, math.inf), (0.5, 0.5)), [0.1]),
+    (((0.2, 0.5), (0.5, math.nan)), [0.1]),
+    (((0.2, 0.5), (math.inf, 0.5)), [0.1]),
+], ids=["b-nan", "b-inf", "atom-nan", "atom-inf", "probability-nan", "probability-inf"])
+def test_capmin_rejects_non_finite(payout, b):
+    with pytest.raises(ParameterError, match="finite"):
+        capmin_oracle(payout, b)
+
+
+def test_capmin_point_mass_goes_in_the_pair_form():
+    # the quadrature of the continuous form misses the atom at 0.5
+    with pytest.raises(ParameterError, match=r"\(values, probabilities\)"):
+        capmin_oracle(PointMass(0.5), [0.2, 0.8])
+    rep = capmin_oracle(((0.5,), (1.0,)), [0.2, 0.5, 0.8])
+    assert rep.passed and list(rep.one_sided) == [False, True, False]
+    assert list(rep.exact_first) == [1.0, 1.0, 0.0]
+
+
 # -- brute-force second-best oracle ----------------------------------------------
 
 
@@ -394,14 +416,52 @@ def test_welfare_bruteforce_frozen_instance(bench_prim, bench_cost):
     assert np.max(np.abs(rep.best_caps - rep.kkt_caps)) <= bench_prim.b_bar / 20.0
 
 
-@pytest.mark.parametrize("levels, n", [(21, 5), (21, 1), (2, 1), (2, 6), (3, 4), (7, 2)])
+@pytest.mark.parametrize("levels, n", [(21, 5), (21, 1), (2, 1), (2, 6), (3, 4), (7, 2), (21, 6)])
 def test_bruteforce_enumeration_matches_itertools(levels, n):
-    # the oracle's table of nondecreasing level tuples: same rows, same
+    # the oracle's columns of nondecreasing level tuples: same rows, same
     # lexicographic order, same dtype as combinations_with_replacement
     expected = np.array(list(itertools.combinations_with_replacement(range(levels), n)), dtype=np.intp)
-    table = simulation._nondecreasing_tuples(levels, n)
+    columns = simulation._nondecreasing_tuples(levels, n)
+    assert len(columns) == n and all(c.ndim == 1 and c.dtype == np.intp for c in columns)
+    table = np.column_stack(columns)
     assert table.dtype == expected.dtype and table.shape == expected.shape
     assert np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bruteforce_column_totals_equal_row_sums(n):
+    # adding one gathered column at a time gives the row sums of the gathered
+    # N x n matrix bit for bit: a row sum of at most 6 terms adds left to right
+    rng = np.random.default_rng(20260 + n)
+    table = rng.standard_normal((n, simulation.BRUTEFORCE_LEVELS)) * 10.0 ** rng.integers(-6, 6, (n, 1))
+    columns = simulation._nondecreasing_tuples(simulation.BRUTEFORCE_LEVELS, n)
+    combos = np.column_stack(columns)
+    expected = table[np.arange(n)[None, :], combos].sum(axis=1)
+    totals = table[0].take(columns[0])
+    for costs, column in zip(table[1:], columns[1:]):
+        totals += costs.take(column)
+    assert totals.tobytes() == expected.tobytes()
+    if n >= 3:  # the magnitudes make the order of addition visible
+        backwards = table[np.arange(n)[None, ::-1], combos[:, ::-1]].cumsum(axis=1)[:, -1]
+        assert not np.array_equal(backwards, expected)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_welfare_bruteforce_matches_row_sum_search(n, bench_prim, bench_cost):
+    rng = np.random.default_rng(4100 + n)
+    types = np.sort(rng.uniform(0.05, 1.5, n)) + np.arange(n) * 1e-3
+    weights = rng.uniform(0.2, 1.0, n)
+    rep = welfare_bruteforce(types, weights / weights.sum(), bench_prim, bench_cost)
+    levels = simulation.BRUTEFORCE_LEVELS
+    assert rep.n_schedules == math.comb(levels + n - 1, n)
+    # the search as one gather of the N x n index matrix and a row sum
+    grid = np.linspace(0.0, bench_prim.b_bar, levels)
+    table = rep.weights[:, None] * (bench_cost.value(grid)[None, :] - rep.psi[:, None] * grid[None, :])
+    combos = np.array(list(itertools.combinations_with_replacement(range(levels), n)), dtype=np.intp)
+    totals = table[np.arange(n)[None, :], combos].sum(axis=1)
+    best = int(np.argmin(totals))
+    assert rep.best_cost == float(totals[best])
+    assert rep.best_caps.tobytes() == grid[combos[best]].tobytes()
 
 
 def test_welfare_bruteforce_no_rescue_instance(bench_prim):
@@ -422,3 +482,15 @@ def test_welfare_bruteforce_validation(bench_prim, bench_cost):
         welfare_bruteforce([0.4, 0.2], [0.5, 0.5], bench_prim, bench_cost)
     with pytest.raises(ParameterError):
         welfare_bruteforce([0.2, 0.4], [0.6, 0.6], bench_prim, bench_cost)
+
+
+@pytest.mark.parametrize("types, weights", [
+    ([0.2, math.nan], [0.5, 0.5]),
+    ([math.nan, 0.2], [0.5, 0.5]),
+    ([0.2, math.inf], [0.5, 0.5]),
+    ([0.2, 0.4], [0.5, math.nan]),
+    ([0.2, 0.4], [math.inf, 0.5]),
+], ids=["type-nan", "type-nan-first", "type-inf", "weight-nan", "weight-inf"])
+def test_welfare_bruteforce_rejects_non_finite(types, weights, bench_prim, bench_cost):
+    with pytest.raises(ParameterError, match="finite"):
+        welfare_bruteforce(types, weights, bench_prim, bench_cost)
