@@ -145,5 +145,5 @@ RescueCost = Union[QuadraticCost, TabulatedCost]
 
 
 def _check_nonnegative(arr: np.ndarray) -> None:
-    if np.any(arr < 0.0):
+    if float(arr) < 0.0 if arr.ndim == 0 else np.any(arr < 0.0):  # NaN passes both
         raise DomainError("payout must be nonnegative")

@@ -17,10 +17,10 @@ effective multiplier on transfer resources:
 
 where the interior probability is computed from the cap schedule solved at
 that same lambda_T.  lambda_T enters the virtual weight only as the scale
-1/lambda_T, so an evaluation derives the curve at lambda from the
-commitment curve, inheriting its pooled blocks (``VirtualWeightCurve.at``),
-and reads the two cutoffs off it: no PAV pass and no cap array.  A
-credible lambda_T is a root of
+1/lambda_T, so an evaluation re-sums the commitment curve's pooled blocks
+on psi at lambda, the psi_bar of the curve at lambda (``VirtualWeightCurve.at``)
+bit for bit, and reads the two cutoffs off that array, building no curve.
+A credible lambda_T is a root of
 
     g(lambda) = omega_T - omega_b * m * P_int(lambda) - lambda.
 
@@ -50,7 +50,7 @@ import numpy as np
 from .costs import QuadraticCost, RescueCost
 from .distributions import TypeDistribution
 from .errors import ParameterError
-from .mechanism import CapSchedule, VirtualWeightCurve, _cutoffs, solve_cap
+from .mechanism import CapSchedule, VirtualWeightCurve, _crossings, solve_cap
 from .primitives import PolicyPrimitives
 
 __all__ = [
@@ -185,12 +185,13 @@ def _interior(theta_min: Optional[float], theta_dagger: Optional[float], dist: T
 
 
 def _interior_probability_at(curve: VirtualWeightCurve, cost: RescueCost, lam: float) -> float:
-    """``interior_probability`` of the schedule solved at ``lam``: the cutoffs of the curve derived at ``lam``.
+    """``interior_probability`` of the schedule solved at ``lam``: the cutoffs of psi_bar at ``lam``.
 
-    The curve at ``lam`` inherits the commitment ``curve``'s pooled blocks
-    (``VirtualWeightCurve.at``), so no PAV pass and no cap array is built.
+    That psi_bar is ``curve.at(curve.prim, lam)``'s, bit for bit, with its
+    checks (``VirtualWeightCurve._repooled``); no curve, PAV pass or cap array is built.
     """
-    return _interior(*_cutoffs(curve.at(curve.prim, lam), cost), curve.dist, curve.degenerate)
+    _, _, (psi_bar, _) = curve._repooled(curve.prim, lam)
+    return _interior(*_crossings(curve.theta, psi_bar, cost, float(curve.prim.b_bar)), curve.dist, curve.degenerate)
 
 
 def fixed_point(curve: VirtualWeightCurve, cost: RescueCost, tol: float = DEFAULT_TOL) -> DiscretionSolution:

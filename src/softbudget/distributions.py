@@ -139,11 +139,12 @@ class TypeDistribution:
     def _on_support(self, formula, theta, name: str):
         arr = np.asarray(theta, dtype=float)
         lo, hi = self.support
-        if not (np.all(arr >= lo) and np.all(arr <= hi)):  # NaN fails both
+        scalar = arr.ndim == 0  # tested with Python comparisons, the same tests
+        if not (lo <= float(arr) <= hi if scalar else np.all(arr >= lo) and np.all(arr <= hi)):  # NaN fails both
             raise DomainError(f"type value outside support [{lo}, {hi}] for kind '{self.kind}'")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = formula(arr)
-        if not np.all(np.isfinite(out)):
+        if not (math.isfinite(out) if scalar else np.all(np.isfinite(out))):
             raise UpperSupportError(f"{self.kind} {name} not finite (zero survival or a divergence); truncate the grid")
         return _returned(out, arr)
 

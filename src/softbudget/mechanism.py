@@ -99,8 +99,7 @@ class VirtualWeightCurve:
     lambda_T: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.psi)):
-            raise ParameterError("virtual weight is not finite on the grid; tighten the truncation")
+        _finite_psi(self.psi)
 
     @property
     def degenerate(self) -> bool:
@@ -146,16 +145,21 @@ class VirtualWeightCurve:
         zero weight keeps its value, rescaled.  Another omega_b curve is no
         scale, and is rejected.
         """
+        lam, psi, ironing = self._repooled(prim, lambda_T)
+        curve = replace(self, psi=psi, prim=prim, lambda_T=lam)
+        curve.__dict__.update(hazard=self.hazard, density=self.density, _ironing=ironing)
+        return curve
+
+    def _repooled(self, prim: PolicyPrimitives, lambda_T: float) -> tuple[float, np.ndarray, "_Ironing"]:
+        """``at``'s lambda, psi and ironing, with its checks and no curve: a fixed-point evaluation reads psi_bar."""
         lam = _check_lambda(lambda_T)
         if prim.omega_b is not self.prim.omega_b and not (prim.omega_b_constant and self.prim.omega_b_constant):
             raise ParameterError("a curve at other weights keeps its omega_b curve; only a constant omega_b may change")
         starts, pooled = self._ironing.starts, self._ironing.pooled
-        curve = replace(self, psi=_weight(prim, lam, self.theta, self.hazard), prim=prim, lambda_T=lam)
+        psi = _finite_psi(_weight(prim, lam, self.theta, self.hazard))
         first = self.theta[starts[pooled]]
         scale = _weight(prim, lam, first, 1.0) / _weight(self.prim, self.lambda_T, first, 1.0) if first.size else 1.0
-        curve.__dict__.update(hazard=self.hazard, density=self.density, _ironing=_pool(
-            curve.psi, self.density, starts, pooled, self.psi_bar[starts[pooled]] * scale))
-        return curve
+        return lam, psi, _pool(psi, self.density, starts, pooled, self.psi_bar[starts[pooled]] * scale)
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,12 @@ class KnifeEdgeReport:
     marginal_cost_at_zero: float
     truncated_support: bool
     lambda_T: float
+
+
+def _finite_psi(psi: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(psi)):
+        raise ParameterError("virtual weight is not finite on the grid; tighten the truncation")
+    return psi
 
 
 def _check_lambda(lambda_T: float) -> float:
@@ -508,11 +518,11 @@ def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, str
     if strict and values[i - 1] == target:  # the interpolant leaves the target at that node
         return float(theta[i - 1])
     x0, x1 = float(theta[i - 1]), float(theta[i])
-    v0, v1 = float(values[i - 1]), float(values[i])
+    v0, rise = float(values[i - 1]), float(values[i]) - float(values[i - 1])
     span = x1 - x0
 
     def ok(x: float) -> bool:
-        val = v0 + (v1 - v0) * (x - x0) / span
+        val = v0 + rise * (x - x0) / span
         return val > target if strict else val >= target
 
     return _bisect(ok, x0, x1, _CUTOFF_TOL)
@@ -524,7 +534,7 @@ def _bisect(ok: Callable[[float], bool], lo: float, hi: float, tol: float) -> fl
     The width is relative to max(1, |hi|), and ``tol`` must exceed 2**-52,
     so the bracket reaches it before its ends are adjacent floats.
     """
-    while hi - lo > tol * max(1.0, abs(hi)):
+    while hi - lo > tol * (hi if hi > 1.0 else -hi if hi < -1.0 else 1.0):  # tol * max(1, |hi|), bit for bit
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
@@ -554,11 +564,16 @@ def _cutoffs(curve: VirtualWeightCurve, cost: RescueCost) -> tuple[Optional[floa
 
     With no theta_min both are None.
     """
-    theta_min = _leftmost_crossing(curve.theta, curve.psi_bar, cost.marginal_at_zero, strict=True)
+    return _crossings(curve.theta, curve.psi_bar, cost, float(curve.prim.b_bar))
+
+
+def _crossings(theta: np.ndarray, psi_bar: np.ndarray, cost: RescueCost,
+               b_bar: float) -> tuple[Optional[float], Optional[float]]:
+    """``_cutoffs`` on a grid and its monotone weights, which need not belong to a curve."""
+    theta_min = _leftmost_crossing(theta, psi_bar, cost.marginal_at_zero, strict=True)
     if theta_min is None:
         return None, None
-    c_top = float(cost.marginal(float(curve.prim.b_bar)))
-    return theta_min, _leftmost_crossing(curve.theta, curve.psi_bar, c_top, strict=False)
+    return theta_min, _leftmost_crossing(theta, psi_bar, float(cost.marginal(b_bar)), strict=False)
 
 
 def solve_cap(curve: VirtualWeightCurve, cost: RescueCost) -> CapSchedule:

@@ -204,10 +204,16 @@ class CapMinReport:
 
 def _moments_continuous(dist: TypeDistribution, b: float) -> tuple[float, float]:
     # E[min(X,b)] = int_0^b S(t) dt and E[min(X,b)^2] = int_0^b 2 t S(t) dt
-    # for X >= 0; the grid stretches with b so both are smooth in b.
-    t = np.linspace(0.0, b, CAPMIN_QUAD_POINTS)
-    surv = dist.survivor(t)
-    return float(np.trapezoid(surv, t)), float(np.trapezoid(2.0 * t * surv, t))
+    # for X >= 0.  S kinks at a support edge, so each stretch between edges
+    # inside (0, b) has its own grid; only the last stretches with b.
+    edges = [0.0, *(edge for edge in dist.support if 0.0 < edge < b), b]
+    first = second = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t = np.linspace(lo, hi, CAPMIN_QUAD_POINTS)
+        surv = dist.survivor(t)
+        first += float(np.trapezoid(surv, t))
+        second += float(np.trapezoid(2.0 * t * surv, t))
+    return first, second
 
 
 def _moments_discrete(values: np.ndarray, probs: np.ndarray, b: float) -> tuple[float, float]:

@@ -80,6 +80,28 @@ def as_floats(cells):
     return np.array([float(c) for c in cells])
 
 
+def assert_scalar_path_matches(evaluate, points):
+    """Each point as a Python float, an ``np.float64`` and a 0-d array gets what a 1-element array gets.
+
+    That is a Python float with the bits of the array's element, or an
+    exception of the same class with the same message.
+    """
+    for x in points:
+        try:
+            expected = evaluate(np.array([x]))[0].tobytes()
+        except Exception as exc:
+            expected = (type(exc), str(exc))
+        for form in (float(x), np.float64(x), np.array(x)):
+            try:
+                value = evaluate(form)
+            except Exception as exc:
+                got = (type(exc), str(exc))
+            else:
+                assert type(value) is float, (x, type(form))
+                got = np.float64(value).tobytes()
+            assert got == expected, (x, type(form))
+
+
 def irregular_tabulated():
     """Two-bump density on [0, 3] like the benchmark's irregular workload."""
     nodes = np.linspace(0.0, 3.0, 401)

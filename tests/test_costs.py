@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softbudget import DomainError, ParameterError, QuadraticCost, TabulatedCost
+from conftest import assert_scalar_path_matches
 
 
 def test_quadratic_marginal_values(bench_cost):
@@ -26,6 +27,18 @@ def test_quadratic_validation():
         QuadraticCost(0.2, 0.0)
     with pytest.raises(DomainError):
         QuadraticCost(0.2, 1.0).marginal(-0.5)
+
+
+@pytest.mark.parametrize("evaluator", ["marginal", "value"])
+@pytest.mark.parametrize("cost", [QuadraticCost(0.2, 1.0), QuadraticCost(0.0, 2.5),
+                                  TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.4])], ids=["quadratic", "alpha-0", "tabulated"])
+def test_scalar_payout_is_checked_as_a_one_element_array(cost, evaluator):
+    # 0-d input is checked with a Python comparison, not the array test: the
+    # outcome must be the one-element array's, the value to the bit (NaN
+    # included) or the same exception with the same message
+    points = [np.nan, np.inf, -np.inf, -1.0, -5e-324, -0.0, 0.0, 0.5, 1.0, 1.5]
+    with np.errstate(invalid="ignore"):  # 0 * inf in the value at alpha = 0
+        assert_scalar_path_matches(getattr(cost, evaluator), points)
 
 
 def test_tabulated_interpolates_and_inverts():

@@ -10,16 +10,20 @@ from softbudget import (
     PolicyPrimitives,
     QuadraticCost,
     SignalRule,
+    Tabulated,
     TabulatedCost,
     Weibull,
     effective_lambda,
     fixed_point,
     interior_probability,
+    load_config,
     solve_cap,
     virtual_weight,
 )
 from softbudget import discretion, statics
-from conftest import BENCH, PlateauHazard, config_commitment, pooled_config
+from conftest import (
+    BENCH, ROOT, PlateauHazard, config_commitment, irregular_config, irregular_tabulated, pooled_config,
+)
 
 
 # -- ex-post rule -----------------------------------------------------------
@@ -305,6 +309,23 @@ def test_fixed_point_steep_case_converges_at_the_statics_tolerance():
         assert sol.lambda_T == pytest.approx(0.6036508928, abs=1e-9)
 
 
+def test_fixed_point_trace_on_the_discretion_config_is_pinned():
+    # the evaluated (lambda, P_int) pairs of `discretion` on the benchmark
+    # config, at the CLI's tolerance and at m_sensitivity's, to the bit
+    cfg = load_config(str(ROOT / "configs" / "discretion_benchmark.json"))
+    trace = (
+        (1.0, 0.30786259084368106),
+        (0.8768549636625276, 0.2474930475021534),
+        (0.8970438850474545, 0.25722830686741305),
+        (0.8970982006800504, 0.25725460172499515),
+        (0.8970981660214599, 0.2572545849461806),
+    )
+    for tol in (discretion.DEFAULT_TOL, statics.FIXED_POINT_TOL):
+        sol = fixed_point(config_commitment(cfg), cfg.cost, tol=tol)
+        assert sol.trace == trace and sol.iterations == 5
+        assert (sol.lambda_T, sol.p_int) == trace[-1] and sol.bracket == (trace[2][0], trace[3][0])
+
+
 def test_fixed_point_keeps_last_curve_and_accepts_commitment_curve(bench_dist, bench_cost, bench_prim):
     commitment = virtual_weight(bench_dist, bench_prim, bench_prim.omega_T)
     sol = fixed_point(commitment, bench_cost)
@@ -332,10 +353,28 @@ def test_fixed_point_validation(bench_dist, bench_cost, bench_prim):
 # -- evaluations as rescaled crossings on the commitment curve -------------
 
 
+class ZeroWeightStretch(Tabulated):
+    """``irregular_tabulated`` with its ironing weight, the density, set to 0 on [0.2, 1.5].
+
+    The hazard is left as it is, so on that stretch psi rises to a peak and
+    falls into a dip while weighing nothing: PAV pools it into one block of
+    zero weight, whose value is a plain average of its nodes, and a curve at
+    other weights takes that value rescaled (the ``fill`` of ``_pool``).
+    """
+
+    def __init__(self):
+        base = irregular_tabulated()
+        super().__init__(base.nodes, base.density)
+
+    def _pdf(self, arr):
+        return np.where((arr >= 0.2) & (arr <= 1.5), 0.0, super()._pdf(arr))
+
+
 def rescaled_cases():
     """Commitment curves and costs the rescaled P_int is checked on."""
     bench_prim = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8, m=0.5, chi=1.0)
     pooled = pooled_config()
+    irregular = irregular_config(1, 4097, discretion=True)
     return {
         "benchmark": (virtual_weight(Weibull(2.0, 1.0), bench_prim, 1.0), QuadraticCost(0.2, 1.0)),
         "pooled": (config_commitment(pooled), pooled.cost),
@@ -344,33 +383,65 @@ def rescaled_cases():
         "pooled-edge": (config_commitment(pooled), QuadraticCost(4.1, 1.0)),
         "steep": steep_case(),
         "point-mass": (virtual_weight(PointMass(0.5), bench_prim, 1.0), QuadraticCost(0.2, 1.0)),
+        # the bimodal density of the irregular workload, under discretion
+        "irregular": (config_commitment(irregular), irregular.cost),
+        # at 129 nodes psi_bar steps from 0.0524 to the zero-weight block's
+        # 0.0636 at lambda = 1, so C'(0) = 0.07 puts the lower cutoff in that
+        # cell for lambda in (0.75, 0.91]
+        "zero-weight": (virtual_weight(ZeroWeightStretch(), bench_prim, 1.0, grid_size=129), QuadraticCost(0.07, 1.0)),
     }
 
 
-@pytest.mark.parametrize("case", ["benchmark", "pooled", "pooled-edge", "steep", "point-mass"])
+RESCALED_CASES = ["benchmark", "pooled", "pooled-edge", "steep", "point-mass", "irregular", "zero-weight"]
+
+
+@pytest.mark.parametrize("case", RESCALED_CASES)
 def test_rescaled_p_int_equals_the_full_evaluation(case):
-    # P_int read off the commitment curve by rescaled crossings is the P_int
-    # of the schedule solved on a fresh curve at lambda, to the bit, across
-    # the bracket; lambda = 0.8 (the point mass's jump) and its neighbours
-    # included
+    # P_int read off the commitment curve's psi_bar rescaled to lambda is the
+    # P_int of the schedule solved on the curve derived at lambda (``at``),
+    # to the bit, across the bracket; lambda = 0.8 (the point mass's jump)
+    # and its neighbours included.  It is also that of a fresh curve at
+    # lambda, except on a block of zero weight: PAV averages its nodes again
+    # there, while ``at`` rescales the commitment curve's average
     curve, cost = rescaled_cases()[case]
     prim, dist = curve.prim, curve.dist
     floor = prim.omega_T - prim.omega_b * prim.m
     lams = np.append(np.linspace(floor, prim.omega_T, 201), np.nextafter(0.8, [0.0, 0.8, 1.0]))
-    cutoff_cells_pooled = 0
+    starts, pooled = curve._ironing.starts, curve._ironing.pooled
+    zero_weight = starts[pooled & (np.add.reduceat(curve.density, starts) == 0.0)]
+    cutoff_cells_pooled = cutoff_cells_zero_weight = 0
     for lam in lams.tolist():
-        fresh = virtual_weight(dist, prim, lam, curve.theta.size)  # every case is on the default tail mass
-        assert np.array_equal(fresh.ironed, curve.ironed)  # a positive scale pools the same blocks
-        sched = solve_cap(fresh, cost)
-        assert discretion._interior_probability_at(curve, cost, lam) == interior_probability(sched), lam
-        if sched.theta_min is not None:
-            i = int(np.searchsorted(fresh.theta, sched.theta_min))
-            cutoff_cells_pooled += bool(fresh.ironed[max(i - 1, 0):i + 1].any())
-    assert np.any(curve.ironed) == case.startswith("pooled")
-    assert (cutoff_cells_pooled > 0) == (case == "pooled-edge")
+        p_int = discretion._interior_probability_at(curve, cost, lam)
+        derived = solve_cap(curve.at(prim, lam), cost)
+        assert p_int == interior_probability(derived), lam
+        if not zero_weight.size:
+            fresh = virtual_weight(dist, prim, lam, curve.theta.size)  # every case is on the default tail mass
+            assert np.array_equal(fresh.ironed, curve.ironed)  # a positive scale pools the same blocks
+            assert p_int == interior_probability(solve_cap(fresh, cost)), lam
+        if derived.theta_min is not None:
+            i = int(np.searchsorted(curve.theta, derived.theta_min))
+            cutoff_cells_pooled += bool(curve.ironed[max(i - 1, 0):i + 1].any())
+            cutoff_cells_zero_weight += i in zero_weight
+    assert np.any(curve.ironed) == (case in ("pooled", "pooled-edge", "irregular", "zero-weight"))
+    assert (cutoff_cells_pooled > 0) == (case in ("pooled-edge", "zero-weight"))
+    assert (cutoff_cells_zero_weight > 0) == (zero_weight.size > 0) == (case == "zero-weight")
 
 
-@pytest.mark.parametrize("case", ["benchmark", "pooled", "pooled-edge", "steep", "point-mass"])
+def test_rescaled_p_int_keeps_the_checks_of_a_derived_curve(bench_dist, bench_cost, bench_prim):
+    # the evaluation builds no curve, but rejects what ``at`` rejects, with
+    # its message: a lambda that is not positive and finite, and one so small
+    # that psi is not finite on the grid
+    curve = virtual_weight(bench_dist, bench_prim, 1.0)
+    for lam in (0.0, -0.5, float("nan"), float("inf"), "0.9", 5e-324):
+        with pytest.raises(ParameterError) as derived, np.errstate(all="ignore"):
+            curve.at(bench_prim, lam)
+        with pytest.raises(ParameterError) as evaluated, np.errstate(all="ignore"):
+            discretion._interior_probability_at(curve, bench_cost, lam)
+        assert str(evaluated.value) == str(derived.value)
+    assert "not finite" in str(derived.value)
+
+
+@pytest.mark.parametrize("case", RESCALED_CASES)
 def test_fixed_point_p_int_is_that_of_its_schedule(case):
     # the evaluations read P_int off curves derived from the commitment
     # curve; the returned P_int is the returned schedule's, to the bit

@@ -20,7 +20,7 @@ from softbudget import (
     uniform_stream,
 )
 from softbudget.distributions import GUIDE_CELLS, SAMPLE_BLOCK
-from conftest import irregular_tabulated
+from conftest import assert_scalar_path_matches, irregular_tabulated
 
 ANALYTIC = [
     Weibull(2.0, 1.0),
@@ -470,6 +470,19 @@ def test_nan_lies_outside_every_domain(name):
             with pytest.raises(DomainError) as raised:
                 getattr(dist, evaluator)(point)
             assert raised.type is DomainError
+
+
+@pytest.mark.parametrize("evaluator", ["hazard", "hazard_slope"])
+@pytest.mark.parametrize("name", KINDS)
+def test_scalar_input_is_checked_as_a_one_element_array(name, evaluator):
+    # 0-d input is checked with Python comparisons and math.isfinite, not
+    # the array tests: the outcome must be the one-element array's, the
+    # value to the bit or the same exception with the same message
+    dist = KINDS[name]
+    lo, hi = dist.support
+    points = [math.nan, math.inf, -math.inf, -0.0, lo, hi, lo - 1.0, math.nextafter(lo, -math.inf),
+              math.nextafter(hi, math.inf), float(dist.ppf(0.5))]
+    assert_scalar_path_matches(getattr(dist, evaluator), points)
 
 
 @pytest.mark.parametrize("name", KINDS)

@@ -351,6 +351,33 @@ def test_capmin_uniform_payouts():
     assert rep.exact_second[i] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("payout, b", [
+    (Uniform(0.0, 1.0), 1.0),
+    (Uniform(0.0, 1.0), 1.2),
+    (Uniform(0.0, 1.0), 1.5),
+    (Uniform(0.5, 1.0), 0.5),
+    (Uniform(0.5, 1.0), 0.7),
+], ids=["upper-edge", "above-upper-1.2", "above-upper-1.5", "lower-edge", "above-lower"])
+def test_capmin_passes_across_a_survivor_kink(payout, b):
+    # the survivor kinks at a support edge; on one grid over [0, b +- step]
+    # the trapezoid error at the kink differed between the two sides, and
+    # the central difference read it (max_dev_first 6.25e-5 at b = 1 on
+    # Uniform(0, 1)); each stretch between edges now has its own grid
+    rep = capmin_oracle(payout, [b])
+    assert rep.passed and not rep.one_sided[0]
+    assert rep.exact_first[0] == payout.survivor(b)
+
+
+def test_capmin_moments_take_one_grid_with_no_edge_inside():
+    # no support edge inside (0, b): the moments are those of the one grid
+    # from 0 to b, bit for bit, as the CLI's oracle points use them
+    for dist, b in ((Uniform(0.0, 1.0), 0.5), (Weibull(2.0, 1.0), 0.7), (Uniform(0.5, 1.0), 0.5)):
+        t = np.linspace(0.0, b, simulation.CAPMIN_QUAD_POINTS)
+        surv = dist.survivor(t)
+        expected = (float(np.trapezoid(surv, t)), float(np.trapezoid(2.0 * t * surv, t)))
+        assert simulation._moments_continuous(dist, b) == expected
+
+
 def test_capmin_discrete_atoms_flagged():
     dist = ((0.2, 0.5, 0.9), (0.3, 0.4, 0.3))
     b = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9])
