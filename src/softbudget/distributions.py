@@ -115,7 +115,7 @@ class TypeDistribution:
     def ppf(self, u):
         """Quantile function; accepts u in [0, 1)."""
         arr = np.asarray(u, dtype=float)
-        if not (np.all(arr >= 0.0) and np.all(arr < 1.0)):  # NaN fails both
+        if not (arr.size == 0 or 0.0 <= arr.min() and arr.max() < 1.0):  # NaN fails both; an empty array passes
             raise DomainError("quantile argument must lie in [0, 1)")
         return _returned(self._ppf(arr), arr)
 
@@ -140,7 +140,8 @@ class TypeDistribution:
         arr = np.asarray(theta, dtype=float)
         lo, hi = self.support
         scalar = arr.ndim == 0  # tested with Python comparisons, the same tests
-        if not (lo <= float(arr) <= hi if scalar else np.all(arr >= lo) and np.all(arr <= hi)):  # NaN fails both
+        # an array by its extremes, and an empty one passes; NaN fails both comparisons
+        if not (lo <= float(arr) <= hi if scalar else arr.size == 0 or lo <= arr.min() and arr.max() <= hi):
             raise DomainError(f"type value outside support [{lo}, {hi}] for kind '{self.kind}'")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = formula(arr)

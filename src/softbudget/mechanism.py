@@ -439,9 +439,10 @@ def _hazard(dist: TypeDistribution, theta: np.ndarray) -> np.ndarray:
     return np.ones_like(theta) if isinstance(dist, PointMass) else dist.hazard(theta)
 
 
-def _weight(prim: PolicyPrimitives, lam: float, theta: np.ndarray, hazard) -> np.ndarray:
-    """psi = gamma * omega_b / lambda * h: the one expression every curve evaluates."""
-    return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
+def _weight(prim: PolicyPrimitives, lam: float, theta: np.ndarray, hazard) -> np.ndarray | float:
+    """psi = gamma * omega_b / lambda * h: the one expression every curve evaluates, a constant omega_b as a float."""
+    omega_b = float(prim.omega_b) if prim.omega_b_constant else np.asarray(prim.omega_b_at(theta), dtype=float)
+    return prim.gamma * omega_b / lam * hazard
 
 
 def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: np.ndarray) -> np.ndarray:
@@ -468,8 +469,9 @@ def _grid_cell(x: np.ndarray, xp: np.ndarray) -> Optional[np.ndarray]:
     np.fmax(guess, 0.0, out=guess)
     np.fmin(guess, last, out=guess)
     j = guess.astype(np.intp)
-    below = ~(xp.take(j, out=guess) <= x)  # NaN counts as below
-    above = xp[1:].take(j, out=guess) <= x
+    # j is in range: mode="clip" writes straight into ``out``, "raise" buffers it
+    below = ~(xp.take(j, out=guess, mode="clip") <= x)  # NaN counts as below
+    above = xp[1:].take(j, out=guess, mode="clip") <= x
     moved = np.flatnonzero(below | above)  # rounding, or x outside the grid
     if moved.size:
         xm = x[moved]
@@ -553,9 +555,10 @@ def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) ->
     """
     psi_values = np.asarray(psi_values, dtype=float)
     c_top = float(cost.marginal(b_bar))
-    caps = np.clip(cost.inverse_marginal(np.minimum(psi_values, c_top)), 0.0, b_bar)
+    caps = cost.inverse_marginal(np.minimum(psi_values, c_top))  # a fresh array: clipped in place
+    np.clip(caps, 0.0, b_bar, out=caps)
     if float(np.clip(cost.inverse_marginal(c_top), 0.0, b_bar)) != b_bar:
-        caps = np.where(psi_values >= c_top, float(b_bar), caps)
+        caps = np.where(psi_values >= c_top, float(b_bar), caps)  # masked writes in place take longer
     return caps
 
 

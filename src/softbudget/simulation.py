@@ -98,7 +98,8 @@ def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> M
       gets its cap as mean and a standard error of exactly zero.
 
     Memory is the types plus a working set of a few blocks: sampling inverts
-    block by block and no other array of the sample's size is held.  The
+    block by block, no other array of the sample's size is held, and the
+    caps are clipped and turned into their deviations in place.  The
     interpolated weight is ``np.interp``'s on the ironed curve, bit for bit.
     """
     if n < MIN_SAMPLES:
@@ -133,7 +134,7 @@ def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> M
         lower = at_cap & (theta < theta_dagger_hat)
         if bool(np.any(lower)):
             theta_dagger_hat = float(np.min(theta[lower]))
-        interior += int(np.count_nonzero(positive & ~at_cap))
+        interior += int(np.count_nonzero(positive)) - int(np.count_nonzero(at_cap))  # b_bar > 0: at_cap is positive
 
         idx = _bin_index(theta, edges)
         block_counts = np.bincount(idx, minlength=bins)
@@ -143,10 +144,10 @@ def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> M
             sample[idx] = b
             shift[first] = sample[first]
         counts += block_counts
-        dev = b - shift[idx]
-        dev_sum += np.bincount(idx, weights=dev, minlength=bins)
-        dev *= dev
-        dev_sq += np.bincount(idx, weights=dev, minlength=bins)
+        b -= shift.take(idx)  # the caps' deviations, in place
+        dev_sum += np.bincount(idx, weights=b, minlength=bins)
+        b *= b
+        dev_sq += np.bincount(idx, weights=b, minlength=bins)
 
     filled = np.maximum(counts, 1)
     means = np.where(counts > 0, shift + dev_sum / filled, np.nan)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -483,6 +484,48 @@ def test_scalar_input_is_checked_as_a_one_element_array(name, evaluator):
     points = [math.nan, math.inf, -math.inf, -0.0, lo, hi, lo - 1.0, math.nextafter(lo, -math.inf),
               math.nextafter(hi, math.inf), float(dist.ppf(0.5))]
     assert_scalar_path_matches(getattr(dist, evaluator), points)
+
+
+def outcome(evaluate, x):
+    """What an evaluator gives: ("value", dtype, shape), or the exception's class and message."""
+    try:
+        value = evaluate(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "value", np.asarray(value).dtype, np.shape(value)
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_array_domain_checks_fail_as_their_worst_point(name):
+    # ppf, hazard and hazard_slope test an array by its min and max: an
+    # empty array passes; a point outside the domain, NaN among them, raises
+    # DomainError with the kind's message wherever it sits; otherwise each
+    # pair fails as its failing point does alone (non-finite, or no hazard)
+    dist = KINDS[name]
+    lo, hi = dist.support
+    mid = float(dist.ppf(0.5))
+    edges = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+    quantile = ("quantile argument must lie in [0, 1)", lambda u: 0.0 <= u < 1.0,
+                edges + [1.0, math.nextafter(1.0, 0.0), math.nextafter(0.0, -1.0), 1.5, 0.25])
+    typed = (f"type value outside support [{lo}, {hi}] for kind '{dist.kind}'", lambda t: lo <= t <= hi,
+             edges + [lo, hi, lo - 1.0, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), mid])
+    for evaluator, (message, inside, points) in (("ppf", quantile), ("hazard", typed), ("hazard_slope", typed)):
+        evaluate = getattr(dist, evaluator)
+        alone = {x: outcome(evaluate, x) for x in points}  # the 0-d path
+        for empty in (np.array([]), np.empty((0, 3))):  # the point mass has no hazard, even on no types
+            want = alone[points[-1]] if alone[points[-1]][0] != "value" else ("value", np.float64, empty.shape)
+            assert outcome(evaluate, empty) == want
+        for x in points:
+            if not inside(x):
+                assert alone[x] == (DomainError, message)
+            elif alone[x][0] == "value":
+                assert alone[x] == ("value", np.float64, ())
+        for a, b in itertools.product(points, repeat=2):
+            if not (inside(a) and inside(b)):
+                want = (DomainError, message)
+            else:
+                want = next((alone[x] for x in (a, b) if alone[x][0] != "value"), ("value", np.float64, (2, 1)))
+            assert outcome(evaluate, np.array([[a], [b]])) == want, (evaluator, a, b)
 
 
 @pytest.mark.parametrize("name", KINDS)

@@ -26,8 +26,9 @@ from softbudget import (
     transfer_schedule,
     virtual_weight,
 )
-from softbudget.mechanism import VirtualWeightCurve, _grid_cell, _interp, _leftmost_crossing, caps_from_targets
-from conftest import BENCH
+from softbudget import mechanism
+from softbudget.mechanism import VirtualWeightCurve, _grid_cell, _interp, _leftmost_crossing, _weight, caps_from_targets
+from conftest import BENCH, irregular_tabulated
 
 
 def hull_ironed(psi, weights):
@@ -845,6 +846,89 @@ def test_caps_from_targets_selects_only_where_the_top_inversion_rounds_off_b_bar
     assert caps_from_targets(np.array([select.marginal(2.22), 9.0]), select, 2.22).tolist() == [2.22, 2.22]
     bench = QuadraticCost(0.2, 1.0)  # the benchmark cost needs no select
     assert bench.inverse_marginal(bench.marginal(0.8)) == 0.8
+
+
+def caps_out_of_place(psi_values, cost, b_bar):
+    """``caps_from_targets`` with a fresh array at every step, the form it had before."""
+    psi_values = np.asarray(psi_values, dtype=float)
+    c_top = float(cost.marginal(b_bar))
+    caps = np.clip(cost.inverse_marginal(np.minimum(psi_values, c_top)), 0.0, b_bar)
+    if float(np.clip(cost.inverse_marginal(c_top), 0.0, b_bar)) != b_bar:
+        caps = np.where(psi_values >= c_top, float(b_bar), caps)
+    return caps
+
+
+# both kinds; the second table starts with a plateau at zero
+IN_PLACE_CASES = QUADRATIC_CASES + [(TabulatedCost([0.0, 0.5, 1.0], [0.2, 0.6, 1.0]), 0.8),
+                                    (TabulatedCost([0.0, 0.4, 2.0], [0.0, 0.0, 3.0]), 2.0)]
+
+
+@pytest.mark.parametrize("cost, b_bar", IN_PLACE_CASES,
+                         ids=[f"{c.kind}{i}-{b}" for i, (c, b) in enumerate(IN_PLACE_CASES)])
+def test_caps_from_targets_in_place_keeps_the_bits_and_its_inputs(cost, b_bar):
+    # the inversion's fresh array is clipped in place: the bits, dtype and
+    # shape of the out-of-place form, with the targets and the cost's tables
+    # left as they were
+    targets = edge_targets(cost, b_bar, nan=isinstance(cost, QuadraticCost)).reshape(-1, 1)
+    names = [name for name in ("payout_nodes", "marginal_nodes", "_value_nodes") if hasattr(cost, name)]
+    kept = [a.tobytes() for a in [targets] + [getattr(cost, name) for name in names]]
+    caps = caps_from_targets(targets, cost, b_bar)
+    want = caps_out_of_place(targets, cost, b_bar)
+    assert caps.dtype == want.dtype == np.float64 and same_bits(caps, want)
+    assert [a.tobytes() for a in [targets] + [getattr(cost, name) for name in names]] == kept
+    assert not np.shares_memory(caps, targets)
+
+
+# -- the one weight expression -------------------------------------------------
+
+
+def weight_reference(prim, lam, theta, hazard):
+    """``_weight`` with a constant omega_b spread over theta by ``np.full_like``, the form it had before."""
+    return prim.gamma * np.asarray(prim.omega_b_at(theta), dtype=float) / lam * hazard
+
+
+WEIGHT_PRIMS = [
+    PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8),
+    PolicyPrimitives(omega_T=1.0, omega_b=0.37, gamma=0.7, b_bar=0.8),
+    PolicyPrimitives(omega_T=1.0, omega_b=1, gamma=3, b_bar=0.8),  # integers, which the primitives accept
+    PolicyPrimitives(omega_T=1.0, omega_b=0.0, gamma=1.3, b_bar=0.8),
+    PolicyPrimitives(omega_T=1.0, omega_b=WeightCurve([0.0, 3.0], [0.5, 1.0]), gamma=0.9, b_bar=0.8),
+]
+
+
+@pytest.mark.parametrize("prim", WEIGHT_PRIMS, ids=["0.8", "0.37", "integers", "zero", "curve"])
+def test_weight_keeps_the_bits_of_the_full_like_form(prim):
+    # a constant omega_b enters as a float: the products and quotient are
+    # the same doubles, and the array is hazard's
+    theta = np.linspace(0.0, 2.5, 1001)
+    hazard = np.asarray(Weibull(2.0, 1.0).hazard(theta))
+    for lam in (1.0, 0.8974, 1.3, 2.0**-5):
+        for th, h in ((theta, hazard), (theta.reshape(7, 143), hazard.reshape(7, 143)), (theta[:0], hazard[:0])):
+            got, want = _weight(prim, lam, th, h), weight_reference(prim, lam, th, h)
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.float64
+            assert same_bits(got, want)
+        # the re-pooling scale weighs hazard 1.0: a float for a constant omega_b, equal to every element
+        got, want = _weight(prim, lam, theta[:5], 1.0), weight_reference(prim, lam, theta[:5], 1.0)
+        if prim.omega_b_constant:
+            assert type(got) is float and same_bits(np.full(5, got), want)
+        else:
+            assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.7, 1.9])
+def test_repooled_curve_keeps_its_bits_with_a_scalar_scale(gamma, bench_prim, monkeypatch):
+    # at(), the fixed point's _repooled and the pooled blocks' scale: the same
+    # psi and psi_bar with the scalar scale as with the full_like arrays
+    curve = virtual_weight(irregular_tabulated(), bench_prim, 1.0, grid_size=4097)
+    assert bool(np.any(curve.ironed))
+    prim = replace(bench_prim, gamma=gamma)
+    lambdas = (0.9, 1.0, 1.17, 0.6036508928)
+    got = [curve._repooled(prim, lam) for lam in lambdas]
+    monkeypatch.setattr(mechanism, "_weight", weight_reference)
+    for lam, (g_lam, g_psi, g_iron) in zip(lambdas, got):
+        w_lam, w_psi, w_iron = curve._repooled(prim, lam)
+        assert g_lam == w_lam and same_bits(g_psi, w_psi)
+        assert g_iron[0].tobytes() == w_iron[0].tobytes() and g_iron[1].tobytes() == w_iron[1].tobytes()
 
 
 # -- grid-indexed interpolation ----------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ from softbudget import (
     ParameterError,
     PointMass,
     QuadraticCost,
+    TabulatedCost,
     Uniform,
     Weibull,
+    WeightCurve,
     capmin_oracle,
     interior_probability,
     mc_run,
@@ -150,12 +153,24 @@ def assert_matches_reference(rep, dist, prim, cost, curve, theta_s):
             assert se == pytest.approx(float(np.sqrt(var / caps.size)), rel=1e-9, abs=0.0)
 
 
+# (distribution, omega_b curve, cost) beside the benchmark's constant omega_b and quadratic cost;
+# the Weibull's weight is exact at the types, the bimodal density's pooled and interpolated
+MC_CASES = {
+    "exact-psi": (Weibull(2.0, 1.0), None, None),
+    "pooled": (irregular_tabulated(), None, None),
+    "weight-curve": (Weibull(2.0, 1.0), WeightCurve([0.0, 1.0, 3.0], [0.6, 0.9, 1.0]), None),
+    "tabulated-cost": (irregular_tabulated(), None, TabulatedCost([0.0, 0.3, 0.8, 2.0], [0.2, 0.45, 1.0, 2.5])),
+}
+
+
 @pytest.mark.parametrize("n", [1000, 65_536, 65_537, 200_000])
-@pytest.mark.parametrize("pooled", [False, True], ids=["exact-psi", "pooled"])
-def test_mc_run_matches_whole_array_reference(n, pooled, bench_cost, bench_prim, monkeypatch):
-    dist = irregular_tabulated() if pooled else Weibull(2.0, 1.0)
-    curve = virtual_weight(dist, bench_prim, 1.0)
-    assert bool(np.any(curve.ironed)) == pooled
+@pytest.mark.parametrize("case", MC_CASES)
+def test_mc_run_matches_whole_array_reference(n, case, bench_cost, bench_prim, monkeypatch):
+    dist, omega_b, cost = MC_CASES[case]
+    prim = bench_prim if omega_b is None else replace(bench_prim, omega_b=omega_b)
+    cost = cost or bench_cost
+    curve = virtual_weight(dist, prim, 1.0)
+    assert bool(np.any(curve.ironed)) == (dist.kind == "tabulated")
     bins = 30
     theta_s = sample_types(dist, n, 20260814)
     # put types exactly on every inner edge, next to it, and at the maximum
@@ -164,9 +179,9 @@ def test_mc_run_matches_whole_array_reference(n, pooled, bench_cost, bench_prim,
     positions = np.random.default_rng(n).choice(n, planted.size, replace=False)
     theta_s[positions] = planted
     monkeypatch.setattr(simulation, "sample_types", lambda *args: theta_s.copy())
-    rep = mc_run(solve_cap(curve, bench_cost), n, seed=20260814, bins=bins)
+    rep = mc_run(solve_cap(curve, cost), n, seed=20260814, bins=bins)
     assert np.array_equal(rep.bin_edges, edges)
-    assert_matches_reference(rep, dist, bench_prim, bench_cost, curve, theta_s)
+    assert_matches_reference(rep, dist, prim, cost, curve, theta_s)
     assert np.count_nonzero(rep.bin_stderr == 0.0) >= 2  # the zero-cap and the b_bar bins
 
 
@@ -183,9 +198,10 @@ def test_mc_run_point_mass_fills_the_last_bin(bench_cost, bench_prim):
 
 def test_mc_run_holds_no_sample_sized_array_but_the_types(bench_dist, bench_cost, bench_prim):
     # the types plus a working set of a few blocks, with the exact and the
-    # interpolated virtual weight: 16.4 MB at a million draws
+    # interpolated virtual weight: 14.3 MB at a million draws (the exact
+    # path reads 6.4 blocks beyond the types, the interpolated one 8.4)
     n = 1_000_000
-    bound = 8 * n + 16 * SAMPLE_BLOCK * 8
+    bound = 8 * n + 12 * SAMPLE_BLOCK * 8
     for dist in (bench_dist, irregular_tabulated()):
         curve = virtual_weight(dist, bench_prim, 1.0)
         assert bool(np.any(curve.ironed)) is (dist is not bench_dist)
