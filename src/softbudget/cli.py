@@ -43,16 +43,11 @@ from typing import Optional
 
 import numpy as np
 
+# lazily registered modules, so each command runs only the ones it calls
+from . import discretion, mechanism, reporting, simulation, statics
 from .config import OutputSettings, RunConfig, load_config
-from .discretion import DiscretionSolution, fixed_point, fixed_point_failure, interior_probability
 from .distributions import Uniform
 from .errors import ConfigError, IllPosedError, NumericalError, SoftBudgetError
-from .mechanism import (
-    CapSchedule, VirtualWeightCurve, knife_edge, leader_cost, solve_cap, transfer_schedule, virtual_weight,
-)
-from .reporting import format_float, write_csv, write_csvs, write_json
-from .simulation import capmin_oracle, mc_run, welfare_bruteforce
-from .statics import fd_certify, m_sensitivity, statics_failures
 
 __all__ = ["main"]
 
@@ -70,29 +65,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _commitment(cfg: RunConfig) -> VirtualWeightCurve:
+def _commitment(cfg: RunConfig) -> mechanism.VirtualWeightCurve:
     """The commitment curve (lambda_T = omega_T) on the config's grid."""
-    return virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    return mechanism.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
 
 
-def _converged_fixed_point(cfg: RunConfig) -> Optional[DiscretionSolution]:
+def _converged_fixed_point(cfg: RunConfig) -> Optional[discretion.DiscretionSolution]:
     """The converged fixed point when the config enables discretion, else None."""
     if not cfg.discretion:
         return None
-    sol = fixed_point(_commitment(cfg), cfg.cost)
+    sol = discretion.fixed_point(_commitment(cfg), cfg.cost)
     if not sol.converged:
-        raise NumericalError(fixed_point_failure(sol))
+        raise NumericalError(discretion.fixed_point_failure(sol))
     return sol
 
 
-def _resolve_schedule(cfg: RunConfig) -> tuple[CapSchedule, Optional[DiscretionSolution]]:
+def _resolve_schedule(cfg: RunConfig) -> tuple[mechanism.CapSchedule, Optional[discretion.DiscretionSolution]]:
     """The cap schedule at the effective grant weight, solved once, and the fixed point that found it.
 
     Under discretion that is the converged fixed point's schedule; without
     it, the commitment schedule and no solution.
     """
     sol = _converged_fixed_point(cfg)
-    return (solve_cap(_commitment(cfg), cfg.cost) if sol is None else sol.schedule), sol
+    return (mechanism.solve_cap(_commitment(cfg), cfg.cost) if sol is None else sol.schedule), sol
 
 
 def _maybe(value):
@@ -102,7 +97,7 @@ def _maybe(value):
     return v if math.isfinite(v) else None
 
 
-def _discretion_fragment(sol: Optional[DiscretionSolution]):
+def _discretion_fragment(sol: Optional[discretion.DiscretionSolution]):
     if sol is None:
         return None
     return {
@@ -130,18 +125,18 @@ class _Artifacts:
         return os.path.join(self.directory, self.files[key])
 
     def json(self, key: str, obj) -> None:
-        write_json(self._path(key, "json"), obj)
+        reporting.write_json(self._path(key, "json"), obj)
 
     def csv(self, key: str, header, columns) -> None:
-        write_csv(self._path(key, "csv"), header, columns)
+        reporting.write_csv(self._path(key, "csv"), header, columns)
 
     def csvs(self, *tables) -> None:
         """Write ``(key, header, columns)`` tables in one call, so a first column they share renders once."""
-        write_csvs([(self._path(key, "csv"), header, columns) for key, header, columns in tables])
+        reporting.write_csvs([(self._path(key, "csv"), header, columns) for key, header, columns in tables])
 
     def summary(self, command: str, fields: dict) -> dict:
         summary = {"command": command, **fields, "files": self.files}
-        write_json(os.path.join(self.directory, "summary.json"), summary)
+        reporting.write_json(os.path.join(self.directory, "summary.json"), summary)
         return summary
 
 
@@ -149,7 +144,7 @@ def _shown(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return format_float(value)
+        return reporting.format_float(value)
     return "none" if value is None else str(value)
 
 
@@ -168,9 +163,9 @@ def _print_summary(command: str, summary: dict, out_dir: str, started: float) ->
 def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     sched, sol = _resolve_schedule(cfg)
     curve = sched.curve
-    transfers = transfer_schedule(sched)
-    cost_total = leader_cost(transfers)
-    knife = knife_edge(curve, cfg.cost)
+    transfers = mechanism.transfer_schedule(sched)
+    cost_total = mechanism.leader_cost(transfers)
+    knife = mechanism.knife_edge(curve, cfg.cost)
 
     # one call, so the type grid both files start with is rendered once
     out.csvs(
@@ -184,7 +179,7 @@ def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
         "lambda_T": curve.lambda_T,
         "theta_min": _maybe(sched.theta_min),
         "theta_dagger": _maybe(sched.theta_dagger),
-        "p_int": interior_probability(sched),
+        "p_int": discretion.interior_probability(sched),
         "leader_cost": cost_total,
         "knife_edge_margin": knife.margin,
         "no_rescue": knife.no_rescue,
@@ -196,7 +191,7 @@ def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
 def _cmd_knife_edge(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     sol = _converged_fixed_point(cfg)
     # the test reads only psi, so without discretion nothing is ironed
-    report = knife_edge(_commitment(cfg) if sol is None else sol.schedule.curve, cfg.cost)
+    report = mechanism.knife_edge(_commitment(cfg) if sol is None else sol.schedule.curve, cfg.cost)
     return {
         "no_rescue": report.no_rescue,
         "knife_edge_margin": report.margin,
@@ -211,7 +206,7 @@ def _cmd_knife_edge(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str
 def _cmd_discretion(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     if not cfg.discretion:
         raise ConfigError(["discretion.enabled: the discretion command needs discretion enabled"])
-    sol = fixed_point(_commitment(cfg), cfg.cost)
+    sol = discretion.fixed_point(_commitment(cfg), cfg.cost)
     fragment = _discretion_fragment(sol)
     out.json("discretion", {
         **fragment,
@@ -219,25 +214,25 @@ def _cmd_discretion(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str
         "jump": None if sol.jump is None else sol.jump._asdict(),
         "trace": [{"lambda": lam, "p_int": p} for lam, p in sol.trace],
     })
-    return fragment, None if sol.converged else fixed_point_failure(sol)
+    return fragment, None if sol.converged else discretion.fixed_point_failure(sol)
 
 
 def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     # both certifications start from the commitment curve
     commitment = _commitment(cfg)
-    report = fd_certify(commitment, cfg.cost)
+    report = statics.fd_certify(commitment, cfg.cost)
     rows = list(report.rows)
     chain_gap = None
     m_report = None
     if cfg.discretion and not math.isnan(report.theta_min):
-        m_report = m_sensitivity(commitment, cfg.cost)
+        m_report = statics.m_sensitivity(commitment, cfg.cost)
         rows.extend(m_report.rows)
         chain_gap = m_report.chain_gap
 
     # one column per StaticsRow field, named as the field
     header = ["partial", "analytic", "finite_difference", "rel_error", "sign_expected", "sign_ok", "flag"]
     out.csv("statics", header, [[getattr(r, name) for r in rows] for name in header])
-    failures = statics_failures(report, m_report)
+    failures = statics.statics_failures(report, m_report)
     return {
         "lambda_T": report.lambda_T,
         "theta_min": report.theta_min,
@@ -252,9 +247,9 @@ def _cmd_statics(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
 
 def _cmd_simulate(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     sched, sol = _resolve_schedule(cfg)
-    mc = mc_run(sched, n=cfg.simulation.n, seed=cfg.simulation.seed, bins=cfg.simulation.bins)
+    mc = simulation.mc_run(sched, n=cfg.simulation.n, seed=cfg.simulation.seed, bins=cfg.simulation.bins)
     centers = 0.5 * (mc.bin_edges[:-1] + mc.bin_edges[1:])
-    p_int = interior_probability(sched)
+    p_int = discretion.interior_probability(sched)
 
     out.json("mc_report", {
         "n": mc.n,
@@ -292,8 +287,8 @@ def _cmd_simulate(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]
 
 
 def _cmd_oracle(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
-    uniform = capmin_oracle(Uniform(0.0, 1.0), np.arange(0.1, 0.95, 0.1))
-    discrete = capmin_oracle(
+    uniform = simulation.capmin_oracle(Uniform(0.0, 1.0), np.arange(0.1, 0.95, 0.1))
+    discrete = simulation.capmin_oracle(
         ((0.2, 0.5, 0.9), (0.3, 0.4, 0.3)),
         [0.1, 0.2, 0.35, 0.5, 0.7, 0.9],
     )
@@ -314,7 +309,7 @@ def _cmd_oracle(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
         "passed": uniform.passed and discrete.passed,
     }
 
-    brute = welfare_bruteforce(
+    brute = simulation.welfare_bruteforce(
         [0.2, 0.4, 0.6, 0.8, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2], cfg.prim, cfg.cost,
     )
     out.json("oracle_capmin", capmin_report)

@@ -56,9 +56,7 @@ from .distributions import (
     Weibull,
 )
 from .errors import ConfigError, ParameterError, SoftBudgetError
-from .mechanism import DEFAULT_GRID_SIZE, DEFAULT_TAIL_MASS
-from .primitives import PolicyPrimitives, WeightCurve
-from .simulation import DEFAULT_BINS, MIN_SAMPLES
+from .primitives import DEFAULT_BINS, DEFAULT_GRID_SIZE, DEFAULT_TAIL_MASS, MIN_SAMPLES, PolicyPrimitives, WeightCurve
 
 __all__ = ["SimulationSettings", "GridSettings", "OutputSettings", "RunConfig", "load_config", "parse_config"]
 

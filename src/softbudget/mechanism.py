@@ -57,7 +57,7 @@ import numpy as np
 from .costs import RescueCost
 from .distributions import PointMass, TypeDistribution
 from .errors import ParameterError
-from .primitives import PolicyPrimitives
+from .primitives import DEFAULT_GRID_SIZE, DEFAULT_TAIL_MASS, PolicyPrimitives
 
 __all__ = [
     "VirtualWeightCurve",
@@ -72,9 +72,6 @@ __all__ = [
     "transfer_schedule",
     "leader_cost",
 ]
-
-DEFAULT_GRID_SIZE = 4097
-DEFAULT_TAIL_MASS = 1e-10
 
 _CUTOFF_TOL = 1e-14  # bisection width, well inside the 1e-8 contract
 

@@ -30,6 +30,12 @@ from .errors import ParameterError
 
 __all__ = ["WeightCurve", "PolicyPrimitives"]
 
+# solver defaults that ``config`` reads; ``mechanism`` and ``simulation`` re-export them
+DEFAULT_GRID_SIZE = 4097  # type-grid nodes
+DEFAULT_TAIL_MASS = 1e-10  # survivor mass cut off the top of an unbounded support
+DEFAULT_BINS = 30  # Monte Carlo bins
+MIN_SAMPLES = 1000  # fewest Monte Carlo draws
+
 
 class WeightCurve:
     """Nondecreasing tabulated welfare weight over types.

@@ -36,12 +36,10 @@ from .costs import RescueCost
 from .distributions import SAMPLE_BLOCK, PointMass, TypeDistribution, sample_types
 from .errors import ParameterError
 from .mechanism import CapSchedule, _grid_cell, _psi_on, _weight, caps_from_targets
-from .primitives import PolicyPrimitives
+from .primitives import DEFAULT_BINS, MIN_SAMPLES, PolicyPrimitives
 
 __all__ = ["MCReport", "CapMinReport", "BruteForceReport", "mc_run", "capmin_oracle", "welfare_bruteforce"]
 
-DEFAULT_BINS = 30
-MIN_SAMPLES = 1000
 CAPMIN_STEP = 1e-5  # difference step of the cap-minimum oracle
 CAPMIN_TOLERANCE = 5e-5  # largest deviation it passes
 CAPMIN_QUAD_POINTS = 4001  # trapezoid nodes of its continuous moments

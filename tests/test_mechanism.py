@@ -840,12 +840,26 @@ def test_caps_from_targets_keeps_the_bits_of_its_select(cost, b_bar):
     assert_select_bits(caps_from_targets(targets, cost, b_bar), caps_reference(targets, cost, b_bar), targets)
 
 
-def test_caps_from_targets_selects_only_where_the_top_inversion_rounds_off_b_bar():
+def test_caps_from_targets_selects_only_where_the_top_inversion_rounds_off_b_bar(monkeypatch):
     select = QuadraticCost(1.16, 0.37)
     assert select.inverse_marginal(select.marginal(2.22)) == 2.2199999999999998
     assert caps_from_targets(np.array([select.marginal(2.22), 9.0]), select, 2.22).tolist() == [2.22, 2.22]
     bench = QuadraticCost(0.2, 1.0)  # the benchmark cost needs no select
     assert bench.inverse_marginal(bench.marginal(0.8)) == 0.8
+    # count the selects: none for the benchmark cost, one for a cost whose
+    # C'^{-1}(C'(b_bar)) rounds off b_bar, which still caps every target at
+    # or above C'(b_bar) at exactly b_bar
+    selects = []
+    where = np.where
+    monkeypatch.setattr(np, "where", lambda *args: selects.append(1) or where(*args))
+    caps_from_targets(np.linspace(0.0, 2.0, 101), bench, 0.8)
+    assert selects == []
+    rounds_off = QuadraticCost(0.0, 0.2)
+    c_top = rounds_off.marginal(0.7)
+    assert rounds_off.inverse_marginal(c_top) == 0.6999999999999998
+    top = np.array([c_top, np.nextafter(c_top, np.inf), 1.0, 9.0, np.inf])
+    assert caps_from_targets(top, rounds_off, 0.7).tolist() == [0.7] * top.size
+    assert selects == [1]
 
 
 def caps_out_of_place(psi_values, cost, b_bar):

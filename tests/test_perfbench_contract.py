@@ -9,6 +9,8 @@ run; these tests make it fail here instead.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -192,3 +194,33 @@ def test_workload_sampling_builds_a_guide_table_where_its_types_are_tabulated(na
     assert built == []
     distributions.sample_types(cfg.dist, 2 * distributions.SAMPLE_BLOCK, cfg.simulation.seed)
     assert built == ([401] if builds else [])
+
+
+_INSTALL_AFTER_KNIFE_EDGE = """
+import sys, types
+import spans
+import softbudget.cli as cli
+
+assert cli.main(["knife-edge", "--config", {config!r}, "--out", {out!r}, "--quiet"]) == 0
+assert type(sys.modules.get("softbudget.statics")) is not types.ModuleType, "knife-edge ran statics"
+tracer = spans.Tracer()
+tracer.install()
+wrappers = {{(m, f): getattr(sys.modules["softbudget." + m], f) for m, f in spans.TRACED}}
+tracer.uninstall()
+modules = [m for name, m in sys.modules.items() if name.startswith("softbudget")]
+for (m, f), wrapper in wrappers.items():
+    assert wrapper.__wrapped__ is getattr(sys.modules["softbudget." + m], f), f"{{m}}.{{f}} not restored"
+    assert all(getattr(module, f, None) is not wrapper for module in modules), f"{{m}}.{{f}} left wrapped"
+print("ok")
+"""
+
+
+def test_tracer_installs_where_a_traced_module_never_ran(tmp_path):
+    # commit-fine never runs statics, a lazily registered module: install's
+    # lookup of its functions runs it, rather than failing on sys.modules
+    config = str(ROOT / "configs" / "commitment_benchmark.json")
+    code = _INSTALL_AFTER_KNIFE_EDGE.format(config=config, out=str(tmp_path))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(SPANS.parent)])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ok"]

@@ -281,7 +281,7 @@ def test_write_csvs_matches_cell_by_cell_rendering_across_block_edges(tmp_path_f
 @pytest.mark.parametrize("config", ["commitment_benchmark.json", "pooled_benchmark.json"])
 def test_solve_csvs_at_benchmark_scale_match_cell_by_cell_rendering(tmp_path, monkeypatch, config):
     tables = []
-    monkeypatch.setattr(cli, "write_csvs", lambda given: tables.extend(given) or write_csvs(given))
+    monkeypatch.setattr(reporting, "write_csvs", lambda given: tables.extend(given) or write_csvs(given))
     argv = ["solve", "--config", str(ROOT / "configs" / config), "--grid", "65537", "--out", str(tmp_path), "--quiet"]
     assert cli.main(argv) == 0
     assert sorted(os.path.basename(path) for path, _, _ in tables) == ["cap_schedule.csv", "transfers.csv"]
