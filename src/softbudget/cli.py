@@ -378,9 +378,6 @@ def main(argv=None) -> int:
             print(f"{args.command}: {failure}", file=sys.stderr)
             return EXIT_NUMERICAL
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"softbudget {args.command}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (NumericalError, IllPosedError) as exc:
         print(f"softbudget {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

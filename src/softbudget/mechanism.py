@@ -559,17 +559,12 @@ def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) ->
     return caps
 
 
-def _cutoffs(curve: VirtualWeightCurve, cost: RescueCost) -> tuple[Optional[float], Optional[float]]:
-    """``solve_cap``'s theta_min and theta_dagger: where psi_bar first exceeds C'(0+) and first reaches C'(b_bar).
-
-    With no theta_min both are None.
-    """
-    return _crossings(curve.theta, curve.psi_bar, cost, float(curve.prim.b_bar))
-
-
 def _crossings(theta: np.ndarray, psi_bar: np.ndarray, cost: RescueCost,
                b_bar: float) -> tuple[Optional[float], Optional[float]]:
-    """``_cutoffs`` on a grid and its monotone weights, which need not belong to a curve."""
+    """theta_min and theta_dagger: where the monotone weights psi_bar first exceed C'(0+) and first reach C'(b_bar).
+
+    The grid and weights need not belong to a curve.  With no theta_min both are None.
+    """
     theta_min = _leftmost_crossing(theta, psi_bar, cost.marginal_at_zero, strict=True)
     if theta_min is None:
         return None, None
@@ -581,9 +576,9 @@ def solve_cap(curve: VirtualWeightCurve, cost: RescueCost) -> CapSchedule:
 
     Each grid point solves C'(b) = psi_bar, with b = 0 where the target sits
     below C'(0+) and b = b_bar (``curve.prim.b_bar``) where it exceeds
-    C'(b_bar); the cutoffs are ``_cutoffs``'.
+    C'(b_bar); the cutoffs are ``_crossings``' on ``curve.psi_bar``.
     """
-    theta_min, theta_dagger = _cutoffs(curve, cost)
+    theta_min, theta_dagger = _crossings(curve.theta, curve.psi_bar, cost, float(curve.prim.b_bar))
     regime = "no-rescue" if theta_min is None else "interior" if theta_dagger is None else "mixed"
     return CapSchedule(curve, cost, caps_from_targets(curve.psi_bar, cost, float(curve.prim.b_bar)),
                        theta_min, theta_dagger, regime)
@@ -592,22 +587,24 @@ def solve_cap(curve: VirtualWeightCurve, cost: RescueCost) -> CapSchedule:
 def knife_edge(curve: VirtualWeightCurve, cost: RescueCost) -> KnifeEdgeReport:
     """Test whether shutting rescue down entirely is optimal.
 
-    No rescue is optimal exactly when C'(0+) >= sup_theta psi(theta).  For
-    unbounded supports the supremum is taken on the truncated grid and the
-    report flags the truncation: a hazard that grows without bound can
-    never satisfy the inequality, and the flag warns that the grid sup
-    understates the true one.  The test reads only the raw weight psi, so
+    No rescue is optimal exactly when C'(0+) >= sup_theta psi(theta).  The
+    supremum is taken on the grid, and ``truncated_support`` reports that
+    the grid stops short of the support at either end, as a grid that ends
+    at a quantile below 1 does on every kind but a point mass: the grid sup
+    may then understate the true one, which is infinite for a hazard that
+    grows without bound.  The test reads only the raw weight psi, so
     nothing is ironed.
     """
     sup_psi = float(np.max(curve.psi))
     c_origin = float(cost.marginal_at_zero)
     margin = c_origin - sup_psi
+    lower, upper = curve.dist.support
     return KnifeEdgeReport(
         no_rescue=margin >= 0.0,
         margin=margin,
         sup_virtual_weight=sup_psi,
         marginal_cost_at_zero=c_origin,
-        truncated_support=not math.isfinite(curve.dist.support[1]),
+        truncated_support=bool(curve.theta[0] > lower or curve.theta[-1] < upper),
         lambda_T=curve.lambda_T,
     )
 

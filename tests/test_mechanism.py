@@ -15,6 +15,7 @@ from softbudget import (
     QuadraticCost,
     Tabulated,
     TabulatedCost,
+    Truncated,
     Uniform,
     Weibull,
     WeightCurve,
@@ -261,6 +262,22 @@ def test_knife_edge_unbounded_hazard_never_shuts_down(bench_dist, bench_prim):
     # exceeds any practical origin cost
     assert report.truncated_support is True
     assert report.no_rescue is False
+
+
+@pytest.mark.parametrize("dist, truncated", [
+    (Weibull(2.0, 1.0), True),
+    (Exponential(1.0), True),
+    (Uniform(0.0, 1.0), True),
+    (Tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 1.0]), True),
+    (Truncated(Weibull(2.0, 1.0), 0.0, 2.0), True),
+    (PointMass(0.5), False),
+], ids=lambda v: getattr(v, "kind", None))
+def test_knife_edge_flags_a_grid_that_stops_short_of_the_support(bench_prim, dist, truncated):
+    # a grid that ends at the 1 - tail_mass quantile stops short of a compact
+    # support too, where the hazard (and the grid sup) grows without bound
+    curve = virtual_weight(dist, bench_prim, 1.0, grid_size=257)
+    report = knife_edge(curve, QuadraticCost(0.2, 1.0))
+    assert report.truncated_support is truncated
 
 
 def test_knife_edge_true_forces_zero_caps(bench_prim):

@@ -21,7 +21,7 @@ from conftest import ROOT
 
 SRC = str(ROOT / "src")
 LAZY = {"mechanism", "discretion", "statics", "simulation", "reporting"}
-# what `import softbudget.cli` and `load_config` execute
+# what `import softbudget.cli` and `load_config` execute; `import softbudget` executes all but `cli`
 EAGER = {"cli", "config", "costs", "distributions", "errors", "primitives"}
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
@@ -87,6 +87,43 @@ def test_star_import_and_dir_list_every_exported_name():
     assert set(softbudget.__all__) <= set(namespace)
     assert set(softbudget.__all__) <= set(dir(softbudget))
     assert LAZY <= set(dir(softbudget))
+
+
+def test_star_import_in_a_fresh_interpreter_binds_every_exported_name():
+    # each lazily exported name is read through PEP 562 on a module that has not run yet
+    executed, effort = _fresh(
+        "import softbudget\n"
+        "namespace = {}\n"
+        "exec('from softbudget import *', namespace)\n"
+        "assert set(softbudget.__all__) <= set(namespace), set(softbudget.__all__) - set(namespace)"
+    )
+    assert set(executed) == EAGER - {"cli"} | LAZY - {"reporting"}  # `reporting` exports no name
+    assert not effort
+
+
+def test_each_lazy_name_in_a_fresh_interpreter_is_its_home_modules_object():
+    executed, _ = _fresh(
+        "import softbudget\n"
+        "for name, home in softbudget._HOME.items():\n"
+        "    obj = getattr(softbudget, name)\n"
+        "    assert obj.__module__ == f'softbudget.{home}', name\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name"
+    )
+    assert set(executed) == EAGER - {"cli"} | LAZY - {"reporting"}
+
+
+def test_readme_library_example_in_a_fresh_interpreter():
+    # the example's prints are collected, so `_fresh`'s last line stays its module report
+    example = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)[0]
+    executed, effort = _fresh(
+        "printed = []\n"
+        f"exec(compile({example!r}, 'README.md', 'exec'), {{'print': lambda *a: printed.append(a)}})\n"
+        "(theta_min, theta_dagger), (no_rescue,), (lambda_T, p_int) = printed\n"
+        "assert abs(theta_min - 0.125) < 1e-6 and abs(theta_dagger - 0.625) < 1e-6, printed\n"
+        "assert no_rescue is False and abs(lambda_T - 0.897) < 1e-3 and abs(p_int - 0.257) < 1e-3, printed"
+    )
+    assert set(executed) == EAGER - {"cli"} | {"mechanism", "discretion"}
+    assert not effort
 
 
 def test_an_unknown_name_raises_attribute_error():
