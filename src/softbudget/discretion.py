@@ -225,7 +225,7 @@ def fixed_point(curve: VirtualWeightCurve, cost: RescueCost, tol: float = DEFAUL
     least omega_T * 2**-107 while the first width is below omega_T: the
     bracket reaches adjacent floats within 107 halvings, and the search ends
     within about 3*107 + 3 evaluations (one more when it evaluates the
-    floor).  The most measured is 78: bimodal tabulated densities, 39 seeds,
+    floor).  The most measured is 77: bimodal tabulated densities, 39 seeds,
     4,097 nodes, m = 0.5, tol 1e-300.
     """
     prim = curve.prim

@@ -40,7 +40,8 @@ Cutoffs:
 * ``theta_min``    -- lowest type receiving a positive cap,
 * ``theta_dagger`` -- lowest type whose cap hits the bound b_bar,
 
-located by bisection on the interpolated monotone weight curve.  The
+located in closed form on the linear interpolant of psi_bar, where it
+first exceeds C'(0+) and first reaches C'(b_bar).  The
 knife-edge test reports whether rescue is shut down for *all* types:
 no rescue is optimal exactly when C'(0+) >= sup_theta psi(theta).
 """
@@ -50,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,8 +73,6 @@ __all__ = [
     "transfer_schedule",
     "leader_cost",
 ]
-
-_CUTOFF_TOL = 1e-14  # bisection width, well inside the 1e-8 contract
 
 
 @dataclass(frozen=True)
@@ -502,11 +501,13 @@ def _interp(x, xp: np.ndarray, fp: np.ndarray):
 
 
 def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, strict: bool) -> Optional[float]:
-    """Smallest theta where the piecewise-linear interpolant exceeds target.
+    """Smallest theta where the piecewise-linear interpolant of ``values`` exceeds (``strict``) or reaches target.
 
-    ``values`` must be nondecreasing.  Bisection on the predicate keeps the
-    cutoff a smooth function of the underlying parameters, which the
-    finite-difference statics harness relies on.
+    ``values`` must be nondecreasing.  On the cell [x0, x1] closed by the
+    first node past the target the interpolant is a line, whose crossing is
+    returned clamped to the cell (x0 where v0 meets a strict target): a
+    smooth function of the parameters, as the finite-difference statics
+    harness needs.
     """
     above = values > target if strict else values >= target
     i = int(np.argmax(above))
@@ -514,32 +515,9 @@ def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, str
         return None
     if i == 0:
         return float(theta[0])
-    if strict and values[i - 1] == target:  # the interpolant leaves the target at that node
-        return float(theta[i - 1])
     x0, x1 = float(theta[i - 1]), float(theta[i])
-    v0, rise = float(values[i - 1]), float(values[i]) - float(values[i - 1])
-    span = x1 - x0
-
-    def ok(x: float) -> bool:
-        val = v0 + rise * (x - x0) / span
-        return val > target if strict else val >= target
-
-    return _bisect(ok, x0, x1, _CUTOFF_TOL)
-
-
-def _bisect(ok: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
-    """Bisect [lo, hi] on a predicate that fails at ``lo`` and holds at ``hi``: the ``hi`` end at width ``tol``.
-
-    The width is relative to max(1, |hi|), and ``tol`` must exceed 2**-52,
-    so the bracket reaches it before its ends are adjacent floats.
-    """
-    while hi - lo > tol * (hi if hi > 1.0 else -hi if hi < -1.0 else 1.0):  # tol * max(1, |hi|), bit for bit
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    v0, v1 = float(values[i - 1]), float(values[i])
+    return min(max(x0 + (target - v0) / (v1 - v0) * (x1 - x0), x0), x1)
 
 
 def caps_from_targets(psi_values: np.ndarray, cost: RescueCost, b_bar: float) -> np.ndarray:

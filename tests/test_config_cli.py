@@ -509,11 +509,12 @@ def test_cli_statics_failure_names_its_cause(tmp_path, capsys):
     assert run_cli("statics", "--config", write_doc(tmp_path, doc), "--quiet") == 2
     assert capsys.readouterr().err == (
         "statics: finite-difference certification failed on the 257-node grid: "
-        "d_theta_min_d_alpha rel_error 3.468e-02 > STATICS_REL_TOL 0.0001\n"
+        + "; ".join(f"d_theta_min_d_{p} rel_error 3.468e-02 > STATICS_REL_TOL 0.0001"
+                    for p in ("alpha", "omega_b", "lambda_T", "gamma")) + "\n"
     )
     assert json.loads((out / "summary.json").read_text())["passed"] is False
     cols = read_csv_columns(out / "statics.csv")
-    assert cols["rel_error"][:4] == ["0.03467787943"] * 4
+    assert cols["rel_error"][:4] == ["0.03467788049"] * 4
     assert cols["flag"][4:] == ["not-applicable"] * 3
 
 
@@ -568,8 +569,8 @@ def test_cli_statics_flags_the_m_rows_across_a_regime_boundary(tmp_path, capsys,
     # Uniform(1, 2) at alpha = 0.97584...: the discretionary theta_min is
     # 1 + 2.9e-7, and the fixed points at m +- h put it on theta[0]; the
     # command exited 1 ("shrink the step") and wrote no statics.csv.  Now the
-    # m rows are flagged and there is no chain gap; on 4,097 nodes the
-    # grid-limited cutoff partial still fails
+    # m rows are flagged and there is no chain gap; on 4,097 nodes the four
+    # grid-limited cutoff partials still fail
     out = tmp_path / "run"
     doc = make_doc(distribution={"kind": "uniform", "lower": 1.0, "upper": 2.0},
                    cost={"kind": "quadratic", "alpha": 0.9758433097511897, "kappa": 1.0},
@@ -577,7 +578,8 @@ def test_cli_statics_flags_the_m_rows_across_a_regime_boundary(tmp_path, capsys,
     assert run_cli("statics", "--config", write_doc(tmp_path, doc), "--grid", str(grid), "--quiet") == code
     assert capsys.readouterr().err == ("" if code == 0 else
         "statics: finite-difference certification failed on the 4097-node grid: "
-        "d_theta_min_d_lambda_T rel_error 2.479e-04 > STATICS_REL_TOL 0.0001\n")
+        + "; ".join(f"d_theta_min_d_{p} rel_error 2.479e-04 > STATICS_REL_TOL 0.0001"
+                    for p in ("alpha", "omega_b", "lambda_T", "gamma")) + "\n")
     cols = read_csv_columns(out / "statics.csv")
     assert cols["partial"][7:] == ["d_lambda_T_d_m", "d_theta_min_d_m", "d_b_max_d_m"]
     assert cols["flag"][7:] == ["regime-boundary", "regime-boundary", "not-applicable"]

@@ -309,16 +309,28 @@ def test_fixed_point_steep_case_converges_at_the_statics_tolerance():
         assert sol.lambda_T == pytest.approx(0.6036508928, abs=1e-9)
 
 
+def test_fixed_point_steep_case_converges_below_the_statics_tolerance():
+    # cutoffs bisected to a width of 1e-14 left a staircase in P_int(lambda):
+    # at tol 1e-15 and 1e-16 the search read a jump at 0.6036508927691434,
+    # P_int 0.4893198854701879 -> ...981.  The closed-form crossing has no
+    # staircase, and the root is the one found at 1e-14
+    curve, cost = steep_case()
+    for tol in (1e-15, 1e-16):
+        sol = fixed_point(curve, cost, tol=tol)
+        assert sol.converged and sol.jump is None and sol.iterations == 12
+        assert sol.lambda_T == pytest.approx(0.6036508928, abs=1e-8)
+
+
 def test_fixed_point_trace_on_the_discretion_config_is_pinned():
     # the evaluated (lambda, P_int) pairs of `discretion` on the benchmark
     # config, at the CLI's tolerance and at m_sensitivity's, to the bit
     cfg = load_config(str(ROOT / "configs" / "discretion_benchmark.json"))
     trace = (
-        (1.0, 0.30786259084368106),
-        (0.8768549636625276, 0.2474930475021534),
-        (0.8970438850474545, 0.25722830686741305),
-        (0.8970982006800504, 0.25725460172499515),
-        (0.8970981660214599, 0.2572545849461806),
+        (1.0, 0.3078625908436795),
+        (0.8768549636625282, 0.24749304750215118),
+        (0.8970438850474554, 0.2572283068674138),
+        (0.8970982006800503, 0.25725460172499137),
+        (0.8970981660214611, 0.25725458494617637),
     )
     for tol in (discretion.DEFAULT_TOL, statics.FIXED_POINT_TOL):
         sol = fixed_point(config_commitment(cfg), cfg.cost, tol=tol)

@@ -219,6 +219,8 @@ def test_point_mass_behavior():
     assert float(dist.ppf(0.3)) == 0.5
     assert float(dist.cdf(0.5)) == 1.0
     assert float(dist.cdf(0.49)) == 0.0
+    # the atom convention: P(type > 0.5) = 0 at the atom itself
+    assert dist.survivor(np.array([0.49, 0.5, 0.51])).tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(ParameterError):
         dist.hazard(0.5)
     with pytest.raises(ParameterError):
@@ -456,6 +458,13 @@ def test_truncated_hazard_slope_at_the_lower_bound(dist):
     assert dist.hazard_slope(inside)[0] == pytest.approx(slope, rel=1e-12)
     if dist == TRUNCATED_BASES[0]:
         assert slope == pytest.approx(2.0728324987, abs=1e-9)
+
+
+def test_exponential_weibull_hazard_slope_is_zero_at_the_origin():
+    # shape 1: the general formula k(k-1)/s^2 (theta/s)^(k-2) reads 0 * inf at 0
+    dist = Weibull(1.0, 2.0)
+    assert float(dist.hazard_slope(0.0)) == 0.0
+    assert dist.hazard_slope(np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
 
 # every kind; the point mass has no hazard, but its domain checks come first

@@ -759,7 +759,47 @@ def test_strict_crossing_on_a_node_that_meets_the_target_is_that_node(bench_dist
     values = np.array([0.0, 0.5, 0.5, 1.0])
     assert _leftmost_crossing(theta, values, 0.5, strict=True) == 2.0
     assert _leftmost_crossing(theta, values, 0.5, strict=False) == 1.0
-    assert 0.0 < _leftmost_crossing(theta, values, 0.25, strict=True) - 0.5 < 1e-13
+    assert _leftmost_crossing(theta, values, 0.25, strict=True) == 0.5
+
+
+@st.composite
+def crossing_inputs(draw):
+    """A strictly increasing grid, nondecreasing values with plateaus, and targets on and between the values."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    steps = draw(st.lists(st.floats(1e-6, 10.0), min_size=n - 1, max_size=n - 1))
+    rises = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 10.0)), min_size=n - 1, max_size=n - 1))
+    theta = np.cumsum([draw(st.floats(-5.0, 5.0))] + steps)
+    values = np.cumsum([draw(st.floats(-5.0, 5.0))] + rises)
+    target = st.one_of(st.sampled_from(values.tolist()), st.floats(values[0] - 1.0, values[-1] + 1.0))
+    return theta, values, sorted(draw(st.lists(target, min_size=1, max_size=8)))
+
+
+@given(crossing_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_leftmost_crossing_is_the_clamped_crossing_of_its_cell(case):
+    # on the cell closed by the first node past the target the interpolant
+    # is a line: its crossing, clamped to the cell, and nondecreasing in the
+    # target; reaching a target comes no later than exceeding it
+    theta, values, targets = case
+    found = {}
+    for strict in (False, True):
+        found[strict] = []
+        for target in targets:
+            x = _leftmost_crossing(theta, values, target, strict)
+            above = values > target if strict else values >= target
+            i = int(np.argmax(above))
+            if not above[i]:
+                assert x is None
+                x = np.inf
+            elif i == 0:
+                assert x == theta[0]
+            else:
+                x0, x1, v0, v1 = float(theta[i - 1]), float(theta[i]), float(values[i - 1]), float(values[i])
+                assert x == min(max(x0 + (target - v0) / (v1 - v0) * (x1 - x0), x0), x1)
+                assert x0 <= x <= x1
+            found[strict].append(x)
+        assert found[strict] == sorted(found[strict])
+    assert all(reach <= exceed for reach, exceed in zip(found[False], found[True]))
 
 
 def test_caps_from_targets_sends_targets_at_or_above_the_top_to_b_bar():

@@ -299,3 +299,8 @@ def test_atomic_write_text_removes_its_temporary_file_when_the_write_fails(tmp_p
         reporting.atomic_write_text(str(target), "after \ud800\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
     assert target.read_bytes() == b"before\n"
+
+
+def test_dumps_json_writes_empty_containers_inline():
+    assert reporting.dumps_json({}) == "{}\n" and reporting.dumps_json([]) == "[]\n"
+    assert reporting.dumps_json({"rows": [], "flags": {}}) == '{\n  "rows": [],\n  "flags": {}\n}\n'

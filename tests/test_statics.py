@@ -17,6 +17,7 @@ from softbudget import (
     analytic_partials,
     fd_certify,
     fixed_point,
+    load_config,
     m_sensitivity,
     virtual_weight,
 )
@@ -25,7 +26,7 @@ from softbudget.mechanism import VirtualWeightCurve, solve_cap
 from softbudget.statics import (
     FLAG_NOT_APPLICABLE, FLAG_OK, FLAG_REGIME_BOUNDARY, StaticsReport, StaticsRow, statics_failures,
 )
-from conftest import PlateauHazard, config_commitment, irregular_config, pooled_config
+from conftest import ROOT, PlateauHazard, config_commitment, irregular_config, pooled_config
 
 FROZEN_D_LAMBDA_D_M = -0.1724158793
 
@@ -53,6 +54,13 @@ def test_fd_certify_benchmark(bench_dist, bench_cost, bench_prim):
     assert report.theta_ref == pytest.approx(0.5, abs=1e-10)
     for r in report.rows:
         assert r.sign_ok, r.partial
+
+
+def test_analytic_partials_need_an_interior_lower_cutoff(bench_dist, bench_prim):
+    # no rescue at all, and a lower cutoff on the support's edge theta[0]
+    for dist, cost in ((Exponential(1.0), QuadraticCost(1.0, 1.0)), (bench_dist, QuadraticCost(0.0, 1.0))):
+        with pytest.raises(ParameterError, match="no interior lower cutoff"):
+            analytic_partials(virtual_weight(dist, bench_prim, 1.0), cost)
 
 
 def test_fd_certify_not_applicable_under_no_rescue(bench_prim):
@@ -138,6 +146,20 @@ def test_m_sensitivity_benchmark(bench_dist, bench_cost, bench_prim):
     assert report.all_ok
     assert report.chain_gap is not None and report.chain_gap <= 1e-3
     assert report.max_rel_error <= 1e-3
+
+
+def test_statics_on_the_discretion_config_follow_the_solver():
+    # bisected cutoffs put a 1e-14 staircase under the differences: the
+    # cutoff rows read 2.8e-10, the m rows 1.2e-9 to 3.2e-9 and the chain
+    # gap 2.0e-9; differencing the closed-form crossing, no row reads more
+    # than the cap row d_b_max_d_kappa's 1.03e-10 and the chain gap is 0
+    cfg = load_config(str(ROOT / "configs" / "discretion_benchmark.json"))
+    commitment = config_commitment(cfg)
+    report, m_report = fd_certify(commitment, cfg.cost), m_sensitivity(commitment, cfg.cost)
+    rows = report.rows + m_report.rows
+    assert len(rows) == 10 and all(r.flag == FLAG_OK for r in rows)
+    assert max(r.rel_error for r in rows) <= 2e-10
+    assert m_report.chain_gap <= 1e-12
 
 
 def test_statics_reuse_a_given_commitment_curve(bench_dist, bench_cost, bench_prim):
