@@ -67,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _commitment(cfg: RunConfig) -> mechanism.VirtualWeightCurve:
     """The commitment curve (lambda_T = omega_T) on the config's grid."""
-    return mechanism.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    return mechanism.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size)
 
 
 def _converged_fixed_point(cfg: RunConfig) -> Optional[discretion.DiscretionSolution]:

@@ -8,20 +8,20 @@ A run is described by one JSON document with up to seven blocks::
       "weights":      {"omega_T": 1.0, "omega_b": 0.8, "gamma": 1.0, "b_bar": 0.8},
       "discretion":   {"enabled": false, "m": 0.0, "chi": 1.0},
       "simulation":   {"n": 200000, "seed": 12345, "bins": 30},
-      "grid":         {"size": 4097, "truncation_quantile": 0.9999999999},
+      "grid":         {"size": 4097},
       "output":       {"directory": "out"}
     }
 
 ``distribution``, ``cost``, and ``weights`` are required.  A field left
 out of another block takes the default of its settings dataclass below
 (``m`` and ``chi`` that of :class:`PolicyPrimitives`, ``enabled`` false),
-which names the library's own default where there is one: the grid's
-tail mass is ``DEFAULT_TAIL_MASS`` (1e-10) unless a
-``truncation_quantile`` q sets it to ``1 - q``.  The discretionary fixed
-point is solved at the library's tolerance; the schema has no solver
-settings.  The schema is strict: unknown and repeated keys are rejected,
-and every problem found is reported in a single aggregated error so a bad
-config never needs more than one round trip to fix.
+which names the library's own default where there is one.  The grid
+always ends at the ``1 - DEFAULT_TAIL_MASS`` quantile (1e-10 of tail mass)
+and the discretionary fixed point is solved at the library's tolerance;
+the schema has neither setting.  The schema is strict: unknown and
+repeated keys are rejected, and every problem found is reported in a
+single aggregated error so a bad config never needs more than one round
+trip to fix.
 
 The kinds of ``distribution`` and ``cost`` are the keys of ``_DISTRIBUTIONS``
 and ``_COSTS``; each maps to its constructor and the fields passed to it in
@@ -56,7 +56,7 @@ from .distributions import (
     Weibull,
 )
 from .errors import ConfigError, ParameterError, SoftBudgetError
-from .primitives import DEFAULT_BINS, DEFAULT_GRID_SIZE, DEFAULT_TAIL_MASS, MIN_SAMPLES, PolicyPrimitives, WeightCurve
+from .primitives import DEFAULT_BINS, DEFAULT_GRID_SIZE, MIN_SAMPLES, PolicyPrimitives, WeightCurve
 
 __all__ = ["SimulationSettings", "GridSettings", "OutputSettings", "RunConfig", "load_config", "parse_config"]
 
@@ -90,7 +90,6 @@ class SimulationSettings:
 @dataclass(frozen=True)
 class GridSettings:
     size: int = DEFAULT_GRID_SIZE
-    tail_mass: float = DEFAULT_TAIL_MASS
 
 
 @dataclass(frozen=True)
@@ -314,13 +313,8 @@ def parse_config(document: dict) -> RunConfig:
         ("seed", int, lambda v: 0 <= v <= MAX_SEED, "must fit in an unsigned 64-bit integer"),
         ("bins", int, lambda v: 2 <= v <= MAX_BINS, f"must lie in [2, {MAX_BINS}]"),
     )
-    grid = _fields(
-        document, "grid", problems,
-        ("size", int, lambda v: 17 <= v <= MAX_GRID_SIZE, f"must lie in [17, {MAX_GRID_SIZE}]"),
-        ("truncation_quantile", float, lambda v: 0.5 < v < 1.0, "must lie in (0.5, 1)"),
-    )
-    if "truncation_quantile" in grid:
-        grid["tail_mass"] = 1.0 - grid.pop("truncation_quantile")
+    grid = _fields(document, "grid", problems,
+                   ("size", int, lambda v: 17 <= v <= MAX_GRID_SIZE, f"must lie in [17, {MAX_GRID_SIZE}]"))
     output = _fields(document, "output", problems, ("directory", str, lambda v: len(v) > 0, "must be nonempty"))
 
     if not problems:

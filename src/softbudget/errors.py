@@ -32,7 +32,8 @@ class IllPosedError(SoftBudgetError, ArithmeticError):
     """A comparative-statics quantity is ill-posed at the solved point.
 
     Raised when the implicit-function denominator (the hazard slope at the
-    lower cutoff) is zero or numerically indistinguishable from it.
+    lower cutoff) is zero or numerically indistinguishable from it, or when
+    the lower cutoff lies on or next to a pooled stretch of psi_bar.
     """
 
 

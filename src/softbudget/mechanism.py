@@ -257,7 +257,8 @@ def iron_weights(psi: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     * a block flags only when it holds more than one node, and nodes left
       alone keep their exact value;
     * a pooled block's value is its weighted mean, summed over the block
-      once the partition is known;
+      once the partition is known, and clamped where that sum rounds it past
+      a neighbour (``_pool``), so the output is nondecreasing bit for bit;
     * a block of zero total weight takes the plain average
       ``0.5 * (left + right)`` at each merge, in the order a node-by-node
       pass would merge; zero-weight nodes therefore enter one at a time.
@@ -351,10 +352,15 @@ def _pool(psi: np.ndarray, weights: np.ndarray, starts: np.ndarray, pooled: np.n
     ironing = _Ironing((psi.copy(), np.repeat(pooled, sizes)))
     ironing.starts, ironing.pooled = starts, pooled
     if pooled.any():
+        out, flags = ironing
         block_weight = np.add.reduceat(weights, starts)[pooled]
         block_mass = np.add.reduceat(weights * psi, starts)[pooled]
         values = np.divide(block_mass, block_weight, out=np.array(fill, dtype=float), where=block_weight > 0.0)
-        ironing[0][ironing[1]] = np.repeat(values, sizes[pooled])
+        out[flags] = np.repeat(values, sizes[pooled])
+        # a sum that rounds past a neighbour: cap at the next unpooled node, then take the running maximum
+        if np.any(out[1:] < out[:-1]):
+            np.minimum(out, np.minimum.accumulate(np.where(flags, np.inf, out)[::-1])[::-1], out=out)
+            np.maximum.accumulate(out, out=out)
     return ironing
 
 
@@ -503,15 +509,15 @@ def _interp(x, xp: np.ndarray, fp: np.ndarray):
 def _leftmost_crossing(theta: np.ndarray, values: np.ndarray, target: float, strict: bool) -> Optional[float]:
     """Smallest theta where the piecewise-linear interpolant of ``values`` exceeds (``strict``) or reaches target.
 
-    ``values`` must be nondecreasing.  On the cell [x0, x1] closed by the
-    first node past the target the interpolant is a line, whose crossing is
+    ``values`` must be nondecreasing, as every curve's ``psi_bar`` is bit
+    for bit, so one binary search finds the first node past the target.  On
+    the cell [x0, x1] it closes the interpolant is a line, whose crossing is
     returned clamped to the cell (x0 where v0 meets a strict target): a
     smooth function of the parameters, as the finite-difference statics
     harness needs.
     """
-    above = values > target if strict else values >= target
-    i = int(np.argmax(above))
-    if not above[i]:
+    i = int(np.searchsorted(values, target, side="right" if strict else "left"))
+    if i == values.size:
         return None
     if i == 0:
         return float(theta[0])

@@ -41,9 +41,8 @@ def format_float(x: float) -> str:
     return "%.10g" % x
 
 
-def _serialize(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _serialize(obj, pad: str = "") -> str:
+    pad_in = pad + "  "
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -63,19 +62,19 @@ def _serialize(obj, indent: int, level: int) -> str:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
-            items.append(f"{pad_in}{json.dumps(key)}: {_serialize(value, indent, level + 1)}")
+            items.append(f"{pad_in}{json.dumps(key)}: {_serialize(value, pad_in)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, Sequence):
         seq = list(obj)
         if not seq:
             return "[]"
-        items = [f"{pad_in}{_serialize(value, indent, level + 1)}" for value in seq]
+        items = [f"{pad_in}{_serialize(value, pad_in)}" for value in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    return _serialize(obj, indent, 0) + "\n"
+def dumps_json(obj) -> str:
+    return _serialize(obj) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

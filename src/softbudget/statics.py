@@ -99,11 +99,6 @@ class StaticsReport:
     chain_gap: Optional[float] = None
 
     @property
-    def all_ok(self) -> bool:
-        """Every unflagged row has the expected sign; flagged rows are exempt."""
-        return all(r.sign_ok for r in self.rows if r.flag == FLAG_OK)
-
-    @property
     def max_rel_error(self) -> float:
         errs = [r.rel_error for r in self.rows if r.flag == FLAG_OK]
         return max(errs) if errs else math.nan

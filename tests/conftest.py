@@ -113,7 +113,7 @@ def irregular_tabulated():
 
 def config_commitment(cfg):
     """The commitment curve (lambda_T = omega_T) of a loaded config, on its grid."""
-    return virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    return virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size)
 
 
 def pooled_config():

@@ -21,7 +21,7 @@ from softbudget import (
     solve_cap,
     virtual_weight,
 )
-from softbudget.cli import _COMMANDS, build_parser, main
+from softbudget.cli import _COMMANDS, _commitment, build_parser, main
 from softbudget.config import _COSTS, _DISTRIBUTIONS, MAX_BINS, MAX_GRID_SIZE, MAX_SAMPLES
 from softbudget.mechanism import DEFAULT_TAIL_MASS
 from softbudget.reporting import format_float
@@ -69,8 +69,7 @@ def test_parse_config_minimal_defaults():
     assert cfg.prim.omega_b == 0.8
     assert cfg.discretion is False
     assert cfg.simulation.n == 200_000
-    assert cfg.grid.size == 4097
-    assert cfg.grid.tail_mass == pytest.approx(1e-10, rel=1e-3)
+    assert vars(cfg.grid) == {"size": 4097}
     assert cfg.output.directory == "out"
 
 
@@ -78,7 +77,7 @@ def test_parse_config_full_blocks():
     doc = make_doc(
         discretion={"enabled": True, "m": 0.5, "chi": 1.0},
         simulation={"n": 5000, "seed": 7, "bins": 12},
-        grid={"size": 1025, "truncation_quantile": 0.99999},
+        grid={"size": 1025},
         output={"directory": "results"},
     )
     cfg = parse_config(doc)
@@ -249,12 +248,13 @@ def test_cli_grid_flag_upper_bound(tmp_path, capsys):
 
 
 def test_default_tail_mass_is_the_librarys(tmp_path):
-    assert parse_config(make_doc()).grid.tail_mass == DEFAULT_TAIL_MASS
-    assert parse_config(make_doc(grid={"truncation_quantile": 0.99999})).grid.tail_mass == 1.0 - 0.99999
     # a decreasing-hazard Weibull starts its grid at the tail-mass quantile,
     # so the CLI and the library solve on one grid only if they share it
     out = tmp_path / "run"
     doc = make_doc(distribution={"kind": "weibull", "shape": 0.7, "scale": 1.0}, output={"directory": str(out)})
+    theta = _commitment(parse_config(doc)).theta
+    dist = Weibull(0.7, 1.0)
+    assert theta[0] == dist.ppf(DEFAULT_TAIL_MASS) and theta[-1] == dist.ppf(1.0 - DEFAULT_TAIL_MASS)
     assert run_cli("solve", "--config", write_doc(tmp_path, doc), "--quiet") == 0
     prim = parse_config(doc).prim
     sched = solve_cap(virtual_weight(Weibull(0.7, 1.0), prim, prim.omega_T), QuadraticCost(0.2, 1.0))

@@ -28,6 +28,7 @@ def doc(distribution=WEIBULL, cost=QUADRATIC, weights=WEIGHTS, **blocks):
 DOCS = {
     "weibull-types": doc({"kind": "weibull", "shape": "fat", "bogus": 1, "zeta": None}),
     "weibull-constructor": doc({"kind": "weibull", "shape": -2.0, "scale": 1.0}),
+    "weibull-scale": doc({"kind": "weibull", "shape": 2.0, "scale": 0.0}),
     "weibull-non-finite": doc({"kind": "weibull", "shape": math.nan, "scale": math.inf}),
     "exponential-types": doc({"kind": "exponential", "rate": True, "scale": 1.0}),
     "exponential-constructor": doc({"kind": "exponential", "rate": 0.0}),
@@ -45,6 +46,7 @@ DOCS = {
     "truncated-base-constructor": doc({"kind": "truncated", "base": {"kind": "exponential", "rate": -1.0},
                                        "lower": 0.1, "upper": 1.0}),
     "truncated-constructor": doc({"kind": "truncated", "base": WEIBULL, "lower": 1.0, "upper": 0.5}),
+    "truncated-no-mass": doc({"kind": "truncated", "base": WEIBULL, "lower": 100.0, "upper": 200.0}),
     "truncated-of-point": doc({"kind": "truncated", "base": {"kind": "point", "value": 0.5},
                                "lower": 0.1, "upper": 1.0}),
     "point-types": doc({"kind": "point", "value": "half", "weight": 1.0}),
@@ -64,6 +66,10 @@ DOCS = {
     "weights-types": doc(weights={"omega_T": "1", "omega_b": True, "b_bar": HUGE_INT, "delta": 0.9}),
     "weights-omega_b-table": doc(weights={**WEIGHTS, "omega_b": {"theta": 1.0, "val": [0.5]}}),
     "weights-omega_b-constructor": doc(weights={**WEIGHTS, "omega_b": {"theta": [0.0, 1.0], "value": [0.9, 0.5]}}),
+    "weights-omega_b-one-node": doc(weights={**WEIGHTS, "omega_b": {"theta": [0.0], "value": [0.5]}}),
+    "weights-omega_b-theta": doc(weights={**WEIGHTS, "omega_b": {"theta": [0.0, 0.0], "value": [0.5, 0.6]}}),
+    "weights-omega_b-zero": doc(weights={**WEIGHTS, "omega_b": {"theta": [0.0, 1.0], "value": [0.0, 0.6]}}),
+    "weights-omega_b-negative": doc(weights={**WEIGHTS, "omega_b": -0.1}),
     "discretion-block": doc(discretion={"enabled": "yes", "m": "x", "chi": True, "tol": 0.0,
                                         "max_iter": 0.5, "damping": 0.5}),
     "discretion-solver-settings": doc(discretion={"enabled": True, "tol": 1e-8, "max_iter": 1000}),
@@ -156,12 +162,12 @@ EXPECTED = {
     ],
     "grid-block": [
         "grid.size: must lie in [17, 16777217]",
-        "grid.truncation_quantile: must lie in (0.5, 1)",
         "grid.tail: unknown key",
+        "grid.truncation_quantile: unknown key",
     ],
     "grid-types": [
         "grid.size: expected an integer, got str",
-        "grid.truncation_quantile: must be finite",
+        "grid.truncation_quantile: unknown key",
     ],
     "output-block": [
         "output.directory: must be nonempty",
@@ -254,6 +260,9 @@ EXPECTED = {
         "distribution.upper: missing required field",
         "distribution.extra: unknown key",
     ],
+    "truncated-no-mass": [
+        "distribution: truncation interval carries zero probability mass",
+    ],
     "truncated-of-point": [
         "distribution: truncation is supported for analytic base kinds only",
     ],
@@ -271,6 +280,9 @@ EXPECTED = {
         "distribution.shape: must be finite",
         "distribution.scale: must be finite",
     ],
+    "weibull-scale": [
+        "distribution: weibull scale must be positive and finite",
+    ],
     "weibull-types": [
         "distribution.shape: expected a number, got str",
         "distribution.scale: missing required field",
@@ -280,10 +292,22 @@ EXPECTED = {
     "weights-omega_b-constructor": [
         "weights.omega_b: weight curve must be nondecreasing in theta",
     ],
+    "weights-omega_b-negative": [
+        "weights/discretion: omega_b must be nonnegative and finite (or a WeightCurve)",
+    ],
+    "weights-omega_b-one-node": [
+        "weights.omega_b: weight curve needs matching 1-d theta and value arrays (>= 2 nodes)",
+    ],
     "weights-omega_b-table": [
         "weights.omega_b.theta: expected an array, got float",
         "weights.omega_b.value: missing required field",
         "weights.omega_b.val: unknown key",
+    ],
+    "weights-omega_b-theta": [
+        "weights.omega_b: weight curve theta grid must be strictly increasing",
+    ],
+    "weights-omega_b-zero": [
+        "weights.omega_b: weight curve values must be positive",
     ],
     "weights-types": [
         "weights.omega_T: expected a number, got str",

@@ -113,7 +113,7 @@ def test_tracer_sees_one_ironing_per_pooled_solve(spans, tmp_path):
 
     config = str(ROOT / "configs" / "pooled_benchmark.json")
     cfg = softbudget.load_config(config)
-    curve = softbudget.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    curve = softbudget.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size)
     assert np.any(curve.ironed)
     tracer = spans.Tracer()
     tracer.install()
@@ -168,7 +168,7 @@ def test_workload_simulate_takes_the_path_its_why_names(name, pooled, monkeypatc
 
     workload = _load("perfbench_workloads", WORKLOADS).WORKLOADS[name]
     cfg = softbudget.parse_config(workload.config(1))
-    curve = softbudget.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    curve = softbudget.virtual_weight(cfg.dist, cfg.prim, cfg.prim.omega_T, cfg.grid.size)
     assert bool(np.any(curve.ironed)) is pooled
     calls = []
     at = VirtualWeightCurve.psi_bar_at
@@ -184,13 +184,14 @@ def test_workload_sampling_builds_a_guide_table_where_its_types_are_tabulated(na
     # binary search; the Weibull workloads have no table to build
     import softbudget
     from softbudget import distributions
+    from softbudget.primitives import DEFAULT_TAIL_MASS
 
     built = []
     table = distributions._guide_table
     monkeypatch.setattr(distributions, "_guide_table", lambda cdf: built.append(cdf.size) or table(cdf))
     workload = _load("perfbench_workloads", WORKLOADS).WORKLOADS[name]
     cfg = softbudget.parse_config(workload.config(1))
-    cfg.dist.grid(cfg.grid.size, cfg.grid.tail_mass)
+    cfg.dist.grid(cfg.grid.size, DEFAULT_TAIL_MASS)
     assert built == []
     distributions.sample_types(cfg.dist, 2 * distributions.SAMPLE_BLOCK, cfg.simulation.seed)
     assert built == ([401] if builds else [])

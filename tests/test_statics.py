@@ -49,7 +49,7 @@ def test_fd_certify_benchmark(bench_dist, bench_cost, bench_prim):
     report = fd_certify(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost)
     assert len(report.rows) == 7
     assert all(r.flag == FLAG_OK for r in report.rows)
-    assert report.all_ok
+    assert statics_failures(report, None) == []
     assert report.max_rel_error <= 1e-4
     assert report.theta_ref == pytest.approx(0.5, abs=1e-10)
     for r in report.rows:
@@ -68,7 +68,7 @@ def test_fd_certify_not_applicable_under_no_rescue(bench_prim):
     assert all(r.flag == FLAG_NOT_APPLICABLE for r in report.rows)
     assert math.isnan(report.theta_min)
     assert math.isnan(report.max_rel_error)
-    assert report.all_ok  # vacuously: no unflagged rows
+    assert statics_failures(report, None) == ["no partial was certified"]
 
 
 def test_analytic_partials_reject_flat_hazard_cutoff(bench_prim, bench_cost):
@@ -95,7 +95,7 @@ def test_fd_certify_flags_regime_boundary(bench_prim):
     assert by_name["d_theta_min_d_alpha"].flag == FLAG_REGIME_BOUNDARY
     # uniform hazard starts at one, so there is no hazard-one anchor type
     assert by_name["d_b_max_d_gamma"].flag == FLAG_NOT_APPLICABLE
-    assert report.all_ok
+    assert all(r.sign_ok for r in report.rows if r.flag == FLAG_OK)
 
 
 def test_fd_certify_validation(bench_dist, bench_prim, bench_cost):
@@ -127,7 +127,7 @@ def test_randomized_admissible_draws_certify(bench_dist):
         report = fd_certify(virtual_weight(bench_dist, prim, 1.0), QuadraticCost(alpha, kappa))
         clean = [r for r in report.rows if r.flag == FLAG_OK]
         assert len(clean) == 7
-        assert report.all_ok
+        assert statics_failures(report, None) == []
         assert report.max_rel_error <= 1e-4
 
 
@@ -143,7 +143,7 @@ def test_m_sensitivity_benchmark(bench_dist, bench_cost, bench_prim):
     assert lam_row.sign_ok and lam_row.finite_difference < 0.0
     assert by_name["d_theta_min_d_m"].sign_ok and by_name["d_theta_min_d_m"].finite_difference < 0.0
     assert by_name["d_b_max_d_m"].sign_ok and by_name["d_b_max_d_m"].finite_difference > 0.0
-    assert report.all_ok
+    assert all(r.sign_ok for r in report.rows if r.flag == FLAG_OK)
     assert report.chain_gap is not None and report.chain_gap <= 1e-3
     assert report.max_rel_error <= 1e-3
 
@@ -201,7 +201,7 @@ def test_m_sensitivity_flags_every_row_where_a_perturbed_fixed_point_jumps(monke
     # and the one at m + h meets the jump of P_int (it raised "did not converge")
     cfg = irregular_config(3, 4097, discretion=True)
     prim = replace(cfg.prim, m=0.3637333)
-    curve = virtual_weight(cfg.dist, prim, prim.omega_T, cfg.grid.size, cfg.grid.tail_mass)
+    curve = virtual_weight(cfg.dist, prim, prim.omega_T, cfg.grid.size)
     solutions = []
 
     def recorded(*args, **kwargs):
