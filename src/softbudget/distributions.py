@@ -379,7 +379,8 @@ class Tabulated(TypeDistribution):
         steps = np.diff(nodes)
         if np.any(steps <= 0.0):
             raise ParameterError("tabulated theta grid must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1.0):
+        # relative to the step, plus the few ulps by which a rounded linspace's steps differ far from zero
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0] + 4.0 * np.spacing(max(-nodes[0], nodes[-1])):
             raise ParameterError("tabulated theta grid must be uniformly spaced")
         if np.any(dens < 0.0):
             raise ParameterError("tabulated densities must be nonnegative")
@@ -405,7 +406,7 @@ class Tabulated(TypeDistribution):
         return (float(self.nodes[0]), float(self.nodes[-1]))
 
     def _locate(self, arr):
-        idx = np.clip(np.searchsorted(self.nodes, arr, side="right") - 1, 0, self.nodes.size - 2)
+        idx = _cell_index(arr, self.nodes)
         return idx, arr - self.nodes[idx]
 
     def _density_in(self, idx, s):
@@ -517,6 +518,42 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     lo = np.searchsorted(cdf, edges[:-1], side="right") - 1
     hi = np.searchsorted(cdf, edges[1:], side="left") - 1
     return np.where(lo == hi, lo, -1)
+
+
+def _grid_cell(x: np.ndarray, xp: np.ndarray) -> np.ndarray | None:
+    """Cell j of each x on an increasing grid, xp[j] <= x < xp[j + 1], clipped to [0, xp.size - 2].
+
+    The guess floor((x - xp[0]) * (n - 1) / (xp[-1] - xp[0])), one multiply
+    on a linspace, moves one cell where rounding put x on the wrong side of a
+    node.  None where that leaves an x in [xp[0], xp[-1]) unbracketed (an
+    uneven grid, NaN), or when xp[-1] <= xp[0].
+    """
+    lo, hi, last = xp[0], xp[-1], xp.size - 2
+    if not hi > lo:
+        return None
+    with np.errstate(all="ignore"):
+        guess = np.subtract(x, lo)
+        guess *= (last + 1) / (hi - lo)
+    np.fmax(guess, 0.0, out=guess)
+    np.fmin(guess, last, out=guess)
+    j = guess.astype(np.intp)
+    # j is in range: mode="clip" writes straight into ``out``, "raise" buffers it
+    below = ~(xp.take(j, out=guess, mode="clip") <= x)  # NaN counts as below
+    above = xp[1:].take(j, out=guess, mode="clip") <= x
+    moved = np.flatnonzero(below | above)  # rounding, or x outside the grid
+    if moved.size:
+        xm = x[moved]
+        jm = np.clip(j[moved] - below[moved] + above[moved], 0, last)
+        if not np.all(((xp[jm] <= xm) | (xm < lo)) & ((xm < xp[jm + 1]) | (xm >= hi))):
+            return None
+        j[moved] = jm
+    return j
+
+
+def _cell_index(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """``np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)``, by ``_grid_cell`` where it can."""
+    j = _grid_cell(x, xp) if x.ndim == 1 else None
+    return np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2) if j is None else j
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import RescueCost
-from .distributions import PointMass, TypeDistribution
+from .distributions import PointMass, TypeDistribution, _grid_cell
 from .errors import ParameterError
 from .primitives import DEFAULT_GRID_SIZE, DEFAULT_TAIL_MASS, PolicyPrimitives
 
@@ -452,36 +452,6 @@ def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: n
     # the hazard first: its temporaries are freed before the weight array is
     # built, which matters when mc_run passes millions of sampled types
     return _weight(prim, lam, theta, _hazard(dist, theta))
-
-
-def _grid_cell(x: np.ndarray, xp: np.ndarray) -> Optional[np.ndarray]:
-    """Cell j of each x on an increasing grid, xp[j] <= x < xp[j + 1], clipped to [0, xp.size - 2].
-
-    The guess floor((x - xp[0]) * (n - 1) / (xp[-1] - xp[0])), one multiply
-    on a linspace, moves one cell where rounding put x on the wrong side of a
-    node.  None where that leaves an x in [xp[0], xp[-1]) unbracketed (an
-    uneven grid, NaN), or when xp[-1] <= xp[0].
-    """
-    lo, hi, last = xp[0], xp[-1], xp.size - 2
-    if not hi > lo:
-        return None
-    with np.errstate(all="ignore"):
-        guess = np.subtract(x, lo)
-        guess *= (last + 1) / (hi - lo)
-    np.fmax(guess, 0.0, out=guess)
-    np.fmin(guess, last, out=guess)
-    j = guess.astype(np.intp)
-    # j is in range: mode="clip" writes straight into ``out``, "raise" buffers it
-    below = ~(xp.take(j, out=guess, mode="clip") <= x)  # NaN counts as below
-    above = xp[1:].take(j, out=guess, mode="clip") <= x
-    moved = np.flatnonzero(below | above)  # rounding, or x outside the grid
-    if moved.size:
-        xm = x[moved]
-        jm = np.clip(j[moved] - below[moved] + above[moved], 0, last)
-        if not np.all(((xp[jm] <= xm) | (xm < lo)) & ((xm < xp[jm + 1]) | (xm >= hi))):
-            return None
-        j[moved] = jm
-    return j
 
 
 def _interp(x, xp: np.ndarray, fp: np.ndarray):

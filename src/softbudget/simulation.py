@@ -33,9 +33,9 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .costs import RescueCost
-from .distributions import SAMPLE_BLOCK, PointMass, TypeDistribution, sample_types
+from .distributions import SAMPLE_BLOCK, PointMass, TypeDistribution, _cell_index, sample_types
 from .errors import ParameterError
-from .mechanism import CapSchedule, _grid_cell, _psi_on, _weight, caps_from_targets
+from .mechanism import CapSchedule, _psi_on, _weight, caps_from_targets
 from .primitives import DEFAULT_BINS, MIN_SAMPLES, PolicyPrimitives
 
 __all__ = ["MCReport", "CapMinReport", "BruteForceReport", "mc_run", "capmin_oracle", "welfare_bruteforce"]
@@ -134,7 +134,7 @@ def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> M
             theta_dagger_hat = float(np.min(theta[lower]))
         interior += int(np.count_nonzero(positive)) - int(np.count_nonzero(at_cap))  # b_bar > 0: at_cap is positive
 
-        idx = _bin_index(theta, edges)
+        idx = _cell_index(theta, edges)
         block_counts = np.bincount(idx, minlength=bins)
         first = (block_counts > 0) & (counts == 0)
         if bool(np.any(first)):
@@ -165,19 +165,6 @@ def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> M
         bin_stderr=stderr,
         schedule=sched,
     )
-
-
-def _bin_index(theta: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin of each type: edges[i] <= theta < edges[i + 1], the last bin closed.
-
-    The edges' grid cell (``_grid_cell``), or a search where that misses.
-    When every edge coincides (a point mass) all types land in the last
-    bin, as they do in ``np.histogram`` with those edges.
-    """
-    idx = _grid_cell(theta, edges)
-    if idx is None:
-        idx = np.clip(np.searchsorted(edges, theta, side="right") - 1, 0, edges.size - 2)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +320,29 @@ def _discrete_transfers(caps: np.ndarray, prim: PolicyPrimitives) -> np.ndarray:
     return np.maximum(t_pre, 0.0)
 
 
-def _nondecreasing_tuples(levels: int, n: int) -> list[np.ndarray]:
-    """Every nondecreasing n-tuple over range(levels), as n columns of ``intp``.
+def _nondecreasing_totals(table: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """table[0][a] + table[1][b] + ..., added left to right, over every nondecreasing level tuple.
 
-    Row r is row r of itertools.combinations_with_replacement(range(levels), n),
-    built a column at a time: each row is repeated once per admissible next
-    value (levels - last) and takes last, last + 1, ..., levels - 1.
+    Row r is row r of itertools.combinations_with_replacement(range(levels), n), built prefix by
+    prefix: each row repeats once per admissible next level (levels - last) and adds the next
+    type's costs at last, ..., levels - 1.  Also returns each extension's parents' first rows.
     """
-    columns = [np.arange(levels, dtype=np.intp)]
-    for _ in range(n - 1):
-        counts = levels - columns[-1]
-        shift = columns[-1] - (np.cumsum(counts) - counts)  # last minus its group's first row
-        columns = [np.repeat(c, counts) for c in (*columns, shift)]
-        columns[-1] += np.arange(columns[-1].size)
-    return columns
+    totals, last, starts = table[0].copy(), np.arange(table.shape[1], dtype=np.intp), []
+    for costs in table[1:]:
+        counts = table.shape[1] - last
+        starts.append(np.cumsum(counts) - counts)
+        last = np.repeat(last - starts[-1], counts) + np.arange(counts.sum())
+        totals = np.repeat(totals, counts) + costs.take(last)
+    return totals, starts
+
+
+def _tuples_at(rows, starts: list[np.ndarray]) -> np.ndarray:
+    """The level tuples of ``rows`` (an index or an array of them), one type per leading entry."""
+    rises = []  # each level over its parent's, walked back through the group starts
+    for first in reversed(starts):
+        parent = np.searchsorted(first, rows, side="right") - 1
+        rises, rows = [rows - first[parent], *rises], parent
+    return np.cumsum([rows, *rises], axis=0)  # a 1-prefix's row is its level
 
 
 def welfare_bruteforce(
@@ -366,13 +362,13 @@ def welfare_bruteforce(
     optimality condition C'(b) = psi projected onto [0, b_bar], at the
     commitment weight lambda_T = omega_T.  The search walks every
     nondecreasing schedule on ``BRUTEFORCE_LEVELS`` uniform levels from 0
-    to b_bar (53,130 for 5 types), held as one column of level indices per
-    type; the totals add one gathered column of costs at a time, left to
-    right as a row sum of at most 6 terms adds.  It checks the discrete
-    incentive inequalities (the allocation index omega_T*T + omega_b*b
-    must be nondecreasing) and nonnegativity, and reports the gap to the
-    KKT benchmark together with the discretization bound
-    (curvature/2) * spacing^2.
+    to b_bar (53,130 for 5 types) and holds only their totals, built prefix
+    by prefix and added left to right as a row sum of at most 6 terms adds;
+    the best tuple is walked back from its row.  It checks the discrete
+    incentive inequalities (the allocation index omega_T*T + omega_b*b must
+    be nondecreasing) and nonnegativity, and reports the gap to the KKT
+    benchmark together with the discretization bound (curvature/2) *
+    spacing^2.
     """
     th = np.asarray(types, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -398,12 +394,9 @@ def welfare_bruteforce(
     grid = np.linspace(0.0, prim.b_bar, BRUTEFORCE_LEVELS)
     # per-type, per-level contribution to the virtual cost
     table = w[:, None] * (np.asarray(cost.value(grid))[None, :] - psi[:, None] * grid[None, :])
-    columns = _nondecreasing_tuples(BRUTEFORCE_LEVELS, th.size)
-    totals = table[0].take(columns[0])
-    for costs, column in zip(table[1:], columns[1:]):
-        totals += costs.take(column)
+    totals, starts = _nondecreasing_totals(table)
     best_idx = int(np.argmin(totals))
-    best_caps = grid[[column[best_idx] for column in columns]]
+    best_caps = grid[_tuples_at(best_idx, starts)]
     best_cost = float(totals[best_idx])
 
     transfers = _discrete_transfers(best_caps, prim)

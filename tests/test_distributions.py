@@ -20,7 +20,7 @@ from softbudget import (
     sample_types,
     uniform_stream,
 )
-from softbudget.distributions import GUIDE_CELLS, SAMPLE_BLOCK
+from softbudget.distributions import GUIDE_CELLS, SAMPLE_BLOCK, _cell_index, _grid_cell
 from conftest import assert_scalar_path_matches, irregular_tabulated
 
 ANALYTIC = [
@@ -174,15 +174,33 @@ def test_tabulated_interpolation_consistency():
     assert dist.survivor(dist.support[0]) == 1.0
 
 
+# the second cell is twice as wide as the first, far below a step of 1
+UNEVEN_TINY_TABLE = ([0.0, 1e-10, 3e-10], [1.0, 1.0, 1.0])
+# a rounded linspace far from zero: its steps differ by ~1 ulp of 1e6, 4.7e-8 of the step
+FAR_LINSPACE_TABLE = (np.linspace(1e6, 1e6 + 1.0, 401), np.ones(401))
+
+
 def test_tabulated_validation():
     with pytest.raises(ParameterError):
         Tabulated([0.0, 0.5, 0.9], [1.0, 1.0, 1.0])  # uneven spacing
+    with pytest.raises(ParameterError, match="uniformly spaced"):
+        Tabulated(*UNEVEN_TINY_TABLE)
     with pytest.raises(ParameterError):
         Tabulated([0.0, 0.5, 1.0], [1.0, -0.1, 1.0])  # negative density
     with pytest.raises(ParameterError):
         Tabulated([0.0], [1.0])  # too short
     with pytest.raises(ParameterError):
         Tabulated([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])  # zero mass
+
+
+def test_tabulated_accepts_a_rounded_linspace_far_from_zero():
+    theta, dens = FAR_LINSPACE_TABLE
+    steps = np.diff(theta)
+    assert np.max(np.abs(steps - steps[0])) > 1e-8 * steps[0]  # a tolerance relative to the step alone rejects it
+    dist = Tabulated(theta, dens)
+    mid = float(theta[200])
+    assert dist.survivor(mid) == pytest.approx(0.5, abs=1e-9)
+    assert dist.hazard(mid) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_truncated_renormalizes():
@@ -594,3 +612,55 @@ def test_tabulated_quantile_cell_is_the_binary_search(table, seed):
     assert np.array_equal(dist.ppf(u).view(np.int64), small.view(np.int64))
     assert np.array_equal(dist._cdf_cell(u.reshape(-1, 1)).ravel(), want)
     assert dist._guide is guide
+
+
+# -- grid cells ------------------------------------------------------------------
+
+
+@st.composite
+def cell_grids(draw):
+    """A linspace, a table uniform within ``Tabulated``'s tolerance, or coinciding edges."""
+    n = draw(st.sampled_from([2, 3, 401, 65_537]) | st.integers(min_value=2, max_value=4097))
+    lo = draw(st.floats(min_value=-1e3, max_value=1e3))
+    width = draw(st.floats(min_value=1e-3, max_value=1e3))
+    shape = draw(st.sampled_from(["linspace", "rounded", "coinciding"]))
+    if shape == "coinciding":  # a point mass's Monte Carlo bin edges
+        return np.full(n, lo), False
+    xp = np.linspace(lo, lo + width, n)
+    if shape == "rounded":  # each node moved up to 1 ulp: still uniform to Tabulated
+        moves = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1)))).integers(-1, 2, n)
+        xp = np.where(moves < 0, np.nextafter(xp, -np.inf), np.where(moves > 0, np.nextafter(xp, np.inf), xp))
+        Tabulated(xp, np.ones(n))
+    return xp, True
+
+
+@given(grid=cell_grids(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=2000, derandomize=True)
+def test_cell_index_is_the_clipped_binary_search(grid, seed):
+    xp, indexed = grid
+    rng = np.random.Generator(np.random.Philox(seed))
+    nodes = xp[rng.integers(0, xp.size, size=64)]
+    width = xp[-1] - xp[0]
+    queries = np.concatenate([
+        xp if xp.size <= 4097 else nodes,
+        nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        [xp[0] - width - 1.0, xp[-1] + width + 1.0, -np.inf, np.inf, -0.0, 0.0],
+        rng.uniform(xp[0], xp[-1], size=256),
+    ])
+
+    def reference(x):
+        return np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+
+    got = _cell_index(queries, xp)
+    assert got.dtype == np.intp and np.array_equal(got, reference(queries))
+    assert (_grid_cell(queries, xp) is not None) == indexed  # the one multiply, unless the edges coincide
+    with_nan = np.append(queries, np.nan)
+    assert np.array_equal(_cell_index(with_nan, xp), reference(with_nan))
+    square = queries[: queries.size // 2 * 2].reshape(2, -1)
+    assert np.array_equal(_cell_index(square, xp), reference(square))
+    for q in (nodes[0], queries[-1], xp[-1], np.nan):
+        assert _cell_index(np.asarray(q), xp) == reference(q)
+    if indexed:  # the tabulated density finds the same cells and offsets
+        idx, offset = Tabulated(xp, np.ones(xp.size))._locate(queries)
+        assert np.array_equal(idx, reference(queries))
+        assert np.array_equal(offset.view(np.int64), (queries - xp[reference(queries)]).view(np.int64))

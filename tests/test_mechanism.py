@@ -28,7 +28,8 @@ from softbudget import (
     virtual_weight,
 )
 from softbudget import mechanism
-from softbudget.mechanism import VirtualWeightCurve, _grid_cell, _interp, _leftmost_crossing, _weight, caps_from_targets
+from softbudget.distributions import _grid_cell
+from softbudget.mechanism import VirtualWeightCurve, _interp, _leftmost_crossing, _weight, caps_from_targets
 from conftest import BENCH, irregular_tabulated
 
 

@@ -461,28 +461,32 @@ def test_welfare_bruteforce_frozen_instance(bench_prim, bench_cost):
 
 @pytest.mark.parametrize("levels, n", [(21, 5), (21, 1), (2, 1), (2, 6), (3, 4), (7, 2), (21, 6)])
 def test_bruteforce_enumeration_matches_itertools(levels, n):
-    # the oracle's columns of nondecreasing level tuples: same rows, same
+    # the oracle's rows of nondecreasing level tuples: same rows, same
     # lexicographic order, same dtype as combinations_with_replacement
     expected = np.array(list(itertools.combinations_with_replacement(range(levels), n)), dtype=np.intp)
-    columns = simulation._nondecreasing_tuples(levels, n)
-    assert len(columns) == n and all(c.ndim == 1 and c.dtype == np.intp for c in columns)
-    table = np.column_stack(columns)
-    assert table.dtype == expected.dtype and table.shape == expected.shape
-    assert np.array_equal(table, expected)
+    # level v of type k costs v * levels**(n-1-k): each total spells its row's tuple, exactly
+    table = np.arange(levels, dtype=float) * float(levels) ** np.arange(n - 1, -1, -1)[:, None]
+    totals, starts = simulation._nondecreasing_totals(table)
+    assert totals.shape == (expected.shape[0],)
+    assert np.array_equal(totals, expected @ (float(levels) ** np.arange(n - 1, -1, -1)))
+    tuples = simulation._tuples_at(np.arange(totals.size), starts)
+    assert tuples.dtype == expected.dtype and tuples.shape == expected.T.shape
+    assert np.array_equal(tuples.T, expected)
+    row = expected.shape[0] // 2
+    assert [int(v) for v in simulation._tuples_at(row, starts)] == list(expected[row])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bruteforce_column_totals_equal_row_sums(n):
-    # adding one gathered column at a time gives the row sums of the gathered
-    # N x n matrix bit for bit: a row sum of at most 6 terms adds left to right
+    # extending the prefix totals one type at a time gives the row sums of
+    # the gathered N x n matrix bit for bit: a row sum of at most 6 terms adds left to right
     rng = np.random.default_rng(20260 + n)
     table = rng.standard_normal((n, simulation.BRUTEFORCE_LEVELS)) * 10.0 ** rng.integers(-6, 6, (n, 1))
-    columns = simulation._nondecreasing_tuples(simulation.BRUTEFORCE_LEVELS, n)
-    combos = np.column_stack(columns)
+    combos = np.array(
+        list(itertools.combinations_with_replacement(range(simulation.BRUTEFORCE_LEVELS), n)), dtype=np.intp
+    )
     expected = table[np.arange(n)[None, :], combos].sum(axis=1)
-    totals = table[0].take(columns[0])
-    for costs, column in zip(table[1:], columns[1:]):
-        totals += costs.take(column)
+    totals, _ = simulation._nondecreasing_totals(table)
     assert totals.tobytes() == expected.tobytes()
     if n >= 3:  # the magnitudes make the order of addition visible
         backwards = table[np.arange(n)[None, ::-1], combos[:, ::-1]].cumsum(axis=1)[:, -1]
