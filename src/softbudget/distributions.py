@@ -380,8 +380,12 @@ class Tabulated(TypeDistribution):
         if np.any(steps <= 0.0):
             raise ParameterError("tabulated theta grid must be strictly increasing")
         # relative to the step, plus the few ulps by which a rounded linspace's steps differ far from zero
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0] + 4.0 * np.spacing(max(-nodes[0], nodes[-1])):
+        ulps = 4.0 * np.spacing(max(-nodes[0], nodes[-1]))
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0] + ulps:
             raise ParameterError("tabulated theta grid must be uniformly spaced")
+        if ulps > 1e-6 * steps[0]:  # then those ulps are a visible share of every cell
+            raise ParameterError(f"tabulated theta grid step {steps[0]:.6g} is within a few ulps of its nodes "
+                                 f"(up to {max(-nodes[0], nodes[-1]):.6g}), so it cannot be uniform")
         if np.any(dens < 0.0):
             raise ParameterError("tabulated densities must be nonnegative")
         total = np.trapezoid(dens, nodes)

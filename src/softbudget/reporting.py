@@ -13,16 +13,26 @@ schedules are mostly plateaus, so most tails repeat the row above.  A tail is
 rendered once per run of rows whose other columns are bit-equal (compared
 through an unsigned-integer view, so ``-0.0`` and ``0.0`` stay apart; a
 column that is not a 1-d bool, integer or float array counts as a change on
-every row), and a run is emitted as ``tail.join(keys) + tail``.  The floats
-of a numeric column slice are formatted in one ``%`` call, as ``_format_cell``
-would format each (``%.10g``, empty when non-finite); other columns go
-through ``_format_cell`` cell by cell.  ``write_csvs`` writes several tables
-in one walk over the blocks, and a key column that several hold (the type
-grid of ``solve``'s two files) is rendered once per block.
+every row), and a run is emitted as ``tail.join(keys) + tail``.  Non-numeric
+columns go through ``_format_cell`` cell by cell.  ``write_csvs`` writes
+several tables in one walk over the blocks, and a key column that several
+hold (the type grid of ``solve``'s two files) is rendered once per block.
+
+A float cell reads as ``_format_cell`` gives it: ``%.10g``, empty when not
+finite.  A slice of ``_VECTOR_CELLS`` floats or more is rendered in numpy
+where |x| is in [1e-4, 1e10), the range in which ``%.10g`` prints fixed-point:
+with X = floor(log10|x|), s = |x| * 10**(9 - X) is one rounding from the exact
+product (the power is exact, 9 - X <= 13) and errs by under 1e-6 below 1e10,
+so where s is in [1e9, 1e10), at least 1e-5 from a half and does not round to
+1e10, its nearest integer holds the ten digits that ``%`` prints.  Their text
+is laid out in two 64-bit words, the point placed by X, trailing zeros cut and
+the sign in front, and read off as UCS-4; zeros print as ``0`` and ``-0``.
+Every other cell, and every shorter slice, takes one ``%`` call, the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -115,6 +125,78 @@ def _format_cell(value) -> str:
 # rows rendered together; bounds the cells alive at once, and with them the
 # writer's peak memory, independently of the row count
 _BLOCK_ROWS = 4096
+# float slices this long or longer are rendered in numpy; shorter ones cost less in one % call
+_VECTOR_CELLS = 400
+_U64 = np.uint64
+
+
+@functools.cache
+def _tables():
+    """``_fixed_cells``'s tables, built on its first call: the ASCII of each four-digit group, first digit
+    lowest, and its trailing zeros; the scale 10**(9 - X) per X + 4; per 2(X + 4) + sign, the sign and the
+    text between the digits before the point and the rest ("." or "0.000"[:gap]); and the masks of the
+    first k bytes.  128-bit values are kept as rows of low and high words."""
+    place = [np.arange(10, dtype=np.uint32).reshape([-1 if j == k else 1 for j in range(4)]) for k in range(4)]
+    z = [(d == 0).astype(np.int8) for d in place]
+    words = lambda ints: np.array([[v % 2**64 for v in ints], [v >> 64 for v in ints]], dtype=_U64)  # 128-bit
+    fill = [int.from_bytes(sign + (b"0.000"[: 1 - x] if x < 0 else bytes(x + 1) + b"."), "little")
+            for x in range(-4, 10) for sign in (b"", b"-")]
+    return (sum((d + 48) << (8 * k) for k, d in enumerate(place)).ravel(),
+            (z[3] * (1 + z[2] * (1 + z[1] * (1 + z[0])))).ravel(), np.array([float(10 ** (9 - x)) for x in range(-4, 10)]),
+            words(fill), words([2 ** (8 * k) - 1 for k in range(17)]))
+
+
+def _fixed_cells(col: np.ndarray) -> list[str]:
+    """``_percent_cells(col)``, its fixed-point cells rendered in numpy as the module docstring says."""
+    quad, zeros, scale, fill, low = _tables()
+    x = np.asarray(col, dtype=np.float64)  # the values tolist() gives
+    # each temporary is freed once read: with few alive at a time, the heap grows no more than on the % path
+    with np.errstate(all="ignore"):  # 0, inf and NaN fail ok
+        s = np.abs(x)
+        e = (np.fmax(np.fmin(np.floor(np.log10(s)), 9.0), -4.0) + 4.0).astype(np.intp)  # X + 4
+        s *= scale[e]
+        n = np.rint(s)
+        ok = (np.abs(s - n) < 0.5 - 1e-5) & (s >= 1e9) & (n < 1e10)
+    del s
+    ok |= (zero := x == 0)
+    e[zero] = 4  # laid out as X = 0 and cut after the first digit
+    n = np.where(ok, n, 1e9).astype(np.int64)
+    top, b, c = n // 10**8, n // 10_000 % 10_000, n % 10_000  # the ten digits: two, then four and four
+    del n
+    neg = np.signbit(x)
+    sign = neg * _U64(8)  # the digits as text, first byte lowest, after a byte for the sign if negative
+    lo = ((quad[top] >> _U64(16)) << sign) | (quad[b] << (sign + _U64(16))) | (quad[c] << (sign + _U64(48)))
+    hi = quad[c] >> (_U64(16) - sign)
+    digits = 10 - zeros[c] - (c == 0) * (zeros[b] + (b == 0) * zeros[top])  # up to the last nonzero one
+    del top, b, c, sign
+    head, gap = np.maximum(e - 3, 0), np.maximum(5 - e, 1)  # digits before the point; "." or "0.000"[:gap]
+    head_lo, head_hi = lo & low[0][head + neg], hi & low[1][head + neg]
+    lo ^= head_lo  # the digits after the point, moved up past the gap as one 128-bit integer
+    hi ^= head_hi
+    hi[:] = (hi << (bits := 8 * gap.astype(_U64))) | ((lo >> _U64(1)) >> (_U64(63) - bits))
+    lo <<= bits
+    lo |= head_lo | fill[0][2 * e + neg]
+    hi |= head_hi | fill[1][2 * e + neg]
+    del head_lo, head_hi, e
+    digits = np.maximum(digits, head) + (digits > head) * gap + neg  # the length of the text
+    w = np.stack([lo & low[0][digits], hi & low[1][digits]], axis=1).astype("<u8", copy=False)
+    del lo, hi, digits, head, gap
+    cells = []
+    for i in range(0, x.size, 1024):  # read off in 64 KB pieces of UCS-4
+        cells += w[i : i + 1024].view(np.uint8).astype(np.uint32).view("U16").ravel().tolist()
+    rest = np.flatnonzero(~ok)
+    for i, cell in zip(rest.tolist(), _percent_cells(x[rest])):
+        cells[i] = cell
+    return cells
+
+
+def _percent_cells(col: np.ndarray) -> list[str]:
+    """``%.10g`` of each float of ``col`` in one % call, empty when non-finite, as ``_format_cell``."""
+    values = col.tolist()
+    cells = (("%.10g\n" * len(values)) % tuple(values)).split("\n")[:-1]
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def _numeric(col) -> bool:
@@ -123,18 +205,15 @@ def _numeric(col) -> bool:
 
 
 def _cells(col) -> list[str]:
-    """The CSV cells of a column slice; the floats of a numeric array in one format call."""
+    """The CSV cells of a column slice; the floats of a numeric array in numpy or in one format call."""
     if not _numeric(col):
         return [_format_cell(v) for v in col]
+    if col.dtype.kind == "f":
+        return _fixed_cells(col) if len(col) >= _VECTOR_CELLS else _percent_cells(col)
     values = col.tolist()
     if col.dtype.kind == "b":
         return ["true" if v else "false" for v in values]
-    if col.dtype.kind in "iu":
-        return list(map(str, values))
-    cells = (("%.10g\n" * len(values)) % tuple(values)).split("\n")[:-1]
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
-        cells[i] = ""
-    return cells
+    return list(map(str, values))
 
 
 def _run_heads(rest: Sequence[Sequence], n: int) -> np.ndarray:

@@ -178,6 +178,8 @@ def test_tabulated_interpolation_consistency():
 UNEVEN_TINY_TABLE = ([0.0, 1e-10, 3e-10], [1.0, 1.0, 1.0])
 # a rounded linspace far from zero: its steps differ by ~1 ulp of 1e6, 4.7e-8 of the step
 FAR_LINSPACE_TABLE = (np.linspace(1e6, 1e6 + 1.0, 401), np.ones(401))
+# cells of one and two ulps of 1e6: within the ulp term of the spacing tolerance, yet 2:1 uneven
+NEAR_ULP_TABLE = ([1e6, 1e6 + np.spacing(1e6), 1e6 + 3 * np.spacing(1e6)], [1.0, 1.0, 1.0])
 
 
 def test_tabulated_validation():
@@ -185,6 +187,8 @@ def test_tabulated_validation():
         Tabulated([0.0, 0.5, 0.9], [1.0, 1.0, 1.0])  # uneven spacing
     with pytest.raises(ParameterError, match="uniformly spaced"):
         Tabulated(*UNEVEN_TINY_TABLE)
+    with pytest.raises(ParameterError, match=r"step 1\.16415e-10 is within a few ulps of its nodes \(up to 1e\+06\)"):
+        Tabulated(*NEAR_ULP_TABLE)
     with pytest.raises(ParameterError):
         Tabulated([0.0, 0.5, 1.0], [1.0, -0.1, 1.0])  # negative density
     with pytest.raises(ParameterError):
@@ -580,9 +584,10 @@ def tabulated_tables(draw):
     elif shape == "spike":
         dens = np.full(n, 1e-9)
         dens[draw(st.integers(min_value=0, max_value=n - 1))] = 1e6
-    if not np.any(dens > 0.0):
+    theta = np.linspace(0.0, draw(st.floats(min_value=0.01, max_value=100.0)), n)
+    if not np.trapezoid(dens, theta) > 0.0:  # no mass, or only subnormal mass that the trapezoid rounds to 0
         dens[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
-    return np.linspace(0.0, draw(st.floats(min_value=0.01, max_value=100.0)), n), dens
+    return theta, dens
 
 
 @given(table=tabulated_tables(), seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softbudget import cli, reporting
-from softbudget.reporting import _BLOCK_ROWS, _format_cell, write_csv, write_csvs
+from softbudget.reporting import _BLOCK_ROWS, _cells, _fixed_cells, _format_cell, write_csv, write_csvs
 from conftest import ROOT
 
 
@@ -272,13 +272,47 @@ def csv_tables(draw):
 def test_write_csvs_matches_cell_by_cell_rendering_across_block_edges(tmp_path_factory, tables):
     directory = tmp_path_factory.mktemp("csvs")
     paths = [directory / f"{i}.csv" for i in range(len(tables))]
-    with mock.patch.object(reporting, "_BLOCK_ROWS", 5):  # runs cross many block edges
-        write_csvs([(str(path), header, columns) for path, (header, columns) in zip(paths, tables)])
-    for path, (header, columns) in zip(paths, tables):
-        assert path.read_bytes().decode("utf-8") == reference_csv(header, columns)
+    # slices this short take one % call; with no size cutoff they take the vector path
+    for vector_cells in (reporting._VECTOR_CELLS, 0):
+        with mock.patch.object(reporting, "_BLOCK_ROWS", 5), mock.patch.object(reporting, "_VECTOR_CELLS", vector_cells):
+            write_csvs([(str(path), header, columns) for path, (header, columns) in zip(paths, tables)])
+        for path, (header, columns) in zip(paths, tables):
+            assert path.read_bytes().decode("utf-8") == reference_csv(header, columns)
 
 
-@pytest.mark.parametrize("config", ["commitment_benchmark.json", "pooled_benchmark.json"])
+def float_bits(rng, n, exponents=(0, 2047)):
+    """``n`` float64 values with random sign and mantissa bits and a biased exponent drawn from ``exponents``."""
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(*exponents, n, dtype=np.uint64) << np.uint64(52)
+    return (sign | exponent | rng.integers(0, 2**52, n, dtype=np.uint64)).view(np.float64)
+
+
+def edge_floats():
+    """Powers of ten across the fixed-point range with their neighbours, ties at the tenth digit, and specials."""
+    powers = 10.0 ** np.arange(-5, 12)
+    ties = [1234567890.5, 9999999999.5, 9.9999999995e-5, 0.00012345678905, 99999.999995, 2.5, 0.125]
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, np.inf, -np.inf, np.nan,
+                float(nan_with_bits(0x7FF8000000000001, np.float64)), float(nan_with_bits(0xFFF0000000000001, np.float64))]
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), ties, specials])
+    return np.concatenate([values, -values])
+
+
+def test_fixed_cells_equal_the_reference_formatting():
+    rng = np.random.default_rng(20261020)
+    # in [1e-4, 1e10), where the vector path renders, |x| has a biased exponent in [1009, 1056]
+    decimals = np.concatenate([np.round(rng.uniform(-10.0**k, 10.0**k, 400), places)
+                               for k in range(-4, 11) for places in (0, 2, 5, 9, 13)])
+    columns = [float_bits(rng, 200_000), float_bits(rng, 100_000, (1009, 1057)), decimals, edge_floats(),
+               np.linspace(0.0, 1.0, 65_537), np.arange(-2_000.0, 2_000.0) / 8.0]
+    for col in columns:
+        assert _fixed_cells(col) == [_format_cell(v) for v in col]
+    for dtype in (np.float32, np.float16, ">f8"):
+        with np.errstate(over="ignore", invalid="ignore"):  # out of range for float16 and float32: inf
+            col = np.concatenate([edge_floats(), columns[2][::30]]).astype(dtype)
+        assert _fixed_cells(col) == _cells(col) == [_format_cell(v) for v in col]
+
+
+@pytest.mark.parametrize("config", ["commitment_benchmark.json", "pooled_benchmark.json", "discretion_benchmark.json"])
 def test_solve_csvs_at_benchmark_scale_match_cell_by_cell_rendering(tmp_path, monkeypatch, config):
     tables = []
     monkeypatch.setattr(reporting, "write_csvs", lambda given: tables.extend(given) or write_csvs(given))
