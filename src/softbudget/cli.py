@@ -15,9 +15,9 @@ statics     analytic partials certified against finite differences of the
             full solver; writes statics.csv and summary.json.
 simulate    Monte Carlo verification of the cap schedule; writes
             mc_report.json, binned_means.csv, summary.json.
-oracle      self-checking fixtures for the cap-minimum calculus and the
-            brute-force second-best search; writes oracle_capmin.json,
-            oracle_bruteforce.json, summary.json.
+oracle      a self-check of the cap-minimum calculus, and the commitment
+            curve's ironed caps against a lattice DP; writes
+            oracle_capmin.json, oracle_bruteforce.json, summary.json.
 
 Exit codes: 0 success, 1 validation error (bad flags or config), 2
 numerical failure (no discretionary fixed point, the message naming the
@@ -309,21 +309,18 @@ def _cmd_oracle(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
         "passed": uniform.passed and discrete.passed,
     }
 
-    brute = simulation.welfare_bruteforce(
-        [0.2, 0.4, 0.6, 0.8, 1.0], [0.2, 0.2, 0.2, 0.2, 0.2], cfg.prim, cfg.cost,
-    )
+    brute = simulation.welfare_bruteforce(_commitment(cfg), cfg.cost)
     out.json("oracle_capmin", capmin_report)
     out.json("oracle_bruteforce", {
         "passed": brute.passed,
-        "kkt_cost": brute.kkt_cost,
+        "nodes": brute.theta.size,
+        "pooled": brute.pooled,
+        "solver_cost": brute.solver_cost,
         "best_cost": brute.best_cost,
+        "max_deviation": brute.best_cost - brute.solver_cost,
+        "rounding": brute.rounding,
         "gap_bound": brute.gap_bound,
-        "max_deviation": brute.best_cost - brute.kkt_cost,
-        "n_schedules": brute.n_schedules,
-        "ic_ok": brute.ic_ok,
-        "ir_ok": brute.ir_ok,
-        "kkt_caps": brute.kkt_caps,
-        "best_caps": brute.best_caps,
+        "max_level_gap": brute.max_level_gap,
     })
     passed = capmin_report["passed"] and brute.passed
     return {
@@ -340,7 +337,7 @@ _COMMANDS = {
     "discretion": (_cmd_discretion, "solve the discretionary fixed point"),
     "statics": (_cmd_statics, "certify comparative statics against finite differences"),
     "simulate": (_cmd_simulate, "Monte Carlo verification of the cap schedule"),
-    "oracle": (_cmd_oracle, "run the self-checking calculus and enumeration oracles"),
+    "oracle": (_cmd_oracle, "check the calculus and the ironed caps against a lattice search"),
 }
 
 

@@ -12,15 +12,12 @@ acceptance suite:
 * ``capmin_oracle`` certifies the cap-minimum calculus d/db E[min(X, b)] =
   P(X >= b) and d/db E[min(X, b)^2] = 2 b P(X >= b) by central differences
   against exact tail probabilities.
-* ``welfare_bruteforce`` enumerates every monotone step cap schedule on a
-  small discrete type space and compares the best achievable
-  (hazard-weighted) virtual cost against the pointwise optimality
-  condition evaluated on the same instance.  The virtual cost per type is
-  C(b) - psi*b: the resource cost net of the screening value of cap
-  relaxation, the quantity whose pointwise minimizer is the solver's
-  optimality condition.  (The raw resource cost alone is trivially
-  minimized by the all-zero schedule; the screening term is what makes
-  positive caps optimal.)
+* ``welfare_bruteforce`` checks the solver's ironed cap rule on a curve:
+  PAV and the pointwise cap, re-run on about 65 of its nodes, must reach
+  the least virtual cost C(b) - psi*b over nondecreasing caps, which a
+  dynamic program over a lattice of cap levels finds with no ironing.  The
+  virtual cost is the resource cost net of the screening value of cap
+  relaxation; the resource cost alone is minimized by the all-zero schedule.
 """
 
 from __future__ import annotations
@@ -35,15 +32,16 @@ import numpy as np
 from .costs import RescueCost
 from .distributions import SAMPLE_BLOCK, PointMass, TypeDistribution, _cell_index, sample_types
 from .errors import ParameterError
-from .mechanism import CapSchedule, _psi_on, _weight, caps_from_targets
-from .primitives import DEFAULT_BINS, MIN_SAMPLES, PolicyPrimitives
+from .mechanism import CapSchedule, VirtualWeightCurve, _psi_on, caps_from_targets, iron_weights
+from .primitives import DEFAULT_BINS, MIN_SAMPLES
 
 __all__ = ["MCReport", "CapMinReport", "BruteForceReport", "mc_run", "capmin_oracle", "welfare_bruteforce"]
 
 CAPMIN_STEP = 1e-5  # difference step of the cap-minimum oracle
 CAPMIN_TOLERANCE = 5e-5  # largest deviation it passes
 CAPMIN_QUAD_POINTS = 4001  # trapezoid nodes of its continuous moments
-BRUTEFORCE_LEVELS = 21  # cap levels of the brute-force search, 0 to b_bar
+_LATTICE_NODES = 64  # the lattice check reads every (n - 1) // 64-th node of a curve
+_LATTICE_LEVELS = 201  # cap levels of its lattice, 0 to b_bar
 
 
 # ---------------------------------------------------------------------------
@@ -286,149 +284,84 @@ def capmin_oracle(
 
 
 # ---------------------------------------------------------------------------
-# brute-force second-best oracle
+# lattice check of the ironed cap rule
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BruteForceReport:
-    """Exhaustive monotone-schedule search on a discrete type instance."""
+    """The solver's ironed caps on a curve's subsample, against the best nondecreasing caps on a lattice.
 
-    types: np.ndarray
+    The allowances and the cap gap (in lattice steps) are ``welfare_bruteforce``'s.
+    """
+
+    theta: np.ndarray
     weights: np.ndarray
-    psi: np.ndarray
-    kkt_caps: np.ndarray
-    kkt_cost: float
+    pooled: int
+    solver_caps: np.ndarray
+    solver_cost: float
     best_caps: np.ndarray
     best_cost: float
+    rounding: float
     gap_bound: float
-    n_schedules: int
-    transfers: np.ndarray
-    ic_ok: bool
-    ir_ok: bool
+    max_level_gap: float
     passed: bool
 
 
-def _discrete_transfers(caps: np.ndarray, prim: PolicyPrimitives) -> np.ndarray:
-    # discrete analogue of dT = -(omega_b/omega_T) db anchored at the first
-    # rescued type, projected onto T >= 0
-    omega_b = float(prim.omega_b)
-    t_pre = np.concatenate([[0.0], np.cumsum(-(omega_b / prim.omega_T) * np.diff(caps))])
-    positive = caps > 0.0
-    if bool(np.any(positive)):
-        t_pre = t_pre - t_pre[int(np.argmax(positive))]
-    return np.maximum(t_pre, 0.0)
+def _lattice_min(rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """The least rows[0][l0] + rows[1][l1] + ... over levels l0 <= l1 <= ..., and those levels.
 
-
-def _nondecreasing_totals(table: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """table[0][a] + table[1][b] + ..., added left to right, over every nondecreasing level tuple.
-
-    Row r is row r of itertools.combinations_with_replacement(range(levels), n), built prefix by
-    prefix: each row repeats once per admissible next level (levels - last) and adds the next
-    type's costs at last, ..., levels - 1.  Also returns each extension's parents' first rows.
+    V_i = rows[i] + prefix-min(V_{i-1}) is the least left-to-right sum over
+    paths ending at each level; rounding is monotone, so it is an
+    enumeration's least row sum bit for bit.  The path is walked back
+    through the level each prefix minimum was last attained at.
     """
-    totals, last, starts = table[0].copy(), np.arange(table.shape[1], dtype=np.intp), []
-    for costs in table[1:]:
-        counts = table.shape[1] - last
-        starts.append(np.cumsum(counts) - counts)
-        last = np.repeat(last - starts[-1], counts) + np.arange(counts.sum())
-        totals = np.repeat(totals, counts) + costs.take(last)
-    return totals, starts
+    levels = np.arange(rows.shape[1])
+    value, back = rows[0], []
+    for row in rows[1:]:
+        best = np.minimum.accumulate(value)
+        back.append(np.maximum.accumulate(np.where(value == best, levels, 0)))
+        value = best + row
+    path = [int(np.argmin(value))]
+    for step in reversed(back):
+        path.append(int(step[path[-1]]))
+    return float(value[path[0]]), np.array(path[::-1])
 
 
-def _tuples_at(rows, starts: list[np.ndarray]) -> np.ndarray:
-    """The level tuples of ``rows`` (an index or an array of them), one type per leading entry."""
-    rises = []  # each level over its parent's, walked back through the group starts
-    for first in reversed(starts):
-        parent = np.searchsorted(first, rows, side="right") - 1
-        rises, rows = [rows - first[parent], *rises], parent
-    return np.cumsum([rows, *rises], axis=0)  # a 1-prefix's row is its level
+def welfare_bruteforce(curve: VirtualWeightCurve, cost: RescueCost) -> BruteForceReport:
+    """Check the solver's ironed cap rule on a curve against a lattice DP that shares no code with it.
 
-
-def welfare_bruteforce(
-    types: Sequence[float],
-    weights: Sequence[float],
-    prim: PolicyPrimitives,
-    cost: RescueCost,
-) -> BruteForceReport:
-    """Enumerate monotone step cap schedules and compare with the KKT solution.
-
-    The instance is a discrete type space with hazard w_i / P(type >= theta_i);
-    the objective is the hazard-weighted virtual cost
-
-        sum_i w_i * [ C(b_i) - psi_i * b_i ],
-
-    whose unconstrained pointwise minimizer is exactly the solver's
-    optimality condition C'(b) = psi projected onto [0, b_bar], at the
-    commitment weight lambda_T = omega_T.  The search walks every
-    nondecreasing schedule on ``BRUTEFORCE_LEVELS`` uniform levels from 0
-    to b_bar (53,130 for 5 types) and holds only their totals, built prefix
-    by prefix and added left to right as a row sum of at most 6 terms adds;
-    the best tuple is walked back from its row.  It checks the discrete
-    incentive inequalities (the allocation index omega_T*T + omega_b*b must
-    be nondecreasing) and nonnegativity, and reports the gap to the KKT
-    benchmark together with the discretization bound (curvature/2) *
-    spacing^2.
+    The instance is every ``(n - 1) // _LATTICE_NODES``-th node, weighted by
+    its cell's probability mass, so it never weighs nothing.  For a convex C,
+    the pointwise rule on the PAV-ironed psi (``iron_weights`` then
+    ``caps_from_targets``) minimizes sum_i w_i [C(b_i) - psi_i b_i] over
+    nondecreasing caps in [0, b_bar]: the generalized isotonic-regression
+    theorem.  ``_lattice_min`` minimizes it on ``_LATTICE_LEVELS`` levels.
+    Rounding the solver's caps to the nearest level moves a pooled block as
+    one, so the first-order terms cancel: the DP's cost exceeds the solver's
+    by at most (s/2) step^2, s the steepest secant of C' between levels.
+    Both sides allow ``rounding``, n ulps of sum_i w_i (|C(b_i)| + |psi_i b_i|).
+    Where C' rises between all levels, the caps must agree within one level.
     """
-    th = np.asarray(types, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if th.ndim != 1 or th.size < 1 or th.shape != w.shape:
-        raise ParameterError("types and weights must be matching 1-d arrays")
-    if th.size > 6:
-        raise ParameterError("brute-force oracle is limited to 6 types")
-    if not np.all(np.isfinite(th)) or np.any(np.diff(th) <= 0.0):
-        raise ParameterError("types must be finite and strictly increasing")
-    if not np.all(w > 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-9:  # NaN fails both, inf the sum
-        raise ParameterError("weights must be finite, positive and sum to one")
-    if not prim.omega_b_constant:
-        raise ParameterError("brute-force oracle requires a constant omega_b")
-    lam = prim.omega_T
+    b_bar = float(curve.prim.b_bar)
+    take = np.arange(0, curve.theta.size, max((curve.theta.size - 1) // _LATTICE_NODES, 1))
+    theta, psi = curve.theta[take], curve.psi[take]
+    edges = np.concatenate((theta[:1], 0.5 * (theta[1:] + theta[:-1]), curve.theta[-1:]))
+    w = np.ones(1) if curve.degenerate else np.diff(curve.dist.cdf(edges))
+    w = w / w.sum()
+    psi_bar, flags = iron_weights(psi, w)
+    solver_caps = caps_from_targets(psi_bar, cost, b_bar)
+    solver_value = np.asarray(cost.value(solver_caps))
+    solver_cost = float(np.sum(w * (solver_value - psi * solver_caps)))
 
-    survivor = np.cumsum(w[::-1])[::-1]  # P(type >= theta_i), inclusive
-    hazard = w / survivor
-    psi = _weight(prim, lam, th, hazard)
-
-    kkt_caps = caps_from_targets(psi, cost, prim.b_bar)
-    kkt_cost = float(np.sum(w * (np.asarray(cost.value(kkt_caps)) - psi * kkt_caps)))
-
-    grid = np.linspace(0.0, prim.b_bar, BRUTEFORCE_LEVELS)
-    # per-type, per-level contribution to the virtual cost
-    table = w[:, None] * (np.asarray(cost.value(grid))[None, :] - psi[:, None] * grid[None, :])
-    totals, starts = _nondecreasing_totals(table)
-    best_idx = int(np.argmin(totals))
-    best_caps = grid[_tuples_at(best_idx, starts)]
-    best_cost = float(totals[best_idx])
-
-    transfers = _discrete_transfers(best_caps, prim)
-    index = lam * transfers + float(prim.omega_b) * best_caps
-    ic_ok = bool(np.all(np.diff(index) >= -1e-12))
-    ir_ok = bool(np.all(index >= -1e-12) and np.all(transfers >= 0.0))
-
-    if hasattr(cost, "kappa"):
-        curvature = cost.kappa
-    else:
-        slopes = np.diff(cost.marginal_nodes) / np.diff(cost.payout_nodes)
-        curvature = float(np.max(slopes)) if slopes.size else 0.0
-    spacing = prim.b_bar / (BRUTEFORCE_LEVELS - 1)
-    gap_bound = 0.5 * curvature * spacing**2
-    passed = bool(
-        ic_ok
-        and ir_ok
-        and best_cost >= kkt_cost - 1e-6
-        and best_cost <= kkt_cost + 1e-6 + gap_bound
-    )
-    return BruteForceReport(
-        types=th,
-        weights=w,
-        psi=psi,
-        kkt_caps=kkt_caps,
-        kkt_cost=kkt_cost,
-        best_caps=best_caps,
-        best_cost=best_cost,
-        gap_bound=gap_bound,
-        n_schedules=int(totals.size),
-        transfers=transfers,
-        ic_ok=ic_ok,
-        ir_ok=ir_ok,
-        passed=passed,
-    )
+    levels = np.linspace(0.0, b_bar, _LATTICE_LEVELS)
+    best_cost, path = _lattice_min(w[:, None] * (np.asarray(cost.value(levels)) - psi[:, None] * levels))
+    step = b_bar / (_LATTICE_LEVELS - 1)
+    secants = np.diff(cost.marginal(levels)) / step
+    gap_bound = 0.5 * float(np.max(secants)) * step**2
+    rounding = float(w.size * np.finfo(float).eps * np.sum(w * (np.abs(solver_value) + np.abs(psi * solver_caps))))
+    max_level_gap = float(np.max(np.abs(levels[path] - solver_caps)[w > 0.0])) / step
+    passed = bool(solver_cost - rounding <= best_cost <= solver_cost + rounding + gap_bound
+                  and (max_level_gap <= 1.0 or np.min(secants) <= 0.0))
+    return BruteForceReport(theta, w, int(np.count_nonzero(flags)), solver_caps, solver_cost, levels[path],
+                            best_cost, rounding, gap_bound, max_level_gap, passed)

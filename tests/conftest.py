@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -50,8 +51,6 @@ def bench_prim():
 @pytest.fixture
 def benchmark_config(tmp_path):
     """Writable copy of the discretion benchmark config pointing at tmp_path."""
-    import json
-
     doc = {
         "distribution": {"kind": "weibull", "shape": 2.0, "scale": 1.0},
         "cost": {"kind": "quadratic", "alpha": 0.2, "kappa": 1.0},
@@ -119,6 +118,40 @@ def config_commitment(cfg):
 def pooled_config():
     """``configs/pooled_benchmark.json``: a tabulated density whose virtual weight pools."""
     return load_config(str(ROOT / "configs" / "pooled_benchmark.json"))
+
+
+def pooled_steep_cost_doc():
+    """``configs/pooled_benchmark.json`` with kappa = 5: the same density, and pooled blocks at interior caps.
+
+    In the pooled config every pooled node sits at b_bar (psi_bar = 3.284 on
+    the block, C'(b_bar) = 1), where no ironing error can move a cap; at
+    kappa = 5 the lattice check's subsample pools 29 of its 65 nodes strictly
+    between 0 and b_bar.
+    """
+    doc = json.loads((ROOT / "configs" / "pooled_benchmark.json").read_text())
+    doc["cost"]["kappa"] = 5.0
+    return doc
+
+
+def spike_doc(grid_size):
+    """A 401-node tabulated density on [0, 3], zero but for one-node spikes at nodes 100 and 300.
+
+    At 4,000 grid nodes every node the lattice check subsamples has zero
+    density; at 4,097 it takes the last node, whose virtual cost is -4.3e6.
+    """
+    density = np.zeros(401)
+    density[[100, 300]] = 1.0
+    doc = json.loads((ROOT / "configs" / "commitment_benchmark.json").read_text())
+    doc["distribution"] = {"kind": "tabulated", "theta": np.linspace(0.0, 3.0, 401).tolist(),
+                           "density": density.tolist()}
+    doc["grid"] = {"size": grid_size}
+    return doc
+
+
+@pytest.fixture(params=[4000, 4097])
+def spike_config(request):
+    """``spike_doc`` at 4,000 and 4,097 grid nodes, parsed."""
+    return parse_config(spike_doc(request.param))
 
 
 def irregular_doc(seed, grid_size, discretion=False):

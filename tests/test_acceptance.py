@@ -6,7 +6,7 @@ together.  Tolerances are pinned here and nowhere looser than in the unit
 suites; the criteria cover the closed-form benchmark table, the Monte Carlo
 path, randomized optimality residuals, the no-rescue boundary, ironing
 against an independent hull oracle, comparative-statics certification, the
-cap-min derivative identities, the brute-force screening search, the effort
+cap-min derivative identities, the ironed caps against a lattice search, the effort
 condition, and byte-level determinism of the command-line artifacts.
 """
 
@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from softbudget import (
     Exponential,
@@ -27,6 +28,7 @@ from softbudget import (
     knife_edge,
     m_sensitivity,
     mc_run,
+    parse_config,
     solve_cap,
     virtual_weight,
     welfare_bruteforce,
@@ -35,7 +37,7 @@ from softbudget.cli import main
 from softbudget.effort import RevenueModel, solve_effort
 from softbudget.statics import FLAG_OK, statics_failures
 
-from conftest import BENCH
+from conftest import BENCH, config_commitment, pooled_steep_cost_doc
 from test_mechanism import NON_IFR_FIXTURES, hull_ironed
 from test_simulation import THRESHOLD_RULE, effort_prim
 
@@ -214,26 +216,32 @@ def test_criterion_07_capmin_identities():
     _report(7, ok, f"cap-min derivative identities on uniform payouts: max deviation {dev:.2e} (bound 5e-5)")
 
 
-def test_criterion_08_brute_force_search(bench_prim, bench_cost):
-    start = time.perf_counter()
-    rep = welfare_bruteforce([0.2, 0.4, 0.6, 0.8, 1.0], [0.2] * 5, bench_prim, bench_cost)
-    elapsed = time.perf_counter() - start
-    shortfall = rep.kkt_cost - rep.best_cost
-    overshoot = rep.best_cost - rep.kkt_cost
+def test_criterion_08_brute_force_search(bench_dist, bench_prim, bench_cost):
+    # the solver's ironed caps against a lattice DP, on the commitment
+    # benchmark curve and on a pooled density whose blocks pool at interior caps
+    steep = parse_config(pooled_steep_cost_doc())
+    reps = [welfare_bruteforce(virtual_weight(bench_dist, bench_prim, 1.0), bench_cost),
+            welfare_bruteforce(config_commitment(steep), steep.cost)]
+    gaps = [rep.best_cost - rep.solver_cost for rep in reps]
+    caps = reps[1].solver_caps
+    flat = (np.diff(caps, prepend=-1.0) == 0.0) | (np.diff(caps, append=-1.0) == 0.0)
+    pooled_interior = np.count_nonzero(flat & (caps > 0.0) & (caps < steep.prim.b_bar))
     ok = (
-        rep.passed
-        and rep.ic_ok
-        and rep.ir_ok
-        and shortfall <= 1e-6
-        and overshoot <= rep.gap_bound + 1e-6
-        and elapsed < 60.0
+        all(rep.passed and rep.max_level_gap <= 1.0 for rep in reps)
+        and all(-rep.rounding <= gap <= rep.gap_bound + rep.rounding for rep, gap in zip(reps, gaps))
+        and reps[0].gap_bound == pytest.approx(8e-6, rel=1e-9)
+        and reps[0].rounding <= 1e-6
+        and reps[1].pooled == 29
+        and pooled_interior == 29
     )
     _report(
         8,
         ok,
-        f"{rep.n_schedules} monotone schedules enumerated: best cost within "
-        f"[{-shortfall:.2e}, {overshoot:.2e}] of the first-order solution "
-        f"(gap bound {rep.gap_bound:.1e}); {elapsed:.1f}s",
+        f"lattice DP on {reps[0].theta.size} benchmark types and {reps[1].theta.size} pooled types "
+        f"({reps[1].pooled} pooled; {pooled_interior} share an interior cap): "
+        f"DP cost above the ironed caps' by {gaps[0]:.2e} and {gaps[1]:.2e} "
+        f"(bounds {reps[0].gap_bound:.1e}, {reps[1].gap_bound:.1e}); caps within "
+        f"{max(rep.max_level_gap for rep in reps):.2f} level",
     )
 
 

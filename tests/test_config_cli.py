@@ -20,13 +20,14 @@ from softbudget import (
     parse_config,
     solve_cap,
     virtual_weight,
+    welfare_bruteforce,
 )
 from softbudget.cli import _COMMANDS, _commitment, build_parser, main
 from softbudget.config import _COSTS, _DISTRIBUTIONS, MAX_BINS, MAX_GRID_SIZE, MAX_SAMPLES
 from softbudget.mechanism import DEFAULT_TAIL_MASS
 from softbudget.reporting import format_float
 from softbudget.statics import StaticsReport, StaticsRow, statics_failures
-from conftest import BENCH, as_floats, irregular_doc, read_csv_columns
+from conftest import BENCH, as_floats, irregular_doc, pooled_steep_cost_doc, read_csv_columns, spike_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -634,17 +635,35 @@ def test_cli_statics_flags_the_m_rows_where_m_plus_h_leaves_the_domain(tmp_path)
     assert summary["passed"] is True and summary["chain_gap"] is None
 
 
+def omega_b_curve_doc(out):
+    return make_doc(weights={"omega_T": 1.0, "omega_b": {"theta": [0.0, 1.0], "value": [0.5, 0.9]},
+                             "gamma": 1.0, "b_bar": 0.8},
+                    discretion=DISCRETION_ON, output={"directory": str(out)})
+
+
 @pytest.mark.parametrize("command,message", [
-    ("oracle", "brute-force oracle requires a constant omega_b"),
     ("discretion", "effective lambda requires a constant omega_b"),
-], ids=["oracle", "discretion"])
+], ids=["discretion"])
 def test_cli_commands_that_need_a_constant_omega_b_exit_1(tmp_path, capsys, command, message):
     # the library's own check names the cause; the command keeps no copy of it
-    doc = make_doc(weights={"omega_T": 1.0, "omega_b": {"theta": [0.0, 1.0], "value": [0.5, 0.9]},
-                            "gamma": 1.0, "b_bar": 0.8},
-                   discretion=DISCRETION_ON, output={"directory": str(tmp_path / "run")})
+    doc = omega_b_curve_doc(tmp_path / "run")
     assert run_cli(command, "--config", write_doc(tmp_path, doc), "--quiet") == 1
     assert capsys.readouterr().err == f"softbudget {command}: {message}\n"
+
+
+def test_cli_oracle_reads_psi_off_an_omega_b_curve(tmp_path, capsys):
+    # oracle checks the commitment curve, whose psi reads omega_b at each node
+    out = tmp_path / "run"
+    cfg_path = write_doc(tmp_path, omega_b_curve_doc(out))
+    assert run_cli("oracle", "--config", cfg_path, "--quiet") == 0
+    assert capsys.readouterr().err == ""
+    brute = json.loads((out / "oracle_bruteforce.json").read_text())
+    assert brute["passed"] is True and brute["nodes"] == 65
+    cfg = load_config(cfg_path)
+    rep = welfare_bruteforce(_commitment(cfg), cfg.cost)
+    assert format_float(rep.solver_cost) == format_float(brute["solver_cost"])
+    flat = welfare_bruteforce(_commitment(replace(cfg, prim=replace(cfg.prim, omega_b=0.7))), cfg.cost)
+    assert flat.solver_cost != rep.solver_cost
 
 
 def test_statics_failures_name_every_failed_check():
@@ -740,15 +759,38 @@ def test_cli_oracle(tmp_path):
     assert capmin["passed"] is True
     assert capmin["uniform"]["max_deviation_first"] <= 5e-5
     assert capmin["discrete"]["one_sided_points"] == [0.2, 0.5, 0.9]
-    assert brute["passed"] is True
-    assert brute["kkt_cost"] == pytest.approx(-0.0404444444, abs=1e-9)
-    assert brute["n_schedules"] == 53130
+    assert brute["passed"] is True and brute["nodes"] == 65
+    assert brute["gap_bound"] == pytest.approx(8e-6, rel=1e-9)
+    assert 0.0 <= brute["max_deviation"] <= brute["gap_bound"] and brute["max_level_gap"] <= 1.0
+
+
+def _config_doc(name):
+    return json.loads((ROOT / "configs" / f"{name}_benchmark.json").read_text())
+
+
+@pytest.mark.parametrize("doc", [
+    lambda: _config_doc("commitment"),
+    lambda: _config_doc("discretion"),
+    lambda: _config_doc("pooled"),
+    pooled_steep_cost_doc,
+    lambda: irregular_doc(1, 4097),
+    lambda: point_mass_doc("unused"),
+    lambda: make_doc(cost={"kind": "tabulated", "payout": [0.0, 0.5, 1.0], "marginal": [0.2, 0.6, 1.0]}),
+    lambda: spike_doc(4000),
+    lambda: spike_doc(4097),
+], ids=["commitment", "discretion", "pooled", "pooled-kappa-5", "irregular", "point-mass",
+        "tabulated-cost", "spike-4000", "spike-4097"])
+def test_cli_oracle_passes_on_the_config_it_is_given(tmp_path, capsys, doc):
+    out = tmp_path / "run"
+    assert run_cli("oracle", "--config", write_doc(tmp_path, doc()), "--out", str(out), "--quiet") == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "oracle_bruteforce.json").read_text())["passed"] is True
 
 
 def test_cli_oracle_caps_targets_above_a_tabulated_cost_at_b_bar(tmp_path):
-    # omega_b = 2 puts two of the oracle's five targets above C'(b_bar) = 0.84
-    # and one above the table's top marginal 1; the solver's cap rule sends
-    # both to b_bar without inverting past the table, in every command
+    # omega_b = 2 makes psi = 4 theta: it passes C'(b_bar) = 0.84 above theta
+    # = 0.21 and the table's top marginal 1 above 0.25; the solver's cap rule
+    # sends those targets to b_bar without inverting past the table, in every command
     doc = make_doc(cost={"kind": "tabulated", "payout": [0.0, 0.5, 1.0], "marginal": [0.2, 0.6, 1.0]},
                    weights={"omega_T": 1.0, "omega_b": 2.0, "gamma": 1.0, "b_bar": 0.8},
                    simulation={"n": 5000})
@@ -758,8 +800,12 @@ def test_cli_oracle_caps_targets_above_a_tabulated_cost_at_b_bar(tmp_path):
         assert run_cli(command, "--config", write_doc(tmp_path, doc), "--quiet") == 0, command
     brute = json.loads((tmp_path / "oracle" / "oracle_bruteforce.json").read_text())
     assert brute["passed"] is True
-    assert brute["kkt_caps"][-2:] == [0.8, 0.8]
-    assert brute["kkt_caps"][0] == pytest.approx(0.25, abs=1e-12)
+    cfg = load_config(write_doc(tmp_path, doc))
+    curve = _commitment(cfg)
+    rep = welfare_bruteforce(curve, cfg.cost)
+    above = curve.psi[::64] > 1.0
+    assert np.count_nonzero(above) > 40 and np.all(rep.solver_caps[above] == 0.8)
+    assert rep.solver_caps[0] == 0.0
 
 
 def test_cli_missing_config_is_io_error(tmp_path):

@@ -146,6 +146,26 @@ def test_tracer_sees_one_schedule_solve_per_command(spans, tmp_path):
     assert "simulation.mc_run" in names["simulate"]
 
 
+def test_tracer_sees_the_oracle_iron_its_subsample_inside_the_lattice_check(spans, tmp_path):
+    # oracle irons once, inside welfare_bruteforce and through the module
+    # global the tracer wraps, so the per-layer ironing metrics see the check
+    from softbudget.cli import main
+
+    config = str(ROOT / "configs" / "discretion_benchmark.json")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["oracle", "--config", config, "--out", str(tmp_path), "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("simulation.welfare_bruteforce") == 1 and names.count("mechanism.iron_weights") == 1
+    check = names.index("simulation.welfare_bruteforce")
+    assert tracer.spans[names.index("mechanism.iron_weights")][3] == check
+    assert tracer.counters["mechanism.iron_weights.nodes"] == 65
+    assert tracer.counters["mechanism.virtual_weight.calls"] == 1
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_workload_config_parses(seed):
     # a schema cut that drops a field some workload sets fails here, not in

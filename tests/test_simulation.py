@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from softbudget import (
+    Exponential,
     NumericalError,
     ParameterError,
     PointMass,
@@ -20,6 +21,7 @@ from softbudget import (
     capmin_oracle,
     interior_probability,
     mc_run,
+    parse_config,
     solve_cap,
     virtual_weight,
     welfare_bruteforce,
@@ -28,7 +30,8 @@ from softbudget import effort, mechanism, simulation
 from softbudget.effort import EffortParameters, RevenueModel, ThresholdRule, gap_density_at_rule, solve_effort
 from softbudget.distributions import SAMPLE_BLOCK, sample_types
 from softbudget.mechanism import _psi_on, caps_from_targets
-from conftest import BENCH, irregular_tabulated
+from softbudget.reporting import format_float
+from conftest import BENCH, config_commitment, irregular_tabulated, pooled_steep_cost_doc
 
 THRESHOLD_RULE = ThresholdRule(threshold=0.5, cap=0.8, level=0.4)
 
@@ -442,102 +445,92 @@ def test_capmin_point_mass_goes_in_the_pair_form():
     assert list(rep.exact_first) == [1.0, 1.0, 0.0]
 
 
-# -- brute-force second-best oracle ----------------------------------------------
+# -- lattice check of the ironed cap rule ------------------------------------------
+
+
+def _five_type_rows(prim, cost, levels):
+    # five equally likely types, with discrete hazard w_i / P(type >= theta_i)
+    w = np.full(5, 0.2)
+    psi = prim.gamma * prim.omega_b / prim.omega_T * w / np.cumsum(w[::-1])[::-1]
+    grid = np.linspace(0.0, prim.b_bar, levels)
+    return grid, w[:, None] * (cost.value(grid)[None, :] - psi[:, None] * grid[None, :])
 
 
 def test_welfare_bruteforce_frozen_instance(bench_prim, bench_cost):
-    rep = welfare_bruteforce([0.2, 0.4, 0.6, 0.8, 1.0], [0.2] * 5, bench_prim, bench_cost)
-    assert rep.n_schedules == 53130
-    assert rep.kkt_cost == pytest.approx(-0.0404444444, abs=1e-9)
-    assert rep.best_cost >= rep.kkt_cost - 1e-6
-    assert rep.best_cost - rep.kkt_cost <= rep.gap_bound + 1e-6
-    assert rep.gap_bound == pytest.approx(8e-4, abs=1e-12)
-    assert np.allclose(rep.transfers, [0.064, 0.064, 0.0, 0.0, 0.0], atol=1e-12)
-    assert rep.ic_ok and rep.ir_ok and rep.passed
-    assert np.all(np.diff(rep.best_caps) >= 0.0)
-    # enumerated optimum brackets the exact relaxed optimum
-    assert np.max(np.abs(rep.best_caps - rep.kkt_caps)) <= bench_prim.b_bar / 20.0
-
-
-@pytest.mark.parametrize("levels, n", [(21, 5), (21, 1), (2, 1), (2, 6), (3, 4), (7, 2), (21, 6)])
-def test_bruteforce_enumeration_matches_itertools(levels, n):
-    # the oracle's rows of nondecreasing level tuples: same rows, same
-    # lexicographic order, same dtype as combinations_with_replacement
-    expected = np.array(list(itertools.combinations_with_replacement(range(levels), n)), dtype=np.intp)
-    # level v of type k costs v * levels**(n-1-k): each total spells its row's tuple, exactly
-    table = np.arange(levels, dtype=float) * float(levels) ** np.arange(n - 1, -1, -1)[:, None]
-    totals, starts = simulation._nondecreasing_totals(table)
-    assert totals.shape == (expected.shape[0],)
-    assert np.array_equal(totals, expected @ (float(levels) ** np.arange(n - 1, -1, -1)))
-    tuples = simulation._tuples_at(np.arange(totals.size), starts)
-    assert tuples.dtype == expected.dtype and tuples.shape == expected.T.shape
-    assert np.array_equal(tuples.T, expected)
-    row = expected.shape[0] // 2
-    assert [int(v) for v in simulation._tuples_at(row, starts)] == list(expected[row])
+    # a frozen five-type instance on 21 levels
+    grid, rows = _five_type_rows(bench_prim, bench_cost, 21)
+    best, path = simulation._lattice_min(rows)
+    assert format_float(best) == "-0.04042666667"
+    assert [format_float(b) for b in grid[path]] == ["0", "0", "0.08", "0.2", "0.6"]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bruteforce_column_totals_equal_row_sums(n):
-    # extending the prefix totals one type at a time gives the row sums of
-    # the gathered N x n matrix bit for bit: a row sum of at most 6 terms adds left to right
-    rng = np.random.default_rng(20260 + n)
-    table = rng.standard_normal((n, simulation.BRUTEFORCE_LEVELS)) * 10.0 ** rng.integers(-6, 6, (n, 1))
-    combos = np.array(
-        list(itertools.combinations_with_replacement(range(simulation.BRUTEFORCE_LEVELS), n)), dtype=np.intp
-    )
-    expected = table[np.arange(n)[None, :], combos].sum(axis=1)
-    totals, _ = simulation._nondecreasing_totals(table)
-    assert totals.tobytes() == expected.tobytes()
-    if n >= 3:  # the magnitudes make the order of addition visible
-        backwards = table[np.arange(n)[None, ::-1], combos[:, ::-1]].cumsum(axis=1)[:, -1]
-        assert not np.array_equal(backwards, expected)
+    # the DP's totals per level give the least row sum over every nondecreasing
+    # tuple, added left to right, bit for bit; the magnitudes make the order of addition visible
+    rng = np.random.default_rng(4100 + n)
+    for _ in range(50):
+        levels = int(rng.integers(2, 22))
+        rows = rng.standard_normal((n, levels)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+        combos = np.array(list(itertools.combinations_with_replacement(range(levels), n)), dtype=np.intp)
+        totals = rows[np.arange(n)[None, :], combos].sum(axis=1)
+        best, path = simulation._lattice_min(rows)
+        assert np.float64(best).tobytes() == totals.min().tobytes()
+        assert np.all(np.diff(path) >= 0) and 0 <= path[0] and path[-1] < levels
+        assert np.float64(best).tobytes() == rows[np.arange(n), path].cumsum()[-1].tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_welfare_bruteforce_matches_row_sum_search(n, bench_prim, bench_cost):
-    rng = np.random.default_rng(4100 + n)
-    types = np.sort(rng.uniform(0.05, 1.5, n)) + np.arange(n) * 1e-3
-    weights = rng.uniform(0.2, 1.0, n)
-    rep = welfare_bruteforce(types, weights / weights.sum(), bench_prim, bench_cost)
-    levels = simulation.BRUTEFORCE_LEVELS
-    assert rep.n_schedules == math.comb(levels + n - 1, n)
-    # the search as one gather of the N x n index matrix and a row sum
+def test_welfare_bruteforce_matches_row_sum_search(n, bench_prim, bench_cost, monkeypatch):
+    # on a curve of n nodes and a 21-level lattice, the oracle's best caps are
+    # the argmin of one gather of the N x n index matrix and a row sum
+    levels = 21
+    monkeypatch.setattr(simulation, "_LATTICE_LEVELS", levels)
+    rng = np.random.default_rng(20260 + n)
+    dist = PointMass(float(rng.uniform(0.05, 1.5))) if n == 1 else Weibull(float(rng.uniform(1.0, 4.0)), 1.0)
+    curve = virtual_weight(dist, bench_prim, float(rng.uniform(1.0, 4.0)), max(n, 2))
+    rep = welfare_bruteforce(curve, bench_cost)
+    assert rep.theta.size == n and rep.passed
     grid = np.linspace(0.0, bench_prim.b_bar, levels)
-    table = rep.weights[:, None] * (bench_cost.value(grid)[None, :] - rep.psi[:, None] * grid[None, :])
+    rows = rep.weights[:, None] * (bench_cost.value(grid)[None, :] - curve.psi[:, None] * grid[None, :])
     combos = np.array(list(itertools.combinations_with_replacement(range(levels), n)), dtype=np.intp)
-    totals = table[np.arange(n)[None, :], combos].sum(axis=1)
+    totals = rows[np.arange(n)[None, :], combos].sum(axis=1)
     best = int(np.argmin(totals))
-    assert rep.best_cost == float(totals[best])
+    assert np.float64(rep.best_cost).tobytes() == totals[best].tobytes()
     assert rep.best_caps.tobytes() == grid[combos[best]].tobytes()
 
 
 def test_welfare_bruteforce_no_rescue_instance(bench_prim):
-    rep = welfare_bruteforce(
-        [0.2, 0.4, 0.6, 0.8, 1.0], [0.2] * 5, bench_prim, QuadraticCost(1.0, 1.0)
-    )
-    # every virtual weight sits below marginal cost at zero
-    assert np.all(rep.kkt_caps == 0.0)
-    assert np.all(rep.best_caps == 0.0)
-    assert rep.kkt_cost == 0.0 and rep.best_cost == 0.0
+    # an exponential hazard is constant: psi = 0.8 sits below C'(0) = 1 everywhere
+    rep = welfare_bruteforce(virtual_weight(Exponential(1.0), bench_prim, 1.0), QuadraticCost(1.0, 1.0))
+    assert np.all(rep.solver_caps == 0.0) and np.all(rep.best_caps == 0.0)
+    assert rep.solver_cost == 0.0 and rep.best_cost == 0.0
     assert rep.passed
 
 
-def test_welfare_bruteforce_validation(bench_prim, bench_cost):
-    with pytest.raises(ParameterError):
-        welfare_bruteforce([0.1] * 7, [1 / 7.0] * 7, bench_prim, bench_cost)
-    with pytest.raises(ParameterError):
-        welfare_bruteforce([0.4, 0.2], [0.5, 0.5], bench_prim, bench_cost)
-    with pytest.raises(ParameterError):
-        welfare_bruteforce([0.2, 0.4], [0.6, 0.6], bench_prim, bench_cost)
+def test_welfare_bruteforce_subsamples_any_grid_to_about_65_weighted_nodes(bench_dist, bench_prim, bench_cost):
+    for size in (2, 64, 65, 66, 4000, 4097, 65537):
+        curve = virtual_weight(bench_dist, bench_prim, 1.0, size)
+        rep = welfare_bruteforce(curve, bench_cost)
+        assert rep.theta[0] == curve.theta[0] and rep.theta.size in range(min(size, 65), 130), size
+        assert np.all(rep.weights > 0.0) and abs(rep.weights.sum() - 1.0) <= 1e-15
+        assert rep.passed and rep.gap_bound == pytest.approx(8e-6, rel=1e-9), size
 
 
-@pytest.mark.parametrize("types, weights", [
-    ([0.2, math.nan], [0.5, 0.5]),
-    ([math.nan, 0.2], [0.5, 0.5]),
-    ([0.2, math.inf], [0.5, 0.5]),
-    ([0.2, 0.4], [0.5, math.nan]),
-    ([0.2, 0.4], [math.inf, 0.5]),
-], ids=["type-nan", "type-nan-first", "type-inf", "weight-nan", "weight-inf"])
-def test_welfare_bruteforce_rejects_non_finite(types, weights, bench_prim, bench_cost):
-    with pytest.raises(ParameterError, match="finite"):
-        welfare_bruteforce(types, weights, bench_prim, bench_cost)
+def test_welfare_bruteforce_weighs_a_subsample_whose_densities_are_all_zero(spike_config):
+    curve = virtual_weight(spike_config.dist, spike_config.prim, 1.0, spike_config.grid.size)
+    rep = welfare_bruteforce(curve, spike_config.cost)
+    if curve.theta.size == 4000:
+        assert np.all(spike_config.dist.pdf(rep.theta) == 0.0)
+    assert np.all(np.isfinite(rep.weights)) and rep.weights.sum() == pytest.approx(1.0)
+    assert rep.passed
+    # the allowance is n ulps of the costs, which at 4,097 nodes reach -4.3e6: a fixed 1e-12 is below one ulp there
+    assert rep.rounding <= 2 * rep.theta.size * np.finfo(float).eps * max(abs(rep.solver_cost), 1.0)
+
+
+def test_welfare_bruteforce_fails_a_schedule_that_is_not_ironed(monkeypatch):
+    # a running maximum in place of PAV keeps the caps monotone, but not optimal
+    cfg = parse_config(pooled_steep_cost_doc())
+    monkeypatch.setattr(simulation, "iron_weights", lambda psi, w: (np.maximum.accumulate(psi), None))
+    rep = welfare_bruteforce(config_commitment(cfg), cfg.cost)
+    assert not rep.passed and rep.best_cost < rep.solver_cost - 1e-3

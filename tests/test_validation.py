@@ -12,18 +12,13 @@ import pytest
 from softbudget import (
     ParameterError,
     PointMass,
-    PolicyPrimitives,
-    QuadraticCost,
     Tabulated,
     TabulatedCost,
     Uniform,
     WeightCurve,
     capmin_oracle,
-    welfare_bruteforce,
 )
 from softbudget.reporting import dumps_json
-
-PRIM = PolicyPrimitives(omega_T=1.0, omega_b=0.8, gamma=1.0, b_bar=0.8)
 
 CASES = {
     "weight-curve-non-finite": (lambda: WeightCurve([0.0, math.inf], [0.5, 0.6]),
@@ -38,8 +33,6 @@ CASES = {
     "json-object": (lambda: dumps_json({"a": [object()]}), TypeError, "cannot serialize object to JSON"),
     "capmin-atoms": (lambda: capmin_oracle(([0.1, 0.2], [1.0]), [0.5]),
                      ParameterError, "discrete payout distribution needs matching value/probability arrays"),
-    "bruteforce-weights": (lambda: welfare_bruteforce([0.1, 0.2], [1.0], PRIM, QuadraticCost(0.2, 1.0)),
-                           ParameterError, "types and weights must be matching 1-d arrays"),
 }
 
 
