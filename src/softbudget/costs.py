@@ -65,7 +65,8 @@ class QuadraticCost:
 
     def inverse_marginal(self, y):
         arr, scalar = _as_float_array(y)
-        x = np.maximum(arr - self.alpha, 0.0) / self.kappa
+        x = np.subtract(arr, self.alpha, out=np.empty_like(arr))  # an array even for 0-d input, to write into
+        x = np.divide(np.maximum(x, 0.0, out=x), self.kappa, out=x)
         return float(x) if scalar else x
 
     def value(self, x):

@@ -14,15 +14,15 @@ hazards stay accurate deep into the upper tail.
 Evaluation protocol
 -------------------
 A kind writes only its formulas on float arrays: ``_pdf``, ``_cdf``,
-``_survivor``, ``_ppf``, the closed-form ``_hazard_slope``, and ``_hazard``
-where it has a closed form (the default is ``_pdf / _survivor``).
-:class:`TypeDistribution` owns the six public evaluators: each coerces its
-input once to a float array and returns a Python float for
-scalar input, a float64 array of the input's shape otherwise; ``ppf`` raises
-:class:`DomainError` outside [0, 1), and ``hazard`` and ``hazard_slope``
-raise it outside the support and :class:`UpperSupportError` wherever the
-value is not finite (zero survival at the upper end, or a divergence such as
-a decreasing-hazard Weibull's at zero).
+``_survivor``, ``_ppf`` (into its argument, which it returns), the
+closed-form ``_hazard_slope``, and ``_hazard`` where it has a closed form
+(the default is ``_pdf / _survivor``).  :class:`TypeDistribution` owns the
+six public evaluators: each coerces its input once to a float array (``ppf``
+to a copy) and returns a Python float for scalar input, a float64 array of
+the input's shape otherwise; ``ppf`` raises :class:`DomainError` outside
+[0, 1), and ``hazard`` and ``hazard_slope`` raise it outside the support and
+:class:`UpperSupportError` wherever the value is not finite (zero survival
+at the upper end, or a divergence such as a decreasing-hazard Weibull's at zero).
 
 Supported kinds
 ---------------
@@ -40,12 +40,12 @@ Sampling
 --------
 ``sample_types`` draws i.i.d. types by inverse-CDF transform of a
 deterministic uniform stream.  The stream is produced by the Philox4x64-10
-counter-based generator: sample block ``j`` (blocks of 65,536 draws) comes
-from ``Philox(key=seed)`` jumped ``j`` times.  The mapping from
-``(seed, n)`` to output is therefore bit-reproducible and independent of
-how a caller partitions the blocks across workers.  Each block goes through
-``ppf`` on its own into the output, so sampling holds the types and a few
-blocks of working set; the draws are ``ppf(uniform_stream(seed, n))`` bit for bit.
+counter-based generator: sample block ``j`` (blocks of 65,536 draws) is
+``Philox(key=seed)`` at counter (0, 0, j, 0), with no jump needed.  The
+mapping from ``(seed, n)`` to output is bit-reproducible and independent of
+how a caller partitions the blocks.  Each block is drawn straight into the
+output and inverted there by ``_ppf``, so the types are the only array of
+the sample's size; the draws are ``ppf(uniform_stream(seed, n))`` bit for bit.
 A :class:`Tabulated` quantile finds each CDF cell in O(1) from a guide table
 over u (Chen & Asau, 1974), built on the first query of ``GUIDE_CELLS`` or
 more entries; smaller ones, such as ``grid()``'s, keep the binary search.
@@ -113,11 +113,15 @@ class TypeDistribution:
         return _returned(self._survivor(arr), arr)
 
     def ppf(self, u):
-        """Quantile function; accepts u in [0, 1)."""
-        arr = np.asarray(u, dtype=float)
+        """Quantile function; accepts u in [0, 1) and leaves ``u`` as it is (``_ppf`` inverts a copy)."""
+        arr = np.array(u, dtype=float)
+        return _returned(self._quantiles(arr), arr)
+
+    def _quantiles(self, arr: np.ndarray) -> np.ndarray:
+        """``_ppf`` written into ``arr``, after the quantile argument's check."""
         if not (arr.size == 0 or 0.0 <= arr.min() and arr.max() < 1.0):  # NaN fails both; an empty array passes
             raise DomainError("quantile argument must lie in [0, 1)")
-        return _returned(self._ppf(arr), arr)
+        return self._ppf(arr)
 
     def hazard(self, theta):
         """Hazard rate f(theta) / P(type > theta).
@@ -216,7 +220,9 @@ class Weibull(TypeDistribution):
         return np.where(arr < 0.0, 1.0, np.exp(-(z**self.shape)))
 
     def _ppf(self, arr):
-        return self.scale * (-np.log1p(-arr)) ** (1.0 / self.shape)
+        arr = np.negative(np.log1p(np.negative(arr, out=arr), out=arr), out=arr)
+        arr[()] **= 1.0 / self.shape  # in place; 0-d input keeps numpy's scalar power, which a loop can round otherwise
+        return np.multiply(arr, self.scale, out=arr)
 
     def _hazard(self, arr):
         return (self.shape / self.scale) * (arr / self.scale) ** (self.shape - 1.0)
@@ -254,7 +260,7 @@ class Exponential(TypeDistribution):
         return np.where(arr < 0.0, 1.0, np.exp(-self.rate * np.maximum(arr, 0.0)))
 
     def _ppf(self, arr):
-        return -np.log1p(-arr) / self.rate
+        return np.divide(np.log1p(np.negative(arr, out=arr), out=arr), -self.rate, out=arr)  # -log1p(-u) / rate
 
     def _hazard(self, arr):
         return np.full_like(arr, self.rate)
@@ -292,7 +298,7 @@ class Uniform(TypeDistribution):
         return np.clip((self.upper - arr) / (self.upper - self.lower), 0.0, 1.0)
 
     def _ppf(self, arr):
-        return self.lower + arr * (self.upper - self.lower)
+        return np.add(np.multiply(arr, self.upper - self.lower, out=arr), self.lower, out=arr)
 
     def _hazard_slope(self, arr):
         return 1.0 / (self.upper - arr) ** 2
@@ -339,9 +345,10 @@ class Truncated(TypeDistribution):
         return np.clip((self.base.survivor(arr) - self._surv_hi) / self._mass, 0.0, 1.0)
 
     def _ppf(self, arr):
-        # cdf_lo + u*mass reaches 1.0 where the base CDF rounds to 1: hold it below
-        base_u = np.minimum(self._cdf_lo + arr * self._mass, math.nextafter(1.0, 0.0))
-        return np.clip(self.base.ppf(base_u), self.lower, self.upper)
+        # cdf_lo + u*mass reaches 1.0 where the base CDF rounds to 1: hold it below, in [0, 1) as ppf checks
+        np.add(np.multiply(arr, self._mass, out=arr), self._cdf_lo, out=arr)
+        np.minimum(arr, math.nextafter(1.0, 0.0), out=arr)
+        return np.clip(self.base._ppf(arr), self.lower, self.upper, out=arr)
 
     def _hazard_slope(self, arr):
         # h_T = f_b / (S_b - S_b(upper)), and f_b' = S_b (h_b' - h_b^2), so
@@ -410,49 +417,64 @@ class Tabulated(TypeDistribution):
         return (float(self.nodes[0]), float(self.nodes[-1]))
 
     def _locate(self, arr):
-        idx = _cell_index(arr, self.nodes)
-        return idx, arr - self.nodes[idx]
+        flat = np.ravel(arr)  # 1-d, so that take gives arrays to write into
+        idx = _cell_index(flat, self.nodes)
+        return idx, flat - self.nodes.take(idx)
 
     def _density_in(self, idx, s):
         """Density at offset ``s`` into cell ``idx``."""
-        return np.maximum(self.density[idx] + self._slope[idx] * s, 0.0)
+        dens = self._slope.take(idx)
+        dens *= s
+        dens += self.density.take(idx)
+        return np.maximum(dens, 0.0, out=dens)
 
     def _survival_in(self, idx, s):
-        """Survival at offset ``s`` into cell ``idx``: the rest of the cell plus the cells above."""
-        t = self._step - s
-        cell_rest = self.density[idx + 1] * t - 0.5 * self._slope[idx] * t**2
-        return np.clip(self._surv_nodes[idx + 1] + cell_rest, 0.0, 1.0)
+        """Survival at offset ``s`` into cell ``idx``: the rest of the cell plus the cells above.  Overwrites ``s``."""
+        t = np.subtract(self._step, s, out=s)
+        surv = self.density[1:].take(idx)
+        surv *= t
+        rest = self._slope.take(idx)
+        rest *= 0.5
+        rest *= np.square(t, out=t)
+        surv -= rest
+        surv += self._surv_nodes[1:].take(idx)
+        return np.clip(surv, 0.0, 1.0, out=surv)
 
     def _pdf(self, arr):
         lo, hi = self.support
         idx, s = self._locate(np.clip(arr, lo, hi))
-        return np.where((arr >= lo) & (arr <= hi), self._density_in(idx, s), 0.0)
+        return np.where((arr >= lo) & (arr <= hi), self._density_in(idx, s).reshape(arr.shape), 0.0)
 
     def _cdf(self, arr):
         lo, hi = self.support
         idx, s = self._locate(np.clip(arr, lo, hi))
-        vals = self._cdf_nodes[idx] + self.density[idx] * s + 0.5 * self._slope[idx] * s**2
+        vals = (self._cdf_nodes[idx] + self.density[idx] * s + 0.5 * self._slope[idx] * s**2).reshape(arr.shape)
         return np.where(arr < lo, 0.0, np.where(arr >= hi, 1.0, np.clip(vals, 0.0, 1.0)))
 
     def _survivor(self, arr):
         lo, hi = self.support
         idx, s = self._locate(np.clip(arr, lo, hi))
-        return np.where(arr <= lo, 1.0, np.where(arr > hi, 0.0, self._survival_in(idx, s)))
+        return np.where(arr <= lo, 1.0, np.where(arr > hi, 0.0, self._survival_in(idx, s).reshape(arr.shape)))
+
+    def _hazard_factors(self, arr):
+        """Cell, density and survival (1 at the first node) of each point, as ``_locate``'s; one lookup for both."""
+        idx, s = self._locate(arr)
+        dens, surv = self._density_in(idx, s), self._survival_in(idx, s)
+        np.copyto(surv, 1.0, where=np.ravel(arr) <= self.nodes[0])
+        return idx, dens, surv
 
     def _hazard(self, arr):
-        # one cell lookup for both factors, with the float operations of _pdf
-        # and _survivor, so the hazard equals pdf / survivor bit for bit
-        idx, s = self._locate(arr)
-        return self._density_in(idx, s) / np.where(arr <= self.nodes[0], 1.0, self._survival_in(idx, s))
+        # the float operations of _pdf and _survivor, so the hazard equals pdf / survivor bit for bit
+        _, dens, surv = self._hazard_factors(arr)
+        return np.divide(dens, surv, out=dens).reshape(arr.shape)
 
     def _hazard_slope(self, arr):
         # the density is linear inside a cell, so h' = f'/S + h^2 with f' the
         # cell's slope, exact on either side of a node's kink, which a
         # difference stencil would straddle; a node takes the slope above it
-        idx, s = self._locate(arr)
-        surv = np.where(arr <= self.nodes[0], 1.0, self._survival_in(idx, s))
-        h = self._density_in(idx, s) / surv
-        return self._slope[idx] / surv + h * h
+        idx, dens, surv = self._hazard_factors(arr)
+        h = np.divide(dens, surv, out=dens)
+        return (self._slope[idx] / surv + h * h).reshape(arr.shape)
 
     def _cdf_cell(self, u):
         """searchsorted(cdf, u, "right") - 1, through the guide table for large queries."""
@@ -466,14 +488,22 @@ class Tabulated(TypeDistribution):
         return idx
 
     def _ppf(self, arr):
-        idx = np.clip(self._cdf_cell(arr), 0, self.nodes.size - 2)
-        f0, resid = self.density[idx], arr - self._cdf_nodes[idx]
-        # solve f0*s + slope*s^2/2 = resid for s in [0, step], stable form:
-        # s = 2 resid / (f0 + sqrt(f0^2 + 2 slope resid)), 0 where that fails
-        denom = f0 + np.sqrt(np.maximum(np.square(f0) + 2.0 * self._slope[idx] * resid, 0.0))
+        u = np.atleast_1d(arr)  # a view of 0-d input, so that take gives arrays
+        idx = self._cdf_cell(u)
+        np.clip(idx, 0, self.nodes.size - 2, out=idx)
+        f0 = self.density.take(idx)
+        u -= self._cdf_nodes.take(idx)
+        # s in [0, step] with f0*s + slope*s^2/2 = u (the residual), stably 2u / (f0 + sqrt(f0^2 + 2 slope u)) or else 0
+        denom = self._slope.take(idx)
+        denom *= 2.0
+        denom *= u
+        denom += np.square(f0)
+        denom = np.add(f0, np.sqrt(np.maximum(denom, 0.0, out=denom), out=denom), out=denom)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(denom > 0.0, 2.0 * resid / denom, 0.0)
-        return self.nodes[idx] + np.clip(s, 0.0, self._step)
+            np.divide(np.multiply(u, 2.0, out=u), denom, out=u)
+        np.copyto(u, 0.0, where=~(denom > 0.0))
+        np.add(np.clip(u, 0.0, self._step, out=u), self.nodes.take(idx), out=u)
+        return arr
 
 
 @dataclass(frozen=True)
@@ -505,7 +535,8 @@ class PointMass(TypeDistribution):
         return (arr < self.value).astype(float)
 
     def _ppf(self, arr):
-        return np.full_like(arr, self.value)
+        arr.fill(self.value)
+        return arr
 
     def _hazard(self, arr):
         raise ParameterError("hazard undefined for degenerate (point-mass) supports")
@@ -568,9 +599,9 @@ def _cell_index(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
 def uniform_stream(seed: int, n: int) -> np.ndarray:
     """Deterministic uniforms in [0, 1) from Philox4x64-10 counter blocks.
 
-    Block ``j`` of 65,536 values is drawn from ``Philox(key=seed)`` jumped
-    ``j`` times, so any partition of [0, n) into whole blocks generates the
-    identical merged array.
+    Block ``j`` of 65,536 values is drawn from ``Philox(key=seed)`` at counter
+    (0, 0, j, 0), the generator jumped ``j`` times, so any partition of
+    [0, n) into whole blocks generates the identical merged array.
     """
     return _by_block(seed, n, lambda u: u)
 
@@ -578,19 +609,21 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
 def sample_types(dist: TypeDistribution, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. types by inverse-CDF transform of the uniform stream.
 
-    Inverted block by block (module docstring), ``dist.ppf(uniform_stream(seed, n))`` bit for bit.
+    Each block is inverted where it is drawn, in the output (module
+    docstring): ``dist.ppf(uniform_stream(seed, n))`` bit for bit.
     """
-    return _by_block(seed, n, dist.ppf)
+    return _by_block(seed, n, dist._quantiles)
 
 
 def _by_block(seed: int, n: int, transform) -> np.ndarray:
-    """The stream's blocks, each passed through ``transform`` into one output array."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """The stream drawn block by block into one output array, ``transform`` writing each block in place."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError("sample size must be a positive integer")
-    if not isinstance(seed, (int, np.integer)) or not (0 <= int(seed) <= MAX_SEED):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not (0 <= int(seed) <= MAX_SEED):
         raise ParameterError("seed must be an unsigned 64-bit integer")
     out = np.empty(int(n), dtype=float)
-    for start in range(0, int(n), SAMPLE_BLOCK):
-        gen = np.random.Generator(np.random.Philox(key=int(seed)).jumped(start // SAMPLE_BLOCK))
-        out[start : start + SAMPLE_BLOCK] = transform(gen.random(min(SAMPLE_BLOCK, int(n) - start)))
+    for j, start in enumerate(range(0, int(n), SAMPLE_BLOCK)):
+        block = out[start : start + SAMPLE_BLOCK]
+        np.random.Generator(np.random.Philox(key=int(seed), counter=(0, 0, j, 0))).random(out=block)
+        transform(block)
     return out

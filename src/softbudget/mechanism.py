@@ -81,10 +81,11 @@ class VirtualWeightCurve:
 
     Every stage that needs psi takes the curve, so the distribution,
     primitives, lambda and grid it reads are the ones psi was built from.
-    ``hazard`` (h at the nodes; 1 for a point mass), ``density`` (f at the
-    nodes, the ironing weights; the unit mass for a point mass), ``psi_bar``
-    and ``ironed`` are computed on first use and kept: a caller that reads
-    only ``psi`` never irons, and a curve irons at most once.  A curve from
+    ``hazard`` is h at the nodes (1 for a point mass), kept by
+    ``virtual_weight`` from evaluating psi.  ``density`` (f at the nodes, the
+    ironing weights; the unit mass for a point mass), ``psi_bar`` and
+    ``ironed`` are computed on first use and kept: a caller that reads only
+    ``psi`` never irons, and a curve irons at most once.  A curve from
     ``at`` shares its source's hazard and density and re-pools its blocks.
     """
 
@@ -433,7 +434,10 @@ def virtual_weight(
     """
     lam = _check_lambda(lambda_T)
     theta = dist.grid(grid_size, tail_mass)
-    return VirtualWeightCurve(theta, _psi_on(dist, prim, lam, theta), dist, prim, lam)
+    hazard = _hazard(dist, theta)
+    curve = VirtualWeightCurve(theta, _weight(prim, lam, theta, hazard), dist, prim, lam)
+    curve.__dict__["hazard"] = hazard
+    return curve
 
 
 def _hazard(dist: TypeDistribution, theta: np.ndarray) -> np.ndarray:
@@ -449,8 +453,6 @@ def _weight(prim: PolicyPrimitives, lam: float, theta: np.ndarray, hazard) -> np
 
 def _psi_on(dist: TypeDistribution, prim: PolicyPrimitives, lam: float, theta: np.ndarray) -> np.ndarray:
     """Raw virtual weight at the given types; a point mass bypasses the hazard."""
-    # the hazard first: its temporaries are freed before the weight array is
-    # built, which matters when mc_run passes millions of sampled types
     return _weight(prim, lam, theta, _hazard(dist, theta))
 
 

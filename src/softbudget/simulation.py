@@ -93,8 +93,8 @@ def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> M
       so the variance does not cancel, and a bin whose caps are all equal
       gets its cap as mean and a standard error of exactly zero.
 
-    Memory is the types plus a working set of a few blocks: sampling inverts
-    block by block, no other array of the sample's size is held, and the
+    Memory is the types plus a few blocks: each block is inverted where it
+    is drawn, its arrays are freed before the next block's are made, and the
     caps are clipped and turned into their deviations in place.  The
     interpolated weight is ``np.interp``'s on the ironed curve, bit for bit.
     """
@@ -116,11 +116,9 @@ def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> M
     dev_sq = np.zeros(bins)
     for start in range(0, theta_s.size, SAMPLE_BLOCK):
         theta = theta_s[start : start + SAMPLE_BLOCK]
-        if pooled:
-            psi = curve.psi_bar_at(theta)
-        else:  # no pooling: evaluate the virtual weight exactly at the samples
-            psi = _psi_on(dist, prim, curve.lambda_T, theta)
-        b = caps_from_targets(psi, cost, prim.b_bar)
+        # with no pooling, the virtual weight exactly at the samples; it is freed once the caps are in
+        b = caps_from_targets(curve.psi_bar_at(theta) if pooled else _psi_on(dist, prim, curve.lambda_T, theta),
+                              cost, prim.b_bar)
         positive = b > 0.0
         at_cap = b >= prim.b_bar
         # only types below an estimate can lower it, and after the first block few are
@@ -144,6 +142,7 @@ def mc_run(sched: CapSchedule, n: int, seed: int, bins: int = DEFAULT_BINS) -> M
         dev_sum += np.bincount(idx, weights=b, minlength=bins)
         b *= b
         dev_sq += np.bincount(idx, weights=b, minlength=bins)
+        del b, idx, positive, at_cap, lower  # or they are held while the next block's are made
 
     filled = np.maximum(counts, 1)
     means = np.where(counts > 0, shift + dev_sum / filled, np.nan)

@@ -87,6 +87,24 @@ def test_uniform_stream_rejects_bad_arguments():
         uniform_stream(2**64, 10)
     with pytest.raises(ParameterError):
         uniform_stream(0, 0)
+    # a bool is an int, but no seed and no sample size: True would read as 1
+    for draw in (uniform_stream, lambda seed, n: sample_types(Weibull(2.0, 1.0), n, seed)):
+        for flag in (True, False, np.True_):
+            with pytest.raises(ParameterError, match="seed must be an unsigned 64-bit integer"):
+                draw(flag, 3)
+            with pytest.raises(ParameterError, match="sample size must be a positive integer"):
+                draw(0, flag)
+
+
+@pytest.mark.parametrize("seed", [0, 20260814, 2**64 - 1])
+def test_uniform_stream_blocks_are_numpys_jumped_philox(seed):
+    # block j is Philox(key=seed) jumped j times, as numpy itself jumps it
+    n = 3 * SAMPLE_BLOCK + 17
+    stream = uniform_stream(seed, n)
+    for j, start in enumerate(range(0, n, SAMPLE_BLOCK)):
+        size = min(SAMPLE_BLOCK, n - start)
+        block = np.random.Generator(np.random.Philox(key=seed).jumped(j)).random(size)
+        assert np.array_equal(stream[start : start + size].view(np.int64), block.view(np.int64))
 
 
 def test_uniform_containment_small_sample():
@@ -566,6 +584,29 @@ def test_sampling_by_block_is_the_whole_stream_inverted(name):
     for seed in (0, 20260814):
         whole = dist.ppf(uniform_stream(seed, n))
         assert np.array_equal(sample_types(dist, n, seed).view(np.int64), whole.view(np.int64))
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_ppf_neither_changes_nor_returns_its_argument(name):
+    # _ppf writes into its argument; ppf hands it a copy, so whatever the
+    # caller passes (0-d, 1-d, 2-d, Fortran-ordered, strided or read-only)
+    # keeps its values, and an array result owns its memory; the values are
+    # the 1-d array's, bit for bit
+    dist = KINDS[name]
+    u = np.linspace(0.0, 0.95, 24)
+    read_only = u.reshape(4, 6).copy()
+    read_only.flags.writeable = False
+    for arg in (np.array(0.3), u.copy(), u.reshape(4, 6).copy(), np.asfortranarray(u.reshape(4, 6)), u[::3], read_only):
+        before = arg.copy()
+        out = dist.ppf(arg)
+        assert np.array_equal(arg.view(np.int64), before.view(np.int64))
+        flat = dist.ppf(np.ravel(before))
+        if arg.ndim == 0:
+            assert type(out) is float and out == dist.ppf(float(before))
+            continue
+        assert isinstance(out, np.ndarray) and out is not arg and not np.shares_memory(out, arg)
+        assert out.shape == arg.shape and np.array_equal(np.ravel(out).view(np.int64), flat.view(np.int64))
+    assert not read_only.flags.writeable
 
 
 # -- guide-table quantile cells ------------------------------------------------
