@@ -29,7 +29,8 @@ is printed to stdout only, so artifacts stay reproducible byte for byte.
 ``solve`` and ``simulate`` solve one cap schedule (the fixed point's under
 discretion, the commitment one otherwise) and read everything after it,
 transfers, leader cost, P_int and the Monte Carlo check, off that schedule.
-``knife-edge`` reads only a curve, so without discretion it never irons.
+``knife-edge`` reads only a curve; without discretion it irons only where
+C'(0+) lies between the last node's raw weight and the largest one.
 """
 
 from __future__ import annotations
@@ -190,7 +191,6 @@ def _cmd_solve(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
 
 def _cmd_knife_edge(cfg: RunConfig, out: _Artifacts) -> tuple[dict, Optional[str]]:
     sol = _converged_fixed_point(cfg)
-    # the test reads only psi, so without discretion nothing is ironed
     report = mechanism.knife_edge(_commitment(cfg) if sol is None else sol.schedule.curve, cfg.cost)
     return {
         "no_rescue": report.no_rescue,

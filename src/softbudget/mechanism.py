@@ -17,7 +17,8 @@ whole, so its Python work is bounded by the number of decreasing runs, not
 by the grid size (see ``iron_weights`` for its tie and zero-weight
 conventions).  ``virtual_weight`` builds the curve, which
 records its inputs and is the one input of every stage that needs psi; it
-irons on first use, so the knife-edge test, which reads only psi, never does.
+irons on first use, so the knife-edge test irons only in the one band of
+costs where psi alone cannot settle it.
 lambda_T, gamma and a constant omega_b enter psi only as a positive scale,
 at which PAV pools the same blocks, so a curve derived at other weights
 (``VirtualWeightCurve.at``) inherits its source's partition and re-sums the
@@ -43,7 +44,7 @@ Cutoffs:
 located in closed form on the linear interpolant of psi_bar, where it
 first exceeds C'(0+) and first reaches C'(b_bar).  The
 knife-edge test reports whether rescue is shut down for *all* types:
-no rescue is optimal exactly when C'(0+) >= sup_theta psi(theta).
+no rescue is optimal exactly when C'(0+) >= sup_theta psi_bar(theta).
 """
 
 from __future__ import annotations
@@ -543,20 +544,26 @@ def solve_cap(curve: VirtualWeightCurve, cost: RescueCost) -> CapSchedule:
 def knife_edge(curve: VirtualWeightCurve, cost: RescueCost) -> KnifeEdgeReport:
     """Test whether shutting rescue down entirely is optimal.
 
-    No rescue is optimal exactly when C'(0+) >= sup_theta psi(theta).  The
-    supremum is taken on the grid, and ``truncated_support`` reports that
-    the grid stops short of the support at either end, as a grid that ends
-    at a quantile below 1 does on every kind but a point mass: the grid sup
-    may then understate the true one, which is infinite for a hazard that
-    grows without bound.  The test reads only the raw weight psi, so
-    nothing is ironed.
+    No rescue is optimal exactly when C'(0+) >= sup_theta psi_bar(theta),
+    the schedule's own condition.  psi_bar is nondecreasing and its value at
+    the last node lies between psi's there and psi's maximum, so the raw
+    weight settles the test for C'(0+) outside that band, and only inside it
+    is the curve ironed.  ``sup_virtual_weight`` and ``margin`` report the raw weight's
+    supremum on the grid.  ``truncated_support`` reports that the grid stops
+    short of the support at either end, as a grid that ends at a quantile
+    below 1 does on every kind but a point mass: the grid sup may then
+    understate the true one, which is infinite for a hazard that grows
+    without bound.
     """
     sup_psi = float(np.max(curve.psi))
     c_origin = float(cost.marginal_at_zero)
     margin = c_origin - sup_psi
+    no_rescue = margin >= 0.0
+    if curve.psi[-1] <= c_origin < sup_psi:
+        no_rescue = c_origin >= float(curve.psi_bar[-1])
     lower, upper = curve.dist.support
     return KnifeEdgeReport(
-        no_rescue=margin >= 0.0,
+        no_rescue=no_rescue,
         margin=margin,
         sup_virtual_weight=sup_psi,
         marginal_cost_at_zero=c_origin,

