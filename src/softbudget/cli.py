@@ -36,6 +36,7 @@ C'(0+) lies between the last node's raw weight and the largest one.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -341,8 +342,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One flat parser: the command and the five options every command shares, in any order."""
+    """One flat parser: the command and the five options every command shares, in any order.
+
+    Built on the first call and shared by every later one, so each ``main``
+    after the first parses without building it again; callers must not
+    change it.  Nothing is built at import.
+    """
     commands = "".join(f"\n  {name:<12}{help_text}" for name, (_, help_text) in _COMMANDS.items())
     parser = _Parser(prog="softbudget", description="Optimal rescue-cap mechanism toolkit",
                      epilog=f"commands:{commands}", formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -876,6 +876,49 @@ def test_cli_parser_lists_every_command(capsys):
         assert re.search(rf"^  {re.escape(name)} +{re.escape(help_text)}$", listed, re.MULTILINE), name
 
 
+def test_cli_builds_one_parser_per_process_and_none_at_import(tmp_path):
+    # a fresh interpreter counts the _Parser objects built: none by the import and load_config that
+    # the benchmark's set-up times, then one for every main() call in the process, usage errors included
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    config = str(ROOT / "configs" / "commitment_benchmark.json")
+    code = f"""
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(type(self).__name__)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import softbudget.cli as cli
+cli.load_config({config!r})
+print(built.count("_Parser"))
+codes = [cli.main(["knife-edge", "--config", {config!r}, "--out", {str(tmp_path)!r}, "--quiet"]) for _ in range(3)]
+try:
+    cli.main(["solve"])
+except SystemExit as exc:
+    codes.append(exc.code)
+print(built.count("_Parser"), codes)
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0", "1 [0, 0, 0, 1]"]
+
+
+def test_cli_shared_parser_prints_what_a_fresh_one_prints(tmp_path, capsys):
+    fresh = build_parser.__wrapped__()
+    assert fresh is not build_parser() and build_parser() is build_parser()
+    assert run_cli("--help") == 0
+    assert capsys.readouterr().out == fresh.format_help()
+    path = write_doc(tmp_path, make_doc())
+    for argv in [("bogus", "--config", path), (), ("solve",), ("solve", "--config", path, "--grid", "x")]:
+        assert run_cli(*argv) == 1
+        shared = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            fresh.parse_args(list(argv))
+        assert exc.value.code == 1 and capsys.readouterr() == shared
+
+
 def test_cli_options_may_precede_the_command(tmp_path):
     path = write_doc(tmp_path, make_doc())
     before, after = tmp_path / "before", tmp_path / "after"

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from softbudget import (
     uniform_stream,
 )
 from softbudget.distributions import GUIDE_CELLS, SAMPLE_BLOCK, _cell_index, _grid_cell
-from conftest import assert_scalar_path_matches, irregular_tabulated
+from conftest import ROOT, assert_scalar_path_matches, irregular_tabulated
 
 ANALYTIC = [
     Weibull(2.0, 1.0),
@@ -672,12 +675,17 @@ def cell_grids(draw):
     shape = draw(st.sampled_from(["linspace", "rounded", "coinciding"]))
     if shape == "coinciding":  # a point mass's Monte Carlo bin edges
         return np.full(n, lo), False
-    xp = np.linspace(lo, lo + width, n)
-    if shape == "rounded":  # each node moved up to 1 ulp: still uniform to Tabulated
-        moves = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1)))).integers(-1, 2, n)
-        xp = np.where(moves < 0, np.nextafter(xp, -np.inf), np.where(moves > 0, np.nextafter(xp, np.inf), xp))
-        Tabulated(xp, np.ones(n))
-    return xp, True
+    if shape == "linspace":
+        return np.linspace(lo, lo + width, n), True
+    # each node of an exact grid moved up to 1 ulp: still uniform to Tabulated by construction.  The
+    # step is a power of two and every node a multiple of it below 2**29 steps, so the steps are exact
+    # and 4 * spacing(max |node|) <= 2**-22 step lies below Tabulated's 1e-6 step; the moves shift each
+    # step from steps[0] by at most 4 * spacing(max |node|), the allowance of its uniformity check
+    step = 2.0 ** math.floor(math.log2(width / (n - 1)))
+    first = min(max(round(lo / step), -(2**28)), 2**28)
+    xp = (first + np.arange(n)) * step
+    moves = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1)))).integers(-1, 2, n)
+    return np.where(moves < 0, np.nextafter(xp, -np.inf), np.where(moves > 0, np.nextafter(xp, np.inf), xp)), True
 
 
 @given(grid=cell_grids(), seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -710,3 +718,14 @@ def test_cell_index_is_the_clipped_binary_search(grid, seed):
         idx, offset = Tabulated(xp, np.ones(xp.size))._locate(queries)
         assert np.array_equal(idx, reference(queries))
         assert np.array_equal(offset.view(np.int64), (queries - xp[reference(queries)]).view(np.int64))
+
+
+def test_cell_index_grids_pass_after_the_golden_file():
+    # hypothesis seeds its draws with literals from the loaded modules, so the examples drawn depend on
+    # the tests that ran before: after the golden file, in one session, it draws other grids
+    node = "tests/test_distributions.py::test_cell_index_is_the_clipped_binary_search"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py", node]
+    done = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, env=env, timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:]
+    assert f"PASSED {node}" in done.stdout
